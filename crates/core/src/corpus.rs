@@ -17,10 +17,8 @@
 //! encodes the paper's `false` output for below-threshold queries as `0`
 //! (the language's lists are homogeneous).
 
-use serde::{Deserialize, Serialize};
-
 /// What the pipeline must conclude for an algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Expected {
     /// Type checks and verifies (unbounded proof).
     Proved,
@@ -31,7 +29,7 @@ pub enum Expected {
 }
 
 /// Reference timings from the paper's Table 1 (seconds).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PaperTimes {
     /// "Type Check (s)".
     pub typecheck: f64,

@@ -7,10 +7,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use shadowdp_analysis::Diagnostic;
 use shadowdp_solver::{Fingerprint, QueryMemo, Solver, SolverStats};
 use shadowdp_syntax::{parse_function, pretty_function, Function, ParseError};
@@ -481,23 +480,31 @@ impl Pipeline {
             jobs.iter().map(run_job).collect()
         } else {
             let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Result<PipelineReport, PipelineError>>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
-            crossbeam::thread::scope(|scope| {
+            let slots: Vec<OnceLock<Result<PipelineReport, PipelineError>>> =
+                jobs.iter().map(|_| OnceLock::new()).collect();
+            // Workers run under the caller's fault plan, if any: a plan
+            // scoped to this corpus run reaches the jobs it runs, never a
+            // sibling run's.
+            let faults = shadowdp_fault::PlanHandle::current();
+            std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|_| loop {
-                        // Claim the next pending job; the cursor is the
-                        // whole work-stealing protocol — a free worker
-                        // always takes the oldest unclaimed job.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
+                    scope.spawn(|| {
+                        let _faults = faults.bind();
+                        loop {
+                            // Claim the next pending job; the cursor is the
+                            // whole work-stealing protocol — a free worker
+                            // always takes the oldest unclaimed job.
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= jobs.len() {
+                                break;
+                            }
+                            slots[i]
+                                .set(run_job(&jobs[i]))
+                                .expect("each job is claimed by one worker");
                         }
-                        *slots[i].lock() = Some(run_job(&jobs[i]));
                     });
                 }
-            })
-            .expect("corpus workers do not panic");
+            });
             slots
                 .into_iter()
                 .map(|slot| slot.into_inner().expect("every job slot is filled"))
@@ -942,8 +949,8 @@ mod tests {
     }
 
     /// The work-stealing driver also survives a crashing job: the panic is
-    /// caught inside the worker closure, so the crossbeam scope joins
-    /// cleanly and every other slot is filled.
+    /// caught inside the worker closure, so the thread scope joins cleanly
+    /// and every other slot is filled.
     #[test]
     fn parallel_corpus_survives_a_panicking_job() {
         use shadowdp_fault::{FaultKind, FaultPlan};

@@ -12,7 +12,6 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use shadowdp_num::Rat;
 use shadowdp_verify::{BmcOptions, Engine, Options, Verdict, VerifyMode};
 
@@ -20,7 +19,7 @@ use crate::corpus::{table1_algorithms, Algorithm};
 use crate::pipeline::{CorpusJob, CorpusOutcome, Pipeline};
 
 /// One row of the regenerated Table 1.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Row {
     /// Algorithm name.
     pub name: String,

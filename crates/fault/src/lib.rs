@@ -40,16 +40,22 @@
 //!
 //! The variable is read once, on the first site check in the process.
 //!
-//! # In-process plans and test isolation
+//! # Scoped plans
 //!
-//! [`FaultPlan::install`] arms a plan process-wide and returns a guard that
-//! disarms on drop. Because the plan is global, installation also takes a
-//! process-wide test lock: two tests installing plans serialize instead of
-//! corrupting each other's fault schedules.
+//! [`FaultPlan::install`] binds a plan to the installing thread and returns
+//! a guard that disarms it on drop. Only code running on that thread — or
+//! on a thread it starts and hands the plan to through [`PlanHandle`] —
+//! sees the plan's faults and advances its hit counters, so a test's plan
+//! never fires inside a sibling test running on another thread. The
+//! corpus driver's workers and the daemon's scheduler and connection
+//! threads take their starter's plan this way. A thread with no plan bound
+//! falls back to the `SHADOWDP_FAULTS` plan, which is process-wide.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// What an injected fault does at its site.
@@ -188,56 +194,126 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Arms the plan process-wide. The returned guard disarms it (and
-    /// releases the cross-test serialization lock) when dropped.
+    /// Arms the plan for the calling thread, and for every thread that
+    /// later binds this thread's [`PlanHandle`]. The returned guard disarms
+    /// the plan — on all of those threads at once — and restores the
+    /// calling thread's previous plan when dropped.
     pub fn install(self) -> PlanGuard {
-        // Serialize tests that install plans: the schedule is global.
-        let lock = TEST_LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        {
-            let mut active = active_slot()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            *active = Some(Active {
-                plan: self,
-                hits: HashMap::new(),
-            });
+        let armed = Arc::new(Armed::new(self));
+        LIVE.fetch_add(1, Ordering::Release);
+        PlanGuard {
+            _binding: PlanHandle(Some(armed.clone())).bind(),
+            armed,
         }
-        ARMED.store(true, Ordering::Release);
-        PlanGuard { _lock: lock }
     }
 }
 
-/// Keeps an installed [`FaultPlan`] armed; disarms on drop.
+/// Keeps an installed [`FaultPlan`] armed; disarms it on drop.
+#[must_use = "the plan is disarmed when the guard drops"]
 pub struct PlanGuard {
-    _lock: MutexGuard<'static, ()>,
+    armed: Arc<Armed>,
+    /// Restores the installing thread's previous plan once the plan is
+    /// disarmed.
+    _binding: Binding,
 }
 
 impl Drop for PlanGuard {
     fn drop(&mut self) {
-        ARMED.store(false, Ordering::Release);
-        let mut active = active_slot()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *active = None;
+        self.armed.live.store(false, Ordering::Release);
+        LIVE.fetch_sub(1, Ordering::Release);
     }
 }
 
-struct Active {
-    plan: FaultPlan,
-    /// Hit counters per site, shared by every thread in the process.
-    hits: HashMap<String, u64>,
+/// The plan bound to a thread (possibly none), as a value that can move to
+/// a thread it starts: [`PlanHandle::bind`] there makes the new thread see
+/// the same faults and share the same hit counters.
+#[derive(Clone, Debug, Default)]
+pub struct PlanHandle(Option<Arc<Armed>>);
+
+impl PlanHandle {
+    /// The calling thread's plan.
+    pub fn current() -> PlanHandle {
+        PlanHandle(BOUND.with(|b| b.borrow().clone()))
+    }
+
+    /// Binds this plan to the calling thread until the returned guard
+    /// drops.
+    pub fn bind(&self) -> Binding {
+        Binding {
+            prev: BOUND.with(|b| b.replace(self.0.clone())),
+            _thread: PhantomData,
+        }
+    }
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-static TEST_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+/// Keeps a [`PlanHandle`] bound to a thread; restores the thread's
+/// previous plan on drop.
+#[must_use = "the plan is unbound when the guard drops"]
+pub struct Binding {
+    prev: Option<Arc<Armed>>,
+    /// The binding is thread-local, so it must drop on the thread that
+    /// made it.
+    _thread: PhantomData<*const ()>,
+}
 
-fn active_slot() -> &'static Mutex<Option<Active>> {
-    static ACTIVE: OnceLock<Mutex<Option<Active>>> = OnceLock::new();
-    ACTIVE.get_or_init(|| Mutex::new(None))
+impl Drop for Binding {
+    fn drop(&mut self) {
+        // `try_with`: a drop during thread teardown must not panic.
+        let _ = BOUND.try_with(|b| *b.borrow_mut() = self.prev.take());
+    }
+}
+
+/// An armed plan and its hit counters, shared by every thread it is bound
+/// to.
+#[derive(Debug)]
+struct Armed {
+    plan: FaultPlan,
+    /// Cleared when the installing guard drops.
+    live: AtomicBool,
+    hits: Mutex<HashMap<String, u64>>,
+}
+
+impl Armed {
+    fn new(plan: FaultPlan) -> Armed {
+        Armed {
+            plan,
+            live: AtomicBool::new(true),
+            hits: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Records one hit of `site` and returns the fault scheduled for it.
+    fn fire(&self, site: &str) -> Option<FaultKind> {
+        if !self.live.load(Ordering::Acquire) || !self.plan.faults.iter().any(|f| f.site == site) {
+            return None;
+        }
+        let hit = {
+            let mut hits = self.hits.lock().unwrap_or_else(PoisonError::into_inner);
+            let hit = hits.entry(site.to_string()).or_insert(0);
+            *hit += 1;
+            *hit
+        };
+        self.plan
+            .faults
+            .iter()
+            .find(|f| f.site == site && (hit == f.at_hit || (f.sticky && hit >= f.at_hit)))
+            .map(|f| f.kind.clone())
+    }
+}
+
+/// How many plans are armed anywhere in the process (installed ones plus
+/// the environment's). While zero, a site check is one relaxed load. The
+/// count only gates that fast path and publishes no plan data: a plan
+/// reaches a thread through its binding, installed on that thread or
+/// moved in before the thread started.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static ENV_INIT: Once = Once::new();
+static ENV_PLAN: OnceLock<Arc<Armed>> = OnceLock::new();
+
+thread_local! {
+    /// The plan bound to this thread by [`FaultPlan::install`] or
+    /// [`PlanHandle::bind`].
+    static BOUND: RefCell<Option<Arc<Armed>>> = const { RefCell::new(None) };
 }
 
 /// Arms the plan from `SHADOWDP_FAULTS` exactly once per process. A parse
@@ -248,14 +324,9 @@ fn env_init() {
         if let Ok(spec) = std::env::var("SHADOWDP_FAULTS") {
             match FaultPlan::parse(&spec) {
                 Ok(plan) if !plan.is_empty() => {
-                    let mut active = active_slot()
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    *active = Some(Active {
-                        plan,
-                        hits: HashMap::new(),
-                    });
-                    ARMED.store(true, Ordering::Release);
+                    if ENV_PLAN.set(Arc::new(Armed::new(plan))).is_ok() {
+                        LIVE.fetch_add(1, Ordering::Release);
+                    }
                 }
                 Ok(_) => {}
                 Err(e) => eprintln!("SHADOWDP_FAULTS ignored: {e}"),
@@ -265,30 +336,16 @@ fn env_init() {
 }
 
 /// Records one hit of `site` and returns the fault to inject there, if the
-/// armed plan schedules one for this hit. The disabled path is one relaxed
-/// atomic load (after a one-time environment probe).
+/// plan bound to this thread — or, when none is bound, the
+/// `SHADOWDP_FAULTS` plan — schedules one for this hit. The disabled path
+/// is one relaxed atomic load (after a one-time environment probe).
 pub fn check(site: &str) -> Option<FaultKind> {
     env_init();
-    if !ARMED.load(Ordering::Relaxed) {
+    if LIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    let mut active = active_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let active = active.as_mut()?;
-    let any_at_site = active.plan.faults.iter().any(|f| f.site == site);
-    if !any_at_site {
-        return None;
-    }
-    let hit = active.hits.entry(site.to_string()).or_insert(0);
-    *hit += 1;
-    let hit = *hit;
-    active
-        .plan
-        .faults
-        .iter()
-        .find(|f| f.site == site && (hit == f.at_hit || (f.sticky && hit >= f.at_hit)))
-        .map(|f| f.kind.clone())
+    let bound = BOUND.with(|b| b.borrow().clone());
+    bound.as_ref().or(ENV_PLAN.get())?.fire(site)
 }
 
 /// An injected-error constructor, distinguishable in messages.
@@ -421,6 +478,33 @@ mod tests {
         let caught = std::panic::catch_unwind(|| fail_point("p"));
         assert!(caught.is_err(), "panic fault panics");
         assert!(fail_point("p").is_ok(), "one-shot");
+    }
+
+    #[test]
+    fn plans_reach_only_their_thread_and_the_threads_it_hands_them_to() {
+        let guard = FaultPlan::new()
+            .sticky("scoped", FaultKind::Error, 2)
+            .install();
+        // An unrelated thread sees nothing and leaves the counters alone.
+        let stranger = std::thread::spawn(|| [check("scoped"), check("scoped")]);
+        assert_eq!(stranger.join().unwrap(), [None, None]);
+        // A thread handed the plan shares its hit counters.
+        let plan = PlanHandle::current();
+        let heir = std::thread::spawn(move || {
+            let _bound = plan.bind();
+            check("scoped")
+        });
+        assert_eq!(heir.join().unwrap(), None, "hit 1");
+        assert_eq!(check("scoped"), Some(FaultKind::Error), "hit 2");
+        // Dropping the guard disarms the plan on every thread holding it.
+        let plan = PlanHandle::current();
+        drop(guard);
+        let late = std::thread::spawn(move || {
+            let _bound = plan.bind();
+            check("scoped")
+        });
+        assert_eq!(late.join().unwrap(), None);
+        assert_eq!(check("scoped"), None);
     }
 
     #[test]

@@ -7,8 +7,6 @@ use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// An exact rational number backed by `i128` numerator/denominator.
 ///
 /// Invariants (maintained by every constructor and operation):
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Rat::new(1, -2), Rat::new(-1, 2));
 /// assert_eq!(Rat::from(3) * Rat::new(1, 3), Rat::ONE);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rat {
     num: i128,
     den: i128,

@@ -9,20 +9,19 @@
 //! ε (up to sampling error); the classic buggy Sparse Vector variants blow
 //! past it.
 //!
-//! Trials are parallelized with `crossbeam` scoped threads; each worker
+//! Trials are parallelized with `std` scoped threads; each worker
 //! owns a deterministically-derived RNG seed so results are reproducible.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use shadowdp_syntax::Function;
 
 use crate::interp::Interp;
 use crate::value::Value;
 
 /// Configuration for an empirical DP test.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DpTestConfig {
     /// Trials per input (total runs = 2 × trials).
     pub trials: usize,
@@ -47,7 +46,7 @@ impl Default for DpTestConfig {
 }
 
 /// The result of an empirical DP test.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DpEstimate {
     /// Worst observed `|ln(P1(E)/P2(E))|` over all single-output events.
     pub max_log_ratio: f64,
@@ -111,13 +110,13 @@ pub fn estimate_privacy_loss(
     let per_thread = config.trials.div_ceil(threads);
     let trials = per_thread * threads;
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let counts1 = &counts1;
             let counts2 = &counts2;
             let project = &project;
             let seed = config.seed;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut local1 = HashMap::<String, u64>::new();
                 let mut local2 = HashMap::<String, u64>::new();
                 for (which, inputs, local) in
@@ -132,22 +131,21 @@ pub fn estimate_privacy_loss(
                         *local.entry(project(&run.output)).or_insert(0) += 1;
                     }
                 }
-                let mut g1 = counts1.lock();
+                let mut g1 = counts1.lock().unwrap_or_else(PoisonError::into_inner);
                 for (k, v) in local1 {
                     *g1.entry(k).or_insert(0) += v;
                 }
                 drop(g1);
-                let mut g2 = counts2.lock();
+                let mut g2 = counts2.lock().unwrap_or_else(PoisonError::into_inner);
                 for (k, v) in local2 {
                     *g2.entry(k).or_insert(0) += v;
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 
-    let counts1 = counts1.into_inner();
-    let counts2 = counts2.into_inner();
+    let counts1 = counts1.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let counts2 = counts2.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut events: Vec<&String> = counts1.keys().chain(counts2.keys()).collect();
     events.sort();
     events.dedup();

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A runtime value: number, boolean, or list.
 ///
 /// Numbers are `f64` at runtime — the sampled Laplace noise is continuous —
 /// while all *static* reasoning (type checking, verification) uses exact
 /// rationals. The two worlds never mix.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// A real number.
     Num(f64),

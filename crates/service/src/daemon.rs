@@ -601,9 +601,16 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
         config,
     });
 
+    // The scheduler and connection threads run under the starter's fault
+    // plan, if any (an in-process daemon under test inherits its test's).
+    let faults = shadowdp_fault::PlanHandle::current();
     let scheduler = {
         let shared = shared.clone();
-        thread::spawn(move || schedule(&shared))
+        let faults = faults.clone();
+        thread::spawn(move || {
+            let _faults = faults.bind();
+            schedule(&shared);
+        })
     };
 
     let mut next_conn: u64 = 0;
@@ -615,7 +622,9 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
         let conn = next_conn;
         next_conn += 1;
         let shared = shared.clone();
+        let faults = faults.clone();
         thread::spawn(move || {
+            let _faults = faults.bind();
             if let Err(e) = handle(&shared, conn, stream) {
                 eprintln!("shadowdpd: connection error: {e}");
             }

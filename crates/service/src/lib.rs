@@ -65,4 +65,4 @@ pub use daemon::{
     outcome_kind, render_verdict, wire_digest, DaemonConfig, BUSY_RETRY_MS, DEFAULT_COMPACT_RATIO,
 };
 pub use proto::{JobOutcome, OutcomeKind, ProtoError, Request, Response, StatusInfo};
-pub use store::{decode, fnv128, hex128, CompactStats, DecodeError, PipelineEntry, VerdictStore};
+pub use store::{fnv128, hex128, CompactStats, PipelineEntry, VerdictStore};

@@ -18,9 +18,8 @@
 //!
 //! # On-disk format (v2)
 //!
-//! A hand-rolled little-endian binary log (the vendored `serde` is a
-//! minimal stub, and the format is simple enough that a schema language
-//! would cost more than it buys):
+//! A hand-rolled little-endian binary log (the format is simple enough
+//! that a schema language would cost more than it buys):
 //!
 //! ```text
 //! magic   b"SDPVERD2"
@@ -46,9 +45,8 @@
 //! (each incremental flush appends one). Every record carries its own
 //! checksum, so a torn tail — a crash mid-append — **truncates the log to
 //! the last valid record** instead of cold-starting the whole store; only
-//! a damaged header (or a v1 image failing its whole-file checksum) falls
-//! back to a cold (empty) cache. The store never panics and never
-//! half-loads a record.
+//! a damaged or unknown header falls back to a cold (empty) cache. The
+//! store never panics and never half-loads a record.
 //!
 //! Appends first truncate the file back to the last known-valid length
 //! (dropping any torn tail a crashed sibling left), then write + fsync.
@@ -56,14 +54,6 @@
 //! one base record — atomically: sibling temp file, fsync, `rename` —
 //! dropping both superseded log records and solver-tier entries
 //! unreachable from any pipeline-tier job's dependency set.
-//!
-//! # v1 compatibility
-//!
-//! Files with magic `SDPVERD1` (the rewrite-everything format of earlier
-//! releases: same entry encodings, one whole-file checksum trailer) are
-//! still read in full; their pipeline entries carry no dependency sets, so
-//! they conservatively pin every solver entry until the jobs are re-run.
-//! The first flush after loading a v1 image rewrites it as v2.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Seek};
@@ -72,10 +62,6 @@ use std::path::{Path, PathBuf};
 use shadowdp::JobSpec;
 use shadowdp_num::Rat;
 use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo};
-
-/// The v1 file magic (whole-image format with a trailing checksum). Still
-/// accepted by [`VerdictStore::load`]; never written.
-const MAGIC_V1: &[u8; 8] = b"SDPVERD1";
 
 /// The v2 file magic: format name + version. Bump the trailing digit on
 /// any layout change — old daemons then treat new files as corrupt (cold
@@ -126,8 +112,8 @@ pub struct PipelineEntry {
     /// The solver-tier fingerprints this job's verification touched
     /// ([`shadowdp::PipelineReport::solver_fingerprints`]); compaction
     /// keeps a solver entry alive iff some pipeline entry lists it.
-    /// `None` = unknown provenance (a v1 image, whose entries predate
-    /// dependency tracking) — conservatively pins *every* solver entry.
+    /// `None` = unknown provenance (deps tag 0 on disk) — conservatively
+    /// pins *every* solver entry.
     pub deps: Option<Vec<Fingerprint>>,
 }
 
@@ -167,8 +153,8 @@ pub struct VerdictStore {
     /// them — eviction should act on traffic the current process
     /// observed), surfaced as oldest/newest gauges over `METRICS`.
     batch_stamps: HashMap<u128, u64>,
-    /// The next flush must rewrite the whole log (missing file, v1 image,
-    /// damaged header, or an append whose partial write could not be
+    /// The next flush must rewrite the whole log (missing file, damaged or
+    /// unknown header, or an append whose partial write could not be
     /// rolled back).
     needs_rewrite: bool,
     /// Why the last load fell back to cold or dropped a tail, if it did
@@ -200,8 +186,8 @@ impl VerdictStore {
     }
 
     /// Opens the store at `path`, replaying any previous log. A missing
-    /// file is a normal cold start; a damaged header is a cold start and a
-    /// torn tail is truncated to the last valid record — both with
+    /// file is a normal cold start; a damaged or unknown header is a cold
+    /// start and a torn tail is truncated to the last valid record — both with
     /// [`VerdictStore::load_note`] explaining what happened. This
     /// constructor never fails and never panics on file contents.
     pub fn load(path: impl Into<PathBuf>) -> VerdictStore {
@@ -210,26 +196,6 @@ impl VerdictStore {
         let Ok(bytes) = std::fs::read(&path) else {
             return store; // missing (or unreadable): cold start
         };
-        if bytes.starts_with(MAGIC_V1) {
-            // v1 whole-image format: all-or-nothing checksum, no deps.
-            match decode(&bytes) {
-                Ok((solver, pipeline)) => {
-                    store.logged_entries = (solver.len() + pipeline.len()) as u64;
-                    store.solver = solver;
-                    store.pipeline = pipeline;
-                    // Rewrite as v2 on the next flush; until then the file
-                    // must not be appended to.
-                    store.needs_rewrite = true;
-                }
-                Err(e) => {
-                    store.load_note = Some(format!(
-                        "store {} unusable ({e}); starting cold",
-                        path.display()
-                    ));
-                }
-            }
-            return store;
-        }
         match replay_v2(&bytes) {
             Err(e) => {
                 store.load_note = Some(format!(
@@ -448,8 +414,8 @@ impl VerdictStore {
     /// own checksum, written after truncating away any torn tail a
     /// previous crash left. The whole log is rewritten instead (atomic
     /// temp + fsync + rename) when there is no valid v2 log to append to:
-    /// first flush, a loaded v1 image, a damaged header, or a failed
-    /// append that could not be rolled back. With nothing dirty this is a
+    /// first flush, a damaged or unknown header, or a failed append that
+    /// could not be rolled back. With nothing dirty this is a
     /// no-op.
     ///
     /// # Errors
@@ -481,8 +447,8 @@ impl VerdictStore {
     /// Pending dirty entries are folded in, so a clean-shutdown compaction
     /// subsumes the final flush.
     ///
-    /// Pipeline entries with unknown dependencies (loaded from a v1 image)
-    /// conservatively pin every solver entry.
+    /// Pipeline entries with unknown dependencies conservatively pin every
+    /// solver entry.
     ///
     /// # Errors
     ///
@@ -768,17 +734,13 @@ fn append_record(
 // Decoding (bounds-checked; a bad record truncates, a bad header rejects)
 // ---------------------------------------------------------------------------
 
-/// Why a store image (or one of its records) was rejected. One variant per
-/// independent failure mode so the durability tests can pin each.
+/// Why a store image (or one of its records) was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DecodeError {
-    /// File shorter than magic + checksum, or a record ran off the end.
+enum DecodeError {
+    /// File shorter than its magic, or a record ran off the end.
     Truncated,
-    /// Magic bytes don't match (wrong file or future format version).
+    /// Magic bytes don't match (wrong file, or another format version).
     BadMagic,
-    /// Checksum mismatch (bit corruption, or truncation that happened to
-    /// keep the length plausible).
-    BadChecksum,
     /// A structurally invalid record (unknown tag, non-UTF-8 name,
     /// zero denominator).
     Malformed(&'static str),
@@ -789,7 +751,6 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "truncated"),
             DecodeError::BadMagic => write!(f, "bad magic"),
-            DecodeError::BadChecksum => write!(f, "checksum mismatch"),
             DecodeError::Malformed(what) => write!(f, "malformed {what}"),
         }
     }
@@ -836,73 +797,6 @@ impl<'a> Cursor<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed("string"))
     }
-}
-
-type DecodedV1 = (
-    HashMap<Fingerprint, CheckResult>,
-    HashMap<u128, PipelineEntry>,
-);
-
-/// Decodes a **v1** whole-image store (magic `SDPVERD1`, trailing
-/// whole-file checksum). Kept for read compatibility: entries decode with
-/// unknown dependency sets ([`PipelineEntry::deps`] = `None`). Checksum is
-/// verified before any structural parsing, so corrupt length fields can at
-/// worst produce a `Truncated` error from the bounds-checked cursor, never
-/// an oversized allocation.
-///
-/// # Errors
-///
-/// Any truncation, corruption, or structural invalidity rejects the whole
-/// image — v1 has no record framing to recover a prefix from.
-pub fn decode(bytes: &[u8]) -> Result<DecodedV1, DecodeError> {
-    if bytes.len() < MAGIC_V1.len() + 16 {
-        return Err(DecodeError::Truncated);
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 16);
-    let stored = u128::from_le_bytes(trailer.try_into().unwrap());
-    if fnv128(body) != stored {
-        return Err(DecodeError::BadChecksum);
-    }
-
-    let mut cur = Cursor { bytes: body, at: 0 };
-    if cur.take(MAGIC_V1.len())? != MAGIC_V1 {
-        return Err(DecodeError::BadMagic);
-    }
-
-    let solver_count = cur.u64()?;
-    let mut solver = HashMap::new();
-    for _ in 0..solver_count {
-        let fp = Fingerprint(cur.u128()?);
-        let result = decode_check_result(&mut cur)?;
-        solver.insert(fp, result);
-    }
-
-    let pipeline_count = cur.u64()?;
-    let mut pipeline = HashMap::new();
-    for _ in 0..pipeline_count {
-        let key = cur.u128()?;
-        let ok = match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(DecodeError::Malformed("ok flag")),
-        };
-        let verdict = cur.string()?;
-        let digest = cur.string()?;
-        pipeline.insert(
-            key,
-            PipelineEntry {
-                ok,
-                verdict,
-                digest,
-                deps: None,
-            },
-        );
-    }
-
-    if cur.at != body.len() {
-        return Err(DecodeError::Malformed("trailing bytes"));
-    }
-    Ok((solver, pipeline))
 }
 
 /// The result of replaying a v2 log.
@@ -1194,51 +1088,6 @@ mod tests {
         let replayed = replay_v2(&bytes).unwrap();
         assert_eq!(replayed.solver.len(), 2);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn v1_image_is_still_readable() {
-        // Hand-build a v1 image: magic, one solver entry, one pipeline
-        // entry, whole-file checksum.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&9u128.to_le_bytes());
-        bytes.push(0); // Unsat
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&42u128.to_le_bytes());
-        bytes.push(1); // ok
-        encode_bytes(&mut bytes, b"proved");
-        encode_bytes(&mut bytes, b"F Proved\n");
-        let sum = fnv128(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-
-        let path = temp_path("v1");
-        std::fs::write(&path, &bytes).unwrap();
-        let store = VerdictStore::load(&path);
-        assert!(store.load_note().is_none());
-        assert_eq!(store.solver_len(), 1);
-        assert_eq!(store.pipeline_len(), 1);
-        // v1 entries have unknown provenance: they pin the solver tier.
-        assert_eq!(store.pipeline.get(&42).unwrap().deps, None);
-        assert!(store.needs_rewrite, "first flush migrates v1 to v2");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupted_v1_image_is_a_cold_start() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let sum = fnv128(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x40;
-            // v1 decode is all-or-nothing.
-            assert!(decode(&corrupt).is_err(), "flip at {i}");
-        }
     }
 
     /// A checksum-valid record can still carry values `Rat` itself would
@@ -1540,7 +1389,7 @@ mod tests {
                 ok: true,
                 verdict: "proved".into(),
                 digest: "F Proved\n".into(),
-                deps: None, // v1 provenance
+                deps: None, // unknown provenance
             },
         );
         let stats = store.compact().unwrap();

@@ -27,10 +27,9 @@
 //! 7. **Graceful drain** — `SHUTDOWN` mid-batch still publishes every
 //!    accepted job's result, flushes the store, and clears the journal.
 //!
-//! Every test installs a `FaultPlan` (empty when it needs no faults):
-//! the plan guard serializes fault-sensitive tests on a process-global
-//! lock, so an in-process daemon thread never observes another test's
-//! armed sites.
+//! A test's `FaultPlan` is bound to the test's thread, and `start_daemon`
+//! hands it to the in-process daemon, so a daemon never observes another
+//! test's armed sites.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -42,12 +41,12 @@ use std::time::{Duration, Instant};
 
 use shadowdp::jobspec::OptionsSpec;
 use shadowdp::{corpus, table1, JobSpec};
-use shadowdp_fault::{FaultKind, FaultPlan};
+use shadowdp_fault::{FaultKind, FaultPlan, PlanHandle};
 use shadowdp_service::daemon::{self, DaemonConfig};
 use shadowdp_service::{fnv128, proto, Client, OutcomeKind, PipelineEntry, Request, VerdictStore};
 
 /// Unique socket/store paths per test (tests in one binary run in
-/// parallel, and fault tests additionally serialize on the plan guard).
+/// parallel).
 fn temp_paths(tag: &str) -> (PathBuf, PathBuf) {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -67,10 +66,13 @@ fn journal_path(store: &Path) -> PathBuf {
     store.with_file_name(name)
 }
 
-/// Starts an in-process daemon and waits until its socket answers PING.
+/// Starts an in-process daemon under the calling test's fault plan and
+/// waits until its socket answers PING.
 fn start_daemon(config: DaemonConfig) -> (JoinHandle<()>, Client) {
     let run_config = config.clone();
+    let faults = PlanHandle::current();
     let handle = thread::spawn(move || {
+        let _faults = faults.bind();
         daemon::run(run_config).expect("daemon runs");
     });
     for _ in 0..200 {
@@ -298,7 +300,6 @@ fn journal_frame(line: &str) -> Vec<u8> {
 /// journal.
 #[test]
 fn journaled_submissions_reverify_on_restart() {
-    let _guard = FaultPlan::new().install();
     let (socket, store) = temp_paths("journal-replay");
     let journal = journal_path(&store);
     let spec = JobSpec::new(corpus::laplace_mechanism().source);
@@ -591,7 +592,6 @@ const LOOP_SRC: &str = "function Loop(eps, NN, size: num(0,0), q: list num(*,*))
 /// persist.
 #[test]
 fn budget_exhaustion_reported_never_persisted_and_rerun_proves() {
-    let _guard = FaultPlan::new().install();
     let (socket, store) = temp_paths("budget");
     let (handle, mut client) = start_daemon(DaemonConfig {
         store: Some(store.clone()),

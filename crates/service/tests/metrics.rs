@@ -5,21 +5,31 @@
 //! journal replay is counted.
 //!
 //! The obs registry is process-global while tests in this binary run in
-//! parallel threads, so every test takes the fault-plan guard (empty
-//! when it injects nothing) to serialize — and counter assertions are
-//! scrape-to-scrape *deltas*, never absolutes.
+//! parallel threads, so every test takes one lock to serialize — and
+//! counter assertions are scrape-to-scrape *deltas*, never absolutes.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use shadowdp::jobspec::OptionsSpec;
 use shadowdp::{corpus, JobSpec};
-use shadowdp_fault::{FaultKind, FaultPlan};
+use shadowdp_fault::{FaultKind, FaultPlan, PlanHandle};
 use shadowdp_obs::{parse_exposition, validate_exposition, Sample, SnapValue};
 use shadowdp_service::daemon::{self, DaemonConfig};
 use shadowdp_service::{fnv128, proto, Client, OutcomeKind, Request};
+
+/// Serializes the tests in this binary: each diffs process-global
+/// counters that a concurrent sibling's daemon would move too.
+static METRICS_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    // A panicking sibling poisons the lock but leaves the registry usable
+    // (deltas still work), so recover instead of cascading.
+    METRICS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Unique socket/store paths per test.
 fn temp_paths(tag: &str) -> (PathBuf, PathBuf) {
@@ -33,10 +43,13 @@ fn temp_paths(tag: &str) -> (PathBuf, PathBuf) {
     )
 }
 
-/// Starts an in-process daemon and waits until its socket answers PING.
+/// Starts an in-process daemon under the calling test's fault plan and
+/// waits until its socket answers PING.
 fn start_daemon(config: DaemonConfig) -> (JoinHandle<()>, Client) {
     let run_config = config.clone();
+    let faults = PlanHandle::current();
     let handle = thread::spawn(move || {
+        let _faults = faults.bind();
         daemon::run(run_config).expect("daemon runs");
     });
     for _ in 0..200 {
@@ -85,7 +98,7 @@ fn counter_now(name: &str) -> u64 {
 /// a newer batch sequence, and appends nothing.
 #[test]
 fn metrics_track_fresh_work_store_hits_and_flushes() {
-    let _guard = FaultPlan::new().install();
+    let _lock = lock();
     let (socket, store) = temp_paths("activity");
     let (handle, mut client) = start_daemon(DaemonConfig {
         store: Some(store.clone()),
@@ -195,6 +208,7 @@ const LOOP_SRC: &str = "function Loop(eps, NN, size: num(0,0), q: list num(*,*))
 /// exactly once, and independently of one another.
 #[test]
 fn fault_counters_track_crashes_and_budget_exhaustion() {
+    let _lock = lock();
     let _guard = FaultPlan::new()
         .once("solver.step", FaultKind::Panic)
         .install();
@@ -276,7 +290,7 @@ fn journal_path(store: &Path) -> PathBuf {
 /// torn tail record is not counted.
 #[test]
 fn journal_replay_is_counted() {
-    let _guard = FaultPlan::new().install();
+    let _lock = lock();
     let (socket, store) = temp_paths("replay");
     let journal = journal_path(&store);
     let spec = JobSpec::new(corpus::laplace_mechanism().source);

@@ -10,12 +10,23 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 use shadowdp::{corpus, JobSpec};
 use shadowdp_service::daemon::{self, DaemonConfig};
 use shadowdp_service::Client;
+
+/// Keeps the test that spawns daemons apart from the one that fabricates
+/// a stale socket: a child forked from this process while that socket's
+/// listener is still open inherits the listener until it execs, so a
+/// concurrent spawn can briefly keep the "stale" socket accepting.
+static FORK_LOCK: Mutex<()> = Mutex::new(());
+
+fn fork_lock() -> MutexGuard<'static, ()> {
+    FORK_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn temp_socket(tag: &str) -> PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -62,6 +73,7 @@ fn daemons_serving(socket: &Path) -> Vec<u32> {
 /// daemon process survives the stampede.
 #[test]
 fn concurrent_connect_or_spawn_leaves_exactly_one_daemon() {
+    let _fork = fork_lock();
     use_built_daemon();
     let socket = temp_socket("stampede");
 
@@ -134,6 +146,7 @@ fn concurrent_connect_or_spawn_leaves_exactly_one_daemon() {
 /// ECONNREFUSED, and replaces it.
 #[test]
 fn stale_socket_file_does_not_block_auto_spawn() {
+    let _fork = fork_lock();
     use_built_daemon();
     let socket = temp_socket("stale");
 

@@ -1,7 +1,7 @@
 //! Durability contract of the persistent verdict store (append-only log
 //! format, v2).
 //!
-//! Five properties, each pinned independently:
+//! Four properties, each pinned independently:
 //!
 //! 1. **Round trip** — a snapshot → flush → load → absorb cycle recovers
 //!    every solver verdict and every pipeline entry (property-tested over
@@ -16,9 +16,6 @@
 //! 4. **Compaction atomicity** — a crash at *any byte* of a compaction
 //!    rewrite (staged in a temp file, renamed over the log) recovers to
 //!    exactly the pre- or post-compaction view, never a mix.
-//! 5. **v1 compatibility** — a store written in the old whole-image
-//!    format still loads in full (and conservatively pins every solver
-//!    entry through compaction).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -396,11 +393,16 @@ fn corrupted_store_degrades_cleanly() {
         assert_eq!(store.pipeline_len(), 0);
         assert!(store.load_note().is_some(), "flip at {i} must be noted");
     }
-    // And a file that is not a store at all.
-    std::fs::write(&path, b"definitely not a verdict store").unwrap();
-    let store = VerdictStore::load(&path);
-    assert_eq!(store.solver_len(), 0);
-    assert!(store.load_note().is_some());
+    // And files that are not a v2 store: one that is not a store at all,
+    // and an image in the retired v1 format (empty tiers, checksum).
+    let mut v1 = b"SDPVERD1".to_vec();
+    v1.extend_from_slice(&[0; 32]);
+    for foreign in [b"definitely not a verdict store".to_vec(), v1] {
+        std::fs::write(&path, &foreign).unwrap();
+        let store = VerdictStore::load(&path);
+        assert_eq!(store.solver_len(), 0);
+        assert!(store.load_note().is_some());
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -575,63 +577,6 @@ fn killed_compaction_recovers_pre_or_post_view_at_every_byte() {
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&tmp);
-}
-
-// ---------------------------------------------------------------------------
-// v1 compatibility end-to-end: old image in, full warmth out
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v1_store_round_trips_through_migration() {
-    // Forge a v1 image the way the old code did: v1 entry encodings, one
-    // whole-file checksum. (The v1 writer is gone; its byte layout is
-    // pinned here so read compatibility cannot silently rot.)
-    fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
-    }
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"SDPVERD1");
-    bytes.extend_from_slice(&2u64.to_le_bytes());
-    for fp in [3u128, 9u128] {
-        bytes.extend_from_slice(&fp.to_le_bytes());
-        bytes.push(0); // Unsat
-    }
-    bytes.extend_from_slice(&1u64.to_le_bytes());
-    let spec = JobSpec::new("function F() returns o: num(0,0) { o := 0; }");
-    bytes.extend_from_slice(&VerdictStore::job_key(&spec).to_le_bytes());
-    bytes.push(1); // ok
-    push_bytes(&mut bytes, b"proved");
-    push_bytes(&mut bytes, b"F Proved\n");
-    let sum = shadowdp_service::fnv128(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-
-    let path = temp_path("v1-migrate");
-    std::fs::write(&path, &bytes).unwrap();
-
-    let mut store = VerdictStore::load(&path);
-    assert!(store.load_note().is_none());
-    assert_eq!(store.solver_len(), 2);
-    assert_eq!(store.pipeline_len(), 1);
-    let v1_entry = store.pipeline_get(&spec).unwrap();
-    assert_eq!(v1_entry.deps, None, "v1 entries have unknown provenance");
-
-    // Unknown deps pin the whole solver tier through compaction (which
-    // also migrates the file to v2).
-    let stats = store.compact().unwrap();
-    assert_eq!(stats.dropped_solver, 0);
-    let migrated = VerdictStore::load(&path);
-    assert!(migrated.load_note().is_none());
-    assert_eq!(migrated.solver_len(), 2);
-    assert_eq!(migrated.pipeline_get(&spec).unwrap().deps, None);
-    assert_eq!(migrated.pipeline_get(&spec).unwrap().digest, "F Proved\n");
-
-    // The migrated log appends like any v2 log.
-    let mut migrated = migrated;
-    migrated.solver_put(Fingerprint(77), CheckResult::Unsat);
-    migrated.flush().unwrap();
-    assert_eq!(VerdictStore::load(&path).solver_len(), 3);
-    let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,29 +4,36 @@
 //!
 //! # Query memoization
 //!
-//! `check` folds its input conjunction into a single hash-consed term and
-//! keys the cache on that term's [`Fingerprint`] — a 128-bit structural
-//! hash that is identical for identical structure in *any* arena on *any*
-//! thread (see [`crate::term`]). Since the result of a query depends only
-//! on the formula's structure, a repeated query — Houdini consecution
-//! rounds re-proving the surviving candidates, typing rules re-discharging
-//! the same `Ψ ⊢ d == 0` side conditions — is answered by one hash lookup
-//! instead of a fresh normalize + search; and because the key carries no
-//! arena identity, a [`QueryMemo`] can be **shared across solvers on
-//! different threads**, so a parallel corpus driver warms one table for the
-//! whole fleet. `prove` piggybacks on the same table via its refutation
-//! encoding. Hits are counted in [`SolverStats::cache_hits`];
-//! [`Solver::without_memo`] opts out (used by the microbenchmarks to pin
-//! the speedup).
+//! Every query takes one path: a memo lookup, then — on a miss — one trail
+//! search. The two query families differ only in their memo key and in
+//! the state the search starts from:
+//!
+//! - `check`/`prove`/`entails` fold the input conjunction into a single
+//!   hash-consed term and key the cache on that term's [`Fingerprint`] — a
+//!   128-bit structural hash that is identical for identical structure in
+//!   *any* arena on *any* thread (see [`crate::term`]). A miss searches a
+//!   fresh state; `prove` rides the same key through its refutation
+//!   encoding.
+//! - `prove_pushed`/`entails_pushed` key on the multiset of the open
+//!   assumption frames' fingerprints plus the goal's, and a miss searches
+//!   only the negated goal against the frames' shared saturated base.
+//!
+//! Since the result of a query depends only on the formula's structure, a
+//! repeated query — Houdini consecution rounds re-proving the surviving
+//! candidates, typing rules re-discharging the same `Ψ ⊢ d == 0` side
+//! conditions — is answered by one hash lookup instead of a fresh
+//! normalize + search; and because the key carries no arena identity, a
+//! [`QueryMemo`] can be **shared across solvers on different threads**, so
+//! a parallel corpus driver warms one table for the whole fleet. Hits are
+//! counted in [`SolverStats::cache_hits`]; [`Solver::without_memo`] opts
+//! out (used by the microbenchmarks to pin the speedup).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use shadowdp_num::Rat;
 
 use crate::fm::{check_sat, Constraint, FmResult, SatUndo, Saturation};
@@ -70,7 +77,7 @@ fn query_hist(hit: bool) -> &'static shadowdp_obs::Histogram {
 /// Keys are rendered strings (the public, solver-independent surface);
 /// internally the search runs entirely over interned [`Symbol`]s and
 /// converts once on the way out.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Model {
     /// Values of real-sorted variables.
     pub reals: BTreeMap<String, Rat>,
@@ -163,7 +170,7 @@ impl ProveResult {
 }
 
 /// Cumulative statistics, for the Table 1 harness and the pipeline report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of `check` queries answered (including cache hits).
     pub checks: u64,
@@ -175,7 +182,7 @@ pub struct SolverStats {
     pub micros: u64,
     /// Queries answered from the memo table without a search.
     pub cache_hits: u64,
-    /// Assumption-set-keyed entailment queries ([`Solver::prove_assuming`])
+    /// Assumption-set-keyed entailment queries ([`Solver::prove_pushed`])
     /// answered, including memo hits. These are also counted in
     /// `checks`/`proves`/`cache_hits`; the separate counters exist so the
     /// Houdini engine's per-candidate consecution hit rate is observable on
@@ -263,18 +270,34 @@ impl Budget {
             max_theory_calls: Some(max),
         }
     }
-
-    /// Whether the budget imposes no limit at all.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_theory_calls.is_none()
-    }
 }
 
-/// Live countdown state for an installed [`Budget`].
-#[derive(Clone, Copy, Debug)]
+/// Live countdown state for an installed [`Budget`] (both fields `None`
+/// when unlimited). A copy taken at the start of an operation is the
+/// window that operation runs under.
+#[derive(Clone, Copy, Debug, Default)]
 struct BudgetState {
     deadline: Option<Instant>,
     calls_left: Option<u64>,
+}
+
+impl BudgetState {
+    /// Why one more theory call, after `spent` calls in the current
+    /// operation, would overrun this window — checked before every theory
+    /// step, so trip timing (and every budget-pinning test) is exact.
+    fn tripped(&self, spent: u64) -> Option<String> {
+        if let Some(cap) = self.calls_left {
+            if spent >= cap {
+                return Some(format!("theory-call budget exhausted (cap {cap})"));
+            }
+        }
+        if let Some(deadline) = self.deadline {
+            if Instant::now() >= deadline {
+                return Some("deadline exceeded".to_string());
+            }
+        }
+        None
+    }
 }
 
 /// Number of lock shards in a [`QueryMemo`]. A power of two so the shard
@@ -331,21 +354,28 @@ impl Default for QueryMemo {
     }
 }
 
+/// Locks one memo shard. Poison-tolerant: every critical section is a
+/// single map operation, so a panic on another thread cannot leave a
+/// shard half-updated.
+fn lock(shard: &Mutex<MemoShard>) -> MutexGuard<'_, MemoShard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl QueryMemo {
-    fn shard(&self, key: Fingerprint) -> &Mutex<MemoShard> {
-        &self.shards[(key.0 as usize) & (MEMO_SHARDS - 1)]
+    fn shard(&self, key: Fingerprint) -> MutexGuard<'_, MemoShard> {
+        lock(&self.shards[(key.0 as usize) & (MEMO_SHARDS - 1)])
     }
 
     /// Number of memoized queries, summed across shards. Consistent when
     /// quiescent; during concurrent inserts it is a lower bound on the
     /// entries any later reader will see (each shard is counted atomically).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| lock(s).entries.len()).sum()
     }
 
     /// Whether the table is empty (every shard is).
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().entries.is_empty())
+        self.shards.iter().all(|s| lock(s).entries.is_empty())
     }
 
     /// Exports every memoized entry, sorted by fingerprint so the result
@@ -356,7 +386,7 @@ impl QueryMemo {
             .shards
             .iter()
             .flat_map(|s| {
-                s.lock()
+                lock(s)
                     .entries
                     .iter()
                     .map(|(k, v)| (*k, v.clone()))
@@ -379,7 +409,7 @@ impl QueryMemo {
     pub fn drain_dirty(&self) -> Vec<(Fingerprint, CheckResult)> {
         let mut out: Vec<(Fingerprint, CheckResult)> = Vec::new();
         for shard in &self.shards {
-            let mut shard = shard.lock();
+            let mut shard = lock(shard);
             let dirty = std::mem::take(&mut shard.dirty);
             for key in dirty {
                 if let Some(value) = shard.entries.get(&key) {
@@ -401,7 +431,7 @@ impl QueryMemo {
     /// snapshot, which must not clobber good entries.
     pub fn absorb(&self, entries: impl IntoIterator<Item = (Fingerprint, CheckResult)>) {
         for (key, value) in entries {
-            self.shard(key).lock().entries.entry(key).or_insert(value);
+            self.shard(key).entries.entry(key).or_insert(value);
         }
     }
 
@@ -410,21 +440,13 @@ impl QueryMemo {
     /// compaction dropped but a later job turned out to need) re-reads it
     /// from the live memo by fingerprint.
     pub fn get(&self, key: Fingerprint) -> Option<CheckResult> {
-        self.shard(key).lock().entries.get(&key).cloned()
+        self.shard(key).entries.get(&key).cloned()
     }
 
     fn insert(&self, key: Fingerprint, value: CheckResult) {
-        let mut shard = self.shard(key).lock();
+        let mut shard = self.shard(key);
         shard.entries.insert(key, value);
         shard.dirty.push(key);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.entries.clear();
-            shard.dirty.clear();
-        }
     }
 }
 
@@ -450,7 +472,7 @@ impl QueryMemo {
 pub struct Solver {
     stats: Cell<SolverStats>,
     memo: Arc<QueryMemo>,
-    memo_enabled: Cell<bool>,
+    memo_enabled: bool,
     /// Fingerprints of every memoized query this solver asked (hit or
     /// fresh solve), in ask order. The verification service records these
     /// per job as the pipeline-tier entry's solver-tier dependencies, so
@@ -458,8 +480,8 @@ pub struct Solver {
     /// reachable from some persisted job. Empty while the memo is
     /// disabled (no fingerprints are computed at all on that path).
     touched: RefCell<Vec<Fingerprint>>,
-    /// Countdown state of the installed [`Budget`], if any.
-    budget: RefCell<Option<BudgetState>>,
+    /// Countdown state of the installed [`Budget`].
+    budget: Cell<BudgetState>,
     /// Why the budget ran out, once it has: set on the first trip, cleared
     /// only by [`Solver::set_budget`]/[`Solver::clear_budget`]. While set,
     /// every fresh solve short-circuits to a possibly-spurious `Sat` and
@@ -494,12 +516,22 @@ impl Solver {
         Solver {
             stats: Cell::new(SolverStats::default()),
             memo,
-            memo_enabled: Cell::new(true),
+            memo_enabled: true,
             touched: RefCell::new(Vec::new()),
-            budget: RefCell::new(None),
+            budget: Cell::new(BudgetState::default()),
             exhausted: RefCell::new(None),
             frames: RefCell::new(Vec::new()),
             actx: RefCell::new(None),
+        }
+    }
+
+    /// Creates a solver with the query memo table disabled (every query
+    /// runs the full normalize + search pipeline; used for benchmarking the
+    /// uncached path).
+    pub fn without_memo() -> Solver {
+        Solver {
+            memo_enabled: false,
+            ..Solver::new()
         }
     }
 
@@ -507,22 +539,17 @@ impl Solver {
     /// deadline clock starts here. Replaces any previous budget and clears
     /// any previous exhaustion.
     pub fn set_budget(&self, budget: Budget) {
-        *self.budget.borrow_mut() = if budget.is_unlimited() {
-            None
-        } else {
-            Some(BudgetState {
-                deadline: budget.deadline.map(|d| Instant::now() + d),
-                calls_left: budget.max_theory_calls,
-            })
-        };
+        self.budget.set(BudgetState {
+            deadline: budget.deadline.map(|d| Instant::now() + d),
+            calls_left: budget.max_theory_calls,
+        });
         *self.exhausted.borrow_mut() = None;
     }
 
     /// Removes the budget and clears any exhaustion, restoring unlimited
     /// operation.
     pub fn clear_budget(&self) {
-        *self.budget.borrow_mut() = None;
-        *self.exhausted.borrow_mut() = None;
+        self.set_budget(Budget::default());
     }
 
     /// Why the installed budget ran out, if it has. Sticky until the
@@ -546,34 +573,16 @@ impl Solver {
         &self.memo
     }
 
-    /// Creates a solver with the query memo table disabled (every query
-    /// runs the full normalize + search pipeline; used for benchmarking the
-    /// uncached path).
-    pub fn without_memo() -> Solver {
-        let s = Solver::new();
-        s.memo_enabled.set(false);
-        s
-    }
-
-    /// Enables or disables query memoization for this solver. Disabling
-    /// also drops the table's entries when this solver is its only owner (a
-    /// *shared* table is left intact for its other users — they opted into
-    /// it independently).
-    pub fn set_memo_enabled(&self, enabled: bool) {
-        self.memo_enabled.set(enabled);
-        if !enabled && Arc::strong_count(&self.memo) == 1 {
-            self.memo.clear();
-        }
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> SolverStats {
         self.stats.get()
     }
 
-    /// Resets statistics.
-    pub fn reset_stats(&self) {
-        self.stats.set(SolverStats::default());
+    /// Applies one update to the accumulated statistics.
+    fn bump(&self, update: impl FnOnce(&mut SolverStats)) {
+        let mut stats = self.stats.get();
+        update(&mut stats);
+        self.stats.set(stats);
     }
 
     /// The fingerprints of every memoized query asked so far, sorted and
@@ -611,157 +620,26 @@ impl Solver {
         // bit-identical slices anyway. Key construction is skipped entirely
         // with the memo off, so a memo-less solver never grows the arena
         // with key nodes.
-        let key = if self.memo_enabled.get() {
-            let key_id = match terms {
-                [] => arena.bool_const(true),
-                [t] => *t,
-                _ => arena.intern(TermNode::And(terms.to_vec())),
+        let folded = self.memo_enabled.then(|| match terms {
+            [] => arena.bool_const(true),
+            [t] => *t,
+            _ => arena.intern(TermNode::And(terms.to_vec())),
+        });
+        let key = folded.map(|t| arena.fingerprint(t));
+        self.memoized(key, false, start, || {
+            // A fresh state over the normalized conjunction: the key's
+            // folded And normalizes as one formula; without a key the terms
+            // normalize one by one.
+            let mut norm = Normalizer::new();
+            let formulas: Vec<Formula> = match folded {
+                Some(t) => vec![norm.normalize(arena, t, true)],
+                None => terms
+                    .iter()
+                    .map(|t| norm.normalize(arena, *t, true))
+                    .collect(),
             };
-            Some((key_id, arena.fingerprint(key_id)))
-        } else {
-            None
-        };
-
-        if let Some((_, fp)) = key {
-            self.touched.borrow_mut().push(fp);
-            if let Some(hit) = self.memo.get(fp) {
-                let us = start.elapsed().as_micros() as u64;
-                let mut stats = self.stats.get();
-                stats.checks += 1;
-                stats.cache_hits += 1;
-                stats.micros += us;
-                self.stats.set(stats);
-                if shadowdp_obs::armed() {
-                    query_hist(true).observe(us);
-                }
-                return hit;
-            }
-        }
-
-        let out = self.solve_terms(arena, terms, key.map(|(key_id, _)| key_id));
-
-        // A result produced under (or after) budget exhaustion is a
-        // placeholder, not a verdict — memoizing it would poison every
-        // later run, including ones with a larger budget.
-        if let Some((_, fp)) = key {
-            if self.exhausted.borrow().is_none() {
-                self.memo.insert(fp, out.clone());
-            }
-        }
-
-        let us = start.elapsed().as_micros() as u64;
-        let mut stats = self.stats.get();
-        stats.micros += us;
-        self.stats.set(stats);
-        if shadowdp_obs::armed() {
-            query_hist(false).observe(us);
-        }
-        out
-    }
-
-    /// The uncached solve pipeline — normalize, tableau search, model
-    /// conversion — shared by the monolithic ([`Solver::check_in`]) and
-    /// assumption-set ([`Solver::prove_assuming`]) query paths. `folded`
-    /// is the pre-interned n-ary And the memoized monolithic path already
-    /// built for its cache key (normalized as one formula); without it the
-    /// terms normalize individually, so a memo-less query never grows the
-    /// arena with key nodes. Updates `checks`/`theory_calls`; callers own
-    /// `micros` and their memo insertions.
-    fn solve_terms(
-        &self,
-        arena: &mut TermArena,
-        terms: &[Term],
-        folded: Option<Term>,
-    ) -> CheckResult {
-        // Sticky exhaustion: once the budget tripped, later queries must
-        // not burn what little may remain of the deadline — answer with
-        // the same sound possibly-spurious `Sat` placeholder immediately.
-        if self.exhausted.borrow().is_some() {
-            let mut stats = self.stats.get();
-            stats.checks += 1;
-            self.stats.set(stats);
-            return exhausted_placeholder();
-        }
-        // Fault-injection site for the whole solve step: `Panic` models a
-        // logic bug inside the solver (the corpus driver's isolation must
-        // contain it), `Delay` a pathological query, and `Error`/torn
-        // faults degrade to budget exhaustion — bounded, reportable, never
-        // a wrong verdict.
-        match shadowdp_fault::check("solver.step") {
-            None => {}
-            Some(shadowdp_fault::FaultKind::Panic) => panic!("injected panic at solver.step"),
-            Some(shadowdp_fault::FaultKind::Delay { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis));
-            }
-            Some(_) => {
-                self.mark_exhausted("injected solver fault".to_string());
-                let mut stats = self.stats.get();
-                stats.checks += 1;
-                self.stats.set(stats);
-                return exhausted_placeholder();
-            }
-        }
-
-        let mut norm = Normalizer::new();
-        let formulas: Vec<Formula> = match folded {
-            Some(key_id) => vec![norm.normalize(arena, key_id, true)],
-            None => terms
-                .iter()
-                .map(|t| norm.normalize(arena, *t, true))
-                .collect(),
-        };
-        let abstracted = norm.abstracted;
-
-        let (deadline, calls_left) = match *self.budget.borrow() {
-            Some(state) => (state.deadline, state.calls_left),
-            None => (None, None),
-        };
-        let mut bools = BoolModel::new();
-        let mut constraints = Vec::new();
-        let mut sat = Saturation::new();
-        let mut search = TrailSearch::new(
-            formulas.iter().collect(),
-            &mut bools,
-            &mut constraints,
-            &mut sat,
-            deadline,
-            calls_left,
-        );
-        let outcome = search.run();
-        let spent = search.theory_calls;
-        let counters = search.counters();
-
-        // Charge this search's theory work against the budget.
-        if let Some(state) = self.budget.borrow_mut().as_mut() {
-            if let Some(left) = state.calls_left.as_mut() {
-                *left = left.saturating_sub(spent);
-            }
-        }
-
-        let mut stats = self.stats.get();
-        stats.checks += 1;
-        stats.theory_calls += spent;
-        counters.fold_into(&mut stats);
-        self.stats.set(stats);
-
-        match outcome {
-            SearchOutcome::Exhausted(reason) => {
-                self.mark_exhausted(reason);
-                exhausted_placeholder()
-            }
-            SearchOutcome::Sat(reals, model_bools) => CheckResult::Sat(Model {
-                reals: reals
-                    .into_iter()
-                    .map(|(k, v)| (k.as_str().to_string(), v))
-                    .collect(),
-                bools: model_bools
-                    .into_iter()
-                    .map(|(k, v)| (k.as_str().to_string(), v))
-                    .collect(),
-                possibly_spurious: abstracted,
-            }),
-            SearchOutcome::Unsat => CheckResult::Unsat,
-        }
+            self.search(formulas.iter().collect(), None, norm.abstracted)
+        })
     }
 
     /// Attempts to prove `assumptions ⊢ goal` by refutation: checks
@@ -772,114 +650,12 @@ impl Solver {
             terms.push(arena.not(*goal));
             self.check_in(arena, &terms)
         });
-        let mut stats = self.stats.get();
-        stats.proves += 1;
-        self.stats.set(stats);
-        match r {
-            CheckResult::Unsat => ProveResult::Proved,
-            CheckResult::Sat(m) => ProveResult::Refuted(m),
-        }
+        self.refutation(r)
     }
 
     /// Convenience: whether `assumptions ⊢ goal` holds.
     pub fn entails(&self, assumptions: &[Term], goal: &Term) -> bool {
         self.prove(assumptions, goal).is_proved()
-    }
-
-    /// Assumption-set-aware [`Solver::prove`]: attempts to prove
-    /// `assumptions ⊢ goal` with the memo keyed on the **multiset of the
-    /// individual assumption fingerprints** plus the goal fingerprint,
-    /// instead of the fingerprint of one monolithic conjunction term.
-    ///
-    /// The difference matters whenever the same entailment is re-asked with
-    /// its assumptions in a different order, grouping, or surrounding
-    /// context: a multiset key is insensitive to all of that, so the repeat
-    /// is a memo hit. The Houdini engine is the motivating caller — each
-    /// candidate's consecution obligation is keyed by the assumptions *it*
-    /// is checked under, so a round whose candidate set shrank re-uses
-    /// every verdict for candidates whose own assumption sets are unchanged
-    /// (under the old whole-conjunction key, one dropped sibling perturbed
-    /// every query in the round).
-    ///
-    /// Entries land in the same [`QueryMemo`] as plain queries (the key is
-    /// domain-separated so the two families cannot collide), so they
-    /// snapshot, absorb, drain, and persist through the verification
-    /// service's store exactly like monolithic-key entries — a persisted
-    /// consecution verdict transfers across candidate-set variations and
-    /// across processes. Hits and totals are counted in
-    /// [`SolverStats::assumption_hits`]/[`SolverStats::assumption_queries`]
-    /// (as well as the aggregate `checks`/`cache_hits`).
-    pub fn prove_assuming(&self, assumptions: &[Term], goal: &Term) -> ProveResult {
-        let start = Instant::now();
-        let r = with_shard(|arena| {
-            let key = if self.memo_enabled.get() {
-                Some(assumption_set_key(arena, assumptions, *goal))
-            } else {
-                None
-            };
-
-            if let Some(fp) = key {
-                self.touched.borrow_mut().push(fp);
-                if let Some(hit) = self.memo.get(fp) {
-                    let mut stats = self.stats.get();
-                    stats.checks += 1;
-                    stats.cache_hits += 1;
-                    stats.assumption_queries += 1;
-                    stats.assumption_hits += 1;
-                    self.stats.set(stats);
-                    if shadowdp_obs::armed() {
-                        query_hist(true).observe(start.elapsed().as_micros() as u64);
-                    }
-                    return hit;
-                }
-            }
-
-            // Miss: refute `assumptions ∧ ¬goal` with a fresh search. The
-            // verdict is memoized under the multiset key only — no folded
-            // And node is interned, so this path never grows the arena
-            // with key nodes (memoized or not).
-            let mut terms: Vec<Term> = Vec::with_capacity(assumptions.len() + 1);
-            terms.extend_from_slice(assumptions);
-            terms.push(arena.not(*goal));
-            let out = self.solve_terms(arena, &terms, None);
-
-            let mut stats = self.stats.get();
-            stats.assumption_queries += 1;
-            self.stats.set(stats);
-            if shadowdp_obs::armed() {
-                query_hist(false).observe(start.elapsed().as_micros() as u64);
-            }
-
-            if let Some(fp) = key {
-                // Same discipline as `check_in`: exhausted placeholders
-                // are never memoized.
-                if self.exhausted.borrow().is_none() {
-                    self.memo.insert(fp, out.clone());
-                }
-            }
-            out
-        });
-
-        let mut stats = self.stats.get();
-        stats.proves += 1;
-        stats.micros += start.elapsed().as_micros() as u64;
-        self.stats.set(stats);
-        match r {
-            CheckResult::Unsat => ProveResult::Proved,
-            CheckResult::Sat(m) => ProveResult::Refuted(m),
-        }
-    }
-
-    /// Convenience: whether `assumptions ⊢ goal` holds, keyed per
-    /// assumption set (see [`Solver::prove_assuming`]).
-    pub fn entails_assuming(&self, assumptions: &[Term], goal: &Term) -> bool {
-        self.prove_assuming(assumptions, goal).is_proved()
-    }
-
-    /// Convenience: whether two boolean terms are equivalent under the
-    /// assumptions.
-    pub fn equivalent(&self, assumptions: &[Term], a: &Term, b: &Term) -> bool {
-        self.entails(assumptions, &(*a).iff(*b))
     }
 
     /// Opens an assumption frame: every subsequent [`Solver::prove_pushed`]
@@ -932,31 +708,45 @@ impl Solver {
         }
     }
 
-    /// [`Solver::prove_assuming`] against the **pushed assumption
-    /// frames**: attempts to prove `frames ⊢ goal` where `frames` is the
-    /// conjunction of every open frame.
+    /// Attempts to prove `frames ⊢ goal`, where `frames` is the
+    /// conjunction of every open assumption frame, by refuting
+    /// `frames ∧ ¬goal`.
     ///
-    /// Memo-keyed identically to [`Solver::prove_assuming`] over the
-    /// flattened multiset of all open frames' terms, so verdicts transfer
-    /// freely between the two entry points — and through the persisted
-    /// verdict store, whose keys this preserves byte for byte. The
-    /// difference is the miss path: instead of re-normalizing and
-    /// re-saturating every assumption per query, the frames' conjunctive
-    /// parts live in one shared incremental saturation; only the negated
-    /// goal (plus any disjunctive assumption residue) is searched per
-    /// query, and the trail unwinds the shared state back to the base
-    /// afterwards.
+    /// The memo key is the **multiset of the individual assumption
+    /// fingerprints** across all open frames, plus the goal fingerprint —
+    /// not the fingerprint of one monolithic conjunction term. A multiset
+    /// key is insensitive to assumption order, frame grouping, and
+    /// surrounding context, so a re-asked entailment is a memo hit. The
+    /// Houdini engine is the motivating caller: each candidate's
+    /// consecution obligation is keyed by the assumptions *it* is checked
+    /// under, so a round whose candidate set shrank re-uses every verdict
+    /// for candidates whose own assumption sets are unchanged.
+    ///
+    /// Entries land in the same [`QueryMemo`] as `check`/`prove` queries
+    /// (the key is domain-separated so the two families cannot collide),
+    /// so they snapshot, absorb, drain, and persist through the
+    /// verification service's store exactly like them. Hits and totals are
+    /// also counted in [`SolverStats::assumption_hits`] /
+    /// [`SolverStats::assumption_queries`].
+    ///
+    /// On a miss, the frames' conjunctive parts live in one shared
+    /// incremental saturation; only the negated goal (plus any disjunctive
+    /// assumption residue) is searched per query, and the trail unwinds the
+    /// shared state back to the base afterwards.
     pub fn prove_pushed(&self, goal: &Term) -> ProveResult {
         let start = Instant::now();
-        let r = with_shard(|arena| self.check_pushed(arena, goal, start));
-        let mut stats = self.stats.get();
-        stats.proves += 1;
-        stats.micros += start.elapsed().as_micros() as u64;
-        self.stats.set(stats);
-        match r {
-            CheckResult::Unsat => ProveResult::Proved,
-            CheckResult::Sat(m) => ProveResult::Refuted(m),
-        }
+        let r = with_shard(|arena| {
+            let key = self.memo_enabled.then(|| {
+                let frames = self.frames.borrow();
+                let flat: Vec<Term> = frames
+                    .iter()
+                    .flat_map(|f| f.terms.iter().copied())
+                    .collect();
+                assumption_set_key(arena, &flat, *goal)
+            });
+            self.memoized(key, true, start, || self.refute_pushed(arena, goal))
+        });
+        self.refutation(r)
     }
 
     /// Convenience: whether the pushed assumption frames entail `goal`.
@@ -964,192 +754,186 @@ impl Solver {
         self.prove_pushed(goal).is_proved()
     }
 
-    /// The refutation check behind [`Solver::prove_pushed`], with the same
-    /// stats and degradation choreography as the `prove_assuming` miss
-    /// path (sticky exhaustion, the `solver.step` fault site, no
-    /// memoization of placeholders).
-    fn check_pushed(&self, arena: &mut TermArena, goal: &Term, start: Instant) -> CheckResult {
-        let key = if self.memo_enabled.get() {
-            let frames = self.frames.borrow();
-            let flat: Vec<Term> = frames
-                .iter()
-                .flat_map(|f| f.terms.iter().copied())
-                .collect();
-            Some(assumption_set_key(arena, &flat, *goal))
-        } else {
-            None
-        };
+    /// Counts one `prove`-family query and reads its refutation check:
+    /// `Unsat` proves the goal, a model refutes it.
+    fn refutation(&self, r: CheckResult) -> ProveResult {
+        self.bump(|s| s.proves += 1);
+        match r {
+            CheckResult::Unsat => ProveResult::Proved,
+            CheckResult::Sat(m) => ProveResult::Refuted(m),
+        }
+    }
 
-        if let Some(fp) = key {
+    /// The one memoized query path, shared by both key families. Records
+    /// `key` as a dependency and answers from the memo when it can;
+    /// otherwise the answer is the degraded placeholder
+    /// ([`Solver::degraded`]) or `solve`'s verdict, and only a verdict —
+    /// never an exhaustion placeholder — is memoized. Counts the query in
+    /// `checks`/`cache_hits` (and `assumption_*` for the assumption-set
+    /// family) and its latency in `micros` and the armed histogram.
+    fn memoized(
+        &self,
+        key: Option<Fingerprint>,
+        assumption_set: bool,
+        start: Instant,
+        solve: impl FnOnce() -> CheckResult,
+    ) -> CheckResult {
+        let hit = key.and_then(|fp| {
             self.touched.borrow_mut().push(fp);
-            if let Some(hit) = self.memo.get(fp) {
-                let mut stats = self.stats.get();
-                stats.checks += 1;
-                stats.cache_hits += 1;
-                stats.assumption_queries += 1;
-                stats.assumption_hits += 1;
-                self.stats.set(stats);
-                if shadowdp_obs::armed() {
-                    query_hist(true).observe(start.elapsed().as_micros() as u64);
-                }
-                return hit;
-            }
-        }
-
-        let out = 'miss: {
-            // Sticky exhaustion answers immediately, exactly like
-            // `solve_terms`.
-            if self.exhausted.borrow().is_some() {
-                let mut stats = self.stats.get();
-                stats.checks += 1;
-                stats.assumption_queries += 1;
-                self.stats.set(stats);
-                break 'miss exhausted_placeholder();
-            }
-            match shadowdp_fault::check("solver.step") {
-                None => {}
-                Some(shadowdp_fault::FaultKind::Panic) => panic!("injected panic at solver.step"),
-                Some(shadowdp_fault::FaultKind::Delay { millis }) => {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                Some(_) => {
-                    self.mark_exhausted("injected solver fault".to_string());
-                    let mut stats = self.stats.get();
-                    stats.checks += 1;
-                    stats.assumption_queries += 1;
-                    self.stats.set(stats);
-                    break 'miss exhausted_placeholder();
+            self.memo.get(fp)
+        });
+        let is_hit = hit.is_some();
+        let out = hit.unwrap_or_else(|| {
+            let out = self.degraded().unwrap_or_else(solve);
+            // A result produced under (or after) budget exhaustion is a
+            // placeholder, not a verdict — memoizing it would poison every
+            // later run, including ones with a larger budget.
+            if let Some(fp) = key {
+                if self.exhausted.borrow().is_none() {
+                    self.memo.insert(fp, out.clone());
                 }
             }
-
-            // Bring every open frame into the shared context. Frame atoms
-            // are theory work like any other and charge the budget.
-            let mut frame_spent: u64 = 0;
-            let mut frame_reuses: u64 = 0;
-            let materialized = self.materialize_frames(arena, &mut frame_spent, &mut frame_reuses);
-            if let Some(state) = self.budget.borrow_mut().as_mut() {
-                if let Some(left) = state.calls_left.as_mut() {
-                    *left = left.saturating_sub(frame_spent);
-                }
+            out
+        });
+        let us = start.elapsed().as_micros() as u64;
+        self.bump(|s| {
+            s.checks += 1;
+            s.cache_hits += u64::from(is_hit);
+            s.micros += us;
+            if assumption_set {
+                s.assumption_queries += 1;
+                s.assumption_hits += u64::from(is_hit);
             }
-            if let Err(reason) = materialized {
-                self.mark_exhausted(reason);
-                let mut stats = self.stats.get();
-                stats.checks += 1;
-                stats.theory_calls += frame_spent;
-                stats.saturation_reuses += frame_reuses;
-                stats.assumption_queries += 1;
-                self.stats.set(stats);
-                break 'miss exhausted_placeholder();
-            }
-
-            let (frames_abstracted, frames_inconsistent) = {
-                let frames = self.frames.borrow();
-                (
-                    frames
-                        .iter()
-                        .filter_map(|f| f.materialized.as_ref())
-                        .any(|u| u.abstracted),
-                    frames
-                        .iter()
-                        .filter_map(|f| f.materialized.as_ref())
-                        .any(|u| u.inconsistent),
-                )
-            };
-            if frames_inconsistent {
-                // Contradictory assumptions entail everything: the
-                // conjunction `frames ∧ ¬goal` is unsat before the goal is
-                // even looked at.
-                let mut stats = self.stats.get();
-                stats.checks += 1;
-                stats.theory_calls += frame_spent;
-                stats.saturation_reuses += frame_reuses;
-                stats.assumption_queries += 1;
-                self.stats.set(stats);
-                break 'miss CheckResult::Unsat;
-            }
-
-            let (deadline, calls_left) = match *self.budget.borrow() {
-                Some(state) => (state.deadline, state.calls_left),
-                None => (None, None),
-            };
-            let mut actx = self.actx.borrow_mut();
-            let ctx = actx
-                .as_mut()
-                .expect("materialize_frames installs the context");
-            ctx.norm.abstracted = false;
-            let neg = arena.not(*goal);
-            let goal_f = ctx.norm.normalize(arena, neg, true);
-            let abstracted = frames_abstracted || ctx.norm.abstracted;
-            let AssumptionCtx {
-                bools,
-                constraints,
-                sat,
-                or_seeds,
-                ..
-            } = ctx;
-            // The negated goal is searched first (it pops last-in), then
-            // the assumptions' disjunctive residues — the same relative
-            // order the monolithic path processes `[assumptions…, ¬goal]`.
-            let mut pending: Vec<&Formula> = or_seeds.iter().collect();
-            pending.push(&goal_f);
-            let mut search =
-                TrailSearch::new(pending, bools, constraints, sat, deadline, calls_left);
-            let outcome = search.run();
-            // Whatever happened — model, unsat, budget trip — the shared
-            // base must survive for the next query under these frames.
-            search.unwind_all();
-            let search_spent = search.theory_calls;
-            let counters = search.counters();
-            drop(actx);
-
-            if let Some(state) = self.budget.borrow_mut().as_mut() {
-                if let Some(left) = state.calls_left.as_mut() {
-                    *left = left.saturating_sub(search_spent);
-                }
-            }
-            let mut stats = self.stats.get();
-            stats.checks += 1;
-            stats.theory_calls += frame_spent + search_spent;
-            stats.saturation_reuses += frame_reuses;
-            counters.fold_into(&mut stats);
-            stats.assumption_queries += 1;
-            self.stats.set(stats);
-
-            match outcome {
-                SearchOutcome::Exhausted(reason) => {
-                    self.mark_exhausted(reason);
-                    exhausted_placeholder()
-                }
-                SearchOutcome::Sat(reals, model_bools) => CheckResult::Sat(Model {
-                    reals: reals
-                        .into_iter()
-                        .map(|(k, v)| (k.as_str().to_string(), v))
-                        .collect(),
-                    bools: model_bools
-                        .into_iter()
-                        .map(|(k, v)| (k.as_str().to_string(), v))
-                        .collect(),
-                    possibly_spurious: abstracted,
-                }),
-                SearchOutcome::Unsat => CheckResult::Unsat,
-            }
-        };
-
+        });
         if shadowdp_obs::armed() {
-            query_hist(false).observe(start.elapsed().as_micros() as u64);
-        }
-        if let Some(fp) = key {
-            if self.exhausted.borrow().is_none() {
-                self.memo.insert(fp, out.clone());
-            }
+            query_hist(is_hit).observe(us);
         }
         out
     }
 
+    /// The answer a memo miss gets without searching, if any: once the
+    /// budget tripped, later queries must not burn what little may remain
+    /// of the deadline, so they get the sound possibly-spurious `Sat`
+    /// placeholder at once. The `solver.step` fault-injection site also
+    /// lives here: `Panic` models a logic bug inside the solver (the corpus
+    /// driver's isolation must contain it), `Delay` a pathological query,
+    /// and `Error`/torn faults degrade to budget exhaustion — bounded,
+    /// reportable, never a wrong verdict.
+    fn degraded(&self) -> Option<CheckResult> {
+        if self.exhausted.borrow().is_some() {
+            return Some(exhausted_placeholder());
+        }
+        match shadowdp_fault::check("solver.step") {
+            None => None,
+            Some(shadowdp_fault::FaultKind::Panic) => panic!("injected panic at solver.step"),
+            Some(shadowdp_fault::FaultKind::Delay { millis }) => {
+                std::thread::sleep(Duration::from_millis(millis));
+                None
+            }
+            Some(_) => {
+                self.mark_exhausted("injected solver fault".to_string());
+                Some(exhausted_placeholder())
+            }
+        }
+    }
+
+    /// The one search path: a trail search for `pending` over the `shared`
+    /// frame base, or over a fresh state when there is none, under the
+    /// budget window as it stands. Charges the search's theory work and
+    /// folds its trail counters into the stats. A shared base is unwound
+    /// back to exactly what it was, so it survives for the next pushed
+    /// query; a fresh one is simply dropped.
+    fn search(
+        &self,
+        pending: Vec<&Formula>,
+        shared: Option<&mut SearchBase>,
+        abstracted: bool,
+    ) -> CheckResult {
+        let unwind = shared.is_some();
+        let mut fresh = SearchBase::default();
+        let base = shared.unwrap_or(&mut fresh);
+        let mut search = TrailSearch::new(pending, base, self.budget.get());
+        let outcome = search.run();
+        if unwind {
+            search.unwind_all();
+        }
+        self.charge(search.theory_calls);
+        self.bump(|s| {
+            s.trail_ops += search.trail.ops_total();
+            s.max_trail_depth = s.max_trail_depth.max(search.trail.max_depth());
+            s.saturation_reuses += search.saturation_reuses;
+            s.resaturations += search.resaturations;
+        });
+        match outcome {
+            SearchOutcome::Exhausted(reason) => {
+                self.mark_exhausted(reason);
+                exhausted_placeholder()
+            }
+            SearchOutcome::Sat(reals, bools) => CheckResult::Sat(Model {
+                reals: reals
+                    .into_iter()
+                    .map(|(k, v)| (k.as_str().to_string(), v))
+                    .collect(),
+                bools: bools
+                    .into_iter()
+                    .map(|(k, v)| (k.as_str().to_string(), v))
+                    .collect(),
+                possibly_spurious: abstracted,
+            }),
+            SearchOutcome::Unsat => CheckResult::Unsat,
+        }
+    }
+
+    /// Charges `spent` theory calls to the budget and the stats.
+    fn charge(&self, spent: u64) {
+        let mut budget = self.budget.get();
+        if let Some(left) = budget.calls_left.as_mut() {
+            *left = left.saturating_sub(spent);
+        }
+        self.budget.set(budget);
+        self.bump(|s| s.theory_calls += spent);
+    }
+
+    /// The miss path of [`Solver::prove_pushed`]: brings every open frame
+    /// into the shared base, then searches the negated goal (and the
+    /// frames' disjunctive residue) against it.
+    fn refute_pushed(&self, arena: &mut TermArena, goal: &Term) -> CheckResult {
+        if let Err(reason) = self.materialize_frames(arena) {
+            self.mark_exhausted(reason);
+            return exhausted_placeholder();
+        }
+        let (frames_abstracted, inconsistent) = self
+            .frames
+            .borrow()
+            .iter()
+            .filter_map(|f| f.materialized.as_ref())
+            .fold((false, false), |(a, i), u| {
+                (a || u.abstracted, i || u.inconsistent)
+            });
+        if inconsistent {
+            // Contradictory assumptions entail everything: the conjunction
+            // `frames ∧ ¬goal` is unsat before the goal is even looked at.
+            return CheckResult::Unsat;
+        }
+        let mut actx = self.actx.borrow_mut();
+        let ctx = actx
+            .as_mut()
+            .expect("materialize_frames installs the context");
+        ctx.norm.abstracted = false;
+        let neg = arena.not(*goal);
+        let goal_f = ctx.norm.normalize(arena, neg, true);
+        let abstracted = frames_abstracted || ctx.norm.abstracted;
+        // The negated goal is searched first (it pops last-in), then the
+        // assumptions' disjunctive residues — the same relative order a
+        // `prove` processes `[assumptions…, ¬goal]`.
+        let mut pending: Vec<&Formula> = ctx.or_seeds.iter().collect();
+        pending.push(&goal_f);
+        self.search(pending, Some(&mut ctx.base), abstracted)
+    }
+
     /// Ensures every open frame is materialized into the shared context,
-    /// accumulating theory calls into `spent` (and incremental pushes onto
-    /// a live saturation into `reuses`) for the caller to charge.
+    /// charging the theory work this does (and counting incremental
+    /// pushes onto a live saturation as reuses).
     ///
     /// # Errors
     ///
@@ -1157,21 +941,15 @@ impl Solver {
     /// the partially materialized frame is rolled back and left
     /// unmaterialized, so a later query under a reset budget retries it
     /// cleanly.
-    fn materialize_frames(
-        &self,
-        arena: &mut TermArena,
-        spent: &mut u64,
-        reuses: &mut u64,
-    ) -> Result<(), String> {
+    fn materialize_frames(&self, arena: &mut TermArena) -> Result<(), String> {
+        let window = self.budget.get();
+        let (mut spent, mut reuses) = (0u64, 0u64);
+        let mut tripped = None;
         let mut frames = self.frames.borrow_mut();
         let mut actx = self.actx.borrow_mut();
         let ctx = actx.get_or_insert_with(AssumptionCtx::default);
-        for frame in frames.iter_mut() {
-            if frame.materialized.is_some() {
-                continue;
-            }
+        for frame in frames.iter_mut().filter(|f| f.materialized.is_none()) {
             let mut undo = FrameUndo::default();
-            let mut tripped = None;
             'frame: for t in &frame.terms {
                 ctx.norm.abstracted = false;
                 let f = ctx.norm.normalize(arena, *t, true);
@@ -1181,6 +959,7 @@ impl Solver {
                 // conjunctive facts may enter the shared saturation).
                 let mut stack = vec![f];
                 while let Some(f) = stack.pop() {
+                    let base = &mut ctx.base;
                     match f {
                         Formula::Const(true) => {}
                         Formula::Const(false) => {
@@ -1188,28 +967,28 @@ impl Solver {
                             break 'frame;
                         }
                         Formula::And(xs) => stack.extend(xs),
-                        Formula::BLit(name, val) => match ctx.bools.get(&name) {
+                        Formula::BLit(name, val) => match base.bools.get(&name) {
                             Some(existing) if *existing != val => {
                                 undo.inconsistent = true;
                                 break 'frame;
                             }
                             Some(_) => {}
                             None => {
-                                ctx.bools.insert(name, val);
+                                base.bools.insert(name, val);
                                 undo.bound.push(name);
                             }
                         },
                         Formula::Atom(c) => {
-                            if let Some(reason) = self.budget_tripped(*spent) {
-                                tripped = Some(reason);
+                            tripped = window.tripped(spent);
+                            if tripped.is_some() {
                                 break 'frame;
                             }
-                            *spent += 1;
-                            if !ctx.sat.is_empty() {
-                                *reuses += 1;
+                            spent += 1;
+                            if !base.sat.is_empty() {
+                                reuses += 1;
                             }
-                            let (ok, u) = ctx.sat.push(&c);
-                            ctx.constraints.push(c);
+                            let (ok, u) = base.sat.push(&c);
+                            base.constraints.push(c);
                             undo.sat_undos.push(u);
                             undo.constraints_added += 1;
                             if !ok {
@@ -1224,33 +1003,15 @@ impl Solver {
                     }
                 }
             }
-            if let Some(reason) = tripped {
+            if tripped.is_some() {
                 strip_frame(ctx, undo);
-                return Err(reason);
+                break;
             }
             frame.materialized = Some(undo);
         }
-        Ok(())
-    }
-
-    /// Whether the installed budget would refuse one more theory call
-    /// after `already_spent` calls in the current operation — the
-    /// out-of-search twin of [`TrailSearch::out_of_budget`], used while
-    /// materializing assumption frames.
-    fn budget_tripped(&self, already_spent: u64) -> Option<String> {
-        let budget = self.budget.borrow();
-        let state = budget.as_ref()?;
-        if let Some(cap) = state.calls_left {
-            if already_spent >= cap {
-                return Some(format!("theory-call budget exhausted (cap {cap})"));
-            }
-        }
-        if let Some(deadline) = state.deadline {
-            if Instant::now() >= deadline {
-                return Some("deadline exceeded".to_string());
-            }
-        }
-        None
+        self.charge(spent);
+        self.bump(|s| s.saturation_reuses += reuses);
+        tripped.map_or(Ok(()), Err)
     }
 }
 
@@ -1284,18 +1045,25 @@ struct FrameUndo {
     inconsistent: bool,
 }
 
-/// The shared incremental state pushed queries run against: one normalizer
-/// (abstraction symbols stay canonical across the base and every goal),
-/// the base bool bindings, the base constraint stack with its live
-/// saturation, and the disjunctive residues of the assumptions, which must
-/// re-enter each query's search — only conjunctive structure can live in
-/// the shared saturation.
+/// The state a search extends and unwinds: bool bindings, the constraint
+/// stack, and its live saturation. Fresh per `check`; shared across
+/// pushed queries as the frames' base.
 #[derive(Debug, Default)]
-struct AssumptionCtx {
-    norm: Normalizer,
+struct SearchBase {
     bools: BoolModel,
     constraints: Vec<Constraint>,
     sat: Saturation,
+}
+
+/// The shared incremental state pushed queries run against: one normalizer
+/// (abstraction symbols stay canonical across the base and every goal),
+/// the frames' search base, and the disjunctive residues of the
+/// assumptions, which must re-enter each query's search — only
+/// conjunctive structure can live in the shared saturation.
+#[derive(Debug, Default)]
+struct AssumptionCtx {
+    norm: Normalizer,
+    base: SearchBase,
     or_seeds: Vec<Formula>,
 }
 
@@ -1303,13 +1071,14 @@ struct AssumptionCtx {
 /// the frame being stripped must be the most recently materialized one
 /// still present).
 fn strip_frame(ctx: &mut AssumptionCtx, undo: FrameUndo) {
+    let base = &mut ctx.base;
     for u in undo.sat_undos.into_iter().rev() {
-        ctx.sat.pop(u);
+        base.sat.pop(u);
     }
-    let keep = ctx.constraints.len() - undo.constraints_added;
-    ctx.constraints.truncate(keep);
+    let keep = base.constraints.len() - undo.constraints_added;
+    base.constraints.truncate(keep);
     for name in &undo.bound {
-        ctx.bools.remove(name);
+        base.bools.remove(name);
     }
     let keep = ctx.or_seeds.len() - undo.seeds_added;
     ctx.or_seeds.truncate(keep);
@@ -1392,24 +1161,6 @@ enum SearchOutcome {
     Exhausted(String),
 }
 
-/// Trail/saturation counters one search contributes to [`SolverStats`].
-#[derive(Clone, Copy, Debug)]
-struct SearchCounters {
-    trail_ops: u64,
-    max_trail_depth: u64,
-    saturation_reuses: u64,
-    resaturations: u64,
-}
-
-impl SearchCounters {
-    fn fold_into(self, stats: &mut SolverStats) {
-        stats.trail_ops += self.trail_ops;
-        stats.max_trail_depth = stats.max_trail_depth.max(self.max_trail_depth);
-        stats.saturation_reuses += self.saturation_reuses;
-        stats.resaturations += self.resaturations;
-    }
-}
-
 /// The iterative trail-backed tableau search.
 ///
 /// Replaces the seed's recursive clone-per-disjunct engine (kept verbatim
@@ -1428,9 +1179,10 @@ impl SearchCounters {
 /// model from the same constraint vector in the same order.
 ///
 /// The mutable state is borrowed, not owned, so one engine serves both the
-/// monolithic path (fresh local state per query) and the pushed-assumption
-/// path (shared base under [`Solver::push_assumptions`] frames, fully
-/// unwound by [`TrailSearch::unwind_all`] after each query).
+/// one-shot path (a fresh [`SearchBase`] per query) and the
+/// pushed-assumption path (the shared base under
+/// [`Solver::push_assumptions`] frames, restored by
+/// [`TrailSearch::unwind_all`] after each query).
 struct TrailSearch<'f, 'a> {
     pending: Vec<&'f Formula>,
     bools: &'a mut BoolModel,
@@ -1441,8 +1193,9 @@ struct TrailSearch<'f, 'a> {
     theory_calls: u64,
     saturation_reuses: u64,
     resaturations: u64,
-    deadline: Option<Instant>,
-    calls_left: Option<u64>,
+    /// Checked before every theory step, at the same points and in the
+    /// same order as the recursive engine.
+    budget: BudgetState,
 }
 
 /// One open disjunction: its alternatives and the next one to try.
@@ -1454,12 +1207,14 @@ struct Decision<'f> {
 impl<'f, 'a> TrailSearch<'f, 'a> {
     fn new(
         pending: Vec<&'f Formula>,
-        bools: &'a mut BoolModel,
-        constraints: &'a mut Vec<Constraint>,
-        sat: &'a mut Saturation,
-        deadline: Option<Instant>,
-        calls_left: Option<u64>,
+        base: &'a mut SearchBase,
+        budget: BudgetState,
     ) -> TrailSearch<'f, 'a> {
+        let SearchBase {
+            bools,
+            constraints,
+            sat,
+        } = base;
         TrailSearch {
             pending,
             bools,
@@ -1470,36 +1225,8 @@ impl<'f, 'a> TrailSearch<'f, 'a> {
             theory_calls: 0,
             saturation_reuses: 0,
             resaturations: 0,
-            deadline,
-            calls_left,
+            budget,
         }
-    }
-
-    /// The counters this search feeds into [`SolverStats`].
-    fn counters(&self) -> SearchCounters {
-        SearchCounters {
-            trail_ops: self.trail.ops_total(),
-            max_trail_depth: self.trail.max_depth(),
-            saturation_reuses: self.saturation_reuses,
-            resaturations: self.resaturations,
-        }
-    }
-
-    /// Whether the budget has run out, checked before every theory step
-    /// (same points and same order as the recursive engine, so trip
-    /// timing — and therefore every budget-pinning test — is preserved).
-    fn out_of_budget(&self) -> Option<String> {
-        if let Some(cap) = self.calls_left {
-            if self.theory_calls >= cap {
-                return Some(format!("theory-call budget exhausted (cap {cap})"));
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Some("deadline exceeded".to_string());
-            }
-        }
-        None
     }
 
     /// Runs the search to completion.
@@ -1511,7 +1238,7 @@ impl<'f, 'a> TrailSearch<'f, 'a> {
                 // saturation over the (order-preserved) constraint stack
                 // reconstructs the model exactly as the recursive engine's
                 // final check did.
-                if let Some(reason) = self.out_of_budget() {
+                if let Some(reason) = self.budget.tripped(self.theory_calls) {
                     return SearchOutcome::Exhausted(reason);
                 }
                 self.theory_calls += 1;
@@ -1558,7 +1285,7 @@ impl<'f, 'a> TrailSearch<'f, 'a> {
                     }
                 },
                 Formula::Atom(c) => {
-                    if let Some(reason) = self.out_of_budget() {
+                    if let Some(reason) = self.budget.tripped(self.theory_calls) {
                         return SearchOutcome::Exhausted(reason);
                     }
                     self.theory_calls += 1;
@@ -1640,8 +1367,7 @@ impl<'f, 'a> TrailSearch<'f, 'a> {
 
     /// Undoes everything — every open level, then every remaining op —
     /// restoring the borrowed state to exactly what it was at
-    /// construction. The pushed-assumption path runs this after every
-    /// query so the shared base survives intact.
+    /// construction, so a shared base survives every query intact.
     fn unwind_all(&mut self) {
         while self.trail.depth() > 0 {
             self.trail.pop_level();
@@ -1857,9 +1583,9 @@ mod tests {
         let s = Solver::new();
         let a = x().gt(Term::int(0));
         let b = Term::int(0).lt(x());
-        assert!(s.equivalent(&[], &a, &b));
+        assert!(s.entails(&[], &a.iff(b)));
         let c = x().ge(Term::int(0));
-        assert!(!s.equivalent(&[], &a, &c));
+        assert!(!s.entails(&[], &a.iff(c)));
     }
 
     #[test]
@@ -1872,7 +1598,7 @@ mod tests {
         let bq = Term::real_var("bq");
         let lhs = q.add(Term::int(2)).gt(bq.add(Term::int(2)));
         let rhs = q.gt(bq);
-        assert!(s.equivalent(&[], &lhs, &rhs));
+        assert!(s.entails(&[], &lhs.iff(rhs)));
     }
 
     #[test]
@@ -2039,18 +1765,30 @@ mod tests {
         assert_eq!(delta.len(), 1, "{delta:?}");
     }
 
+    /// `assumptions ⊢ goal` as one pushed frame: push, `prove_pushed`, pop.
+    fn prove_in_frame(s: &Solver, assumptions: &[Term], goal: &Term) -> ProveResult {
+        s.push_assumptions(assumptions);
+        let r = s.prove_pushed(goal);
+        s.pop_assumptions();
+        r
+    }
+
+    fn entails_in_frame(s: &Solver, assumptions: &[Term], goal: &Term) -> bool {
+        prove_in_frame(s, assumptions, goal).is_proved()
+    }
+
     #[test]
     fn prove_assuming_agrees_with_prove() {
         let s = Solver::new();
         let hyp = x().ge(Term::int(1));
         let goal = Term::int(2).mul(x()).gt(Term::int(1));
-        assert!(s.prove_assuming(&[hyp], &goal).is_proved());
+        assert!(prove_in_frame(&s, &[hyp], &goal).is_proved());
         // x >= 0 ⊬ x > 0, with the counterexample surfaced the same way.
-        let r = s.prove_assuming(&[x().ge(Term::int(0))], &x().gt(Term::int(0)));
+        let r = prove_in_frame(&s, &[x().ge(Term::int(0))], &x().gt(Term::int(0)));
         let m = r.counterexample().expect("definite counterexample");
         assert_eq!(m.real("x"), Rat::ZERO);
         // The empty assumption set proves tautologies.
-        assert!(s.entails_assuming(&[], &x().abs().ge(x())));
+        assert!(entails_in_frame(&s, &[], &x().abs().ge(x())));
     }
 
     #[test]
@@ -2060,29 +1798,29 @@ mod tests {
         let b = y().ge(Term::int(2));
         let c = x().le(Term::int(10));
         let goal = x().add(y()).ge(Term::int(3));
-        assert!(s.entails_assuming(&[a, b, c], &goal));
+        assert!(entails_in_frame(&s, &[a, b, c], &goal));
         let fresh = s.stats();
         assert_eq!(fresh.assumption_queries, 1);
         assert_eq!(fresh.assumption_hits, 0);
         // Any permutation of the same multiset is a hit.
         for perm in [[c, b, a], [b, a, c], [a, c, b]] {
-            assert!(s.entails_assuming(&perm, &goal));
+            assert!(entails_in_frame(&s, &perm, &goal));
         }
         let st = s.stats();
         assert_eq!(st.assumption_queries, 4);
         assert_eq!(st.assumption_hits, 3, "{st:?}");
         assert_eq!(st.theory_calls, fresh.theory_calls, "hits do no theory");
         // A shrunk assumption set keys apart (it is a different obligation).
-        assert!(s.entails_assuming(&[a, b], &goal));
+        assert!(entails_in_frame(&s, &[a, b], &goal));
         assert_eq!(s.stats().assumption_hits, 3);
         // ... and so does the same multiset against a different goal.
-        assert!(s.entails_assuming(&[a, b, c], &x().ge(Term::int(1))));
+        assert!(entails_in_frame(&s, &[a, b, c], &x().ge(Term::int(1))));
         assert_eq!(s.stats().assumption_hits, 3);
     }
 
     #[test]
     fn assumption_keys_do_not_alias_plain_keys() {
-        // The same semantic query through `prove` and `prove_assuming`
+        // The same semantic query through `prove` and `prove_pushed`
         // lives under two different memo keys (monolithic fingerprint vs
         // domain-separated multiset hash): neither path may be answered by
         // the other's entry, because the plain key is order-sensitive and
@@ -2092,7 +1830,7 @@ mod tests {
         let hyp = x().ge(Term::int(1));
         let goal = Term::int(2).mul(x()).gt(Term::int(1));
         assert!(s.prove(&[hyp], &goal).is_proved());
-        assert!(s.prove_assuming(&[hyp], &goal).is_proved());
+        assert!(prove_in_frame(&s, &[hyp], &goal).is_proved());
         let st = s.stats();
         assert_eq!(st.cache_hits, 0, "{st:?}");
         assert_eq!(s.memo().len(), 2);
@@ -2108,7 +1846,7 @@ mod tests {
         let a = x().ge(Term::int(1));
         let b = y().le(Term::int(5));
         let goal = x().sub(y()).ge(Term::int(-4));
-        assert!(warm.entails_assuming(&[a, b], &goal));
+        assert!(entails_in_frame(&warm, &[a, b], &goal));
         let snap = warm.memo().snapshot();
         assert_eq!(snap.len(), 1);
         let dirty = warm.memo().drain_dirty();
@@ -2117,7 +1855,7 @@ mod tests {
         let cold = Solver::new();
         cold.memo().absorb(snap);
         // Re-asked in the other order, from a different arena: still a hit.
-        assert!(cold.entails_assuming(&[b, a], &goal));
+        assert!(entails_in_frame(&cold, &[b, a], &goal));
         let st = cold.stats();
         assert_eq!(st.assumption_hits, 1, "{st:?}");
         assert_eq!(st.theory_calls, 0, "{st:?}");
@@ -2131,7 +1869,7 @@ mod tests {
         let hyp = x().ge(Term::int(1));
         let goal = x().ge(Term::int(0));
         for _ in 0..3 {
-            assert!(s.prove_assuming(&[hyp], &goal).is_proved());
+            assert!(prove_in_frame(&s, &[hyp], &goal).is_proved());
         }
         let st = s.stats();
         assert_eq!(st.assumption_queries, 3);
@@ -2150,9 +1888,9 @@ mod tests {
         let a = x().ge(Term::int(1));
         let b = y().ge(Term::int(1));
         let goal = x().add(y()).ge(Term::int(2));
-        assert!(s.entails_assuming(&[a, a, b], &goal));
-        assert!(s.entails_assuming(&[a, b, b], &goal));
-        assert!(s.entails_assuming(&[a, b], &goal));
+        assert!(entails_in_frame(&s, &[a, a, b], &goal));
+        assert!(entails_in_frame(&s, &[a, b, b], &goal));
+        assert!(entails_in_frame(&s, &[a, b], &goal));
         assert_eq!(
             s.stats().assumption_hits,
             0,
@@ -2236,14 +1974,14 @@ mod tests {
         s.set_budget(Budget::with_theory_calls(0));
         let hyp = x().ge(Term::int(1));
         let goal = x().ge(Term::int(0));
-        match s.prove_assuming(&[hyp], &goal) {
+        match prove_in_frame(&s, &[hyp], &goal) {
             ProveResult::Proved => panic!("exhausted solver must never prove"),
             ProveResult::Refuted(m) => assert!(m.possibly_spurious),
         }
         assert_eq!(s.memo().len(), 0);
         // With the budget lifted the same entailment proves and memoizes.
         s.clear_budget();
-        assert!(s.prove_assuming(&[hyp], &goal).is_proved());
+        assert!(prove_in_frame(&s, &[hyp], &goal).is_proved());
         assert_eq!(s.memo().len(), 1);
     }
 
@@ -2346,17 +2084,19 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.assumption_queries, 1);
         assert_eq!(st.assumption_hits, 0, "{st:?}");
-        // The same obligation through the monolithic entry point is a hit:
+        s.pop_assumptions();
+        s.pop_assumptions();
+        // The same obligation as one frame, in the other order, is a hit:
         // keys are computed over the flattened frame multiset, insensitive
         // to frame grouping and order.
-        assert!(s.entails_assuming(&[b, a], &goal));
+        assert!(entails_in_frame(&s, &[b, a], &goal));
         assert_eq!(s.stats().assumption_hits, 1, "{:?}", s.stats());
-        s.pop_assumptions();
-        s.pop_assumptions();
-        // And back again under a different grouping of the same multiset.
-        s.push_assumptions(&[b, a]);
+        // And again as one frame per term, innermost first.
+        s.push_assumptions(&[b]);
+        s.push_assumptions(&[a]);
         assert!(s.entails_pushed(&goal));
         assert_eq!(s.stats().assumption_hits, 2, "{:?}", s.stats());
+        s.pop_assumptions();
         s.pop_assumptions();
     }
 
@@ -2369,7 +2109,7 @@ mod tests {
         let a = x().ge(Term::int(1));
         let b = y().le(Term::int(5));
         let goal = x().sub(y()).ge(Term::int(-4));
-        assert!(warm.entails_assuming(&[a, b], &goal));
+        assert!(entails_in_frame(&warm, &[a, b], &goal));
         let snap = warm.memo().snapshot();
 
         let cold = Solver::new();
@@ -2440,6 +2180,29 @@ mod tests {
         s.pop_assumptions();
     }
 
+    /// Persisted stores stay warm only while memo keys stay byte-identical.
+    /// These fingerprints pin one key of each family, so a change that
+    /// re-keys queries fails here instead of silently cold-starting every
+    /// persisted verdict store.
+    #[test]
+    fn memo_keys_are_pinned() {
+        let key = |s: &Solver| s.touched_fingerprints()[0].0;
+        let a = x().ge(Term::int(1));
+        let s = Solver::new();
+        let _ = s.check(&[x().le(Term::int(1)), x().ge(Term::int(2))]);
+        assert_eq!(key(&s), 0xf59b_bc4a_cdf5_97a4_2dd8_430a_f470_9c8c);
+        let s = Solver::new();
+        let _ = s.prove(&[a], &Term::int(2).mul(x()).gt(Term::int(1)));
+        assert_eq!(key(&s), 0x2029_816c_8bcd_5e75_1aa9_8b01_4d0f_797c);
+        let s = Solver::new();
+        s.push_assumptions(&[a]);
+        s.push_assumptions(&[y().le(Term::int(5))]);
+        let _ = s.prove_pushed(&x().sub(y()).ge(Term::int(-4)));
+        s.pop_assumptions();
+        s.pop_assumptions();
+        assert_eq!(key(&s), 0xf1be_4c14_ecb9_66a5_380d_f387_4664_96c1);
+    }
+
     /// Differential harness: the trail engine against the seed recursive
     /// engine (kept as [`reference`]) on random formula trees. Verdicts
     /// must be identical — models too, since exploration order is pinned —
@@ -2447,8 +2210,8 @@ mod tests {
     mod differential {
         use proptest::prelude::*;
 
-        use super::super::{reference, BoolModel, SearchOutcome, TrailSearch};
-        use crate::fm::{Constraint, Saturation};
+        use super::super::{reference, BudgetState, SearchBase, SearchOutcome, TrailSearch};
+        use crate::fm::Constraint;
         use crate::linear::LinExpr;
         use crate::normalize::Formula;
         use crate::term::Symbol;
@@ -2491,17 +2254,9 @@ mod tests {
             ) {
                 let (want, ref_calls) = reference::solve_formulas(fs.clone());
 
-                let mut bools = BoolModel::new();
-                let mut constraints = Vec::new();
-                let mut sat = Saturation::new();
-                let mut search = TrailSearch::new(
-                    fs.iter().collect(),
-                    &mut bools,
-                    &mut constraints,
-                    &mut sat,
-                    None,
-                    None,
-                );
+                let mut base = SearchBase::default();
+                let mut search =
+                    TrailSearch::new(fs.iter().collect(), &mut base, BudgetState::default());
                 let outcome = search.run();
                 let trail_calls = search.theory_calls;
 

@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use shadowdp_num::Rat;
 
 use crate::lexer::Span;
@@ -18,7 +17,7 @@ use crate::lexer::Span;
 /// The type system introduces, for a source variable `x`, two distance
 /// tracking variables: `x̂◦` (aligned distance, rendered `^x`) and `x̂†`
 /// (shadow distance, rendered `~x`). These are invisible in source programs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NameKind {
     /// A plain program variable `x`.
     Plain,
@@ -39,7 +38,7 @@ pub enum NameKind {
 /// assert_eq!(x.aligned_hat().to_string(), "^x");
 /// assert_eq!(x.shadow_hat().to_string(), "~x");
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Name {
     /// The underlying identifier.
     pub base: String,
@@ -89,7 +88,7 @@ impl fmt::Display for Name {
 }
 
 /// Binary operators (`⊕`, `⊗`, `⊙`, and boolean connectives).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+` (linear op `⊕`)
     Add,
@@ -164,7 +163,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Numeric negation `-e`.
     Neg,
@@ -182,7 +181,7 @@ pub enum UnOp {
 /// distance expressions structurally (the `⊔` join requires syntactic
 /// equality) and substitutes into them freely, so they behave as pure values.
 /// Diagnostics attach to commands, which do carry spans.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A rational literal `r`.
     Num(Rat),
@@ -396,7 +395,7 @@ impl Expr {
 }
 
 /// A distance `d ::= n | ∗` (paper Figure 3).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Distance {
     /// A statically tracked numeric distance expression.
     D(Expr),
@@ -424,7 +423,7 @@ impl Distance {
 /// Booleans and lists carry distances only through their numeric components;
 /// a `list num⟨d◦,d†⟩` stores numbers whose per-element distances are
 /// `d◦`/`d†` (with `∗` desugaring to the hat lists `^q`/`~q`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// Numeric type with aligned and shadow distances.
     Num(Distance, Distance),
@@ -450,7 +449,7 @@ impl Ty {
 ///
 /// The scale is an arbitrary numeric expression over non-private variables
 /// (e.g. `2/eps`, `4*NN/eps`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum RandExpr {
     /// One sample from the Laplace distribution with mean 0 and the given
     /// scale.
@@ -467,7 +466,7 @@ impl RandExpr {
 }
 
 /// Selectors `S ::= e ? S1 : S2 | ◦ | †` (paper Figure 3).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Selector {
     /// `◦` — keep using the aligned execution.
     Aligned,
@@ -510,7 +509,7 @@ impl Selector {
 /// Equality ignores the span: two commands are equal when they are
 /// structurally the same program fragment, which is what the type system's
 /// fixed-point computation and the golden transformation tests need.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Cmd {
     /// What the command does.
     pub kind: CmdKind,
@@ -537,7 +536,7 @@ impl Cmd {
 }
 
 /// Command payloads.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CmdKind {
     /// `skip`
     Skip,
@@ -579,7 +578,7 @@ pub enum CmdKind {
 }
 
 /// A formal parameter.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -588,7 +587,7 @@ pub struct Param {
 }
 
 /// The declared return variable and its type.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RetDecl {
     /// Name of the variable holding the result.
     pub name: String,
@@ -597,7 +596,7 @@ pub struct RetDecl {
 }
 
 /// One precondition clause.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Precondition {
     /// `forall i :: φ(i)` — element-wise adjacency over every list index.
     Forall {
@@ -614,7 +613,7 @@ pub enum Precondition {
 }
 
 /// Which adjacency shape the preconditions describe (paper §2.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Adjacency {
     /// Every query answer may differ (bounded per element).
     AllDiffer,
@@ -624,7 +623,7 @@ pub enum Adjacency {
 
 /// A ShadowDP function: signature, adjacency specification, privacy budget
 /// and body.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Function {
     /// Function name.
     pub name: String,

@@ -2,11 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use shadowdp_num::Rat;
 
 /// A half-open byte range into the source text.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: usize,
@@ -46,7 +45,7 @@ impl Span {
 }
 
 /// Token kinds.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TokenKind {
     /// Identifier or keyword (keywords are resolved by the parser).
     Ident(String),
@@ -151,7 +150,7 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its span.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Token {
     /// The token payload.
     pub kind: TokenKind,

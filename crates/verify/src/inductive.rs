@@ -32,7 +32,7 @@ use crate::target::{CostSite, TargetInfo, V_EPS};
 /// [`InductiveOptions::profile`] is set.
 ///
 /// `queries`/`hits` count the round's assumption-set-keyed consecution
-/// entailments ([`Solver::prove_assuming`]) and how many the solver
+/// entailments ([`Solver::prove_pushed`]) and how many the solver
 /// answered from its memo. The figure of merit is the hit rate of rounds
 /// with `after_drop` set: under per-candidate assumption keying, a round
 /// that follows a candidate drop re-uses every verdict for candidates
@@ -243,7 +243,7 @@ impl Engine {
         //   candidate's term* — only base facts plus the candidate's own
         //   assumption. This set does not mention the rest of the
         //   candidate pool at all, so its assumption-set memo key
-        //   ([`Solver::prove_assuming`]) is identical across rounds no
+        //   ([`Solver::prove_pushed`]) is identical across rounds no
         //   matter which siblings dropped — the round after a drop answers
         //   every self-inductive candidate from the memo.
         // - **full** (the authoritative fallback): the whole end path,
