@@ -285,56 +285,22 @@ impl Pipeline {
     /// verification failures are reported in the
     /// [`PipelineReport::verdict`], not as errors.
     pub fn run(&self, source: &str) -> Result<PipelineReport, PipelineError> {
+        self.run_with(source, &Solver::new())
+    }
+
+    /// [`Pipeline::run`] against `solver`. The corpus driver passes one
+    /// backed by a shared [`QueryMemo`], so entries written by other runs
+    /// (on this or any other thread) answer structurally identical
+    /// queries here, and this run's entries flow back.
+    fn run_with(&self, source: &str, solver: &Solver) -> Result<PipelineReport, PipelineError> {
         let f = parse_timed(source)?;
         // Advisory pre-verification lint phase: feeds the span log and
         // the per-code counters, never the report.
         let _ = lint_timed(&f, source);
-        self.run_parsed(&f)
-    }
-
-    /// [`Pipeline::run`] with the solver's validity-query memo backed by a
-    /// caller-provided table — entries written by other runs (on this or
-    /// any other thread) answer structurally identical queries here, and
-    /// this run's entries flow back. The corpus drivers use this to warm
-    /// one table for a whole fleet of verifications.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pipeline::run`].
-    pub fn run_with_memo(
-        &self,
-        source: &str,
-        memo: &Arc<QueryMemo>,
-    ) -> Result<PipelineReport, PipelineError> {
-        let f = parse_timed(source)?;
-        let _ = lint_timed(&f, source);
-        self.run_parsed_with(&f, &Solver::with_memo(memo.clone()))
-    }
-
-    /// Runs the pipeline on an already parsed function.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Type`] on type-system rejection.
-    pub fn run_parsed(&self, f: &Function) -> Result<PipelineReport, PipelineError> {
-        self.run_parsed_with(f, &Solver::new())
-    }
-
-    /// Runs the pipeline on a parsed function against a caller-provided
-    /// solver (for stats aggregation or memo sharing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Type`] on type-system rejection.
-    pub fn run_parsed_with(
-        &self,
-        f: &Function,
-        solver: &Solver,
-    ) -> Result<PipelineReport, PipelineError> {
         let t0 = Instant::now();
         let transformed = {
             let _span = shadowdp_obs::span_labeled("typecheck", &f.name);
-            check_function_with(f, solver).map_err(PipelineError::Type)
+            check_function_with(&f, solver).map_err(PipelineError::Type)
         }?;
         let typecheck_time = t0.elapsed();
         PHASE_US
@@ -464,11 +430,12 @@ impl Pipeline {
             // terms) is dropped with the closure, and the shared memo's
             // locks are panic-released with entry-atomic inserts.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if job.isolated_memo {
-                    pipeline.run(&job.source)
+                let solver = if job.isolated_memo {
+                    Solver::new()
                 } else {
-                    pipeline.run_with_memo(&job.source, &memo)
-                }
+                    Solver::with_memo(memo.clone())
+                };
+                pipeline.run_with(&job.source, &solver)
             }));
             match attempt {
                 Ok(result) => result,
@@ -779,7 +746,9 @@ mod tests {
 
         let pipeline = Pipeline::new();
         let warm_memo = Arc::new(QueryMemo::default());
-        let warm_up = pipeline.run_with_memo(&plain, &warm_memo).unwrap();
+        let warm_up = pipeline
+            .run_with(&plain, &Solver::with_memo(warm_memo.clone()))
+            .unwrap();
         assert!(matches!(warm_up.verdict, Verdict::Proved));
 
         // Cold reference for the variant.
@@ -790,7 +759,9 @@ mod tests {
         // daemon shape: snapshot → absorb → resubmit a variation).
         let transferred = Arc::new(QueryMemo::default());
         transferred.absorb(warm_memo.snapshot());
-        let warm = pipeline.run_with_memo(&doomed, &transferred).unwrap();
+        let warm = pipeline
+            .run_with(&doomed, &Solver::with_memo(transferred))
+            .unwrap();
         assert!(matches!(warm.verdict, Verdict::Proved));
         assert_eq!(warm.verdict, cold.verdict);
         assert_eq!(

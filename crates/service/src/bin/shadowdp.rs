@@ -464,15 +464,12 @@ mod top {
             reuses + resats
         );
         println!(
-            "queue {}/{}  journal {}  memo {}  pipeline {} (stamps {}..{})  log {}B (ratio {:.2})  \
-             last flush {}",
+            "queue {}/{}  journal {}  memo {}  pipeline {}  log {}B (ratio {:.2})  last flush {}",
             value(samples, "shadowdp_queue_depth"),
             value(samples, "shadowdp_queue_capacity"),
             value(samples, "shadowdp_journal_entries"),
             value(samples, "shadowdp_memo_entries"),
             value(samples, "shadowdp_store_pipeline_entries"),
-            value(samples, "shadowdp_pipeline_stamp_oldest"),
-            value(samples, "shadowdp_pipeline_stamp_newest"),
             value(samples, "shadowdp_store_log_bytes"),
             value(samples, "shadowdp_store_compaction_ratio"),
             fmt_us(value(samples, "shadowdp_store_last_flush_us"))
@@ -619,21 +616,8 @@ fn main() -> ExitCode {
             Ok(mut client) => match client.status() {
                 Ok(s) => {
                     println!(
-                        "queued={} running={} done={} memo={} pipeline_store={} store_hits={} \
-                         queue_capacity={} journaled={} store_bytes={} last_flush_us={} \
-                         trail_ops={} sat_reuses={}",
-                        s.queued,
-                        s.running,
-                        s.done,
-                        s.memo_entries,
-                        s.pipeline_store,
-                        s.store_hits,
-                        s.queue_capacity,
-                        s.journaled,
-                        s.store_bytes,
-                        s.last_flush_micros,
-                        s.trail_ops,
-                        s.saturation_reuses
+                        "queued={} running={} done={} memo={} pipeline_store={} journaled={}",
+                        s.queued, s.running, s.done, s.memo_entries, s.pipeline_store, s.journaled
                     );
                     Ok(true)
                 }

@@ -59,8 +59,9 @@
 //!   The journal reuses the store's framing discipline: an 8-byte magic
 //!   (`SDPJRNL1`) then per-record `u32` LE payload length + payload (one
 //!   encoded `SUBMIT` line) + 16-byte LE fnv128 of the payload; replay
-//!   stops at the first torn or corrupt record, keeping the valid
-//!   prefix.
+//!   stops at the first torn, corrupt or unparseable record, keeping the
+//!   valid prefix, and the journal is rewritten to that prefix once the
+//!   daemon owns its socket.
 //! - **I/O deadlines** — [`DaemonConfig::io_timeout`] puts read/write
 //!   timeouts on every connection so a stalled client cannot wedge a
 //!   handler thread forever (it also bounds idle connection lifetime).
@@ -74,7 +75,7 @@ use std::thread;
 use std::time::Duration;
 
 use shadowdp::{CorpusJob, JobSpec, Phase, Pipeline, PipelineError, PipelineReport};
-use shadowdp_solver::QueryMemo;
+use shadowdp_solver::{QueryMemo, SolverStats};
 use shadowdp_verify::Verdict;
 
 use crate::proto::{self, JobOutcome, OutcomeKind, Request, Response, StatusInfo};
@@ -167,16 +168,6 @@ static COMPACTION_RATIO: LazyFloatGauge = LazyFloatGauge::new(
     "Logged entries (superseded included) over live entries; the \
      --compact-ratio trigger compares against this",
 );
-static STAMP_OLDEST: LazyGauge = LazyGauge::new(
-    "shadowdp_pipeline_stamp_oldest",
-    "Oldest last-served-batch stamp across pipeline-tier entries \
-     (eviction groundwork; 0 until an entry is served)",
-);
-static STAMP_NEWEST: LazyGauge = LazyGauge::new(
-    "shadowdp_pipeline_stamp_newest",
-    "Newest last-served-batch stamp across pipeline-tier entries \
-     (eviction groundwork; 0 until an entry is served)",
-);
 static BATCH_JOBS: LazyHistogram = LazyHistogram::new(
     "shadowdp_batch_jobs",
     "Jobs per scheduler batch (occupancy of each corpus fan-out)",
@@ -207,8 +198,6 @@ fn register_metrics() {
     STORE_LOG_BYTES.get();
     LAST_FLUSH_US.get();
     COMPACTION_RATIO.get();
-    STAMP_OLDEST.get();
-    STAMP_NEWEST.get();
     BATCH_JOBS.get();
     FLUSH_US.get();
     // Pipeline + solver metrics live in their own crates; pull them in
@@ -227,9 +216,6 @@ fn refresh_store_gauges(store: &VerdictStore) {
     if live > 0 {
         COMPACTION_RATIO.set(store.logged_entries() as f64 / live as f64);
     }
-    let (oldest, newest) = store.pipeline_stamp_range().unwrap_or((0, 0));
-    STAMP_OLDEST.set(oldest);
-    STAMP_NEWEST.set(newest);
 }
 
 /// Daemon configuration.
@@ -317,7 +303,10 @@ impl Journal {
 
     /// Reads back journaled submissions, stopping at the first torn or
     /// corrupt record (a crash mid-append leaves exactly such a tail).
-    /// A missing or unreadable journal is a quiet empty start.
+    /// A missing or unreadable journal is a quiet empty start. A whole
+    /// record that is not a `SUBMIT` this daemon can parse (an older wire
+    /// encoding, a foreign file) stops the replay with a note: it is
+    /// never guessed at.
     fn replay(&self) -> Vec<JobSpec> {
         let Some(path) = &self.path else {
             return Vec::new();
@@ -341,12 +330,17 @@ impl Journal {
             if sum != fnv128(payload).to_le_bytes() {
                 break;
             }
-            match std::str::from_utf8(payload)
-                .ok()
-                .and_then(|line| proto::parse_request(line).ok())
-            {
-                Some(Request::Submit(spec)) => specs.push(spec),
-                _ => break, // checksummed but not a SUBMIT: foreign file
+            match proto::parse_request(std::str::from_utf8(payload).unwrap_or_default()) {
+                Ok(Request::Submit(spec)) => specs.push(spec),
+                other => {
+                    let why = other.map_or_else(|e| e.to_string(), |_| "not a SUBMIT".into());
+                    eprintln!(
+                        "shadowdpd: journal: record {} is unreadable ({why}); it and any \
+                         later records are not re-verified",
+                        specs.len() + 1
+                    );
+                    break;
+                }
             }
             off += 4 + len + 16;
         }
@@ -422,24 +416,12 @@ struct State {
     owners: HashMap<u64, u64>,
     next_id: u64,
     running: u64,
-    store_hits: u64,
-    /// Cumulative solver trail operations across every fresh job this
-    /// daemon has verified (store hits add nothing — no search ran).
-    /// Reported by `STATUS`.
-    trail_ops: u64,
-    /// Cumulative incremental-saturation reuses across fresh jobs,
-    /// reported by `STATUS`. Together with `trail_ops` this makes the
-    /// incremental solver core's work visible without a METRICS scrape.
-    saturation_reuses: u64,
     /// Submissions currently covered by the on-disk journal (reported by
     /// `STATUS`). Incremented per successful append, reset to the
     /// still-outstanding count after each batch's journal rewrite.
     journaled: u64,
-    /// Wall-clock microseconds of the most recent store flush (0 until
-    /// the first), reported by `STATUS`.
-    last_flush_micros: u64,
     /// Monotonic batch counter. Stamped onto pipeline-tier entries at
-    /// put/serve time (eviction groundwork; see
+    /// put/serve time, the recency LRU eviction orders by (see
     /// [`VerdictStore::stamp_served`]).
     batch_seq: u64,
     shutdown: bool,
@@ -487,6 +469,35 @@ pub fn outcome_kind(report: &Result<PipelineReport, PipelineError>) -> OutcomeKi
 /// The wire digest of a per-job report digest text.
 pub fn wire_digest(report_digest: &str) -> String {
     hex128(fnv128(report_digest.as_bytes()))
+}
+
+/// One job's outcome: `ok` follows `kind`, and the solver counters are
+/// the job's own (all zero for a job that ran no search).
+fn job_outcome(
+    id: u64,
+    from_store: bool,
+    kind: OutcomeKind,
+    digest: String,
+    verdict: String,
+    stats: &SolverStats,
+) -> JobOutcome {
+    JobOutcome {
+        id,
+        ok: kind.ok(),
+        from_store,
+        kind,
+        digest,
+        checks: stats.checks,
+        cache_hits: stats.cache_hits,
+        theory_calls: stats.theory_calls,
+        assumption_queries: stats.assumption_queries,
+        assumption_hits: stats.assumption_hits,
+        trail_ops: stats.trail_ops,
+        max_trail_depth: stats.max_trail_depth,
+        saturation_reuses: stats.saturation_reuses,
+        resaturations: stats.resaturations,
+        verdict,
+    }
 }
 
 /// Runs the daemon until a client sends `SHUTDOWN`. Blocks the calling
@@ -591,6 +602,12 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     }
     let listener = UnixListener::bind(&config.socket)?;
     drop(bind_lock);
+    // Now that this daemon owns the store, cut the journal down to what
+    // was replayed: a torn or unreadable record would otherwise hide this
+    // run's appends behind it from the next replay.
+    if let Err(e) = journal.reset(&initial.pending) {
+        eprintln!("shadowdpd: journal reset after replay failed: {e}");
+    }
 
     let shared = Arc::new(Shared {
         state: Mutex::new(initial),
@@ -668,51 +685,34 @@ fn schedule(shared: &Shared) {
             for (id, spec) in batch {
                 if let Some(entry) = store.pipeline_get(&spec) {
                     hits += 1;
-                    outcomes.push(JobOutcome {
+                    // Exhausted and crashed runs are never persisted, so a
+                    // store entry is exactly completed-or-error.
+                    let kind = if entry.ok {
+                        OutcomeKind::Completed
+                    } else {
+                        OutcomeKind::Error
+                    };
+                    outcomes.push(job_outcome(
                         id,
-                        ok: entry.ok,
-                        from_store: true,
-                        // Exhausted and crashed runs are never persisted,
-                        // so a store entry is exactly completed-or-error.
-                        kind: if entry.ok {
-                            OutcomeKind::Completed
-                        } else {
-                            OutcomeKind::Error
-                        },
-                        digest: wire_digest(&entry.digest),
-                        checks: 0,
-                        cache_hits: 0,
-                        theory_calls: 0,
-                        assumption_queries: 0,
-                        assumption_hits: 0,
-                        trail_ops: 0,
-                        max_trail_depth: 0,
-                        saturation_reuses: 0,
-                        resaturations: 0,
-                        verdict: entry.verdict.clone(),
-                    });
+                        true,
+                        kind,
+                        wire_digest(&entry.digest),
+                        entry.verdict.clone(),
+                        &SolverStats::default(),
+                    ));
                     // Serve-time stamp: this batch is the entry's last use.
                     store.stamp_served(&spec, seq);
                 } else {
                     match spec.to_job() {
                         Ok(job) => fresh.push((id, spec, job)),
-                        Err(e) => outcomes.push(JobOutcome {
+                        Err(e) => outcomes.push(job_outcome(
                             id,
-                            ok: false,
-                            from_store: false,
-                            kind: OutcomeKind::Error,
-                            digest: wire_digest(&format!("{e}")),
-                            checks: 0,
-                            cache_hits: 0,
-                            theory_calls: 0,
-                            assumption_queries: 0,
-                            assumption_hits: 0,
-                            trail_ops: 0,
-                            max_trail_depth: 0,
-                            saturation_reuses: 0,
-                            resaturations: 0,
-                            verdict: format!("error: {e}"),
-                        }),
+                            false,
+                            OutcomeKind::Error,
+                            wire_digest(&format!("{e}")),
+                            format!("error: {e}"),
+                            &SolverStats::default(),
+                        )),
                     }
                 }
             }
@@ -723,7 +723,6 @@ fn schedule(shared: &Shared) {
         // we publish — the precondition for dropping the batch's journal
         // entries. An all-store-hit batch adds nothing to persist.
         let mut persisted = true;
-        let mut flush_micros: Option<u64> = None;
         if !fresh.is_empty() {
             let jobs: Vec<CorpusJob> = fresh.iter().map(|(_, _, job)| job.clone()).collect();
             let outcome = pipeline.verify_corpus_parallel_with_memo(
@@ -770,26 +769,17 @@ fn schedule(shared: &Shared) {
                             deps: Some(deps),
                         },
                     );
-                    // Put-time stamp (eviction groundwork).
+                    // Put-time stamp: the entry's first use.
                     store.stamp_served(spec, seq);
                 }
-                outcomes.push(JobOutcome {
-                    id: *id,
-                    ok: outcome.reports[slot].is_ok(),
-                    from_store: false,
+                outcomes.push(job_outcome(
+                    *id,
+                    false,
                     kind,
-                    digest: wire_digest(&digest_text),
-                    checks: stats.checks,
-                    cache_hits: stats.cache_hits,
-                    theory_calls: stats.theory_calls,
-                    assumption_queries: stats.assumption_queries,
-                    assumption_hits: stats.assumption_hits,
-                    trail_ops: stats.trail_ops,
-                    max_trail_depth: stats.max_trail_depth,
-                    saturation_reuses: stats.saturation_reuses,
-                    resaturations: stats.resaturations,
+                    wire_digest(&digest_text),
                     verdict,
-                });
+                    &stats,
+                ));
             }
             // O(batch), not O(store): drain only what this batch solved
             // and append it as one delta record. A failed flush keeps the
@@ -812,7 +802,6 @@ fn schedule(shared: &Shared) {
                 store.flush()
             };
             let us = flush_start.elapsed().as_micros() as u64;
-            flush_micros = Some(us);
             FLUSH_US.observe(us);
             LAST_FLUSH_US.set(us);
             if let Err(e) = flushed {
@@ -854,14 +843,6 @@ fn schedule(shared: &Shared) {
         drop(batch_span);
 
         let mut st = shared.state.lock().unwrap();
-        st.store_hits += hits;
-        for outcome in &outcomes {
-            st.trail_ops += outcome.trail_ops;
-            st.saturation_reuses += outcome.saturation_reuses;
-        }
-        if let Some(us) = flush_micros {
-            st.last_flush_micros = us;
-        }
         for outcome in outcomes {
             if st.owners.contains_key(&outcome.id) {
                 st.done.insert(outcome.id, outcome);
@@ -970,61 +951,23 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
         // wait for the job's batch — that *is* the client-visible reply
         // latency on the accept→queue→batch→flush→reply path.
         let mut request_span = shadowdp_obs::span("daemon.request");
-        if let Ok(req) = &parsed {
-            let verb = match req {
-                Request::Ping => "PING",
-                Request::Status => "STATUS",
-                Request::Metrics => "METRICS",
-                Request::Lint(_) => "LINT",
-                Request::Submit(_) => "SUBMIT",
-                Request::Result(_) => "RESULT",
-                Request::Shutdown => "SHUTDOWN",
-            };
-            request_span.set_label(verb);
+        if parsed.is_ok() {
+            // A parsed line's first field is its verb.
+            request_span.set_label(line.split('\t').next().unwrap_or_default());
         }
         let response = match parsed {
             Err(e) => Response::Err(e.to_string()),
             Ok(Request::Ping) => Response::Pong,
             Ok(Request::Status) => {
-                let (
-                    queued,
-                    running,
-                    done,
-                    store_hits,
-                    journaled,
-                    last_flush_micros,
-                    trail_ops,
-                    saturation_reuses,
-                ) = {
-                    let st = shared.state.lock().unwrap();
-                    (
-                        st.pending.len() as u64,
-                        st.running,
-                        st.done.len() as u64 + st.delivered.len() as u64,
-                        st.store_hits,
-                        st.journaled,
-                        st.last_flush_micros,
-                        st.trail_ops,
-                        st.saturation_reuses,
-                    )
-                };
-                let (pipeline_store, store_bytes) = {
-                    let store = shared.store.lock().unwrap();
-                    (store.pipeline_len() as u64, store.log_bytes())
-                };
+                let pipeline_store = shared.store.lock().unwrap().pipeline_len() as u64;
+                let st = shared.state.lock().unwrap();
                 Response::Status(StatusInfo {
-                    queued,
-                    running,
-                    done,
+                    queued: st.pending.len() as u64,
+                    running: st.running,
+                    done: (st.done.len() + st.delivered.len()) as u64,
                     memo_entries: shared.memo.len() as u64,
                     pipeline_store,
-                    store_hits,
-                    queue_capacity: shared.config.queue_limit.map_or(0, |n| n as u64),
-                    journaled,
-                    store_bytes,
-                    last_flush_micros,
-                    trail_ops,
-                    saturation_reuses,
+                    journaled: st.journaled,
                 })
             }
             Ok(Request::Metrics) => {

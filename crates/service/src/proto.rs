@@ -1,46 +1,51 @@
 //! The line-oriented wire protocol spoken over the daemon's Unix socket.
 //!
 //! One request per line, one response line per request, in order. Fields
-//! are **tab-separated**; any field that can contain tabs or newlines
-//! (source text, assumptions, verdicts) is escaped with
-//! [`esc`]/[`unesc`] (`\` → `\\`, tab → `\t`, newline → `\n`, CR → `\r`),
-//! so a physical line always holds exactly one message. The grammar:
+//! are **tab-separated**; any value that can contain tabs or newlines
+//! (source text, assumptions, verdicts) is escaped with [`esc`]/[`unesc`]
+//! (`\` → `\\`, tab → `\t`, newline → `\n`, CR → `\r`), so a physical
+//! line always holds exactly one message. The grammar:
 //!
 //! ```text
 //! request  = "PING" | "STATUS" | "METRICS" | "SHUTDOWN"
 //!          | "LINT" TAB source
 //!          | "RESULT" TAB id
-//!          | "SUBMIT" TAB isolated TAB mode TAB engine TAB list_len
-//!                     TAB max_unroll TAB max_rounds
-//!                     TAB budget_ms TAB budget_calls TAB n
-//!                     {TAB assumption}*n TAB source
+//!          | "SUBMIT" {TAB field}
 //! response = "PONG" | "BYE"
 //!          | "LINT" TAB diagnostics
 //!          | "QUEUED" TAB id
 //!          | "BUSY" TAB retry_after_ms
-//!          | "STATUS" TAB queued TAB running TAB done TAB memo
-//!                     TAB pipeline_store TAB store_hits
-//!                     TAB queue_capacity TAB journaled
-//!                     TAB store_bytes TAB last_flush_us
-//!                     TAB trail_ops TAB sat_reuses
+//!          | "STATUS" {TAB field}
 //!          | "METRICS" TAB exposition
-//!          | "RESULT" TAB id TAB ok TAB from TAB kind TAB digest
-//!                     TAB checks TAB cache_hits TAB theory_calls
-//!                     TAB assumption_queries TAB assumption_hits
-//!                     TAB trail_ops TAB max_trail_depth
-//!                     TAB sat_reuses TAB resaturations TAB verdict
+//!          | "RESULT" {TAB field}
 //!          | "ERR" TAB message
+//! field    = key "=" value
 //! ```
 //!
-//! `mode = "-"` means "no per-job options" (the daemon's defaults); the
-//! remaining option fields are then ignored but still present, keeping
-//! field offsets fixed. `budget_ms`/`budget_calls` carry the job's
-//! optional resource budget (wall-clock deadline in milliseconds,
-//! theory-call cap); `-` means unlimited. `digest` is the 32-hex-char
-//! fnv128 of the job's [`shadowdp::CorpusOutcome::report_digest`] text;
-//! `from` is `store` (answered by the persistent pipeline tier) or
-//! `fresh` (scheduled this process); `kind` is one of
-//! `completed`/`error`/`crashed`/`exhausted` (see [`OutcomeKind`]).
+//! Fields are named, in any order; required keys are marked `*`:
+//!
+//! - `SUBMIT`: `source`*, `isolated` (`true`: verify against a private
+//!   memo), and the job options `mode`, `engine`*, `list_len`*,
+//!   `max_rounds`*, `max_unroll`, `budget_ms` (wall-clock deadline),
+//!   `budget_calls` (theory-call cap) and `assume` (one per BMC
+//!   assumption, in order). Options are read only when `mode` is present,
+//!   which makes the starred ones required; without it the job runs with
+//!   the daemon's defaults.
+//! - `RESULT`: `id`*, `kind`*, `digest`*, `verdict`*, `from_store`, and
+//!   the solver counters `checks`, `cache_hits`, `theory_calls`,
+//!   `assumption_queries`, `assumption_hits`, `trail_ops`,
+//!   `max_trail_depth`, `saturation_reuses`, `resaturations`.
+//! - `STATUS`: `queued`, `running`, `done`, `memo`, `pipeline_store`,
+//!   `journaled` — this daemon's own state; process-wide counters are in
+//!   `METRICS`.
+//!
+//! Unknown keys are skipped, so a new field touches no reader, and an
+//! absent optional key takes its default (0, `false`, no budget). A field
+//! without `=`, a repeated single-valued key or a missing required key is
+//! an error. `digest` is the 32-hex-char fnv128 of the job's
+//! [`shadowdp::CorpusOutcome::report_digest`] text; `kind` is one of
+//! `completed`/`error`/`crashed`/`exhausted` (see [`OutcomeKind`]);
+//! [`JobOutcome::ok`] is not sent: it follows `kind`.
 //! `BUSY` rejects a `SUBMIT` when the daemon's bounded submission queue
 //! is full; the client should wait roughly `retry_after_ms` and retry.
 //! `METRICS` answers with the daemon's full metrics registry rendered in
@@ -57,7 +62,8 @@
 //! bound daemon memory). Protocol errors never kill the connection:
 //! the daemon answers `ERR` and keeps reading.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 use shadowdp::{JobSpec, OptionsSpec};
 
@@ -118,7 +124,7 @@ pub fn unesc(s: &str) -> Result<String, ProtoError> {
 pub enum Request {
     /// Liveness check.
     Ping,
-    /// Queue/store counters.
+    /// This daemon's queue, memo, store and journal state.
     Status,
     /// Full metrics registry in Prometheus text exposition format.
     Metrics,
@@ -133,7 +139,8 @@ pub enum Request {
     Shutdown,
 }
 
-/// Daemon-side counters reported by `STATUS`.
+/// One daemon's own state, reported by `STATUS`. Process-wide counters
+/// (store hits, trail operations, flush latency, …) live in `METRICS`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatusInfo {
     /// Jobs submitted but not yet picked up by the scheduler.
@@ -147,33 +154,10 @@ pub struct StatusInfo {
     pub memo_entries: u64,
     /// Entries in the persistent pipeline tier.
     pub pipeline_store: u64,
-    /// Jobs answered from the persistent pipeline tier since startup.
-    pub store_hits: u64,
-    /// Submission-queue bound (`0` = unbounded). Together with `queued`
-    /// this lets clients make backpressure decisions before a `SUBMIT`
-    /// comes back `BUSY`.
-    pub queue_capacity: u64,
     /// Accepted submissions currently covered by the in-flight journal
     /// (queued + in the running batch); they re-verify on restart if the
     /// daemon crashes before their verdicts are persisted.
     pub journaled: u64,
-    /// On-disk size of the verdict store log in bytes (0 for an
-    /// in-memory daemon). Grows with appended batches, shrinks on
-    /// compaction — the compaction ratio made visible without shell
-    /// access to the store path.
-    pub store_bytes: u64,
-    /// Wall-clock microseconds the most recent store flush took (0
-    /// until the first flush). Pairs with the flush-latency histogram
-    /// in `METRICS` for clients that only speak `STATUS`.
-    pub last_flush_micros: u64,
-    /// Cumulative reversible solver-trail operations across every job
-    /// this daemon has verified (0 for a daemon serving purely from its
-    /// store — trail ops are fresh search work by definition).
-    pub trail_ops: u64,
-    /// Cumulative incremental saturation reuses: constraints absorbed
-    /// into an already-saturated set instead of triggering a
-    /// from-scratch recomputation.
-    pub saturation_reuses: u64,
 }
 
 /// How a job's run ended, beyond the coarse `ok` flag.
@@ -205,12 +189,17 @@ impl OutcomeKind {
         }
     }
 
+    /// [`JobOutcome::ok`] for this kind.
+    pub(crate) fn ok(self) -> bool {
+        matches!(self, OutcomeKind::Completed | OutcomeKind::Exhausted)
+    }
+}
+
+impl FromStr for OutcomeKind {
+    type Err = ProtoError;
+
     /// Parses a wire token.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError`] on an unknown token.
-    pub fn from_wire(s: &str) -> Result<OutcomeKind, ProtoError> {
+    fn from_str(s: &str) -> Result<OutcomeKind, ProtoError> {
         match s {
             "completed" => Ok(OutcomeKind::Completed),
             "error" => Ok(OutcomeKind::Error),
@@ -226,15 +215,15 @@ impl OutcomeKind {
 pub struct JobOutcome {
     /// The id `QUEUED` assigned.
     pub id: u64,
-    /// Whether verification produced a verdict (`false` = the job failed
-    /// before verification: malformed spec, parse or type error).
+    /// Whether the job reached a verdict: `completed` and `exhausted` are
+    /// ok, `error` and `crashed` are not. Derived from `kind`, so it is
+    /// never sent.
     pub ok: bool,
     /// Answered by the persistent pipeline tier instead of a fresh run.
     pub from_store: bool,
-    /// How the run ended (completed/error/crashed/exhausted). `ok` stays
-    /// the coarse flag (`kind != error && kind != crashed`); `kind`
-    /// distinguishes budget exhaustion and panic isolation, which `ok`
-    /// alone cannot.
+    /// How the run ended (completed/error/crashed/exhausted). `ok` is
+    /// the coarse flag derived from it; `kind` distinguishes budget
+    /// exhaustion and panic isolation, which `ok` alone cannot.
     pub kind: OutcomeKind,
     /// 32-hex-char fnv128 of the job's canonical report digest.
     pub digest: String,
@@ -295,6 +284,30 @@ pub enum Response {
 // Encoding
 // ---------------------------------------------------------------------------
 
+/// A message under construction: the verb, then one `TAB key=value` per
+/// field.
+struct Line(String);
+
+impl Line {
+    fn new(verb: &str) -> Line {
+        Line(verb.to_string())
+    }
+
+    fn field(mut self, key: &str, value: impl fmt::Display) -> Line {
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.0, "\t{key}={value}");
+        self
+    }
+
+    /// A field left out when `value` is `None`, its default.
+    fn opt(self, key: &str, value: Option<impl fmt::Display>) -> Line {
+        match value {
+            Some(value) => self.field(key, value),
+            None => self,
+        }
+    }
+}
+
 /// Renders a request as one protocol line (no trailing newline).
 pub fn encode_request(req: &Request) -> String {
     match req {
@@ -305,28 +318,74 @@ pub fn encode_request(req: &Request) -> String {
         Request::Lint(source) => format!("LINT\t{}", esc(source)),
         Request::Result(id) => format!("RESULT\t{id}"),
         Request::Submit(spec) => {
-            let mut fields: Vec<String> = vec![
-                "SUBMIT".into(),
-                if spec.isolated_memo { "1" } else { "0" }.into(),
-            ];
-            let opt_u64 = |v: Option<u64>| v.map_or_else(|| "-".into(), |n| n.to_string());
-            match &spec.options {
-                None => fields.extend(["-", "-", "-", "-", "-", "-", "-", "0"].map(String::from)),
-                Some(o) => {
-                    fields.push(esc(&o.mode));
-                    fields.push(esc(&o.engine));
-                    fields.push(o.list_len.to_string());
-                    fields.push(o.max_unroll.map_or_else(|| "-".into(), |n| n.to_string()));
-                    fields.push(o.max_rounds.to_string());
-                    fields.push(opt_u64(o.budget_millis));
-                    fields.push(opt_u64(o.budget_theory_calls));
-                    fields.push(o.assumptions.len().to_string());
-                    fields.extend(o.assumptions.iter().map(|a| esc(a)));
+            let mut line = Line::new("SUBMIT").field("isolated", spec.isolated_memo);
+            if let Some(o) = &spec.options {
+                line = line
+                    .field("mode", esc(&o.mode))
+                    .field("engine", esc(&o.engine))
+                    .field("list_len", o.list_len)
+                    .opt("max_unroll", o.max_unroll)
+                    .field("max_rounds", o.max_rounds)
+                    .opt("budget_ms", o.budget_millis)
+                    .opt("budget_calls", o.budget_theory_calls);
+                for assumption in &o.assumptions {
+                    line = line.field("assume", esc(assumption));
                 }
             }
-            fields.push(esc(&spec.source));
-            fields.join("\t")
+            line.field("source", esc(&spec.source)).0
         }
+    }
+}
+
+/// The `key=value` fields of one message, read by name. Every value is
+/// unescaped, then parsed with its type's [`FromStr`].
+struct Fields<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Fields<'a> {
+    /// Splits each field at its first `=`.
+    fn new(fields: &[&'a str]) -> Result<Fields<'a>, ProtoError> {
+        fields
+            .iter()
+            .map(|f| {
+                f.split_once('=')
+                    .ok_or_else(|| ProtoError(format!("field `{f}` is not key=value")))
+            })
+            .collect::<Result<_, _>>()
+            .map(Fields)
+    }
+
+    /// Every value of `key`, in order.
+    fn all(&self, key: &'a str) -> impl Iterator<Item = Result<String, ProtoError>> + '_ {
+        self.0
+            .iter()
+            .filter(move |(k, _)| *k == key)
+            .map(|(_, v)| unesc(v))
+    }
+
+    /// The value of single-valued `key`, if present.
+    fn get<T: FromStr>(&self, key: &'a str) -> Result<Option<T>, ProtoError> {
+        let mut values = self.all(key);
+        let Some(value) = values.next().transpose()? else {
+            return Ok(None);
+        };
+        if values.next().is_some() {
+            return Err(ProtoError(format!("repeated key `{key}`")));
+        }
+        value
+            .parse()
+            .map(Some)
+            .map_err(|_| ProtoError(format!("bad {key} `{value}`")))
+    }
+
+    /// The value of `key`, which must be present.
+    fn need<T: FromStr>(&self, key: &'a str) -> Result<T, ProtoError> {
+        self.get(key)?
+            .ok_or_else(|| ProtoError(format!("missing key `{key}`")))
+    }
+
+    /// A counter or flag: absent reads as 0 or `false`.
+    fn or_default<T: FromStr + Default>(&self, key: &'a str) -> Result<T, ProtoError> {
+        Ok(self.get(key)?.unwrap_or_default())
     }
 }
 
@@ -334,7 +393,8 @@ pub fn encode_request(req: &Request) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ProtoError`] on unknown verbs, wrong arity, or bad escapes.
+/// Returns [`ProtoError`] on unknown verbs, malformed or missing fields,
+/// or bad escapes.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let fields: Vec<&str> = line.split('\t').collect();
     match fields[0] {
@@ -347,75 +407,29 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             .parse()
             .map(Request::Result)
             .map_err(|_| ProtoError(format!("bad job id `{}`", fields[1]))),
-        "SUBMIT" => parse_submit(&fields),
+        "SUBMIT" => parse_submit(&Fields::new(&fields[1..])?),
         verb => Err(ProtoError(format!("unknown request `{verb}`"))),
     }
 }
 
-fn parse_submit(fields: &[&str]) -> Result<Request, ProtoError> {
-    // SUBMIT isolated mode engine list_len max_unroll max_rounds
-    //        budget_ms budget_calls n [a]*n source
-    if fields.len() < 11 {
-        return Err(ProtoError("SUBMIT: too few fields".into()));
-    }
-    let isolated_memo = match fields[1] {
-        "0" => false,
-        "1" => true,
-        other => return Err(ProtoError(format!("SUBMIT: bad isolated flag `{other}`"))),
-    };
-    let n: usize = fields[9]
-        .parse()
-        .map_err(|_| ProtoError(format!("SUBMIT: bad assumption count `{}`", fields[9])))?;
-    // Compare against the actual field surplus instead of computing
-    // `11 + n`: a hostile count near usize::MAX must be an ERR reply, not
-    // an addition overflow that kills the connection's handler thread.
-    if n != fields.len() - 11 {
-        return Err(ProtoError(format!(
-            "SUBMIT: expected {} assumptions for {} fields, got {n}",
-            fields.len() - 11,
-            fields.len()
-        )));
-    }
-    let options = if fields[2] == "-" {
-        if n != 0 {
-            return Err(ProtoError("SUBMIT: assumptions without options".into()));
-        }
-        None
-    } else {
-        let parse_usize = |s: &str, what: &str| -> Result<usize, ProtoError> {
-            s.parse()
-                .map_err(|_| ProtoError(format!("SUBMIT: bad {what} `{s}`")))
-        };
-        let parse_opt_u64 = |s: &str, what: &str| -> Result<Option<u64>, ProtoError> {
-            match s {
-                "-" => Ok(None),
-                s => s
-                    .parse()
-                    .map(Some)
-                    .map_err(|_| ProtoError(format!("SUBMIT: bad {what} `{s}`"))),
-            }
-        };
-        Some(OptionsSpec {
-            mode: unesc(fields[2])?,
-            engine: unesc(fields[3])?,
-            list_len: parse_usize(fields[4], "list_len")?,
-            max_unroll: match fields[5] {
-                "-" => None,
-                s => Some(parse_usize(s, "max_unroll")?),
-            },
-            max_rounds: parse_usize(fields[6], "max_rounds")?,
-            budget_millis: parse_opt_u64(fields[7], "budget_ms")?,
-            budget_theory_calls: parse_opt_u64(fields[8], "budget_calls")?,
-            assumptions: fields[10..10 + n]
-                .iter()
-                .map(|a| unesc(a))
-                .collect::<Result<Vec<_>, _>>()?,
-        })
+fn parse_submit(f: &Fields<'_>) -> Result<Request, ProtoError> {
+    let options = match f.get("mode")? {
+        None => None,
+        Some(mode) => Some(OptionsSpec {
+            mode,
+            engine: f.need("engine")?,
+            list_len: f.need("list_len")?,
+            max_unroll: f.get("max_unroll")?,
+            max_rounds: f.need("max_rounds")?,
+            budget_millis: f.get("budget_ms")?,
+            budget_theory_calls: f.get("budget_calls")?,
+            assumptions: f.all("assume").collect::<Result<_, _>>()?,
+        }),
     };
     Ok(Request::Submit(JobSpec {
-        source: unesc(fields[10 + n])?,
+        source: f.need("source")?,
         options,
-        isolated_memo,
+        isolated_memo: f.or_default("isolated")?,
     }))
 }
 
@@ -427,41 +441,36 @@ pub fn encode_response(resp: &Response) -> String {
         Response::Queued(id) => format!("QUEUED\t{id}"),
         Response::Busy(ms) => format!("BUSY\t{ms}"),
         Response::Err(msg) => format!("ERR\t{}", esc(msg)),
-        Response::Status(s) => format!(
-            "STATUS\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            s.queued,
-            s.running,
-            s.done,
-            s.memo_entries,
-            s.pipeline_store,
-            s.store_hits,
-            s.queue_capacity,
-            s.journaled,
-            s.store_bytes,
-            s.last_flush_micros,
-            s.trail_ops,
-            s.saturation_reuses
-        ),
+        Response::Status(s) => {
+            Line::new("STATUS")
+                .field("queued", s.queued)
+                .field("running", s.running)
+                .field("done", s.done)
+                .field("memo", s.memo_entries)
+                .field("pipeline_store", s.pipeline_store)
+                .field("journaled", s.journaled)
+                .0
+        }
         Response::Metrics(exposition) => format!("METRICS\t{}", esc(exposition)),
         Response::Lint(diags) => format!("LINT\t{}", esc(diags)),
-        Response::Result(r) => format!(
-            "RESULT\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            r.id,
-            if r.ok { "ok" } else { "err" },
-            if r.from_store { "store" } else { "fresh" },
-            r.kind.as_wire(),
-            r.digest,
-            r.checks,
-            r.cache_hits,
-            r.theory_calls,
-            r.assumption_queries,
-            r.assumption_hits,
-            r.trail_ops,
-            r.max_trail_depth,
-            r.saturation_reuses,
-            r.resaturations,
-            esc(&r.verdict)
-        ),
+        Response::Result(r) => {
+            Line::new("RESULT")
+                .field("id", r.id)
+                .field("from_store", r.from_store)
+                .field("kind", r.kind.as_wire())
+                .field("digest", esc(&r.digest))
+                .field("checks", r.checks)
+                .field("cache_hits", r.cache_hits)
+                .field("theory_calls", r.theory_calls)
+                .field("assumption_queries", r.assumption_queries)
+                .field("assumption_hits", r.assumption_hits)
+                .field("trail_ops", r.trail_ops)
+                .field("max_trail_depth", r.max_trail_depth)
+                .field("saturation_reuses", r.saturation_reuses)
+                .field("resaturations", r.resaturations)
+                .field("verdict", esc(&r.verdict))
+                .0
+        }
     }
 }
 
@@ -469,7 +478,8 @@ pub fn encode_response(resp: &Response) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ProtoError`] on unknown verbs, wrong arity, or bad escapes.
+/// Returns [`ProtoError`] on unknown verbs, malformed or missing fields,
+/// or bad escapes.
 pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
     let fields: Vec<&str> = line.split('\t').collect();
     let num = |s: &str, what: &str| -> Result<u64, ProtoError> {
@@ -482,47 +492,40 @@ pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
         "QUEUED" if fields.len() == 2 => Ok(Response::Queued(num(fields[1], "job id")?)),
         "BUSY" if fields.len() == 2 => Ok(Response::Busy(num(fields[1], "retry_after_ms")?)),
         "ERR" if fields.len() == 2 => Ok(Response::Err(unesc(fields[1])?)),
-        "STATUS" if fields.len() == 13 => Ok(Response::Status(StatusInfo {
-            queued: num(fields[1], "queued")?,
-            running: num(fields[2], "running")?,
-            done: num(fields[3], "done")?,
-            memo_entries: num(fields[4], "memo")?,
-            pipeline_store: num(fields[5], "pipeline_store")?,
-            store_hits: num(fields[6], "store_hits")?,
-            queue_capacity: num(fields[7], "queue_capacity")?,
-            journaled: num(fields[8], "journaled")?,
-            store_bytes: num(fields[9], "store_bytes")?,
-            last_flush_micros: num(fields[10], "last_flush_us")?,
-            trail_ops: num(fields[11], "trail_ops")?,
-            saturation_reuses: num(fields[12], "sat_reuses")?,
-        })),
+        "STATUS" => {
+            let f = Fields::new(&fields[1..])?;
+            Ok(Response::Status(StatusInfo {
+                queued: f.or_default("queued")?,
+                running: f.or_default("running")?,
+                done: f.or_default("done")?,
+                memo_entries: f.or_default("memo")?,
+                pipeline_store: f.or_default("pipeline_store")?,
+                journaled: f.or_default("journaled")?,
+            }))
+        }
         "METRICS" if fields.len() == 2 => Ok(Response::Metrics(unesc(fields[1])?)),
         "LINT" if fields.len() == 2 => Ok(Response::Lint(unesc(fields[1])?)),
-        "RESULT" if fields.len() == 16 => Ok(Response::Result(JobOutcome {
-            id: num(fields[1], "job id")?,
-            ok: match fields[2] {
-                "ok" => true,
-                "err" => false,
-                other => return Err(ProtoError(format!("bad ok flag `{other}`"))),
-            },
-            from_store: match fields[3] {
-                "store" => true,
-                "fresh" => false,
-                other => return Err(ProtoError(format!("bad from flag `{other}`"))),
-            },
-            kind: OutcomeKind::from_wire(fields[4])?,
-            digest: fields[5].to_string(),
-            checks: num(fields[6], "checks")?,
-            cache_hits: num(fields[7], "cache_hits")?,
-            theory_calls: num(fields[8], "theory_calls")?,
-            assumption_queries: num(fields[9], "assumption_queries")?,
-            assumption_hits: num(fields[10], "assumption_hits")?,
-            trail_ops: num(fields[11], "trail_ops")?,
-            max_trail_depth: num(fields[12], "max_trail_depth")?,
-            saturation_reuses: num(fields[13], "sat_reuses")?,
-            resaturations: num(fields[14], "resaturations")?,
-            verdict: unesc(fields[15])?,
-        })),
+        "RESULT" => {
+            let f = Fields::new(&fields[1..])?;
+            let kind: OutcomeKind = f.need("kind")?;
+            Ok(Response::Result(JobOutcome {
+                id: f.need("id")?,
+                ok: kind.ok(),
+                from_store: f.or_default("from_store")?,
+                kind,
+                digest: f.need("digest")?,
+                checks: f.or_default("checks")?,
+                cache_hits: f.or_default("cache_hits")?,
+                theory_calls: f.or_default("theory_calls")?,
+                assumption_queries: f.or_default("assumption_queries")?,
+                assumption_hits: f.or_default("assumption_hits")?,
+                trail_ops: f.or_default("trail_ops")?,
+                max_trail_depth: f.or_default("max_trail_depth")?,
+                saturation_reuses: f.or_default("saturation_reuses")?,
+                resaturations: f.or_default("resaturations")?,
+                verdict: f.need("verdict")?,
+            }))
+        }
         verb => Err(ProtoError(format!("unknown response `{verb}`"))),
     }
 }
@@ -580,6 +583,23 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
+        let outcome = JobOutcome {
+            id: 7,
+            ok: true,
+            from_store: true,
+            kind: OutcomeKind::Completed,
+            digest: "00ff".repeat(8),
+            checks: 120,
+            cache_hits: 119,
+            theory_calls: 1,
+            assumption_queries: 40,
+            assumption_hits: 39,
+            trail_ops: 37,
+            max_trail_depth: 4,
+            saturation_reuses: 12,
+            resaturations: 2,
+            verdict: "refuted: x = 1, size = 3\nsecond line".into(),
+        };
         let responses = [
             Response::Pong,
             Response::Bye,
@@ -592,13 +612,7 @@ mod tests {
                 done: 3,
                 memo_entries: 400,
                 pipeline_store: 18,
-                store_hits: 9,
-                queue_capacity: 64,
                 journaled: 3,
-                store_bytes: 131_072,
-                last_flush_micros: 842,
-                trail_ops: 51_200,
-                saturation_reuses: 4_096,
             }),
             // A METRICS payload is a multi-line exposition: the escaping
             // must keep it on one physical line and round-trip exactly.
@@ -608,23 +622,7 @@ mod tests {
                  shadowdp_jobs_done_total 18\n"
                     .into(),
             ),
-            Response::Result(JobOutcome {
-                id: 7,
-                ok: true,
-                from_store: true,
-                kind: OutcomeKind::Completed,
-                digest: "00ff".repeat(8),
-                checks: 120,
-                cache_hits: 120,
-                theory_calls: 0,
-                assumption_queries: 40,
-                assumption_hits: 40,
-                trail_ops: 0,
-                max_trail_depth: 0,
-                saturation_reuses: 0,
-                resaturations: 0,
-                verdict: "refuted: x = 1, size = 3\nsecond line".into(),
-            }),
+            Response::Result(outcome.clone()),
             // A LINT payload is multi-line JSON-lines; like METRICS it
             // must ride one physical line and round-trip exactly. The
             // empty payload (a clean program) is a valid message too.
@@ -636,20 +634,11 @@ mod tests {
             Response::Lint(String::new()),
             Response::Result(JobOutcome {
                 id: 8,
-                ok: true,
+                ok: false,
                 from_store: false,
-                kind: OutcomeKind::Exhausted,
-                digest: "ab12".repeat(8),
-                checks: 1,
-                cache_hits: 0,
-                theory_calls: 1,
-                assumption_queries: 0,
-                assumption_hits: 0,
-                trail_ops: 37,
-                max_trail_depth: 4,
-                saturation_reuses: 12,
-                resaturations: 1,
-                verdict: "resource-exhausted: theory-call cap (1) reached".into(),
+                kind: OutcomeKind::Crashed,
+                verdict: "crashed: injected panic".into(),
+                ..outcome
             }),
         ];
         for resp in responses {
@@ -659,50 +648,96 @@ mod tests {
         }
     }
 
+    /// A reader skips keys it does not know and defaults the optional
+    /// ones it does; `ok` follows `kind` and is never read or sent.
+    #[test]
+    fn unknown_keys_are_skipped_and_absent_keys_default() {
+        for kind in ["completed", "exhausted", "error", "crashed"] {
+            let line = format!("RESULT\tid=4\tok=1\tnew=9\tkind={kind}\tdigest=d\tverdict=v");
+            let Ok(Response::Result(r)) = parse_response(&line) else {
+                panic!("{line:?} parses");
+            };
+            assert_eq!(
+                (r.id, r.checks, r.trail_ops, r.from_store),
+                (4, 0, 0, false)
+            );
+            assert_eq!(r.ok, matches!(kind, "completed" | "exhausted"), "{line:?}");
+            assert!(!encode_response(&Response::Result(r)).contains("\tok="));
+        }
+        let status = StatusInfo {
+            queued: 2,
+            ..StatusInfo::default()
+        };
+        let line = "STATUS\tqueued=2\tstore_hits=7";
+        assert_eq!(parse_response(line), Ok(Response::Status(status)));
+        let line = "SUBMIT\tpriority=high\tsource=o := 0;";
+        assert_eq!(
+            parse_request(line),
+            Ok(Request::Submit(JobSpec::new("o := 0;")))
+        );
+    }
+
     #[test]
     fn malformed_lines_are_errors_not_panics() {
-        for line in [
-            "",
-            "NOPE",
-            "RESULT",
-            "RESULT\tx",
-            "SUBMIT",
-            "SUBMIT\t2\t-\t-\t-\t-\t-\t-\t-\t0\tsrc",
-            "SUBMIT\t0\t-\t-\t-\t-\t-\t-\t-\t5\tsrc",
-            "SUBMIT\t0\tscaled\tinductive\tbad\t-\t24\t-\t-\t0\tsrc",
-            "SUBMIT\t0\tscaled\tinductive\t3\t-\t24\tbad\t-\t0\tsrc",
-            // The pre-budget 9-fixed-field SUBMIT is no longer valid.
-            "SUBMIT\t0\t-\t-\t-\t-\t-\t0\tsrc",
-            // A hostile assumption count must not overflow the arity
-            // check into a handler-thread panic.
-            "SUBMIT\t0\tscaled\tinductive\t3\t-\t24\t-\t-\t18446744073709551615\tsrc",
-        ] {
-            assert!(parse_request(line).is_err(), "{line:?}");
-        }
-        assert!(parse_response("RESULT\t1\tok\tstore\tabc\t0\t0\t0").is_err());
-        // The pre-kind 11-field RESULT and 7-field STATUS are no longer
-        // valid: the arity bump is deliberate, not backward-compatible.
-        assert!(parse_response("RESULT\t1\tok\tstore\tabc\t0\t0\t0\t0\t0\tproved").is_err());
-        assert!(parse_response("STATUS\t1\t2\t3\t4\t5\t6").is_err());
-        // Likewise the pre-observability 9-field STATUS (no store_bytes /
-        // last_flush_us) and a bare METRICS with no payload field.
-        assert!(parse_response("STATUS\t1\t2\t3\t4\t5\t6\t7\t8").is_err());
-        assert!(parse_response("METRICS").is_err());
-        // And the pre-trail 12-field RESULT / 11-field STATUS (no trail or
-        // saturation counters).
-        assert!(
-            parse_response("RESULT\t1\tok\tstore\tcompleted\tabc\t0\t0\t0\t0\t0\tproved").is_err()
+        let submit = "SUBMIT\tmode=scaled\tengine=bmc\tlist_len=3\tmax_rounds=24\tsource=s";
+        let result = "RESULT\tid=1\tkind=completed\tdigest=abc\tverdict=proved";
+        assert!(parse_request(submit).is_ok() && parse_response(result).is_ok());
+        // Each required key left out; a bad or repeated value added.
+        let cut = |line: &str, field: &str| line.replace(&format!("\t{field}"), "");
+        let mut requests = ["engine=bmc", "list_len=3", "max_rounds=24", "source=s"]
+            .map(|field| cut(submit, field))
+            .to_vec();
+        requests.extend(
+            [
+                "isolated=1",
+                "list_len=x",
+                "budget_ms=-",
+                "source=\\x",
+                "source=t",
+            ]
+            .map(|field| format!("{submit}\t{field}")),
         );
-        assert!(parse_response("STATUS\t1\t2\t3\t4\t5\t6\t7\t8\t9\t10").is_err());
-        assert!(parse_response("RESULT\t1\tok\tstore\tbogus\tabc\t0\t0\t0\t0\t0\tproved").is_err());
-        assert!(parse_response("BUSY\tnope").is_err());
-        assert!(parse_response("QUEUED\tnope").is_err());
-        // LINT is arity 2 in both directions: a bare verb (no payload
-        // field) and any extra field are rejected, never coerced.
-        assert!(parse_request("LINT").is_err());
-        assert!(parse_request("LINT\tsrc\textra").is_err());
-        assert!(parse_request("LINT\tbad\\escape").is_err());
-        assert!(parse_response("LINT").is_err());
-        assert!(parse_response("LINT\tpayload\textra").is_err());
+        requests.extend(
+            [
+                "",
+                "NOPE",
+                "RESULT",
+                "RESULT\tx",
+                "SUBMIT",
+                // Positional lines: their first field has no `=`.
+                "SUBMIT\t0\t-\t-\t-\t-\t-\t-\t-\t0\tsrc",
+                "SUBMIT\t0\tscaled\tbmc\t3\t-\t24\t-\t-\t1\tx > 0\tsrc",
+                // LINT is arity 2: a bare verb or an extra field is rejected.
+                "LINT",
+                "LINT\tsrc\textra",
+                "LINT\tbad\\escape",
+            ]
+            .map(String::from),
+        );
+        let mut responses = ["id=1", "kind=completed", "digest=abc", "verdict=proved"]
+            .map(|field| cut(result, field))
+            .to_vec();
+        responses.extend(
+            ["id=x", "kind=bogus", "from_store=1", "checks=-1", "id=2"]
+                .map(|field| format!("{result}\t{field}")),
+        );
+        responses.extend(
+            [
+                "RESULT\t1\tok\tstore\tcompleted\tabc\t0\tproved",
+                "STATUS\t1\t2\t3\t4\t5\t6",
+                "METRICS",
+                "BUSY\tnope",
+                "QUEUED\tnope",
+                "LINT",
+                "LINT\tpayload\textra",
+            ]
+            .map(String::from),
+        );
+        for line in requests {
+            assert!(parse_request(&line).is_err(), "{line:?}");
+        }
+        for line in responses {
+            assert!(parse_response(&line).is_err(), "{line:?}");
+        }
     }
 }

@@ -149,9 +149,9 @@ pub struct VerdictStore {
     /// compaction ratio.
     logged_entries: u64,
     /// Last-served-batch stamps for pipeline-tier entries, keyed like
-    /// `pipeline`. Eviction groundwork: in-memory only (a restart resets
-    /// them — eviction should act on traffic the current process
-    /// observed), surfaced as oldest/newest gauges over `METRICS`.
+    /// `pipeline`: the recency [`VerdictStore::evict_pipeline_lru`]
+    /// orders by. In-memory only (a restart resets them — eviction should
+    /// act on traffic the current process observed).
     batch_stamps: HashMap<u128, u64>,
     /// The next flush must rewrite the whole log (missing file, damaged or
     /// unknown header, or an append whose partial write could not be
@@ -339,25 +339,13 @@ impl VerdictStore {
     /// Stamps a pipeline-tier entry with the batch sequence number that
     /// last wrote or served it (no-op for an absent entry). The daemon
     /// calls this at `pipeline_put` time and whenever the store answers
-    /// a resubmission — so the stamp is a last-use mark, the groundwork
-    /// a future LRU-style pipeline-tier eviction policy needs.
+    /// a resubmission — so the stamp is a last-use mark, the recency
+    /// [`VerdictStore::evict_pipeline_lru`] orders by.
     pub fn stamp_served(&mut self, spec: &JobSpec, batch_seq: u64) {
         let key = Self::job_key(spec);
         if self.pipeline.contains_key(&key) {
             self.batch_stamps.insert(key, batch_seq);
         }
-    }
-
-    /// The `(oldest, newest)` last-served-batch stamps across the
-    /// pipeline tier, or `None` before any entry is stamped. The spread
-    /// between the two is how stale the coldest entry is, in batches.
-    pub fn pipeline_stamp_range(&self) -> Option<(u64, u64)> {
-        self.batch_stamps.values().fold(None, |range, &seq| {
-            Some(match range {
-                None => (seq, seq),
-                Some((lo, hi)) => (lo.min(seq), hi.max(seq)),
-            })
-        })
     }
 
     /// Evicts least-recently-used pipeline-tier entries until at most
@@ -1127,12 +1115,12 @@ mod tests {
     #[test]
     fn batch_stamps_track_last_use_in_memory_only() {
         let mut store = VerdictStore::in_memory();
-        assert_eq!(store.pipeline_stamp_range(), None);
         let a = JobSpec::new("function A() returns o: num(0,0) { o := 0; }");
         let b = JobSpec::new("function B() returns o: num(0,0) { o := 0; }");
+        let key = VerdictStore::job_key;
         // Stamping an absent entry is a no-op.
         store.stamp_served(&a, 1);
-        assert_eq!(store.pipeline_stamp_range(), None);
+        assert!(store.batch_stamps.is_empty());
 
         let entry = PipelineEntry {
             ok: true,
@@ -1144,10 +1132,16 @@ mod tests {
         store.stamp_served(&a, 1);
         store.pipeline_put(&b, entry);
         store.stamp_served(&b, 4);
-        assert_eq!(store.pipeline_stamp_range(), Some((1, 4)));
+        assert_eq!(
+            store.batch_stamps,
+            HashMap::from([(key(&a), 1), (key(&b), 4)])
+        );
         // A later serve moves an entry's stamp: `a` is now the newest.
         store.stamp_served(&a, 9);
-        assert_eq!(store.pipeline_stamp_range(), Some((4, 9)));
+        assert_eq!(
+            store.batch_stamps,
+            HashMap::from([(key(&a), 9), (key(&b), 4)])
+        );
     }
 
     #[test]
@@ -1186,8 +1180,7 @@ mod tests {
         assert!(store.pipeline_get(&specs[1]).is_none());
         assert!(store.pipeline_get(&specs[2]).is_none());
         assert!(store.pipeline_get(&specs[3]).is_some());
-        // Stamps follow the entries out.
-        assert_eq!(store.pipeline_stamp_range(), Some((4, 9)));
+        assert_eq!(store.batch_stamps.len(), 2, "stamps follow the entries out");
 
         // The eviction is durable: the post-eviction flush rewrites the
         // log, and the evicted entries' solver deps are compaction prey.

@@ -3,44 +3,14 @@
 //! *new* cache keys, corrupted-store cold recovery, and protocol
 //! robustness.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod support;
+
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 use shadowdp::{corpus, JobSpec};
 use shadowdp_service::daemon::{self, DaemonConfig};
 use shadowdp_service::Client;
-
-/// Unique socket/store paths per test (tests in one binary run in
-/// parallel).
-fn temp_paths(tag: &str) -> (PathBuf, PathBuf) {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    (
-        dir.join(format!("sdpd-{pid}-{tag}-{n}.sock")),
-        dir.join(format!("sdpd-{pid}-{tag}-{n}.store")),
-    )
-}
-
-/// Starts an in-process daemon and waits until its socket answers PING.
-fn start_daemon(config: DaemonConfig) -> (JoinHandle<()>, Client) {
-    let run_config = config.clone();
-    let handle = thread::spawn(move || {
-        daemon::run(run_config).expect("daemon runs");
-    });
-    for _ in 0..200 {
-        if let Ok(mut client) = Client::connect(&config.socket) {
-            if client.ping().is_ok() {
-                return (handle, client);
-            }
-        }
-        thread::sleep(Duration::from_millis(25));
-    }
-    panic!("daemon did not come up on {}", config.socket.display());
-}
+use support::{start_daemon, temp_paths};
 
 fn corpus_specs() -> Vec<JobSpec> {
     vec![
@@ -77,7 +47,7 @@ fn warm_restart_serves_identical_digests_from_store() {
     assert!(!pass1[2].ok, "{:?}", pass1[2]);
     assert!(pass1[0].theory_calls > 0);
     // Fresh verification runs the trail-based solver core; its counters
-    // travel the wire per job and accumulate in STATUS.
+    // travel the wire per job.
     assert!(pass1[0].trail_ops > 0, "{:?}", pass1[0]);
     assert!(pass1[0].max_trail_depth > 0, "{:?}", pass1[0]);
 
@@ -85,8 +55,6 @@ fn warm_restart_serves_identical_digests_from_store() {
     assert_eq!(status.done, 3);
     assert!(status.memo_entries > 0);
     assert_eq!(status.pipeline_store, 3);
-    assert_eq!(status.store_hits, 0);
-    assert!(status.trail_ops > 0, "{status:?}");
 
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon exits cleanly");
@@ -103,8 +71,6 @@ fn warm_restart_serves_identical_digests_from_store() {
         assert_eq!(b.theory_calls, 0);
         assert_eq!(b.trail_ops, 0, "store hits run no search: {b:?}");
     }
-    let status = client.status().expect("status");
-    assert_eq!(status.store_hits, 3);
 
     // Solver-tier warmth crosses the restart for *new* pipeline keys: a
     // spec that differs only in an inert option (a Houdini round cap the
@@ -342,50 +308,49 @@ fn resubmission_batches_keep_the_log_bounded() {
 }
 
 /// `--store-max-pipeline-entries`: past the cap, the daemon evicts the
-/// least recently *served* pipeline entries after each batch. Survivors
-/// keep answering from the store (across a restart too); an evicted spec
-/// re-verifies fresh and re-enters the store.
+/// least recently *served* pipeline entries after each batch, and a
+/// store hit counts as a use. Survivors keep answering from the store
+/// (across a restart too); an evicted spec re-verifies fresh and
+/// re-enters the store.
 #[test]
 fn pipeline_cap_evicts_lru_and_survivors_stay_warm() {
     let (socket, store) = temp_paths("evict");
     let config = DaemonConfig {
-        socket: socket.clone(),
         store: Some(store.clone()),
         threads: Some(2),
         compact_ratio: f64::INFINITY,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: Some(1),
+        max_pipeline_entries: Some(2),
+        ..DaemonConfig::new(&socket)
     };
-    let a = JobSpec::new(corpus::laplace_mechanism().source);
-    let b = JobSpec::new(corpus::partial_sum().source);
+    let [a, b, c] = [
+        corpus::laplace_mechanism(),
+        corpus::partial_sum(),
+        corpus::prefix_sum(),
+    ]
+    .map(|alg| JobSpec::new(alg.source));
+    // Runs `spec` as a batch of its own; true when the store answered.
+    let served = |client: &mut Client, spec: &JobSpec| {
+        let o = client.run_corpus(std::slice::from_ref(spec)).expect("runs");
+        assert_eq!(o[0].verdict, "proved");
+        o[0].from_store
+    };
 
     let (handle, mut client) = start_daemon(config.clone());
-    // Batch 1 stores `a`; batch 2 stores `b`, and the cap of 1 evicts
-    // `a` (older serve stamp).
-    let o = client.run_corpus(std::slice::from_ref(&a)).expect("runs");
-    assert!(!o[0].from_store);
-    let o = client.run_corpus(std::slice::from_ref(&b)).expect("runs");
-    assert!(!o[0].from_store);
-    // `b` survived: a resubmission is a store hit (an all-hit batch puts
-    // nothing, so nothing is evicted by it)...
-    let o = client.run_corpus(std::slice::from_ref(&b)).expect("runs");
-    assert!(o[0].from_store, "{:?}", o[0]);
-    // ...while evicted `a` re-verifies fresh — which re-stores it and in
-    // turn evicts `b`.
-    let o = client.run_corpus(std::slice::from_ref(&a)).expect("runs");
-    assert!(!o[0].from_store, "{:?}", o[0]);
-    assert_eq!(o[0].verdict, "proved");
+    assert!(!served(&mut client, &a) && !served(&mut client, &b));
+    // Serving `a` makes it more recent than `b`, so storing `c` evicts `b`.
+    assert!(served(&mut client, &a));
+    assert!(!served(&mut client, &c));
+    assert!(served(&mut client, &a));
+    // Evicted `b` re-verifies fresh, which re-stores it and evicts `c`.
+    assert!(!served(&mut client, &b));
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon exits cleanly");
 
     // The eviction is durable: the restarted store holds exactly the
-    // last survivor (`a`), served warm; `b` is cold again.
+    // survivors `a` and `b`, served warm; `c` is cold again.
     let (handle, mut client) = start_daemon(config);
-    let o = client.run_corpus(std::slice::from_ref(&a)).expect("runs");
-    assert!(o[0].from_store, "{:?}", o[0]);
-    let o = client.run_corpus(std::slice::from_ref(&b)).expect("runs");
-    assert!(!o[0].from_store, "{:?}", o[0]);
+    assert!(served(&mut client, &a) && served(&mut client, &b));
+    assert!(!served(&mut client, &c));
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon exits cleanly");
     let _ = std::fs::remove_file(&store);

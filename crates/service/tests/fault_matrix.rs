@@ -11,7 +11,8 @@
 //! 2. **Store rewrite sites** × the same kinds — compaction stays atomic:
 //!    the live view is never lost, and a retry completes the collapse.
 //! 3. **Journal** — a hand-crafted journal (with a torn tail) is replayed
-//!    into re-verification on startup; accepted submissions stay
+//!    into re-verification on startup, and one holding a record in the
+//!    old positional encoding replays nothing; accepted submissions stay
 //!    journaled until their batch is flushed; a clean shutdown removes
 //!    the journal.
 //! 4. **Backpressure** — a full queue answers `BUSY`, the raw protocol
@@ -31,60 +32,23 @@
 //! hands it to the in-process daemon, so a daemon never observes another
 //! test's armed sites.
 
+mod support;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread::{self, JoinHandle};
+use std::path::Path;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use shadowdp::jobspec::OptionsSpec;
 use shadowdp::{corpus, table1, JobSpec};
-use shadowdp_fault::{FaultKind, FaultPlan, PlanHandle};
-use shadowdp_service::daemon::{self, DaemonConfig};
-use shadowdp_service::{fnv128, proto, Client, OutcomeKind, PipelineEntry, Request, VerdictStore};
-
-/// Unique socket/store paths per test (tests in one binary run in
-/// parallel).
-fn temp_paths(tag: &str) -> (PathBuf, PathBuf) {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    (
-        dir.join(format!("sdpf-{pid}-{tag}-{n}.sock")),
-        dir.join(format!("sdpf-{pid}-{tag}-{n}.store")),
-    )
-}
-
-/// The daemon derives the journal path by appending `.journal` to the
-/// store path; tests that inspect the journal must do the same.
-fn journal_path(store: &Path) -> PathBuf {
-    let mut name = store.file_name().unwrap().to_os_string();
-    name.push(".journal");
-    store.with_file_name(name)
-}
-
-/// Starts an in-process daemon under the calling test's fault plan and
-/// waits until its socket answers PING.
-fn start_daemon(config: DaemonConfig) -> (JoinHandle<()>, Client) {
-    let run_config = config.clone();
-    let faults = PlanHandle::current();
-    let handle = thread::spawn(move || {
-        let _faults = faults.bind();
-        daemon::run(run_config).expect("daemon runs");
-    });
-    for _ in 0..200 {
-        if let Ok(mut client) = Client::connect(&config.socket) {
-            if client.ping().is_ok() {
-                return (handle, client);
-            }
-        }
-        thread::sleep(Duration::from_millis(25));
-    }
-    panic!("daemon did not come up on {}", config.socket.display());
-}
+use shadowdp_fault::{FaultKind, FaultPlan};
+use shadowdp_service::daemon::DaemonConfig;
+use shadowdp_service::{
+    proto, Client, OutcomeKind, PipelineEntry, Request, StatusInfo, VerdictStore,
+};
+use support::{journal_frame, journal_path, start_daemon, temp_paths};
 
 fn cleanup(paths: &[&Path]) {
     for p in paths {
@@ -97,7 +61,7 @@ fn wait_status(
     client: &mut Client,
     budget: Duration,
     what: &str,
-    pred: impl Fn(&shadowdp_service::StatusInfo) -> bool,
+    pred: impl Fn(&StatusInfo) -> bool,
 ) {
     let deadline = Instant::now() + budget;
     loop {
@@ -283,17 +247,6 @@ fn injected_compaction_faults_keep_the_live_view() {
 // 3: the in-flight journal
 // ---------------------------------------------------------------------
 
-/// One journal record, mirroring the daemon's framing: `u32` LE payload
-/// length, payload (an encoded `SUBMIT` line), fnv128 of the payload LE.
-fn journal_frame(line: &str) -> Vec<u8> {
-    let payload = line.as_bytes();
-    let mut out = Vec::new();
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv128(payload).to_le_bytes());
-    out
-}
-
 /// A journal left behind by a crashed daemon is replayed on startup: the
 /// submission re-verifies (ownerless — its verdict lands in the store),
 /// a torn trailing record is ignored, and a clean shutdown removes the
@@ -341,6 +294,49 @@ fn journaled_submissions_reverify_on_restart() {
         !journal.exists(),
         "clean shutdown must clear the replay journal"
     );
+    cleanup(&[&socket, &store]);
+}
+
+/// A journal record in the positional `SUBMIT` encoding (from before
+/// `key=value` fields) is never misread: replay stops at it, so neither it
+/// nor the record behind it re-verifies, the journal is cut to the empty
+/// replayed set, and the daemon serves normally.
+#[test]
+fn positional_journal_record_replays_nothing() {
+    let (socket, store) = temp_paths("journal-positional");
+    let journal = journal_path(&store);
+    let spec = JobSpec::new(corpus::laplace_mechanism().source);
+    let positional = format!(
+        "SUBMIT\t0\t-\t-\t-\t-\t-\t-\t-\t0\t{}",
+        proto::esc(&spec.source)
+    );
+    let mut bytes = b"SDPJRNL1".to_vec();
+    for line in [
+        positional,
+        proto::encode_request(&Request::Submit(spec.clone())),
+    ] {
+        bytes.extend_from_slice(&journal_frame(&line));
+    }
+    std::fs::write(&journal, &bytes).expect("write crafted journal");
+
+    let (handle, mut client) = start_daemon(DaemonConfig {
+        store: Some(store.clone()),
+        ..DaemonConfig::new(&socket)
+    });
+    let status = client.status().expect("status");
+    assert_eq!(status, StatusInfo::default(), "nothing replays");
+    assert!(!journal.exists(), "the journal is cut to what replayed");
+    let outcome = client
+        .run_corpus(std::slice::from_ref(&spec))
+        .expect("serves")
+        .remove(0);
+    assert!(
+        !outcome.from_store && outcome.verdict == "proved",
+        "{outcome:?}"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
     cleanup(&[&socket, &store]);
 }
 
