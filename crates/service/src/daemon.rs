@@ -602,9 +602,12 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     }
     let listener = UnixListener::bind(&config.socket)?;
     drop(bind_lock);
-    // Now that this daemon owns the store, cut the journal down to what
+    // Now that this daemon owns its socket, cut the journal down to what
     // was replayed: a torn or unreadable record would otherwise hide this
-    // run's appends behind it from the next replay.
+    // run's appends behind it from the next replay. This assumes one
+    // daemon per store (and so per journal): the bind lock serializes
+    // the socket only, and a second daemon on another socket with the
+    // same `--store` would replay and rewrite the same journal.
     if let Err(e) = journal.reset(&initial.pending) {
         eprintln!("shadowdpd: journal reset after replay failed: {e}");
     }

@@ -28,9 +28,9 @@
 //!   memo), and the job options `mode`, `engine`*, `list_len`*,
 //!   `max_rounds`*, `max_unroll`, `budget_ms` (wall-clock deadline),
 //!   `budget_calls` (theory-call cap) and `assume` (one per BMC
-//!   assumption, in order). Options are read only when `mode` is present,
-//!   which makes the starred ones required; without it the job runs with
-//!   the daemon's defaults.
+//!   assumption, in order). `mode` opens the options and makes the
+//!   starred ones required; without it the job runs with the daemon's
+//!   defaults, and any other option key is an error.
 //! - `RESULT`: `id`*, `kind`*, `digest`*, `verdict`*, `from_store`, and
 //!   the solver counters `checks`, `cache_hits`, `theory_calls`,
 //!   `assumption_queries`, `assumption_hits`, `trail_ops`,
@@ -412,9 +412,27 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
+/// The SUBMIT keys that belong to the job options, which `mode` opens.
+const OPTION_KEYS: [&str; 7] = [
+    "engine",
+    "list_len",
+    "max_unroll",
+    "max_rounds",
+    "budget_ms",
+    "budget_calls",
+    "assume",
+];
+
 fn parse_submit(f: &Fields<'_>) -> Result<Request, ProtoError> {
     let options = match f.get("mode")? {
-        None => None,
+        None => {
+            // Dropping these would run the job unbounded under the
+            // default options' verdict and store key.
+            if let Some((key, _)) = f.0.iter().find(|(k, _)| OPTION_KEYS.contains(k)) {
+                return Err(ProtoError(format!("option `{key}` without `mode`")));
+            }
+            None
+        }
         Some(mode) => Some(OptionsSpec {
             mode,
             engine: f.need("engine")?,
@@ -704,6 +722,9 @@ mod tests {
                 "RESULT",
                 "RESULT\tx",
                 "SUBMIT",
+                // Option keys without `mode`.
+                "SUBMIT\tsource=s\tbudget_ms=5",
+                "SUBMIT\tsource=s\tassume=x > 0",
                 // Positional lines: their first field has no `=`.
                 "SUBMIT\t0\t-\t-\t-\t-\t-\t-\t-\t0\tsrc",
                 "SUBMIT\t0\tscaled\tbmc\t3\t-\t24\t-\t-\t1\tx > 0\tsrc",

@@ -1180,7 +1180,14 @@ mod tests {
         assert!(store.pipeline_get(&specs[1]).is_none());
         assert!(store.pipeline_get(&specs[2]).is_none());
         assert!(store.pipeline_get(&specs[3]).is_some());
-        assert_eq!(store.batch_stamps.len(), 2, "stamps follow the entries out");
+        // Stamps follow the entries out; the survivors keep their own.
+        assert_eq!(
+            store.batch_stamps,
+            HashMap::from([
+                (VerdictStore::job_key(&specs[0]), 9),
+                (VerdictStore::job_key(&specs[3]), 4),
+            ])
+        );
 
         // The eviction is durable: the post-eviction flush rewrites the
         // log, and the evicted entries' solver deps are compaction prey.

@@ -28,13 +28,9 @@ fn corpus_specs() -> Vec<JobSpec> {
 fn warm_restart_serves_identical_digests_from_store() {
     let (socket, store) = temp_paths("restart");
     let config = DaemonConfig {
-        socket: socket.clone(),
         store: Some(store.clone()),
         threads: Some(2),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
     let specs = corpus_specs();
 
@@ -112,13 +108,9 @@ fn assumption_verdicts_transfer_across_candidate_set_variations() {
     const LOOP_SRC: &str = corpus::COUNTER_LOOP_TEMPLATE;
     let (socket, store) = temp_paths("variation");
     let config = DaemonConfig {
-        socket: socket.clone(),
         store: Some(store.clone()),
         threads: Some(2),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
 
     // Pass 1: the plain program, cold. Its Houdini run asks
@@ -158,13 +150,8 @@ fn assumption_verdicts_transfer_across_candidate_set_variations() {
 fn lint_verb_matches_local_rendering_byte_for_byte() {
     let (socket, _store) = temp_paths("lint");
     let config = DaemonConfig {
-        socket: socket.clone(),
-        store: None,
         threads: Some(1),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
     let (handle, mut client) = start_daemon(config);
 
@@ -202,13 +189,10 @@ fn nonsensical_compact_ratio_is_rejected_up_front() {
     for bad in [0.0, 0.5, -3.0, f64::NAN, f64::NEG_INFINITY] {
         let (socket, store) = temp_paths("badratio");
         let err = daemon::run(DaemonConfig {
-            socket: socket.clone(),
             store: Some(store.clone()),
             threads: Some(1),
             compact_ratio: bad,
-            queue_limit: None,
-            io_timeout: None,
-            max_pipeline_entries: None,
+            ..DaemonConfig::new(&socket)
         })
         .expect_err("ratio {bad} must be rejected");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{bad}: {err}");
@@ -219,13 +203,10 @@ fn nonsensical_compact_ratio_is_rejected_up_front() {
     // `inf` stays a valid opt-out of ratio-triggered compaction.
     let (socket, store) = temp_paths("infratio");
     let config = DaemonConfig {
-        socket,
         store: Some(store.clone()),
         threads: Some(1),
         compact_ratio: f64::INFINITY,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
     let (handle, mut client) = start_daemon(config);
     client.shutdown().expect("shutdown");
@@ -242,13 +223,9 @@ fn nonsensical_compact_ratio_is_rejected_up_front() {
 fn resubmission_batches_keep_the_log_bounded() {
     let (socket, store) = temp_paths("bounded");
     let config = DaemonConfig {
-        socket: socket.clone(),
         store: Some(store.clone()),
         threads: Some(2),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
     let specs = vec![
         JobSpec::new(corpus::laplace_mechanism().source),
@@ -362,13 +339,9 @@ fn corrupted_store_degrades_to_cold_run() {
     let (socket, store) = temp_paths("corrupt");
     std::fs::write(&store, b"not a store image at all").unwrap();
     let config = DaemonConfig {
-        socket,
         store: Some(store.clone()),
         threads: Some(1),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
     let (handle, mut client) = start_daemon(config);
     let spec = JobSpec::new(corpus::laplace_mechanism().source);
@@ -395,13 +368,9 @@ fn corrupted_store_degrades_to_cold_run() {
 fn concurrent_clients_are_batched_and_ordered() {
     let (socket, _store) = temp_paths("concurrent");
     let config = DaemonConfig {
-        socket: socket.clone(),
-        store: None, // in-memory daemon: batching still works
+        // No store: an in-memory daemon still batches.
         threads: Some(2),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
     let (handle, mut control) = start_daemon(config);
 
@@ -438,13 +407,8 @@ fn protocol_errors_do_not_kill_the_connection() {
 
     let (socket, _store) = temp_paths("proto");
     let config = DaemonConfig {
-        socket: socket.clone(),
-        store: None,
         threads: Some(1),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
     let (handle, mut control) = start_daemon(config);
 
@@ -475,13 +439,8 @@ fn protocol_errors_do_not_kill_the_connection() {
 fn results_are_owned_by_the_submitting_connection() {
     let (socket, _store) = temp_paths("owner");
     let config = DaemonConfig {
-        socket: socket.clone(),
-        store: None,
         threads: Some(1),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
-        queue_limit: None,
-        io_timeout: None,
-        max_pipeline_entries: None,
+        ..DaemonConfig::new(&socket)
     };
     let (handle, mut submitter) = start_daemon(config);
 

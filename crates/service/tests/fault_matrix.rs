@@ -564,24 +564,6 @@ fn one_poisoned_table1_job_crashes_alone_and_daemon_survives() {
 // 6: resource budgets over the wire
 // ---------------------------------------------------------------------
 
-/// The loop program from the verify crate's budget tests: enough theory
-/// work that a one-call budget always trips.
-const LOOP_SRC: &str = "function Loop(eps, NN, size: num(0,0), q: list num(*,*))
-     returns out: num(0,0)
-     precondition forall k :: -1 <= ^q[k] && ^q[k] <= 1 && ~q[k] == ^q[k]
-     precondition eps > 0
-     precondition NN >= 1
-     precondition size >= 0
-     {
-         e0 := lap(2 / eps) { select: aligned, align: 1 };
-         count := 0;
-         while (count < NN) {
-             e1 := lap(2 * NN / eps) { select: aligned, align: 1 };
-             count := count + 1;
-         }
-         out := count;
-     }";
-
 /// A starved job is reported `exhausted` (with the reason in the
 /// verdict), never persisted — resubmitting is *not* a store hit, and a
 /// bigger budget proves the same program, whose verdict then does
@@ -598,7 +580,7 @@ fn budget_exhaustion_reported_never_persisted_and_rerun_proves() {
     let mut starved_opts = OptionsSpec::from_options(&shadowdp_verify::Options::default());
     starved_opts.budget_theory_calls = Some(1);
     let starved = JobSpec {
-        source: LOOP_SRC.to_string(),
+        source: corpus::COUNTER_LOOP_TEMPLATE.replace("INV", ""),
         options: Some(starved_opts.clone()),
         isolated_memo: false,
     };

@@ -113,6 +113,7 @@ fn metrics_track_fresh_work_store_hits_and_flushes() {
         status.memo_entries as f64
     );
     assert!(value(&after, "shadowdp_store_log_bytes") > 0.0);
+    assert!(value(&after, "shadowdp_store_last_flush_us") > 0.0);
 
     // Resubmission: all store hits, no solver work, nothing flushed.
     let warm = client.run_corpus(&specs).expect("warm batch");
@@ -132,24 +133,6 @@ fn metrics_track_fresh_work_store_hits_and_flushes() {
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_file(&store);
 }
-
-/// The loop program from the fault matrix's budget tests: enough theory
-/// work that a one-call budget always trips.
-const LOOP_SRC: &str = "function Loop(eps, NN, size: num(0,0), q: list num(*,*))
-     returns out: num(0,0)
-     precondition forall k :: -1 <= ^q[k] && ^q[k] <= 1 && ~q[k] == ^q[k]
-     precondition eps > 0
-     precondition NN >= 1
-     precondition size >= 0
-     {
-         e0 := lap(2 / eps) { select: aligned, align: 1 };
-         count := 0;
-         while (count < NN) {
-             e1 := lap(2 * NN / eps) { select: aligned, align: 1 };
-             count := count + 1;
-         }
-         out := count;
-     }";
 
 /// `shadowdp_crashes_total` counts an injected solver panic and
 /// `shadowdp_budget_exhausted_total` counts a starved job — each
@@ -193,7 +176,7 @@ fn fault_counters_track_crashes_and_budget_exhaustion() {
     let mut starved_opts = OptionsSpec::from_options(&shadowdp_verify::Options::default());
     starved_opts.budget_theory_calls = Some(1);
     let starved = JobSpec {
-        source: LOOP_SRC.to_string(),
+        source: corpus::COUNTER_LOOP_TEMPLATE.replace("INV", ""),
         options: Some(starved_opts),
         isolated_memo: false,
     };
