@@ -105,9 +105,9 @@ impl OptionsSpec {
                 .map_err(|_| JobSpecError(format!("mode `{}`: bad denominator", self.mode)))?;
             // `Rat::new` panics on a zero denominator and its reduction
             // (gcd via `abs`, negation of a negative denominator)
-            // overflows on i128::MIN — and this runs on the daemon's
-            // scheduler thread, so a crafted request must be an error
-            // here, never a panic there.
+            // overflows on i128::MIN — and this runs on a daemon
+            // worker thread, so a crafted request must be an error here,
+            // never a panic there.
             if d == 0 || d == i128::MIN || n == i128::MIN {
                 return Err(JobSpecError(format!(
                     "mode `{}`: unrepresentable rational",

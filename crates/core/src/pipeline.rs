@@ -285,13 +285,19 @@ impl Pipeline {
     /// verification failures are reported in the
     /// [`PipelineReport::verdict`], not as errors.
     pub fn run(&self, source: &str) -> Result<PipelineReport, PipelineError> {
-        self.run_with(source, &Solver::new())
+        shadowdp_solver::with_fresh_shard(|| self.run_with(source, &Solver::new()))
     }
 
     /// [`Pipeline::run`] against `solver`. The corpus driver passes one
     /// backed by a shared [`QueryMemo`], so entries written by other runs
     /// (on this or any other thread) answer structurally identical
     /// queries here, and this run's entries flow back.
+    ///
+    /// Both callers run it under [`shadowdp_solver::with_fresh_shard`], so
+    /// its terms live in an arena shard of their own, freed when it ends:
+    /// no `TermId` leaves a run (reports carry ASTs, strings and symbols),
+    /// and a long-lived thread running job after job does not grow its
+    /// shard.
     fn run_with(&self, source: &str, solver: &Solver) -> Result<PipelineReport, PipelineError> {
         let f = parse_timed(source)?;
         // Advisory pre-verification lint phase: feeds the span log and
@@ -354,8 +360,8 @@ impl Pipeline {
     /// ShadowDP verifies each algorithm independently, so the corpus is
     /// embarrassingly parallel — the historical blocker was the solver's
     /// process-wide term arena mutex. That arena is now a **per-thread
-    /// shard** ([`shadowdp_solver::with_shard`]): every worker interns
-    /// terms into its own arena with no locking, and the one piece of
+    /// shard** ([`shadowdp_solver::with_shard`]): every job interns terms
+    /// into an arena of its own with no locking, and the one piece of
     /// cross-thread state is the [`QueryMemo`], keyed by 128-bit
     /// *structural fingerprints* rather than arena-local `TermId`s. Two
     /// workers that build the same verification condition — SVT and its
@@ -427,7 +433,7 @@ impl Pipeline {
             // Panic isolation: a poisoned job becomes a `Crashed` entry in
             // its slot while every other job completes normally. Unwinding
             // here is safe to assert across: per-job state (solver, arena
-            // terms) is dropped with the closure, and the shared memo's
+            // terms) is dropped on the way out, and the shared memo's
             // locks are panic-released with entry-atomic inserts.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 let solver = if job.isolated_memo {
@@ -435,7 +441,7 @@ impl Pipeline {
                 } else {
                     Solver::with_memo(memo.clone())
                 };
-                pipeline.run_with(&job.source, &solver)
+                shadowdp_solver::with_fresh_shard(|| pipeline.run_with(&job.source, &solver))
             }));
             match attempt {
                 Ok(result) => result,
@@ -957,6 +963,38 @@ mod tests {
             .filter(|r| matches!(r, Ok(rep) if rep.verdict == Verdict::Proved))
             .count();
         assert_eq!(proved, jobs.len() - 1, "{:?}", outcome.reports);
+    }
+
+    /// Each run interns into an arena of its own: driving the corpus
+    /// inline leaves the caller's shard as it was, after a crashed job
+    /// too, so a long-lived thread does not grow with the jobs it runs.
+    #[test]
+    fn inline_corpus_runs_leave_the_callers_shard_as_it_was() {
+        use shadowdp_fault::{FaultKind, FaultPlan};
+        use shadowdp_solver::{with_shard, Term};
+        let kept = Term::real_var("kept").add(Term::int(1)).le(Term::int(0));
+        let rendered = kept.to_string();
+        let len = with_shard(|a| a.len());
+        let jobs = [CorpusJob::new(crate::corpus::laplace_mechanism().source)];
+
+        let proved = Pipeline::new().verify_corpus(&jobs);
+        assert!(proved.reports[0].is_ok(), "{:?}", proved.reports[0]);
+        let plan = FaultPlan::new()
+            .once("solver.step", FaultKind::Panic)
+            .install();
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let crashed = Pipeline::new().verify_corpus(&jobs);
+        std::panic::set_hook(prev_hook);
+        drop(plan);
+        assert!(
+            matches!(crashed.reports[0], Err(PipelineError::Crashed(_))),
+            "{:?}",
+            crashed.reports[0]
+        );
+
+        assert_eq!(kept.to_string(), rendered);
+        assert_eq!(with_shard(|a| a.len()), len, "the jobs' terms were freed");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! on a thread it starts and hands the plan to through [`PlanHandle`] —
 //! sees the plan's faults and advances its hit counters, so a test's plan
 //! never fires inside a sibling test running on another thread. The
-//! corpus driver's workers and the daemon's scheduler and connection
+//! corpus driver's workers and the daemon's workers and connection
 //! threads take their starter's plan this way. A thread with no plan bound
 //! falls back to the `SHADOWDP_FAULTS` plan, which is process-wide.
 

@@ -490,6 +490,10 @@ mod top {
             &hist_rows(samples, "shadowdp_phase_us", "phase"),
         );
         print_table(
+            "fresh jobs by stage",
+            &hist_rows(samples, "shadowdp_job_stage_us", "stage"),
+        );
+        print_table(
             "solver queries",
             &hist_rows(samples, "shadowdp_solver_query_us", "path"),
         );

@@ -1,13 +1,14 @@
 //! The verification daemon binary.
 //!
 //! ```text
-//! shadowdpd --socket <path> [--store <path>] [--threads <n>] [--compact-ratio <r>]
+//! shadowdpd --socket <path> [--store <path>] [--threads <workers>] [--compact-ratio <r>]
 //!           [--queue-limit <n>] [--io-timeout-ms <ms>]
 //!           [--store-max-pipeline-entries <n>]
 //! ```
 //!
-//! Listens on the Unix socket, schedules submitted jobs in batches, and
-//! persists verdicts to the store — an append-only record log that is
+//! Listens on the Unix socket, runs each submitted job on the first free
+//! of `--threads` workers (default: one per core), and persists verdicts
+//! to the store — an append-only record log that is
 //! compacted when it holds more than `r` times as many logged entries as
 //! live ones (default 2; `inf` disables ratio-triggered compaction —
 //! clean shutdown still compacts). `--queue-limit` bounds the submission
@@ -15,9 +16,8 @@
 //! read/write deadlines on daemon-side connection sockets;
 //! `--store-max-pipeline-entries` caps the pipeline tier of the store,
 //! evicting the least recently served entries past the cap after each
-//! batch. See
-//! `shadowdp_service` for the protocol and formats. Exits on a client
-//! `SHUTDOWN`.
+//! job. See `shadowdp_service` for the protocol and formats. Exits on a
+//! client `SHUTDOWN`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,8 +26,9 @@ use shadowdp_service::daemon::{self, DaemonConfig, DEFAULT_COMPACT_RATIO};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: shadowdpd --socket <path> [--store <path>] [--threads <n>] [--compact-ratio <r>] \
-         [--queue-limit <n>] [--io-timeout-ms <ms>] [--store-max-pipeline-entries <n>]"
+        "usage: shadowdpd --socket <path> [--store <path>] [--threads <workers>] \
+         [--compact-ratio <r>] [--queue-limit <n>] [--io-timeout-ms <ms>] \
+         [--store-max-pipeline-entries <n>]"
     );
     ExitCode::from(2)
 }
@@ -54,7 +55,7 @@ fn main() -> ExitCode {
                 Some(n) => queue_limit = Some(n),
                 None => return usage(),
             },
-            // A zero cap would evict every entry after every batch —
+            // A zero cap would evict every entry after every job —
             // a config mistake, not a meaningful bound.
             "--store-max-pipeline-entries" => {
                 match args.next().and_then(|v| v.parse::<usize>().ok()) {
@@ -74,7 +75,7 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 // A ratio below 1 would trigger an O(store) compaction
-                // after every batch, and NaN would make the trigger
+                // after every job, and NaN would make the trigger
                 // comparison silently false forever — both are config
                 // mistakes worth a precise message, not a generic usage
                 // line.

@@ -46,7 +46,7 @@ fn backoff(attempt: u32) -> Duration {
 
 /// A connected protocol client. One request/response at a time, in order
 /// (the protocol is strictly synchronous per connection; open more
-/// connections for overlap — the daemon batches across all of them).
+/// connections for overlap — the daemon's workers serve all of them).
 pub struct Client {
     reader: BufReader<UnixStream>,
     writer: UnixStream,

@@ -9,37 +9,41 @@
 //! - **handler threads** parse requests and touch only the queue state —
 //!   `SUBMIT` enqueues and returns immediately, `RESULT` blocks on a
 //!   condvar until the job's outcome is published;
-//! - the **scheduler thread** drains everything queued at once and runs it
-//!   as *one batch* through
-//!   [`Pipeline::verify_corpus_parallel_with_memo`] — so jobs submitted
-//!   concurrently by any number of clients fan out over the work-stealing
-//!   corpus driver against the daemon's long-lived shared [`QueryMemo`],
-//!   and a burst of near-identical candidates (the CheckDP loop shape)
-//!   pays theory work once.
+//! - **workers** ([`DaemonConfig::threads`] of them) each take the oldest
+//!   pending job and carry it alone from store lookup to published
+//!   outcome. A fresh job is verified through
+//!   [`Pipeline::verify_corpus_parallel_with_memo`] as a one-job corpus on
+//!   the worker's own thread, against the daemon's long-lived shared
+//!   [`QueryMemo`]: a stream of near-identical candidates (the CheckDP
+//!   loop shape) pays theory work once, and while a worker is free no job
+//!   waits behind another job's verification (workers take turns only at
+//!   the store lock, for lookups and flushes).
 //!
 //! Persistence: on startup the daemon loads the [`VerdictStore`] (an
 //! append-only record log) and warms the memo from its solver tier; after
-//! every batch it drains the memo's dirty delta and **appends one framed
-//! delta record** — O(batch), not O(store), so a long candidate loop pays
-//! constant flush cost per batch instead of quadratic total. When the log
-//! accumulates enough superseded weight (`--compact-ratio`), and always on
-//! clean shutdown, a compaction pass rewrites the log atomically and drops
-//! solver-tier entries unreachable from any pipeline-tier job. Jobs whose
-//! (source, options) pair is already in the pipeline tier are answered
-//! from disk without scheduling at all and report `from = store` over the
-//! wire.
+//! every freshly verified job it drains the memo's dirty delta and
+//! **appends one framed delta record** — O(job), not O(store), so a long
+//! candidate loop pays constant flush cost per job instead of quadratic
+//! total. When the log accumulates enough superseded weight
+//! (`--compact-ratio`), and always on clean shutdown, a compaction pass
+//! rewrites the log atomically and drops solver-tier entries unreachable
+//! from any pipeline-tier job. Jobs whose (source, options) pair is
+//! already in the pipeline tier are answered from disk without verifying
+//! and report `from = store` over the wire.
 //!
 //! Results are published per job id; each client receives `RESULT`
 //! replies in the order it asks for them, which the bundled client does
-//! in submission order.
+//! in submission order. The metrics and span that predate per-job
+//! dispatch keep their names: `shadowdp_batches_total`,
+//! `shadowdp_batch_jobs` and `daemon.batch` count one dispatched job each.
 //!
 //! # Fault tolerance
 //!
 //! The daemon is built to degrade per job, never per process:
 //!
-//! - **Panic isolation** — each corpus job runs under the pipeline's
+//! - **Panic isolation** — each job runs under the pipeline's
 //!   `catch_unwind` boundary, so one poisoned job becomes a `crashed`
-//!   outcome while the rest of its batch completes and the daemon keeps
+//!   outcome while the other workers' jobs complete and the daemon keeps
 //!   serving the same socket.
 //! - **Resource budgets** — a job's [`shadowdp::OptionsSpec`] budget
 //!   fields bound wall clock and theory calls; exhaustion comes back as a
@@ -53,9 +57,10 @@
 //!   exponential backoff.
 //! - **In-flight journal** — when a store is configured, every accepted
 //!   submission is appended to `<store>.journal` *before* `QUEUED` is
-//!   sent and dropped only after its batch's verdicts are durably
-//!   flushed. A daemon killed mid-batch re-verifies the journaled
-//!   submissions on restart, so an accepted job is never silently lost.
+//!   sent and dropped only once its verdict is durably flushed: the
+//!   journal covers queued and running jobs. A daemon killed mid-job
+//!   re-verifies the journaled submissions on restart, so an accepted job
+//!   is never silently lost.
 //!   The journal reuses the store's framing discipline: an 8-byte magic
 //!   (`SDPJRNL1`) then per-record `u32` LE payload length + payload (one
 //!   encoded `SUBMIT` line) + 16-byte LE fnv128 of the payload; replay
@@ -66,15 +71,15 @@
 //!   timeouts on every connection so a stalled client cannot wedge a
 //!   handler thread forever (it also bounds idle connection lifetime).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use shadowdp::{CorpusJob, JobSpec, Phase, Pipeline, PipelineError, PipelineReport};
+use shadowdp::{CorpusOutcome, JobSpec, Phase, Pipeline, PipelineError, PipelineReport};
 use shadowdp_solver::{QueryMemo, SolverStats};
 use shadowdp_verify::Verdict;
 
@@ -85,11 +90,11 @@ use crate::store::{fnv128, hex128, PipelineEntry, VerdictStore};
 /// than twice as many record entries as there are live entries. Low
 /// enough that a long-lived candidate loop's log stays within a small
 /// constant factor of live state, high enough that compaction (an
-/// O(store) rewrite) stays rare next to O(batch) appends.
+/// O(store) rewrite) stays rare next to O(job) appends.
 pub const DEFAULT_COMPACT_RATIO: f64 = 2.0;
 
 /// What `BUSY` tells a rejected submitter to wait before retrying.
-/// Batches normally turn around well within this; the client treats it
+/// Jobs normally turn around well within this; the client treats it
 /// as a floor and backs off further on repeated rejections.
 pub const BUSY_RETRY_MS: u64 = 100;
 
@@ -97,7 +102,7 @@ pub const BUSY_RETRY_MS: u64 = 100;
 // Metrics (always-on; exposed over the METRICS verb)
 // ---------------------------------------------------------------------------
 
-use shadowdp_obs::{LazyCounter, LazyFloatGauge, LazyGauge, LazyHistogram};
+use shadowdp_obs::{LazyCounter, LazyFloatGauge, LazyGauge, LazyHistogram, LazyHistogramFamily};
 
 static JOBS_DONE: LazyCounter = LazyCounter::new(
     "shadowdp_jobs_done_total",
@@ -105,7 +110,7 @@ static JOBS_DONE: LazyCounter = LazyCounter::new(
 );
 static STORE_HITS_TOTAL: LazyCounter = LazyCounter::new(
     "shadowdp_store_hits_total",
-    "Jobs answered from the persistent pipeline tier without scheduling",
+    "Jobs answered from the persistent pipeline tier without verifying",
 );
 static BUSY_REJECTIONS: LazyCounter = LazyCounter::new(
     "shadowdp_busy_rejections_total",
@@ -133,11 +138,11 @@ static PIPELINE_EVICTIONS: LazyCounter = LazyCounter::new(
 );
 static BATCHES: LazyCounter = LazyCounter::new(
     "shadowdp_batches_total",
-    "Scheduler batches run (store-hit-only batches included)",
+    "Batches dispatched to a worker, one job each (store hits included)",
 );
 static QUEUE_DEPTH: LazyGauge = LazyGauge::new(
     "shadowdp_queue_depth",
-    "Submissions accepted but not yet drained into a batch",
+    "Submissions accepted but not yet taken by a worker",
 );
 static QUEUE_CAPACITY: LazyGauge = LazyGauge::new(
     "shadowdp_queue_capacity",
@@ -170,11 +175,18 @@ static COMPACTION_RATIO: LazyFloatGauge = LazyFloatGauge::new(
 );
 static BATCH_JOBS: LazyHistogram = LazyHistogram::new(
     "shadowdp_batch_jobs",
-    "Jobs per scheduler batch (occupancy of each corpus fan-out)",
+    "Jobs per dispatch (always 1: a worker carries one job at a time)",
 );
 static FLUSH_US: LazyHistogram = LazyHistogram::new(
     "shadowdp_store_flush_us",
     "Store flush latency in microseconds (delta appends and rewrites)",
+);
+static JOB_STAGE_US: LazyHistogramFamily = LazyHistogramFamily::new(
+    "shadowdp_job_stage_us",
+    "Microseconds per stage of each freshly verified job: queue_wait (SUBMIT \
+     accepted to taken by a worker), verify (the corpus call), flush (verify \
+     end to outcome published: store lock wait, puts, flush, journal reset)",
+    "stage",
 );
 
 /// Forces registration of every daemon metric so the very first scrape
@@ -200,6 +212,9 @@ fn register_metrics() {
     COMPACTION_RATIO.get();
     BATCH_JOBS.get();
     FLUSH_US.get();
+    for stage in ["queue_wait", "verify", "flush"] {
+        JOB_STAGE_US.with(stage);
+    }
     // Pipeline + solver metrics live in their own crates; pull them in
     // too, or a warm daemon serving everything from its store would
     // scrape without the solver counters.
@@ -207,7 +222,7 @@ fn register_metrics() {
 }
 
 /// Refreshes the store-shaped gauges from a locked store. Called after
-/// every batch and on METRICS reads so scrapes see current state even
+/// every job and on METRICS reads so scrapes see current state even
 /// when the daemon is idle.
 fn refresh_store_gauges(store: &VerdictStore) {
     PIPELINE_ENTRIES.set(store.pipeline_len() as u64);
@@ -225,13 +240,14 @@ pub struct DaemonConfig {
     /// daemon is probed first and replaced only if nothing answers;
     /// binding over a *live* daemon's socket is refused.
     pub socket: PathBuf,
-    /// Verdict store path; `None` runs fully in memory (still batched and
-    /// memoized, just nothing survives the process).
+    /// Verdict store path; `None` runs fully in memory (still memoized,
+    /// just nothing survives the process).
     pub store: Option<PathBuf>,
-    /// Worker threads per batch (`None` = all cores), forwarded to
-    /// [`Pipeline::verify_corpus_parallel_with_memo`].
+    /// Worker threads (`--threads`; `None` = all cores, at least 1). Each
+    /// worker verifies one job at a time, so this is how many jobs run at
+    /// once.
     pub threads: Option<usize>,
-    /// Live/dead ratio that triggers a store compaction after a batch
+    /// Live/dead ratio that triggers a store compaction after a job's
     /// flush (see [`VerdictStore::wants_compaction`]);
     /// [`DEFAULT_COMPACT_RATIO`] unless overridden (`--compact-ratio`),
     /// `f64::INFINITY` disables ratio-triggered compaction. Clean
@@ -246,7 +262,7 @@ pub struct DaemonConfig {
     /// how long an *idle* connection may sit between requests.
     pub io_timeout: Option<Duration>,
     /// Cap on pipeline-tier store entries (`--store-max-pipeline-entries`).
-    /// After each batch's puts and before its flush, the least recently
+    /// After each job's put and before its flush, the least recently
     /// *served* entries past the cap are evicted
     /// ([`VerdictStore::evict_pipeline_lru`]), so a daemon fed an
     /// unbounded stream of distinct programs keeps a bounded store.
@@ -369,9 +385,9 @@ impl Journal {
     }
 
     /// Rewrites the journal to exactly the still-outstanding submissions
-    /// (atomically, via a temp sibling) — called after a batch's verdicts
-    /// are durably flushed. An empty outstanding set removes the file.
-    fn reset(&self, outstanding: &[(u64, JobSpec)]) -> std::io::Result<()> {
+    /// (atomically, via a temp sibling) — called once the store holds no
+    /// unflushed verdict. An empty outstanding set removes the file.
+    fn reset(&self, outstanding: &[&JobSpec]) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
@@ -383,8 +399,8 @@ impl Journal {
             };
         }
         let mut bytes = JOURNAL_MAGIC.to_vec();
-        for (_, spec) in outstanding {
-            let line = proto::encode_request(&Request::Submit(spec.clone()));
+        for spec in outstanding {
+            let line = proto::encode_request(&Request::Submit((*spec).clone()));
             bytes.extend_from_slice(&Self::frame(&line));
         }
         let tmp = crate::sibling_path(path, ".tmp");
@@ -397,10 +413,25 @@ impl Journal {
     }
 }
 
+/// An accepted submission, queued or running.
+#[derive(Clone)]
+struct Submission {
+    id: u64,
+    spec: JobSpec,
+    /// When `SUBMIT` accepted it (daemon start, for a journal replay): the
+    /// start of its `queue_wait` stage.
+    accepted: Instant,
+}
+
 /// Queue state behind the daemon's mutex.
 #[derive(Default)]
 struct State {
-    pending: Vec<(u64, JobSpec)>,
+    /// Accepted submissions no worker has taken yet, oldest first.
+    pending: VecDeque<Submission>,
+    /// Submissions taken by a worker and not yet published. Workers take
+    /// the oldest pending job and removal keeps order, so this is in id
+    /// order and every id here is below every pending id.
+    running: Vec<Submission>,
     done: HashMap<u64, JobOutcome>,
     /// Ids whose outcome was handed to a RESULT request — or dropped
     /// because the submitter disconnected first. Outcomes leave `done` on
@@ -415,25 +446,64 @@ struct State {
     /// submitter with a permanent error. Entries are removed on delivery.
     owners: HashMap<u64, u64>,
     next_id: u64,
-    running: u64,
     /// Submissions currently covered by the on-disk journal (reported by
     /// `STATUS`). Incremented per successful append, reset to the
-    /// still-outstanding count after each batch's journal rewrite.
+    /// outstanding count after each journal rewrite.
     journaled: u64,
-    /// Monotonic batch counter. Stamped onto pipeline-tier entries at
-    /// put/serve time, the recency LRU eviction orders by (see
-    /// [`VerdictStore::stamp_served`]).
+    /// Monotonic dispatch counter, one per job a worker takes. Stamped
+    /// onto pipeline-tier entries at put/serve time, the recency LRU
+    /// eviction orders by (see [`VerdictStore::stamp_served`]).
     batch_seq: u64,
     shutdown: bool,
 }
 
+impl State {
+    /// Rewrites the journal to every accepted submission whose verdict may
+    /// not be durable yet — running, then pending, so in id order. Call
+    /// only after checking, with the store locked, that it holds no
+    /// unflushed verdict, and without releasing this state since.
+    fn reset_journal(&mut self, journal: &Journal) -> std::io::Result<()> {
+        let outstanding: Vec<&JobSpec> = self
+            .running
+            .iter()
+            .chain(&self.pending)
+            .map(|s| &s.spec)
+            .collect();
+        journal.reset(&outstanding)?;
+        self.journaled = outstanding.len() as u64;
+        JOURNAL_ENTRIES.set(self.journaled);
+        Ok(())
+    }
+}
+
 struct Shared {
     state: Mutex<State>,
-    cond: Condvar,
+    /// Signalled when a submission is queued or shutdown begins; workers
+    /// wait on it.
+    queued: Condvar,
+    /// Signalled when an outcome is published; `RESULT` requests wait on
+    /// it.
+    published: Condvar,
     store: Mutex<VerdictStore>,
     memo: Arc<QueryMemo>,
     journal: Journal,
     config: DaemonConfig,
+}
+
+impl Shared {
+    /// The queue state. Lock order: the store (if held) before the state,
+    /// and journal file I/O only under the state lock.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("no thread panics while holding the queue state")
+    }
+
+    fn store(&self) -> MutexGuard<'_, VerdictStore> {
+        self.store
+            .lock()
+            .expect("no thread panics while holding the verdict store")
+    }
 }
 
 /// Renders a per-job pipeline result as the wire verdict string.
@@ -512,7 +582,7 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     // `compact_ratio` semantics only make sense at >= 1 (logged entries
     // can never be fewer than live ones): NaN would make the trigger
     // comparison silently false forever, and a sub-1 ratio would fire an
-    // O(store) compaction after every batch. Reject both up front — the
+    // O(store) compaction after every job. Reject both up front — the
     // CLI validates its flag, but `DaemonConfig` is a public API.
     if config.compact_ratio.is_nan() || config.compact_ratio < 1.0 {
         return Err(std::io::Error::new(
@@ -540,10 +610,15 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     // land in the store, so resubmitting clients get store hits.
     let journal = Journal::for_store(config.store.as_deref());
     let mut initial = State::default();
+    let started = Instant::now();
     for spec in journal.replay() {
         let id = initial.next_id;
         initial.next_id += 1;
-        initial.pending.push((id, spec));
+        initial.pending.push_back(Submission {
+            id,
+            spec,
+            accepted: started,
+        });
     }
     if !initial.pending.is_empty() {
         eprintln!(
@@ -608,34 +683,41 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     // daemon per store (and so per journal): the bind lock serializes
     // the socket only, and a second daemon on another socket with the
     // same `--store` would replay and rewrite the same journal.
-    if let Err(e) = journal.reset(&initial.pending) {
+    if let Err(e) = initial.reset_journal(&journal) {
         eprintln!("shadowdpd: journal reset after replay failed: {e}");
     }
 
+    let worker_count = config
+        .threads
+        .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
+        .max(1);
     let shared = Arc::new(Shared {
         state: Mutex::new(initial),
-        cond: Condvar::new(),
+        queued: Condvar::new(),
+        published: Condvar::new(),
         store: Mutex::new(store),
         memo,
         journal,
         config,
     });
 
-    // The scheduler and connection threads run under the starter's fault
-    // plan, if any (an in-process daemon under test inherits its test's).
+    // Workers and connection threads run under the starter's fault plan,
+    // if any (an in-process daemon under test inherits its test's).
     let faults = shadowdp_fault::PlanHandle::current();
-    let scheduler = {
-        let shared = shared.clone();
-        let faults = faults.clone();
-        thread::spawn(move || {
-            let _faults = faults.bind();
-            schedule(&shared);
+    let workers: Vec<thread::JoinHandle<()>> = (0..worker_count)
+        .map(|_| {
+            let shared = shared.clone();
+            let faults = faults.clone();
+            thread::spawn(move || {
+                let _faults = faults.bind();
+                work(&shared);
+            })
         })
-    };
+        .collect();
 
     let mut next_conn: u64 = 0;
     for stream in listener.incoming() {
-        if shared.state.lock().unwrap().shutdown {
+        if shared.state().shutdown {
             break;
         }
         let Ok(stream) = stream else { continue };
@@ -651,233 +733,252 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
         });
     }
 
-    scheduler.join().expect("scheduler does not panic");
+    for worker in workers {
+        worker.join().expect("a worker does not panic");
+    }
+    close_store(&shared);
     let _ = std::fs::remove_file(&shared.config.socket);
     Ok(())
 }
 
-/// The scheduler thread: batch, verify, persist, publish — until
-/// shutdown.
-fn schedule(shared: &Shared) {
-    let pipeline = Pipeline::new();
+/// Blocks until a job is pending, then moves the oldest one to `running`
+/// and returns it with its dispatch stamp; `None` once shutdown has begun
+/// and nothing is pending.
+fn take(shared: &Shared) -> Option<(Submission, u64)> {
+    let mut st = shared.state();
     loop {
-        let (batch, seq): (Vec<(u64, JobSpec)>, u64) = {
-            let mut st = shared.state.lock().unwrap();
-            while st.pending.is_empty() && !st.shutdown {
-                st = shared.cond.wait(st).unwrap();
-            }
-            if st.pending.is_empty() {
-                break; // shutdown with nothing queued
-            }
-            let batch = std::mem::take(&mut st.pending);
-            st.running = batch.len() as u64;
+        if let Some(job) = st.pending.pop_front() {
+            st.running.push(job.clone());
             st.batch_seq += 1;
-            QUEUE_DEPTH.set(0);
-            (batch, st.batch_seq)
-        };
-        let mut batch_span = shadowdp_obs::span("daemon.batch");
-        let batch_len = batch.len();
+            QUEUE_DEPTH.set(st.pending.len() as u64);
+            return Some((job, st.batch_seq));
+        }
+        if st.shutdown {
+            return None;
+        }
+        st = shared
+            .queued
+            .wait(st)
+            .expect("no thread panics while holding the queue state");
+    }
+}
+
+/// A worker: takes the oldest pending job and carries it alone from store
+/// lookup to published outcome, until shutdown leaves nothing pending.
+fn work(shared: &Shared) {
+    let pipeline = Pipeline::new();
+    while let Some((job, seq)) = take(shared) {
+        let picked = Instant::now();
+        let mut span = shadowdp_obs::span("daemon.batch");
         BATCHES.inc();
-        BATCH_JOBS.observe(batch_len as u64);
+        BATCH_JOBS.observe(1);
 
-        let mut outcomes: Vec<JobOutcome> = Vec::new();
-        let mut fresh: Vec<(u64, JobSpec, CorpusJob)> = Vec::new();
-        let mut hits = 0u64;
-        {
-            let mut store = shared.store.lock().unwrap();
-            for (id, spec) in batch {
-                if let Some(entry) = store.pipeline_get(&spec) {
-                    hits += 1;
-                    // Exhausted and crashed runs are never persisted, so a
-                    // store entry is exactly completed-or-error.
-                    let kind = if entry.ok {
-                        OutcomeKind::Completed
-                    } else {
-                        OutcomeKind::Error
-                    };
-                    outcomes.push(job_outcome(
-                        id,
-                        true,
-                        kind,
-                        wire_digest(&entry.digest),
-                        entry.verdict.clone(),
-                        &SolverStats::default(),
-                    ));
-                    // Serve-time stamp: this batch is the entry's last use.
-                    store.stamp_served(&spec, seq);
-                } else {
-                    match spec.to_job() {
-                        Ok(job) => fresh.push((id, spec, job)),
-                        Err(e) => outcomes.push(job_outcome(
-                            id,
-                            false,
-                            OutcomeKind::Error,
-                            wire_digest(&format!("{e}")),
-                            format!("error: {e}"),
-                            &SolverStats::default(),
-                        )),
-                    }
-                }
-            }
-            refresh_store_gauges(&store);
-        }
-
-        // Whether this batch's verdicts are durably persisted by the time
-        // we publish — the precondition for dropping the batch's journal
-        // entries. An all-store-hit batch adds nothing to persist.
-        let mut persisted = true;
-        if !fresh.is_empty() {
-            let jobs: Vec<CorpusJob> = fresh.iter().map(|(_, _, job)| job.clone()).collect();
-            let outcome = pipeline.verify_corpus_parallel_with_memo(
-                &jobs,
-                shared.config.threads,
-                &shared.memo,
-            );
-            let mut store = shared.store.lock().unwrap();
-            for (slot, (id, spec, _)) in fresh.iter().enumerate() {
-                let digest_text = outcome.report_digest(slot);
-                let verdict = render_verdict(&outcome.reports[slot]);
-                let kind = outcome_kind(&outcome.reports[slot]);
-                let stats = outcome.reports[slot]
-                    .as_ref()
-                    .map(|r| r.solver_stats)
-                    .unwrap_or_default();
-                // Exhausted and crashed runs are properties of this
-                // attempt (budget size, poisoned worker), not of the
-                // program: persisting them would answer future
-                // re-submissions — possibly with a *larger* budget — from
-                // a partial verdict. They stay out of the store entirely.
-                if matches!(kind, OutcomeKind::Completed | OutcomeKind::Error) {
-                    // The job's solver-tier dependency set: compaction
-                    // keeps a persisted solver verdict alive iff some
-                    // pipeline entry lists it. A job that failed before
-                    // verification has no report to list dependencies
-                    // from — its (empty) set is exact: it needs no solver
-                    // entries to be re-served.
-                    let deps = outcome.reports[slot]
-                        .as_ref()
-                        .map(|r| r.solver_fingerprints.clone())
-                        .unwrap_or_default();
-                    // A dependency served purely by memo hits was never
-                    // in this batch's dirty delta; if a past compaction
-                    // dropped it as an orphan, re-persist it now so no
-                    // pipeline entry's deps ever dangle.
-                    store.ensure_deps(&shared.memo, &deps);
-                    store.pipeline_put(
-                        spec,
-                        PipelineEntry {
-                            ok: outcome.reports[slot].is_ok(),
-                            verdict: verdict.clone(),
-                            digest: digest_text.clone(),
-                            deps: Some(deps),
-                        },
-                    );
-                    // Put-time stamp: the entry's first use.
-                    store.stamp_served(spec, seq);
-                }
-                outcomes.push(job_outcome(
-                    *id,
-                    false,
-                    kind,
-                    wire_digest(&digest_text),
-                    verdict,
-                    &stats,
-                ));
-            }
-            // O(batch), not O(store): drain only what this batch solved
-            // and append it as one delta record. A failed flush keeps the
-            // delta dirty, so the next successful flush (or the shutdown
-            // compaction) persists it.
-            store.absorb_dirty(&shared.memo);
-            // Enforce the pipeline-tier cap now, after this batch's puts
-            // and before the flush: an eviction forces a full rewrite,
-            // and doing it here folds that rewrite into the flush I/O
-            // below instead of paying for it separately.
-            if let Some(max) = shared.config.max_pipeline_entries {
-                let evicted = store.evict_pipeline_lru(max);
-                if evicted > 0 {
-                    PIPELINE_EVICTIONS.add(evicted as u64);
-                }
-            }
-            let flush_start = std::time::Instant::now();
-            let flushed = {
-                let _span = shadowdp_obs::span("daemon.flush");
-                store.flush()
+        let mut store = shared.store();
+        // The verify window of a freshly verified job, for its stage
+        // timings; `None` for a store hit or a malformed spec.
+        let mut verified_in = None;
+        let outcome = if let Some(entry) = store.pipeline_get(&job.spec) {
+            // Exhausted and crashed runs are never persisted, so a store
+            // entry is exactly completed-or-error.
+            let kind = if entry.ok {
+                OutcomeKind::Completed
+            } else {
+                OutcomeKind::Error
             };
-            let us = flush_start.elapsed().as_micros() as u64;
-            FLUSH_US.observe(us);
-            LAST_FLUSH_US.set(us);
-            if let Err(e) = flushed {
-                persisted = false;
-                eprintln!("shadowdpd: store flush failed (delta retained, will retry): {e}");
-            } else if store.wants_compaction(shared.config.compact_ratio) {
-                match store.compact() {
-                    Ok(stats) => {
-                        COMPACTIONS.inc();
-                        eprintln!(
-                            "shadowdpd: compacted store ({} -> {} logged entries, {} \
-                             unreachable solver entries dropped)",
-                            stats.logged_before, stats.logged_after, stats.dropped_solver
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "shadowdpd: store compaction failed (continuing on the old log): {e}"
-                        );
-                    }
+            let outcome = job_outcome(
+                job.id,
+                true,
+                kind,
+                wire_digest(&entry.digest),
+                entry.verdict.clone(),
+                &SolverStats::default(),
+            );
+            // Serve-time stamp: this dispatch is the entry's last use.
+            store.stamp_served(&job.spec, seq);
+            STORE_HITS_TOTAL.inc();
+            outcome
+        } else {
+            match job.spec.to_job() {
+                Ok(corpus_job) => {
+                    drop(store);
+                    let start = Instant::now();
+                    let verified = pipeline.verify_corpus_parallel_with_memo(
+                        &[corpus_job],
+                        Some(1),
+                        &shared.memo,
+                    );
+                    verified_in = Some((start, Instant::now()));
+                    store = shared.store();
+                    persist(shared, &mut store, &job, seq, &verified)
                 }
+                Err(e) => job_outcome(
+                    job.id,
+                    false,
+                    OutcomeKind::Error,
+                    wire_digest(&format!("{e}")),
+                    format!("error: {e}"),
+                    &SolverStats::default(),
+                ),
             }
-            refresh_store_gauges(&store);
+        };
+        refresh_store_gauges(&store);
+        match outcome.kind {
+            OutcomeKind::Crashed => CRASHES.inc(),
+            OutcomeKind::Exhausted => BUDGET_EXHAUSTED.inc(),
+            OutcomeKind::Completed | OutcomeKind::Error => {}
         }
-
-        STORE_HITS_TOTAL.add(hits);
-        JOBS_DONE.add(outcomes.len() as u64);
-        for outcome in &outcomes {
-            match outcome.kind {
-                OutcomeKind::Crashed => CRASHES.inc(),
-                OutcomeKind::Exhausted => BUDGET_EXHAUSTED.inc(),
-                OutcomeKind::Completed | OutcomeKind::Error => {}
-            }
-        }
+        JOBS_DONE.inc();
         MEMO_ENTRIES.set(shared.memo.len() as u64);
         if shadowdp_obs::armed() {
-            batch_span.set_label(&format!("seq={seq} jobs={batch_len} store_hits={hits}"));
+            span.set_label(&format!(
+                "seq={seq} id={} store_hit={}",
+                job.id, outcome.from_store
+            ));
         }
-        drop(batch_span);
 
-        let mut st = shared.state.lock().unwrap();
-        for outcome in outcomes {
-            if st.owners.contains_key(&outcome.id) {
-                st.done.insert(outcome.id, outcome);
-            } else {
-                // The submitting connection disconnected while this job
-                // was in flight; nobody can ever collect it, so publishing
-                // would leak. The verdict is persisted either way.
-                st.delivered.insert(outcome.id);
+        // A clean store means every verdict put so far is on disk, this
+        // job's included, so the journal can shrink to the jobs still
+        // running or queued. Checking under both locks makes that safe: a
+        // verdict put after the check belongs to a job that is already
+        // running (taking a job needs the state lock), and it stays listed
+        // until its worker gets the state lock after this one. A failed
+        // flush leaves the store dirty, and the journal keeps covering
+        // this job until a later flush succeeds.
+        let mut st = shared.state();
+        st.running.retain(|s| s.id != job.id);
+        let clean = store.dirty_len() == 0;
+        drop(store);
+        if clean {
+            if let Err(e) = st.reset_journal(&shared.journal) {
+                eprintln!("shadowdpd: journal reset failed (will retry): {e}");
             }
         }
-        // The batch is done and (if anything was fresh) durably flushed:
-        // shrink the journal to what's still outstanding — submissions
-        // accepted while this batch ran. On a failed flush the journal
-        // keeps covering the batch, so a crash before the retry succeeds
-        // still re-verifies it.
-        if persisted {
-            match shared.journal.reset(&st.pending) {
-                Ok(()) => st.journaled = st.pending.len() as u64,
-                Err(e) => eprintln!("shadowdpd: journal reset failed (will retry): {e}"),
-            }
+        // Every metric for this job moves before its outcome becomes
+        // visible, so a client that scrapes after its RESULT sees them.
+        if let Some((start, end)) = verified_in {
+            let us = |d: Duration| d.as_micros() as u64;
+            JOB_STAGE_US
+                .with("queue_wait")
+                .observe(us(picked - job.accepted));
+            JOB_STAGE_US.with("verify").observe(us(end - start));
+            JOB_STAGE_US.with("flush").observe(us(end.elapsed()));
         }
-        st.running = 0;
-        QUEUE_DEPTH.set(st.pending.len() as u64);
-        JOURNAL_ENTRIES.set(st.journaled);
-        shared.cond.notify_all();
+        if st.owners.contains_key(&job.id) {
+            st.done.insert(job.id, outcome);
+        } else {
+            // The submitting connection disconnected while this job was
+            // in flight; nobody can ever collect it, so publishing would
+            // leak. The verdict is persisted either way.
+            st.delivered.insert(job.id);
+        }
+        drop(st);
+        shared.published.notify_all();
     }
+}
 
-    // Clean shutdown: fold in whatever the last batch left in the memo and
-    // compact — the log collapses to one base record and solver entries no
-    // surviving job depends on are dropped. If the rewrite fails, fall
-    // back to an append so the final delta still lands.
-    let mut store = shared.store.lock().unwrap();
+/// Persists one freshly verified job under the store lock: its pipeline
+/// entry (completed and error outcomes only), the memo's dirty delta, LRU
+/// eviction, one flush and a compaction check. Returns the job's wire
+/// outcome.
+fn persist(
+    shared: &Shared,
+    store: &mut VerdictStore,
+    job: &Submission,
+    seq: u64,
+    verified: &CorpusOutcome,
+) -> JobOutcome {
+    let report = &verified.reports[0];
+    let digest_text = verified.report_digest(0);
+    let verdict = render_verdict(report);
+    let kind = outcome_kind(report);
+    let stats = report.as_ref().map(|r| r.solver_stats).unwrap_or_default();
+    // Exhausted and crashed runs are properties of this attempt (budget
+    // size, poisoned worker), not of the program: persisting them would
+    // answer future re-submissions — possibly with a *larger* budget —
+    // from a partial verdict. They stay out of the store entirely.
+    if matches!(kind, OutcomeKind::Completed | OutcomeKind::Error) {
+        // The job's solver-tier dependency set: compaction keeps a
+        // persisted solver verdict alive iff some pipeline entry lists
+        // it. A job that failed before verification has no report to
+        // list dependencies from — its (empty) set is exact: it needs no
+        // solver entries to be re-served.
+        let deps = report
+            .as_ref()
+            .map(|r| r.solver_fingerprints.clone())
+            .unwrap_or_default();
+        // A dependency served purely by memo hits was never in a dirty
+        // delta; if a past compaction dropped it as an orphan, re-persist
+        // it now so no pipeline entry's deps ever dangle.
+        store.ensure_deps(&shared.memo, &deps);
+        store.pipeline_put(
+            &job.spec,
+            PipelineEntry {
+                ok: report.is_ok(),
+                verdict: verdict.clone(),
+                digest: digest_text.clone(),
+                deps: Some(deps),
+            },
+        );
+        // Put-time stamp: the entry's first use.
+        store.stamp_served(&job.spec, seq);
+    }
+    // O(job), not O(store): drain only what has been solved since the
+    // last drain and append it as one delta record. A failed flush keeps
+    // the delta dirty, so the next successful flush (or the shutdown
+    // compaction) persists it.
+    store.absorb_dirty(&shared.memo);
+    // Enforce the pipeline-tier cap now, after this job's put and before
+    // the flush: an eviction forces a full rewrite, and doing it here
+    // folds that rewrite into the flush I/O below instead of paying for
+    // it separately.
+    if let Some(max) = shared.config.max_pipeline_entries {
+        let evicted = store.evict_pipeline_lru(max);
+        if evicted > 0 {
+            PIPELINE_EVICTIONS.add(evicted as u64);
+        }
+    }
+    let flush_start = Instant::now();
+    let flushed = {
+        let _span = shadowdp_obs::span("daemon.flush");
+        store.flush()
+    };
+    let us = flush_start.elapsed().as_micros() as u64;
+    FLUSH_US.observe(us);
+    LAST_FLUSH_US.set(us);
+    if let Err(e) = flushed {
+        eprintln!("shadowdpd: store flush failed (delta retained, will retry): {e}");
+    } else if store.wants_compaction(shared.config.compact_ratio) {
+        match store.compact() {
+            Ok(stats) => {
+                COMPACTIONS.inc();
+                eprintln!(
+                    "shadowdpd: compacted store ({} -> {} logged entries, {} unreachable \
+                     solver entries dropped)",
+                    stats.logged_before, stats.logged_after, stats.dropped_solver
+                );
+            }
+            Err(e) => {
+                eprintln!("shadowdpd: store compaction failed (continuing on the old log): {e}");
+            }
+        }
+    }
+    job_outcome(
+        job.id,
+        false,
+        kind,
+        wire_digest(&digest_text),
+        verdict,
+        &stats,
+    )
+}
+
+/// Clean shutdown, once every worker has exited: fold in whatever the
+/// last jobs left in the memo and compact — the log collapses to one base
+/// record and solver entries no surviving job depends on are dropped. If
+/// the rewrite fails, fall back to an append so the final delta still
+/// lands.
+fn close_store(shared: &Shared) {
+    let mut store = shared.store();
     store.absorb_dirty(&shared.memo);
     match store.compact() {
         Ok(_) => COMPACTIONS.inc(),
@@ -889,15 +990,11 @@ fn schedule(shared: &Shared) {
         }
     }
     refresh_store_gauges(&store);
-    let clean = store.dirty_len() == 0;
-    drop(store);
-    if clean {
+    if store.dirty_len() == 0 {
         // Everything is persisted and the queue drained; an empty journal
         // (removed file) marks the shutdown as clean.
-        let mut st = shared.state.lock().unwrap();
-        match shared.journal.reset(&st.pending) {
-            Ok(()) => st.journaled = st.pending.len() as u64,
-            Err(e) => eprintln!("shadowdpd: shutdown journal reset failed: {e}"),
+        if let Err(e) = shared.state().reset_journal(&shared.journal) {
+            eprintln!("shadowdpd: shutdown journal reset failed: {e}");
         }
     }
 }
@@ -908,10 +1005,10 @@ fn schedule(shared: &Shared) {
 fn handle(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> {
     let result = serve(shared, conn, stream);
     // A client that disconnected without collecting its outcomes will
-    // never RESULT them; dropping them here (and letting the scheduler
-    // drop in-flight ones at publication, see above) keeps daemon memory
+    // never RESULT them; dropping them here (and letting the workers drop
+    // in-flight ones at publication, see above) keeps daemon memory
     // bounded by live connections' work, not total jobs ever served.
-    let mut st = shared.state.lock().unwrap();
+    let mut st = shared.state();
     let orphaned: Vec<u64> = st
         .owners
         .iter()
@@ -951,8 +1048,8 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
         }
         let parsed = proto::parse_request(&line);
         // One span per request, labeled by verb. RESULT spans include the
-        // wait for the job's batch — that *is* the client-visible reply
-        // latency on the accept→queue→batch→flush→reply path.
+        // wait for the job — that *is* the client-visible reply latency on
+        // the accept→queue→verify→flush→reply path.
         let mut request_span = shadowdp_obs::span("daemon.request");
         if parsed.is_ok() {
             // A parsed line's first field is its verb.
@@ -962,11 +1059,11 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
             Err(e) => Response::Err(e.to_string()),
             Ok(Request::Ping) => Response::Pong,
             Ok(Request::Status) => {
-                let pipeline_store = shared.store.lock().unwrap().pipeline_len() as u64;
-                let st = shared.state.lock().unwrap();
+                let pipeline_store = shared.store().pipeline_len() as u64;
+                let st = shared.state();
                 Response::Status(StatusInfo {
                     queued: st.pending.len() as u64,
-                    running: st.running,
+                    running: st.running.len() as u64,
                     done: (st.done.len() + st.delivered.len()) as u64,
                     memo_entries: shared.memo.len() as u64,
                     pipeline_store,
@@ -978,24 +1075,24 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                 // is current, then render the whole registry.
                 MEMO_ENTRIES.set(shared.memo.len() as u64);
                 {
-                    let st = shared.state.lock().unwrap();
+                    let st = shared.state();
                     QUEUE_DEPTH.set(st.pending.len() as u64);
                     JOURNAL_ENTRIES.set(st.journaled);
                 }
-                refresh_store_gauges(&shared.store.lock().unwrap());
+                refresh_store_gauges(&shared.store());
                 Response::Metrics(shadowdp_obs::render_prometheus())
             }
             Ok(Request::Lint(source)) => {
                 // Linting is synchronous and cheap (milliseconds for the
                 // whole corpus): it runs on the connection thread, never
-                // touching the scheduler, the queue, or the store.
+                // touching the workers, the queue, or the store.
                 match shadowdp::lint_source(&source) {
                     Ok(diags) => Response::Lint(shadowdp::render_json_lines(&diags)),
                     Err(e) => Response::Err(e.to_string()),
                 }
             }
             Ok(Request::Submit(spec)) => {
-                let mut st = shared.state.lock().unwrap();
+                let mut st = shared.state();
                 if st.shutdown {
                     Response::Err("shutting down".into())
                 } else if shared
@@ -1018,16 +1115,20 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                     }
                     let id = st.next_id;
                     st.next_id += 1;
-                    st.pending.push((id, spec));
+                    st.pending.push_back(Submission {
+                        id,
+                        spec,
+                        accepted: Instant::now(),
+                    });
                     st.owners.insert(id, conn);
                     QUEUE_DEPTH.set(st.pending.len() as u64);
                     JOURNAL_ENTRIES.set(st.journaled);
-                    shared.cond.notify_all();
+                    shared.queued.notify_one();
                     Response::Queued(id)
                 }
             }
             Ok(Request::Result(id)) => {
-                let mut st = shared.state.lock().unwrap();
+                let mut st = shared.state();
                 loop {
                     if id >= st.next_id {
                         break Response::Err(format!("unknown job id {id}"));
@@ -1047,18 +1148,18 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                         break Response::Result(outcome);
                     }
                     // Note: no shutdown early-out here. Every issued id is
-                    // eventually published — the scheduler drains pending
-                    // batches before exiting even after the shutdown flag
-                    // is set — so waiting is always finite and correct.
-                    st = shared.cond.wait(st).unwrap();
+                    // eventually published — workers drain pending jobs
+                    // before exiting even after the shutdown flag is set —
+                    // so waiting is always finite and correct.
+                    st = shared
+                        .published
+                        .wait(st)
+                        .expect("no thread panics while holding the queue state");
                 }
             }
             Ok(Request::Shutdown) => {
-                {
-                    let mut st = shared.state.lock().unwrap();
-                    st.shutdown = true;
-                }
-                shared.cond.notify_all();
+                shared.state().shutdown = true;
+                shared.queued.notify_all();
                 write_response(&mut writer, &Response::Bye)?;
                 // Wake the accept loop so `run` can observe the flag.
                 let _ = UnixStream::connect(&shared.config.socket);

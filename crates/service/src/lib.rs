@@ -1,12 +1,12 @@
 //! **shadowdp-service** — the verification service around the ShadowDP
-//! pipeline: a persistent verdict store, a Unix-socket daemon with batched
-//! corpus scheduling, and a client.
+//! pipeline: a persistent verdict store, a Unix-socket daemon that runs
+//! each submitted job on the first free worker, and a client.
 //!
 //! The paper's pitch is that checking one algorithm takes seconds; this
 //! crate is what turns that into infrastructure. Every verification the
 //! process has ever done is remembered at two granularities
 //! ([`store::VerdictStore`], an append-only record log with periodic
-//! compaction — flushes are O(batch), not O(store)):
+//! compaction — flushes are O(job), not O(store)):
 //!
 //! - **solver tier** — validity-query verdicts keyed by arena-independent
 //!   structural fingerprints (the contents of a
@@ -17,9 +17,10 @@
 //!   dependency set keyed by (source, options), so a resubmitted program
 //!   is answered without running at all.
 //!
-//! The daemon ([`daemon::run`]) batches concurrently submitted jobs into
-//! one [`shadowdp::Pipeline::verify_corpus_parallel_with_memo`] call per
-//! scheduling round — the CheckDP-style serving shape, where a loop
+//! The daemon ([`daemon::run`]) hands each submitted job to the first free
+//! of its workers, which verifies it through
+//! [`shadowdp::Pipeline::verify_corpus_parallel_with_memo`] against one
+//! long-lived shared memo — the CheckDP-style serving shape, where a loop
 //! submitting near-identical candidates is dominated by cache hits.
 //! [`client::Client`] (and the `shadowdp` binary) talk the line protocol
 //! of [`proto`]; `shadowdpd` is the daemon binary.

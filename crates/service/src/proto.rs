@@ -143,9 +143,9 @@ pub enum Request {
 /// (store hits, trail operations, flush latency, …) live in `METRICS`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatusInfo {
-    /// Jobs submitted but not yet picked up by the scheduler.
+    /// Jobs submitted but not yet taken by a worker.
     pub queued: u64,
-    /// Jobs in the batch currently being verified.
+    /// Jobs taken by a worker and not yet published.
     pub running: u64,
     /// Jobs completed since startup (awaiting pickup or already
     /// delivered).
@@ -155,8 +155,8 @@ pub struct StatusInfo {
     /// Entries in the persistent pipeline tier.
     pub pipeline_store: u64,
     /// Accepted submissions currently covered by the in-flight journal
-    /// (queued + in the running batch); they re-verify on restart if the
-    /// daemon crashes before their verdicts are persisted.
+    /// (queued + running); they re-verify on restart if the daemon
+    /// crashes before their verdicts are persisted.
     pub journaled: u64,
 }
 

@@ -13,8 +13,9 @@
 //! 3. **Journal** — a hand-crafted journal (with a torn tail) is replayed
 //!    into re-verification on startup, and one holding a record in the
 //!    old positional encoding replays nothing; accepted submissions stay
-//!    journaled until their batch is flushed; a clean shutdown removes
-//!    the journal.
+//!    journaled until their verdicts are flushed, also while another
+//!    worker publishes a faster job; a clean shutdown removes the
+//!    journal.
 //! 4. **Backpressure** — a full queue answers `BUSY`, the raw protocol
 //!    and the retrying client both observe it, and the client eventually
 //!    queues once the batch drains.
@@ -393,6 +394,63 @@ fn accepted_submissions_stay_journaled_until_flushed() {
     cleanup(&[&socket, &store]);
 }
 
+/// Per-job dispatch: with two workers, a fast job submitted while a slow
+/// one verifies is published without waiting for it, and the journal
+/// rewrite after the fast job's flush keeps covering the slow one.
+#[test]
+fn a_slow_job_does_not_hold_a_fast_one() {
+    // Every uncached solver query sleeps, so a job's wall time follows
+    // its count of them: Smart Sum asks about a hundred, the Laplace
+    // mechanism a handful.
+    let guard = FaultPlan::new()
+        .sticky("solver.step", FaultKind::Delay { millis: 5 }, 1)
+        .install();
+    let (socket, store) = temp_paths("slow-fast");
+    let journal = journal_path(&store);
+    let (handle, mut control) = start_daemon(DaemonConfig {
+        store: Some(store.clone()),
+        threads: Some(2),
+        ..DaemonConfig::new(&socket)
+    });
+    let slow = JobSpec::new(corpus::smart_sum().source);
+    let fast = JobSpec::new(corpus::laplace_mechanism().source);
+
+    let mut slow_client = Client::connect(&socket).expect("connect");
+    let slow_id = slow_client.submit(&slow).expect("submit slow");
+    wait_status(
+        &mut control,
+        Duration::from_secs(30),
+        "slow job start",
+        |s| s.running == 1,
+    );
+    let mut fast_client = Client::connect(&socket).expect("connect");
+    let fast_id = fast_client.submit(&fast).expect("submit fast");
+    let out_fast = fast_client.result(fast_id).expect("fast result");
+    assert_eq!(out_fast.verdict, "proved");
+
+    let status = control.status().expect("status");
+    assert_eq!(status.running, 1, "the slow job still runs: {status:?}");
+    assert_eq!(status.journaled, 1, "{status:?}");
+    let mut slow_only = b"SDPJRNL1".to_vec();
+    slow_only.extend_from_slice(&journal_frame(&proto::encode_request(&Request::Submit(
+        slow.clone(),
+    ))));
+    assert_eq!(
+        std::fs::read(&journal).expect("journal exists"),
+        slow_only,
+        "the journal holds exactly the slow job's SUBMIT"
+    );
+
+    let out_slow = slow_client.result(slow_id).expect("slow result");
+    drop(guard);
+    assert_eq!(out_slow.verdict, "proved");
+    assert_eq!(control.status().expect("status").journaled, 0);
+
+    control.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    cleanup(&[&socket, &store]);
+}
+
 // ---------------------------------------------------------------------
 // 4: backpressure
 // ---------------------------------------------------------------------
@@ -441,7 +499,7 @@ fn full_queue_answers_busy_and_client_retry_succeeds() {
         &proto::encode_request(&Request::Submit(slow)),
     );
     assert!(reply.starts_with("QUEUED\t"), "{reply}");
-    // Wait until the scheduler owns the first job, so `pending` is empty
+    // Wait until the worker owns the first job, so `pending` is empty
     // and exactly one more submission fits under the cap of 1.
     wait_status(&mut client, Duration::from_secs(30), "batch start", |s| {
         s.running >= 1

@@ -49,6 +49,15 @@ fn value(samples: &[Sample], name: &str) -> f64 {
         .value
 }
 
+/// The observation count of the `shadowdp_job_stage_us{stage=…}` member.
+fn stage_count(samples: &[Sample], stage: &str) -> f64 {
+    samples
+        .iter()
+        .find(|s| s.name == "shadowdp_job_stage_us_count" && s.label("stage") == Some(stage))
+        .unwrap_or_else(|| panic!("missing stage `{stage}`"))
+        .value
+}
+
 /// A counter's current in-process value (for baselines taken while no
 /// daemon is up yet, e.g. before a journal replay at startup).
 fn counter_now(name: &str) -> u64 {
@@ -94,6 +103,15 @@ fn metrics_track_fresh_work_store_hits_and_flushes() {
         delta("shadowdp_store_flush_us_count") >= 1.0,
         "a fresh batch must flush (and record its latency)"
     );
+    // Each freshly verified job times its queue wait, verify and flush
+    // stages once.
+    for stage in ["queue_wait", "verify", "flush"] {
+        assert_eq!(
+            stage_count(&after, stage) - stage_count(&before, stage),
+            2.0,
+            "stage {stage}"
+        );
+    }
 
     // The memo hit rate `shadowdp top` derives is well-defined: hits
     // never outrun queries.
@@ -128,6 +146,13 @@ fn metrics_track_fresh_work_store_hits_and_flushes() {
         0.0,
         "a store-served batch must not flush"
     );
+    for stage in ["queue_wait", "verify", "flush"] {
+        assert_eq!(
+            stage_count(&warm_scrape, stage),
+            stage_count(&after, stage),
+            "store hits are not timed as fresh jobs (stage {stage})"
+        );
+    }
 
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon exits");

@@ -93,4 +93,6 @@ pub use linear::LinExpr;
 pub use solve::{Budget, CheckResult, Model, ProveResult, QueryMemo, Solver, SolverStats};
 #[allow(deprecated)]
 pub use term::with_global_arena;
-pub use term::{with_shard, Fingerprint, Symbol, Term, TermArena, TermId, TermNode};
+pub use term::{
+    with_fresh_shard, with_shard, Fingerprint, Symbol, Term, TermArena, TermId, TermNode,
+};

@@ -841,9 +841,43 @@ thread_local! {
     /// This thread's arena shard. Every thread owns one; nothing is shared,
     /// so the chainable API takes no process-wide lock and per-algorithm
     /// verification scales across threads. The shard is created lazily on
-    /// first use and freed when the thread exits — worker threads spawned
-    /// for one corpus run do not leak arena memory into the process.
+    /// first use and freed when the thread exits. A long-lived thread that
+    /// runs one job after another (a daemon worker, a caller driving the
+    /// corpus inline) runs each job under [`with_fresh_shard`], so the
+    /// job's terms are freed when it ends instead of accumulating here.
     static SHARD: RefCell<TermArena> = RefCell::new(TermArena::new());
+}
+
+/// Runs `f` against an empty arena shard on this thread, then puts the
+/// previous shard back — also when `f` unwinds — and frees every term `f`
+/// built.
+///
+/// Ids built before the call stay valid afterwards; ids built inside `f`
+/// must not escape it (they would name nodes of the freed arena). The
+/// solver's memo keys on arena-independent fingerprints, so memo hits
+/// across such runs are unaffected.
+///
+/// # Panics
+///
+/// Panics if called from inside [`with_shard`].
+pub fn with_fresh_shard<R>(f: impl FnOnce() -> R) -> R {
+    /// Puts the caller's shard back on drop, so an unwind out of `f` does
+    /// not leave the job's arena installed.
+    struct Restore(Option<TermArena>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let Some(prev) = self.0.take() else { return };
+            // Borrows taken inside `f` were released by the time this
+            // frame drops, so the shard is free; still, never panic here.
+            let _ = SHARD.try_with(|a| {
+                if let Ok(mut shard) = a.try_borrow_mut() {
+                    *shard = prev;
+                }
+            });
+        }
+    }
+    let _restore = Restore(Some(with_shard(std::mem::take)));
+    f()
 }
 
 /// Runs `f` with exclusive access to this thread's arena shard.
