@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! shadowdpd --socket <path> [--store <path>] [--threads <workers>] [--compact-ratio <r>]
-//!           [--queue-limit <n>] [--io-timeout-ms <ms>]
-//!           [--store-max-pipeline-entries <n>]
+//!           [--queue-limit <n>] [--store-max-pipeline-entries <n>]
 //! ```
 //!
 //! Listens on the Unix socket, runs each submitted job on the first free
@@ -12,8 +11,7 @@
 //! compacted when it holds more than `r` times as many logged entries as
 //! live ones (default 2; `inf` disables ratio-triggered compaction —
 //! clean shutdown still compacts). `--queue-limit` bounds the submission
-//! queue (`SUBMIT` past it answers `BUSY`); `--io-timeout-ms` puts
-//! read/write deadlines on daemon-side connection sockets;
+//! queue (`SUBMIT` past it answers `BUSY`);
 //! `--store-max-pipeline-entries` caps the pipeline tier of the store,
 //! evicting the least recently served entries past the cap after each
 //! job. See `shadowdp_service` for the protocol and formats. Exits on a
@@ -27,8 +25,7 @@ use shadowdp_service::daemon::{self, DaemonConfig, DEFAULT_COMPACT_RATIO};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: shadowdpd --socket <path> [--store <path>] [--threads <workers>] \
-         [--compact-ratio <r>] [--queue-limit <n>] [--io-timeout-ms <ms>] \
-         [--store-max-pipeline-entries <n>]"
+         [--compact-ratio <r>] [--queue-limit <n>] [--store-max-pipeline-entries <n>]"
     );
     ExitCode::from(2)
 }
@@ -39,7 +36,6 @@ fn main() -> ExitCode {
     let mut threads: Option<usize> = None;
     let mut compact_ratio: f64 = DEFAULT_COMPACT_RATIO;
     let mut queue_limit: Option<usize> = None;
-    let mut io_timeout: Option<std::time::Duration> = None;
     let mut max_pipeline_entries: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
@@ -63,12 +59,6 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            "--io-timeout-ms" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                // A zero socket timeout is an error at `set_read_timeout`
-                // time; catch the config mistake here instead.
-                Some(ms) if ms > 0 => io_timeout = Some(std::time::Duration::from_millis(ms)),
-                _ => return usage(),
-            },
             "--compact-ratio" => {
                 let Some(raw) = args.next() else {
                     eprintln!("shadowdpd: --compact-ratio needs a value");
@@ -110,7 +100,6 @@ fn main() -> ExitCode {
         threads,
         compact_ratio,
         queue_limit,
-        io_timeout,
         max_pipeline_entries,
     }) {
         Ok(()) => ExitCode::SUCCESS,

@@ -61,15 +61,11 @@
 //!   journal covers queued and running jobs. A daemon killed mid-job
 //!   re-verifies the journaled submissions on restart, so an accepted job
 //!   is never silently lost.
-//!   The journal reuses the store's framing discipline: an 8-byte magic
-//!   (`SDPJRNL1`) then per-record `u32` LE payload length + payload (one
-//!   encoded `SUBMIT` line) + 16-byte LE fnv128 of the payload; replay
-//!   stops at the first torn, corrupt or unparseable record, keeping the
-//!   valid prefix, and the journal is rewritten to that prefix once the
-//!   daemon owns its socket.
-//! - **I/O deadlines** — [`DaemonConfig::io_timeout`] puts read/write
-//!   timeouts on every connection so a stalled client cannot wedge a
-//!   handler thread forever (it also bounds idle connection lifetime).
+//!   The journal is a record log like the store (`log.rs` owns the
+//!   framing and the append/rewrite discipline) with magic `SDPJRNL1` and
+//!   one encoded `SUBMIT` line per record. Replay stops at the first torn,
+//!   corrupt or unparseable record, keeping the valid prefix, and the
+//!   journal is rewritten to that prefix once the daemon owns its socket.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader};
@@ -83,6 +79,7 @@ use shadowdp::{CorpusOutcome, JobSpec, Phase, Pipeline, PipelineError, PipelineR
 use shadowdp_solver::{QueryMemo, SolverStats};
 use shadowdp_verify::Verdict;
 
+use crate::log::RecordLog;
 use crate::proto::{self, JobOutcome, OutcomeKind, Request, Response, StatusInfo};
 use crate::store::{fnv128, hex128, PipelineEntry, VerdictStore};
 
@@ -257,10 +254,6 @@ pub struct DaemonConfig {
     /// would push `pending` past this answers `BUSY` instead of queueing;
     /// `None` keeps the queue unbounded (the pre-backpressure behavior).
     pub queue_limit: Option<usize>,
-    /// Read/write timeout for daemon-side connection sockets
-    /// (`--io-timeout-ms`). `None` = no deadline. Note this also bounds
-    /// how long an *idle* connection may sit between requests.
-    pub io_timeout: Option<Duration>,
     /// Cap on pipeline-tier store entries (`--store-max-pipeline-entries`).
     /// After each job's put and before its flush, the least recently
     /// *served* entries past the cap are evicted
@@ -272,8 +265,8 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// A config with defaults for everything but the socket path: no
-    /// store, all cores, [`DEFAULT_COMPACT_RATIO`], unbounded queue, no
-    /// I/O deadline. Construct variants with struct-update syntax:
+    /// store, all cores, [`DEFAULT_COMPACT_RATIO`], unbounded queue.
+    /// Construct variants with struct-update syntax:
     /// `DaemonConfig { store: Some(p), ..DaemonConfig::new(sock) }`.
     pub fn new(socket: impl Into<PathBuf>) -> DaemonConfig {
         DaemonConfig {
@@ -282,135 +275,17 @@ impl DaemonConfig {
             threads: None,
             compact_ratio: DEFAULT_COMPACT_RATIO,
             queue_limit: None,
-            io_timeout: None,
             max_pipeline_entries: None,
         }
     }
 }
 
-/// The in-flight submission journal (see the module docs for the file
-/// format). `Journal` itself is immutable — all state lives in the file —
-/// but appends and resets race each other, so **every call must hold the
-/// daemon's state lock** (lock order: state, then journal file I/O).
-struct Journal {
-    /// `<store>.journal`, or `None` for a storeless (in-memory) daemon,
-    /// where every method is a no-op.
-    path: Option<PathBuf>,
-}
-
+/// The journal's file magic (see the module docs).
 const JOURNAL_MAGIC: &[u8; 8] = b"SDPJRNL1";
 
-impl Journal {
-    fn for_store(store: Option<&std::path::Path>) -> Journal {
-        Journal {
-            path: store.map(|p| crate::sibling_path(p, ".journal")),
-        }
-    }
-
-    /// One framed record: `u32` LE payload length, payload, fnv128 LE.
-    fn frame(line: &str) -> Vec<u8> {
-        let payload = line.as_bytes();
-        let mut out = Vec::with_capacity(4 + payload.len() + 16);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&fnv128(payload).to_le_bytes());
-        out
-    }
-
-    /// Reads back journaled submissions, stopping at the first torn or
-    /// corrupt record (a crash mid-append leaves exactly such a tail).
-    /// A missing or unreadable journal is a quiet empty start. A whole
-    /// record that is not a `SUBMIT` this daemon can parse (an older wire
-    /// encoding, a foreign file) stops the replay with a note: it is
-    /// never guessed at.
-    fn replay(&self) -> Vec<JobSpec> {
-        let Some(path) = &self.path else {
-            return Vec::new();
-        };
-        let Ok(bytes) = std::fs::read(path) else {
-            return Vec::new();
-        };
-        let mut specs = Vec::new();
-        if bytes.len() < JOURNAL_MAGIC.len() || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-            return specs;
-        }
-        let mut off = JOURNAL_MAGIC.len();
-        while let Some(len_bytes) = bytes.get(off..off + 4) {
-            let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-            let Some(payload) = bytes.get(off + 4..off + 4 + len) else {
-                break;
-            };
-            let Some(sum) = bytes.get(off + 4 + len..off + 4 + len + 16) else {
-                break;
-            };
-            if sum != fnv128(payload).to_le_bytes() {
-                break;
-            }
-            match proto::parse_request(std::str::from_utf8(payload).unwrap_or_default()) {
-                Ok(Request::Submit(spec)) => specs.push(spec),
-                other => {
-                    let why = other.map_or_else(|e| e.to_string(), |_| "not a SUBMIT".into());
-                    eprintln!(
-                        "shadowdpd: journal: record {} is unreadable ({why}); it and any \
-                         later records are not re-verified",
-                        specs.len() + 1
-                    );
-                    break;
-                }
-            }
-            off += 4 + len + 16;
-        }
-        specs
-    }
-
-    /// Appends one accepted submission, creating the journal on first
-    /// use, and fsyncs so the entry survives a crash the instant after
-    /// `QUEUED` is acknowledged.
-    fn append(&self, spec: &JobSpec) -> std::io::Result<()> {
-        let Some(path) = &self.path else {
-            return Ok(());
-        };
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        let line = proto::encode_request(&Request::Submit(spec.clone()));
-        let mut bytes = Vec::new();
-        if file.metadata()?.len() == 0 {
-            bytes.extend_from_slice(JOURNAL_MAGIC);
-        }
-        bytes.extend_from_slice(&Self::frame(&line));
-        shadowdp_fault::write_all("journal.append", &mut file, &bytes)?;
-        file.sync_data()
-    }
-
-    /// Rewrites the journal to exactly the still-outstanding submissions
-    /// (atomically, via a temp sibling) — called once the store holds no
-    /// unflushed verdict. An empty outstanding set removes the file.
-    fn reset(&self, outstanding: &[&JobSpec]) -> std::io::Result<()> {
-        let Some(path) = &self.path else {
-            return Ok(());
-        };
-        if outstanding.is_empty() {
-            shadowdp_fault::fail_point("journal.reset")?;
-            return match std::fs::remove_file(path) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-                _ => Ok(()),
-            };
-        }
-        let mut bytes = JOURNAL_MAGIC.to_vec();
-        for spec in outstanding {
-            let line = proto::encode_request(&Request::Submit((*spec).clone()));
-            bytes.extend_from_slice(&Self::frame(&line));
-        }
-        let tmp = crate::sibling_path(path, ".tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            shadowdp_fault::write_all("journal.reset", &mut file, &bytes)?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
+/// A journal record: the submission's encoded `SUBMIT` line.
+fn submit_line(spec: &JobSpec) -> String {
+    proto::encode_request(&Request::Submit(spec.clone()))
 }
 
 /// An accepted submission, queued or running.
@@ -446,31 +321,43 @@ struct State {
     /// submitter with a permanent error. Entries are removed on delivery.
     owners: HashMap<u64, u64>,
     next_id: u64,
+    /// The in-flight journal, `<store>.journal` (`None` without a store).
+    /// Kept here, every journal call holds the state lock, which orders
+    /// appends and rewrites.
+    journal: Option<RecordLog>,
     /// Submissions currently covered by the on-disk journal (reported by
     /// `STATUS`). Incremented per successful append, reset to the
     /// outstanding count after each journal rewrite.
     journaled: u64,
-    /// Monotonic dispatch counter, one per job a worker takes. Stamped
-    /// onto pipeline-tier entries at put/serve time, the recency LRU
-    /// eviction orders by (see [`VerdictStore::stamp_served`]).
-    batch_seq: u64,
     shutdown: bool,
 }
 
 impl State {
+    /// Journals one accepted submission, fsynced so it survives a crash
+    /// the instant after `QUEUED` is acknowledged.
+    fn journal_submit(&mut self, spec: &JobSpec) -> std::io::Result<()> {
+        if let Some(journal) = &mut self.journal {
+            journal.append(submit_line(spec).as_bytes())?;
+        }
+        self.journaled += 1;
+        Ok(())
+    }
+
     /// Rewrites the journal to every accepted submission whose verdict may
     /// not be durable yet — running, then pending, so in id order. Call
     /// only after checking, with the store locked, that it holds no
     /// unflushed verdict, and without releasing this state since.
-    fn reset_journal(&mut self, journal: &Journal) -> std::io::Result<()> {
-        let outstanding: Vec<&JobSpec> = self
+    fn reset_journal(&mut self) -> std::io::Result<()> {
+        let lines: Vec<String> = self
             .running
             .iter()
             .chain(&self.pending)
-            .map(|s| &s.spec)
+            .map(|s| submit_line(&s.spec))
             .collect();
-        journal.reset(&outstanding)?;
-        self.journaled = outstanding.len() as u64;
+        if let Some(journal) = &mut self.journal {
+            journal.rewrite(&lines)?;
+        }
+        self.journaled = lines.len() as u64;
         JOURNAL_ENTRIES.set(self.journaled);
         Ok(())
     }
@@ -486,13 +373,12 @@ struct Shared {
     published: Condvar,
     store: Mutex<VerdictStore>,
     memo: Arc<QueryMemo>,
-    journal: Journal,
     config: DaemonConfig,
 }
 
 impl Shared {
-    /// The queue state. Lock order: the store (if held) before the state,
-    /// and journal file I/O only under the state lock.
+    /// The queue state, journal included. Lock order: the store (if held)
+    /// before the state.
     fn state(&self) -> MutexGuard<'_, State> {
         self.state
             .lock()
@@ -608,10 +494,34 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     // verdicts were flushed: requeue them ownerless. Nobody collects the
     // outcomes (the submitting connections are gone), but the verdicts
     // land in the store, so resubmitting clients get store hits.
-    let journal = Journal::for_store(config.store.as_deref());
     let mut initial = State::default();
+    let mut replayed = Vec::new();
+    initial.journal = config.store.as_deref().map(|store| {
+        // A whole record that is not a `SUBMIT` this daemon can parse (an
+        // older wire encoding, a foreign file) stops the replay with a
+        // note: it is never guessed at.
+        let accept = |payload: &[u8]| match proto::parse_request(
+            std::str::from_utf8(payload).unwrap_or_default(),
+        ) {
+            Ok(Request::Submit(spec)) => {
+                replayed.push(spec);
+                true
+            }
+            other => {
+                let why = other.map_or_else(|e| e.to_string(), |_| "not a SUBMIT".into());
+                eprintln!(
+                    "shadowdpd: journal: record {} is unreadable ({why}); it and any \
+                     later records are not re-verified",
+                    replayed.len() + 1
+                );
+                false
+            }
+        };
+        let path = crate::sibling_path(store, ".journal");
+        RecordLog::open(path, JOURNAL_MAGIC, "journal", accept).0
+    });
     let started = Instant::now();
-    for spec in journal.replay() {
+    for spec in replayed {
         let id = initial.next_id;
         initial.next_id += 1;
         initial.pending.push_back(Submission {
@@ -683,7 +593,7 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     // daemon per store (and so per journal): the bind lock serializes
     // the socket only, and a second daemon on another socket with the
     // same `--store` would replay and rewrite the same journal.
-    if let Err(e) = initial.reset_journal(&journal) {
+    if let Err(e) = initial.reset_journal() {
         eprintln!("shadowdpd: journal reset after replay failed: {e}");
     }
 
@@ -697,7 +607,6 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
         published: Condvar::new(),
         store: Mutex::new(store),
         memo,
-        journal,
         config,
     });
 
@@ -742,16 +651,14 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
 }
 
 /// Blocks until a job is pending, then moves the oldest one to `running`
-/// and returns it with its dispatch stamp; `None` once shutdown has begun
-/// and nothing is pending.
-fn take(shared: &Shared) -> Option<(Submission, u64)> {
+/// and returns it; `None` once shutdown has begun and nothing is pending.
+fn take(shared: &Shared) -> Option<Submission> {
     let mut st = shared.state();
     loop {
         if let Some(job) = st.pending.pop_front() {
             st.running.push(job.clone());
-            st.batch_seq += 1;
             QUEUE_DEPTH.set(st.pending.len() as u64);
-            return Some((job, st.batch_seq));
+            return Some(job);
         }
         if st.shutdown {
             return None;
@@ -767,7 +674,11 @@ fn take(shared: &Shared) -> Option<(Submission, u64)> {
 /// lookup to published outcome, until shutdown leaves nothing pending.
 fn work(shared: &Shared) {
     let pipeline = Pipeline::new();
-    while let Some((job, seq)) = take(shared) {
+    while let Some(job) = take(shared) {
+        // Workers take the oldest pending job under the state lock, so
+        // dispatch order is id order and the id is a recency stamp for
+        // LRU eviction (+ 1: stamp 0 means never served).
+        let stamp = job.id + 1;
         let picked = Instant::now();
         let mut span = shadowdp_obs::span("daemon.batch");
         BATCHES.inc();
@@ -794,7 +705,7 @@ fn work(shared: &Shared) {
                 &SolverStats::default(),
             );
             // Serve-time stamp: this dispatch is the entry's last use.
-            store.stamp_served(&job.spec, seq);
+            store.stamp_served(&job.spec, stamp);
             STORE_HITS_TOTAL.inc();
             outcome
         } else {
@@ -809,7 +720,7 @@ fn work(shared: &Shared) {
                     );
                     verified_in = Some((start, Instant::now()));
                     store = shared.store();
-                    persist(shared, &mut store, &job, seq, &verified)
+                    persist(shared, &mut store, &job, stamp, &verified)
                 }
                 Err(e) => job_outcome(
                     job.id,
@@ -830,10 +741,7 @@ fn work(shared: &Shared) {
         JOBS_DONE.inc();
         MEMO_ENTRIES.set(shared.memo.len() as u64);
         if shadowdp_obs::armed() {
-            span.set_label(&format!(
-                "seq={seq} id={} store_hit={}",
-                job.id, outcome.from_store
-            ));
+            span.set_label(&format!("id={} store_hit={}", job.id, outcome.from_store));
         }
 
         // A clean store means every verdict put so far is on disk, this
@@ -849,7 +757,7 @@ fn work(shared: &Shared) {
         let clean = store.dirty_len() == 0;
         drop(store);
         if clean {
-            if let Err(e) = st.reset_journal(&shared.journal) {
+            if let Err(e) = st.reset_journal() {
                 eprintln!("shadowdpd: journal reset failed (will retry): {e}");
             }
         }
@@ -884,7 +792,7 @@ fn persist(
     shared: &Shared,
     store: &mut VerdictStore,
     job: &Submission,
-    seq: u64,
+    stamp: u64,
     verified: &CorpusOutcome,
 ) -> JobOutcome {
     let report = &verified.reports[0];
@@ -920,7 +828,7 @@ fn persist(
             },
         );
         // Put-time stamp: the entry's first use.
-        store.stamp_served(&job.spec, seq);
+        store.stamp_served(&job.spec, stamp);
     }
     // O(job), not O(store): drain only what has been solved since the
     // last drain and append it as one delta record. A failed flush keeps
@@ -993,7 +901,7 @@ fn close_store(shared: &Shared) {
     if store.dirty_len() == 0 {
         // Everything is persisted and the queue drained; an empty journal
         // (removed file) marks the shutdown as clean.
-        if let Err(e) = shared.state().reset_journal(&shared.journal) {
+        if let Err(e) = shared.state().reset_journal() {
             eprintln!("shadowdpd: shutdown journal reset failed: {e}");
         }
     }
@@ -1033,11 +941,6 @@ fn write_response(writer: &mut UnixStream, resp: &Response) -> std::io::Result<(
 
 /// The request/response loop behind [`handle`].
 fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> {
-    // Per-connection deadlines: a peer that stops reading or writing
-    // cannot wedge this handler thread past the configured timeout
-    // (`None` keeps the pre-hardening blocking behavior).
-    stream.set_read_timeout(shared.config.io_timeout)?;
-    stream.set_write_timeout(shared.config.io_timeout)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     for line in reader.lines() {
@@ -1107,11 +1010,10 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                     // the wire the submission must survive a daemon
                     // crash. A failed append degrades durability, not
                     // availability — the job still runs in this process.
-                    match shared.journal.append(&spec) {
-                        Ok(()) => st.journaled += 1,
-                        Err(e) => eprintln!(
+                    if let Err(e) = st.journal_submit(&spec) {
+                        eprintln!(
                             "shadowdpd: journal append failed (submission accepted unjournaled): {e}"
-                        ),
+                        );
                     }
                     let id = st.next_id;
                     st.next_id += 1;

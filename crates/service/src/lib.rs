@@ -47,6 +47,7 @@
 
 pub mod client;
 pub mod daemon;
+mod log;
 pub mod proto;
 pub mod store;
 

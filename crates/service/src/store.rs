@@ -18,14 +18,13 @@
 //!
 //! # On-disk format (v2)
 //!
-//! A hand-rolled little-endian binary log (the format is simple enough
-//! that a schema language would cost more than it buys):
+//! A record log (`log.rs` owns the framing and the disk discipline) with
+//! magic `b"SDPVERD2"` and hand-rolled little-endian payloads (the format
+//! is simple enough that a schema language would cost more than it
+//! buys):
 //!
 //! ```text
-//! magic   b"SDPVERD2"
-//! record* u32  payload length
-//!         payload:
-//!           u8  kind (0 = base, 1 = delta)
+//! payload   u8  kind (0 = base, 1 = delta)
 //!           u64 solver entry count
 //!               per entry: u128 fingerprint, u8 tag (0 = Unsat, 1 = Sat);
 //!               Sat carries a Model: u8 possibly_spurious,
@@ -37,7 +36,6 @@
 //!                          u32 digest len, digest bytes,
 //!                          u8 deps tag (0 = unknown, 1 = known);
 //!                          known ⇒ u64 dep count, count × u128 fingerprint
-//!         u128 FNV-1a-128 checksum of the payload
 //! ```
 //!
 //! Replay starts from empty state; a **base** record resets it (compaction
@@ -46,22 +44,23 @@
 //! checksum, so a torn tail — a crash mid-append — **truncates the log to
 //! the last valid record** instead of cold-starting the whole store; only
 //! a damaged or unknown header falls back to a cold (empty) cache. The
-//! store never panics and never half-loads a record.
+//! store never panics and never half-loads a record: a checksum-valid
+//! payload that does not decode ends the replay like a torn one.
 //!
-//! Appends first truncate the file back to the last known-valid length
-//! (dropping any torn tail a crashed sibling left), then write + fsync.
 //! **Compaction** ([`VerdictStore::compact`]) rewrites the whole log as
-//! one base record — atomically: sibling temp file, fsync, `rename` —
-//! dropping both superseded log records and solver-tier entries
-//! unreachable from any pipeline-tier job's dependency set.
+//! one base record — atomically — dropping both superseded log records
+//! and solver-tier entries unreachable from any pipeline-tier job's
+//! dependency set.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Seek};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 
 use shadowdp::JobSpec;
 use shadowdp_num::Rat;
 use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo};
+
+use crate::log::{self, RecordLog};
 
 /// The v2 file magic: format name + version. Bump the trailing digit on
 /// any layout change — old daemons then treat new files as corrupt (cold
@@ -132,7 +131,8 @@ pub struct CompactStats {
 /// format and durability contract.
 #[derive(Debug)]
 pub struct VerdictStore {
-    path: Option<PathBuf>,
+    /// The backing log; `None` for an in-memory store.
+    log: Option<RecordLog>,
     solver: HashMap<Fingerprint, CheckResult>,
     pipeline: HashMap<u128, PipelineEntry>,
     /// Solver keys added (or re-solved) since the last successful flush;
@@ -140,10 +140,6 @@ pub struct VerdictStore {
     dirty_solver: Vec<Fingerprint>,
     /// Pipeline keys added or overwritten since the last successful flush.
     dirty_pipeline: Vec<u128>,
-    /// Byte length of the valid log prefix on disk. Appends truncate back
-    /// to this first, so a torn tail from a crashed append can never
-    /// corrupt the middle of the log.
-    log_valid_len: u64,
     /// Entries (solver + pipeline) across every record currently in the
     /// log, superseded ones included — the denominator of the live/dead
     /// compaction ratio.
@@ -153,9 +149,8 @@ pub struct VerdictStore {
     /// orders by. In-memory only (a restart resets them — eviction should
     /// act on traffic the current process observed).
     batch_stamps: HashMap<u128, u64>,
-    /// The next flush must rewrite the whole log (missing file, damaged or
-    /// unknown header, or an append whose partial write could not be
-    /// rolled back).
+    /// An LRU eviction dropped entries since the last rewrite; the log has
+    /// no tombstones, so only a whole rewrite forgets them.
     needs_rewrite: bool,
     /// Why the last load fell back to cold or dropped a tail, if it did
     /// (missing file is not noted — a first run is expected to be cold).
@@ -163,26 +158,21 @@ pub struct VerdictStore {
 }
 
 impl VerdictStore {
-    fn empty(path: Option<PathBuf>) -> VerdictStore {
+    /// An empty store with no backing file ([`VerdictStore::flush`] only
+    /// resets the dirty tracking). Used by ephemeral daemons and unit
+    /// tests.
+    pub fn in_memory() -> VerdictStore {
         VerdictStore {
-            path,
+            log: None,
             solver: HashMap::new(),
             pipeline: HashMap::new(),
             dirty_solver: Vec::new(),
             dirty_pipeline: Vec::new(),
             batch_stamps: HashMap::new(),
-            log_valid_len: 0,
             logged_entries: 0,
-            needs_rewrite: true,
+            needs_rewrite: false,
             load_note: None,
         }
-    }
-
-    /// An empty store with no backing file ([`VerdictStore::flush`] only
-    /// resets the dirty tracking). Used by ephemeral daemons and unit
-    /// tests.
-    pub fn in_memory() -> VerdictStore {
-        VerdictStore::empty(None)
     }
 
     /// Opens the store at `path`, replaying any previous log. A missing
@@ -191,35 +181,12 @@ impl VerdictStore {
     /// [`VerdictStore::load_note`] explaining what happened. This
     /// constructor never fails and never panics on file contents.
     pub fn load(path: impl Into<PathBuf>) -> VerdictStore {
-        let path = path.into();
-        let mut store = VerdictStore::empty(Some(path.clone()));
-        let Ok(bytes) = std::fs::read(&path) else {
-            return store; // missing (or unreadable): cold start
-        };
-        match replay_v2(&bytes) {
-            Err(e) => {
-                store.load_note = Some(format!(
-                    "store {} unusable ({e}); starting cold",
-                    path.display()
-                ));
-            }
-            Ok(replayed) => {
-                store.solver = replayed.solver;
-                store.pipeline = replayed.pipeline;
-                store.log_valid_len = replayed.valid_len;
-                store.logged_entries = replayed.logged_entries;
-                store.needs_rewrite = false;
-                if replayed.valid_len < bytes.len() as u64 {
-                    store.load_note = Some(format!(
-                        "store {}: dropped {} trailing bytes after the last valid \
-                         record ({} records replayed)",
-                        path.display(),
-                        bytes.len() as u64 - replayed.valid_len,
-                        replayed.records,
-                    ));
-                }
-            }
-        }
+        let mut store = VerdictStore::in_memory();
+        let (log, note) = RecordLog::open(path.into(), MAGIC_V2, "store", |payload| {
+            store.merge_record(payload).is_some()
+        });
+        store.log = Some(log);
+        store.load_note = note;
         store
     }
 
@@ -253,9 +220,9 @@ impl VerdictStore {
     }
 
     /// Byte length of the valid log prefix on disk (0 for in-memory or
-    /// not-yet-flushed stores).
+    /// not-yet-flushed stores, and while the next flush must rewrite).
     pub fn log_bytes(&self) -> u64 {
-        self.log_valid_len
+        self.log.as_ref().map_or(0, RecordLog::len)
     }
 
     /// Entries waiting for the next flush (both tiers, duplicates
@@ -269,7 +236,7 @@ impl VerdictStore {
     /// is clamped below at 1.0 (a log can never be smaller than live
     /// state); `f64::INFINITY` disables ratio-triggered compaction.
     pub fn wants_compaction(&self, ratio: f64) -> bool {
-        if self.path.is_none() {
+        if self.log.is_none() {
             return false;
         }
         let live = self.live_entries().max(1) as f64;
@@ -336,21 +303,22 @@ impl VerdictStore {
         self.dirty_pipeline.push(key);
     }
 
-    /// Stamps a pipeline-tier entry with the batch sequence number that
-    /// last wrote or served it (no-op for an absent entry). The daemon
-    /// calls this at `pipeline_put` time and whenever the store answers
-    /// a resubmission — so the stamp is a last-use mark, the recency
+    /// Stamps a pipeline-tier entry with a recency mark that grows with
+    /// each use (no-op for an absent entry); the daemon stamps with the
+    /// job id + 1, since 0 means never served. It calls this at
+    /// `pipeline_put` time and whenever the store answers a resubmission —
+    /// so the stamp is a last-use mark, the recency
     /// [`VerdictStore::evict_pipeline_lru`] orders by.
-    pub fn stamp_served(&mut self, spec: &JobSpec, batch_seq: u64) {
+    pub fn stamp_served(&mut self, spec: &JobSpec, stamp: u64) {
         let key = Self::job_key(spec);
         if self.pipeline.contains_key(&key) {
-            self.batch_stamps.insert(key, batch_seq);
+            self.batch_stamps.insert(key, stamp);
         }
     }
 
     /// Evicts least-recently-used pipeline-tier entries until at most
     /// `max` remain, returning how many were dropped. Recency is the
-    /// in-memory last-served batch stamp ([`VerdictStore::stamp_served`]);
+    /// in-memory last-served stamp ([`VerdictStore::stamp_served`]);
     /// entries never served by this process count as stamp 0, i.e.
     /// coldest, and ties break by key so eviction is deterministic. The
     /// log format has no tombstones, so any eviction schedules a full
@@ -398,13 +366,11 @@ impl VerdictStore {
     /// Persists everything recorded since the last successful flush.
     ///
     /// Steady state this **appends one delta record** — O(batch), not
-    /// O(store): the record holds only the dirty entries, framed with its
-    /// own checksum, written after truncating away any torn tail a
-    /// previous crash left. The whole log is rewritten instead (atomic
-    /// temp + fsync + rename) when there is no valid v2 log to append to:
-    /// first flush, a damaged or unknown header, or a failed append that
-    /// could not be rolled back. With nothing dirty this is a
-    /// no-op.
+    /// O(store): the record holds only the dirty entries. The whole log is
+    /// rewritten instead as one base record when there is no valid log to
+    /// append to (first flush, a damaged or unknown header, or a failed
+    /// append that could not be cut back) and after an LRU eviction. With
+    /// nothing dirty this is a no-op.
     ///
     /// # Errors
     ///
@@ -412,14 +378,14 @@ impl VerdictStore {
     /// the next successful flush (or the final flush at shutdown) persists
     /// it, so a transient write error costs latency, never verdicts.
     pub fn flush(&mut self) -> io::Result<()> {
-        if self.path.is_none() {
+        let Some(log) = &self.log else {
             // In-memory stores have nothing to persist; drop the tracking
             // so it cannot grow without bound.
             self.dirty_solver.clear();
             self.dirty_pipeline.clear();
             return Ok(());
-        }
-        if self.needs_rewrite {
+        };
+        if self.needs_rewrite || log.len() == 0 {
             return self.rewrite(None);
         }
         if self.dirty_solver.is_empty() && self.dirty_pipeline.is_empty() {
@@ -430,10 +396,9 @@ impl VerdictStore {
 
     /// Compacts the log: drops solver-tier entries unreachable from any
     /// pipeline-tier job's dependency set, then atomically rewrites the
-    /// whole log as one base record (temp + fsync + rename — a crash at
-    /// any byte leaves either the old log or the new one, never a mix).
-    /// Pending dirty entries are folded in, so a clean-shutdown compaction
-    /// subsumes the final flush.
+    /// whole log as one base record (a crash at any byte leaves either the
+    /// old log or the new one, never a mix). Pending dirty entries are
+    /// folded in, so a clean-shutdown compaction subsumes the final flush.
     ///
     /// Pipeline entries with unknown dependencies conservatively pin every
     /// solver entry.
@@ -469,134 +434,66 @@ impl VerdictStore {
         })
     }
 
-    /// Atomically rewrites the whole log as magic + one base record,
-    /// keeping only the solver entries in `keep` (`None` = all). The
-    /// in-memory solver tier is pruned only *after* the write succeeds,
-    /// so a failed compaction forgets nothing — and the filter works on
-    /// borrowed entries, so no value is cloned either way.
+    /// Atomically rewrites the whole log as one base record, keeping only
+    /// the solver entries in `keep` (`None` = all). The in-memory solver
+    /// tier is pruned only *after* the write succeeds, so a failed
+    /// compaction forgets nothing — and the filter works on borrowed
+    /// entries, so no value is cloned either way. An in-memory store only
+    /// prunes (so its compaction stats stay truthful and the memory is
+    /// reclaimed) and resets its dirty tracking.
     fn rewrite(&mut self, keep: Option<&HashSet<Fingerprint>>) -> io::Result<()> {
-        let Some(path) = self.path.clone() else {
-            // In-memory: nothing to write, but the pruning (so an
-            // in-memory compaction's stats stay truthful and the memory
-            // is actually reclaimed) and dirty-tracking reset still
-            // apply.
-            if let Some(keep) = keep {
-                self.solver.retain(|k, _| keep.contains(k));
-            }
-            self.dirty_solver.clear();
-            self.dirty_pipeline.clear();
-            return Ok(());
-        };
-        let solver: Vec<(&Fingerprint, &CheckResult)> = self
-            .solver
-            .iter()
-            .filter(|(k, _)| keep.is_none_or(|keep| keep.contains(*k)))
-            .collect();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
-        let record_entries = (solver.len() + self.pipeline.len()) as u64;
-        append_record(
-            &mut bytes,
-            KIND_BASE,
-            solver,
-            self.pipeline.iter().collect(),
-        )?;
-
-        let tmp = tmp_path(&path);
-        {
-            shadowdp_fault::fail_point("store.rewrite.create")?;
-            let mut file = std::fs::File::create(&tmp)?;
-            shadowdp_fault::write_all("store.rewrite.write", &mut file, &bytes)?;
-            shadowdp_fault::fail_point("store.rewrite.sync")?;
-            file.sync_all()?;
-        }
-        shadowdp_fault::fail_point("store.rewrite.rename")?;
-        if let Err(e) = std::fs::rename(&tmp, &path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
+        if let Some(log) = &mut self.log {
+            let solver: Vec<(&Fingerprint, &CheckResult)> = self
+                .solver
+                .iter()
+                .filter(|(k, _)| keep.is_none_or(|keep| keep.contains(*k)))
+                .collect();
+            let entries = (solver.len() + self.pipeline.len()) as u64;
+            log.rewrite(&[encode_record(
+                KIND_BASE,
+                solver,
+                self.pipeline.iter().collect(),
+            )])?;
+            self.logged_entries = entries;
         }
         if let Some(keep) = keep {
             self.solver.retain(|k, _| keep.contains(k));
         }
-        self.log_valid_len = bytes.len() as u64;
-        self.logged_entries = record_entries;
         self.needs_rewrite = false;
         self.dirty_solver.clear();
         self.dirty_pipeline.clear();
         Ok(())
     }
 
-    /// Appends one delta record holding the dirty entries: truncate to the
-    /// last known-valid length (drops any torn tail), write, fsync. On
-    /// failure the file is rolled back to the valid prefix (or, if even
-    /// that fails, the next flush falls back to a full rewrite) and the
-    /// dirty delta is kept.
+    /// Appends one delta record holding the dirty entries. On failure the
+    /// dirty delta is kept for the next flush.
     fn append_delta(&mut self) -> io::Result<()> {
-        let path = self.path.clone().expect("append requires a backing file");
-
         // Dedup against the live maps: the last value for a key wins, and
         // a key dirtied twice encodes once.
-        let mut solver_keys = std::mem::take(&mut self.dirty_solver);
-        solver_keys.sort();
-        solver_keys.dedup();
-        let mut pipeline_keys = std::mem::take(&mut self.dirty_pipeline);
-        pipeline_keys.sort();
-        pipeline_keys.dedup();
-        let delta_solver: Vec<(&Fingerprint, &CheckResult)> = solver_keys
+        self.dirty_solver.sort();
+        self.dirty_solver.dedup();
+        self.dirty_pipeline.sort();
+        self.dirty_pipeline.dedup();
+        let solver: Vec<(&Fingerprint, &CheckResult)> = self
+            .dirty_solver
             .iter()
             .filter_map(|k| self.solver.get_key_value(k))
             .collect();
-        let delta_pipeline: Vec<(&u128, &PipelineEntry)> = pipeline_keys
+        let pipeline: Vec<(&u128, &PipelineEntry)> = self
+            .dirty_pipeline
             .iter()
             .filter_map(|k| self.pipeline.get_key_value(k))
             .collect();
-        let record_entries = (delta_solver.len() + delta_pipeline.len()) as u64;
-
-        let mut bytes = Vec::new();
-        if let Err(e) = append_record(&mut bytes, KIND_DELTA, delta_solver, delta_pipeline) {
-            self.dirty_solver = solver_keys;
-            self.dirty_pipeline = pipeline_keys;
-            return Err(e);
-        }
-
-        let restore_dirty = |store: &mut VerdictStore| {
-            store.dirty_solver = solver_keys.clone();
-            store.dirty_pipeline = pipeline_keys.clone();
-        };
-        let result = (|| -> io::Result<()> {
-            shadowdp_fault::fail_point("store.append.open")?;
-            let mut file = std::fs::OpenOptions::new().write(true).open(&path)?;
-            shadowdp_fault::fail_point("store.append.setlen")?;
-            file.set_len(self.log_valid_len)?;
-            file.seek(io::SeekFrom::Start(self.log_valid_len))?;
-            shadowdp_fault::write_all("store.append.write", &mut file, &bytes)?;
-            shadowdp_fault::fail_point("store.append.sync")?;
-            file.sync_all()?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.log_valid_len += bytes.len() as u64;
-                self.logged_entries += record_entries;
-                Ok(())
-            }
-            Err(e) => {
-                restore_dirty(self);
-                // Roll the file back to the valid prefix; if that fails
-                // too, the log may carry a torn tail we can no longer
-                // truncate here — replay would recover, but the safe move
-                // is a full rewrite on the next flush.
-                let rolled_back = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .and_then(|f| f.set_len(self.log_valid_len))
-                    .is_ok();
-                if !rolled_back {
-                    self.needs_rewrite = true;
-                }
-                Err(e)
-            }
-        }
+        let entries = (solver.len() + pipeline.len()) as u64;
+        let record = encode_record(KIND_DELTA, solver, pipeline);
+        self.log
+            .as_mut()
+            .expect("only a store with a backing log appends")
+            .append(&record)?;
+        self.logged_entries += entries;
+        self.dirty_solver.clear();
+        self.dirty_pipeline.clear();
+        Ok(())
     }
 
     /// Serializes the current contents as a complete v2 image (magic + one
@@ -608,23 +505,84 @@ impl VerdictStore {
     /// Panics if the store exceeds the 4 GiB single-record frame limit
     /// (the fallible write paths return an error instead).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC_V2);
-        append_record(
-            &mut out,
+        let record = encode_record(
             KIND_BASE,
             self.solver.iter().collect(),
             self.pipeline.iter().collect(),
-        )
-        .expect("store fits in one record frame");
-        out
+        );
+        log::image(MAGIC_V2, &[record]).expect("store fits in one record frame")
     }
-}
 
-/// The sibling temp path a rewrite stages into (same directory, so the
-/// final rename never crosses a filesystem).
-fn tmp_path(path: &Path) -> PathBuf {
-    crate::sibling_path(path, ".tmp")
+    /// Decodes one record payload and merges it into the tiers — a base
+    /// record first resets them. `None` (nothing merged) for a payload
+    /// that does not decode: the checksum matched, so only a buggy or
+    /// hostile writer seals one, but it is still bounds-checked and
+    /// rejected, never half-loaded.
+    fn merge_record(&mut self, payload: &[u8]) -> Option<()> {
+        let mut cur = Cursor {
+            bytes: payload,
+            at: 0,
+        };
+        let kind = cur.u8()?;
+        if kind != KIND_BASE && kind != KIND_DELTA {
+            return None;
+        }
+
+        let mut solver = Vec::new();
+        let solver_count = cur.u64()?;
+        for _ in 0..solver_count {
+            let fp = Fingerprint(cur.u128()?);
+            let result = decode_check_result(&mut cur)?;
+            solver.push((fp, result));
+        }
+
+        let mut pipeline = Vec::new();
+        let pipeline_count = cur.u64()?;
+        for _ in 0..pipeline_count {
+            let key = cur.u128()?;
+            let ok = match cur.u8()? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            };
+            let verdict = cur.string()?;
+            let digest = cur.string()?;
+            let deps = match cur.u8()? {
+                0 => None,
+                1 => {
+                    let n = cur.u64()?;
+                    let mut deps = Vec::new();
+                    for _ in 0..n {
+                        deps.push(Fingerprint(cur.u128()?));
+                    }
+                    Some(deps)
+                }
+                _ => return None,
+            };
+            pipeline.push((
+                key,
+                PipelineEntry {
+                    ok,
+                    verdict,
+                    digest,
+                    deps,
+                },
+            ));
+        }
+        if cur.at != payload.len() {
+            return None;
+        }
+
+        if kind == KIND_BASE {
+            self.solver.clear();
+            self.pipeline.clear();
+            self.logged_entries = 0;
+        }
+        self.logged_entries += (solver.len() + pipeline.len()) as u64;
+        self.solver.extend(solver);
+        self.pipeline.extend(pipeline);
+        Some(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -657,23 +615,14 @@ fn encode_check_result(out: &mut Vec<u8>, result: &CheckResult) {
     }
 }
 
-/// Encodes one framed record (length + payload + checksum) onto `out`.
-/// Entries are sorted by key so identical contents frame identically.
-///
-/// # Errors
-///
-/// A payload over the u32 frame-length limit (4 GiB in one record) is
-/// refused rather than silently wrapped — a wrapped length would make
-/// the record (for a compaction base record: the whole store) read back
-/// as a torn tail and be dropped on the next load.
-fn append_record(
-    out: &mut Vec<u8>,
+/// Encodes one record payload. Entries are sorted by key so identical
+/// contents encode identically.
+fn encode_record(
     kind: u8,
     mut solver: Vec<(&Fingerprint, &CheckResult)>,
     mut pipeline: Vec<(&u128, &PipelineEntry)>,
-) -> io::Result<()> {
-    let mut payload = Vec::new();
-    payload.push(kind);
+) -> Vec<u8> {
+    let mut payload = vec![kind];
 
     solver.sort_by_key(|(k, _)| **k);
     payload.extend_from_slice(&(solver.len() as u64).to_le_bytes());
@@ -700,49 +649,12 @@ fn append_record(
             }
         }
     }
-
-    let Ok(frame_len) = u32::try_from(payload.len()) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "record payload ({} bytes) exceeds the u32 frame limit; \
-                 the store has outgrown the single-record format",
-                payload.len()
-            ),
-        ));
-    };
-    out.extend_from_slice(&frame_len.to_le_bytes());
-    let checksum = fnv128(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    Ok(())
+    payload
 }
 
 // ---------------------------------------------------------------------------
-// Decoding (bounds-checked; a bad record truncates, a bad header rejects)
+// Decoding (bounds-checked; a record that does not decode ends the replay)
 // ---------------------------------------------------------------------------
-
-/// Why a store image (or one of its records) was rejected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum DecodeError {
-    /// File shorter than its magic, or a record ran off the end.
-    Truncated,
-    /// Magic bytes don't match (wrong file, or another format version).
-    BadMagic,
-    /// A structurally invalid record (unknown tag, non-UTF-8 name,
-    /// zero denominator).
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "truncated"),
-            DecodeError::BadMagic => write!(f, "bad magic"),
-            DecodeError::Malformed(what) => write!(f, "malformed {what}"),
-        }
-    }
-}
 
 struct Cursor<'a> {
     bytes: &'a [u8],
@@ -750,174 +662,41 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.at.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let slice = self.bytes.get(self.at..self.at.checked_add(n)?)?;
+        self.at += n;
+        Some(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
 
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    fn u128(&mut self) -> Result<u128, DecodeError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+    fn u128(&mut self) -> Option<u128> {
+        Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
     }
 
-    fn i128(&mut self) -> Result<i128, DecodeError> {
-        Ok(i128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+    fn i128(&mut self) -> Option<i128> {
+        Some(i128::from_le_bytes(self.take(16)?.try_into().ok()?))
     }
 
-    fn string(&mut self) -> Result<String, DecodeError> {
+    fn string(&mut self) -> Option<String> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed("string"))
+        String::from_utf8(self.take(len)?.to_vec()).ok()
     }
 }
 
-/// The result of replaying a v2 log.
-struct Replayed {
-    solver: HashMap<Fingerprint, CheckResult>,
-    pipeline: HashMap<u128, PipelineEntry>,
-    /// Byte length of the valid prefix (magic + every fully valid record).
-    valid_len: u64,
-    /// Records replayed.
-    records: u64,
-    /// Entries across all replayed records (superseded included).
-    logged_entries: u64,
-}
-
-/// Replays a v2 log: magic, then framed records until the end of the file
-/// or the first invalid record. A torn or corrupt record **ends** the
-/// replay (everything before it is kept — the caller truncates there);
-/// only a missing or wrong header is an error.
-fn replay_v2(bytes: &[u8]) -> Result<Replayed, DecodeError> {
-    if bytes.len() < MAGIC_V2.len() {
-        return Err(DecodeError::Truncated);
-    }
-    if &bytes[..MAGIC_V2.len()] != MAGIC_V2 {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut out = Replayed {
-        solver: HashMap::new(),
-        pipeline: HashMap::new(),
-        valid_len: MAGIC_V2.len() as u64,
-        records: 0,
-        logged_entries: 0,
-    };
-    let mut at = MAGIC_V2.len();
-    while at < bytes.len() {
-        let Some(record_end) = try_record(&bytes[at..], &mut out) else {
-            break; // torn/corrupt tail: keep the valid prefix
-        };
-        at += record_end;
-        out.valid_len = at as u64;
-        out.records += 1;
-    }
-    Ok(out)
-}
-
-/// Attempts to decode one framed record at the start of `bytes`, merging
-/// it into `out` on success and returning the record's total framed size.
-/// `None` = the record is torn, corrupt, or malformed (nothing merged).
-fn try_record(bytes: &[u8], out: &mut Replayed) -> Option<usize> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let payload_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-    let total = 4usize.checked_add(payload_len)?.checked_add(16)?;
-    if total > bytes.len() {
-        return None;
-    }
-    let payload = &bytes[4..4 + payload_len];
-    let stored = u128::from_le_bytes(bytes[4 + payload_len..total].try_into().unwrap());
-    if fnv128(payload) != stored {
-        return None;
-    }
-    // The checksum matched, so structural failures below are virtually
-    // impossible (a malformed record was sealed by a buggy or hostile
-    // writer) — but they are still bounds-checked and reject the record.
-    let mut cur = Cursor {
-        bytes: payload,
-        at: 0,
-    };
-    let kind = cur.u8().ok()?;
-    if kind != KIND_BASE && kind != KIND_DELTA {
-        return None;
-    }
-
-    let mut solver = Vec::new();
-    let solver_count = cur.u64().ok()?;
-    for _ in 0..solver_count {
-        let fp = Fingerprint(cur.u128().ok()?);
-        let result = decode_check_result(&mut cur).ok()?;
-        solver.push((fp, result));
-    }
-
-    let mut pipeline = Vec::new();
-    let pipeline_count = cur.u64().ok()?;
-    for _ in 0..pipeline_count {
-        let key = cur.u128().ok()?;
-        let ok = match cur.u8().ok()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let verdict = cur.string().ok()?;
-        let digest = cur.string().ok()?;
-        let deps = match cur.u8().ok()? {
-            0 => None,
-            1 => {
-                let n = cur.u64().ok()?;
-                let mut deps = Vec::new();
-                for _ in 0..n {
-                    deps.push(Fingerprint(cur.u128().ok()?));
-                }
-                Some(deps)
-            }
-            _ => return None,
-        };
-        pipeline.push((
-            key,
-            PipelineEntry {
-                ok,
-                verdict,
-                digest,
-                deps,
-            },
-        ));
-    }
-    if cur.at != payload.len() {
-        return None;
-    }
-
-    // Fully valid: merge. A base record resets replay state.
-    if kind == KIND_BASE {
-        out.solver.clear();
-        out.pipeline.clear();
-        out.logged_entries = 0;
-    }
-    out.logged_entries += (solver.len() + pipeline.len()) as u64;
-    out.solver.extend(solver);
-    out.pipeline.extend(pipeline);
-    Some(total)
-}
-
-fn decode_check_result(cur: &mut Cursor<'_>) -> Result<CheckResult, DecodeError> {
+fn decode_check_result(cur: &mut Cursor<'_>) -> Option<CheckResult> {
     match cur.u8()? {
-        0 => Ok(CheckResult::Unsat),
+        0 => Some(CheckResult::Unsat),
         1 => {
             let possibly_spurious = cur.u8()? != 0;
             let mut model = Model {
@@ -937,7 +716,7 @@ fn decode_check_result(cur: &mut Cursor<'_>) -> Result<CheckResult, DecodeError>
                 // overflow on i128::MIN), breaking load's never-panic
                 // contract.
                 if denom <= 0 || numer == i128::MIN || denom == i128::MIN {
-                    return Err(DecodeError::Malformed("rational"));
+                    return None;
                 }
                 model.reals.insert(name, Rat::new(numer, denom));
             }
@@ -947,9 +726,9 @@ fn decode_check_result(cur: &mut Cursor<'_>) -> Result<CheckResult, DecodeError>
                 let value = cur.u8()? != 0;
                 model.bools.insert(name, value);
             }
-            Ok(CheckResult::Sat(model))
+            Some(CheckResult::Sat(model))
         }
-        _ => Err(DecodeError::Malformed("check-result tag")),
+        _ => None,
     }
 }
 
@@ -982,6 +761,14 @@ mod tests {
         }
     }
 
+    /// Replays an in-memory image the way [`VerdictStore::load`] replays
+    /// a file: the store it rebuilds, and what the replay kept.
+    fn replay_v2(bytes: &[u8]) -> Result<(VerdictStore, log::Replay), &'static str> {
+        let mut store = VerdictStore::in_memory();
+        let kept = log::replay(bytes, MAGIC_V2, |p| store.merge_record(p).is_some())?;
+        Ok((store, kept))
+    }
+
     fn sample_store() -> VerdictStore {
         let mut store = VerdictStore::in_memory();
         store.solver_put(Fingerprint(1), CheckResult::Sat(sample_model()));
@@ -1001,11 +788,11 @@ mod tests {
     #[test]
     fn v2_image_round_trips() {
         let store = sample_store();
-        let replayed = replay_v2(&store.encode()).unwrap();
+        let (replayed, kept) = replay_v2(&store.encode()).unwrap();
         assert_eq!(replayed.solver, store.solver);
         assert_eq!(replayed.pipeline, store.pipeline);
-        assert_eq!(replayed.valid_len, store.encode().len() as u64);
-        assert_eq!(replayed.records, 1);
+        assert_eq!(kept.valid_len, store.encode().len() as u64);
+        assert_eq!(kept.records, 1);
     }
 
     #[test]
@@ -1022,10 +809,10 @@ mod tests {
                     len < MAGIC_V2.len(),
                     "only header damage may reject (len {len}: {e})"
                 ),
-                Ok(replayed) => {
+                Ok((replayed, kept)) => {
                     // The single record is either fully there or fully
                     // dropped — never partially merged.
-                    if (replayed.valid_len as usize) < len + 1 {
+                    if (kept.valid_len as usize) < len + 1 {
                         assert!(replayed.solver.is_empty());
                         assert!(replayed.pipeline.is_empty());
                     }
@@ -1042,7 +829,7 @@ mod tests {
             corrupt[i] ^= 0x40;
             match replay_v2(&corrupt) {
                 Err(_) => panic!("flip at byte {i} must not reject the whole log"),
-                Ok(replayed) => assert!(
+                Ok((replayed, _)) => assert!(
                     replayed.solver.is_empty() && replayed.pipeline.is_empty(),
                     "flip at byte {i} must drop the damaged record"
                 ),
@@ -1068,12 +855,12 @@ mod tests {
         for i in keep_len..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x11;
-            let replayed = replay_v2(&corrupt).unwrap();
-            assert_eq!(replayed.valid_len as usize, keep_len, "flip at {i}");
+            let (replayed, kept) = replay_v2(&corrupt).unwrap();
+            assert_eq!(kept.valid_len as usize, keep_len, "flip at {i}");
             assert_eq!(replayed.solver.len(), 1);
         }
         // And the file as written replays both.
-        let replayed = replay_v2(&bytes).unwrap();
+        let (replayed, _) = replay_v2(&bytes).unwrap();
         assert_eq!(replayed.solver.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -1104,7 +891,7 @@ mod tests {
             bytes.extend_from_slice(&payload);
             bytes.extend_from_slice(&sum.to_le_bytes());
 
-            let replayed = replay_v2(&bytes).unwrap();
+            let (replayed, _) = replay_v2(&bytes).unwrap();
             assert!(
                 replayed.solver.is_empty(),
                 "numer={numer} denom={denom} must drop the record"

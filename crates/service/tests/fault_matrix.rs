@@ -14,8 +14,9 @@
 //!    into re-verification on startup, and one holding a record in the
 //!    old positional encoding replays nothing; accepted submissions stay
 //!    journaled until their verdicts are flushed, also while another
-//!    worker publishes a faster job; a clean shutdown removes the
-//!    journal.
+//!    worker publishes a faster job; a torn append costs only its own
+//!    record, never the submissions journaled after it; a clean shutdown
+//!    removes the journal.
 //! 4. **Backpressure** — a full queue answers `BUSY`, the raw protocol
 //!    and the retrying client both observe it, and the client eventually
 //!    queues once the batch drains.
@@ -38,7 +39,7 @@ mod support;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -449,6 +450,58 @@ fn a_slow_job_does_not_hold_a_fast_one() {
     control.shutdown().expect("shutdown");
     handle.join().expect("daemon exits");
     cleanup(&[&socket, &store]);
+}
+
+/// A torn journal append costs only its own record. Every store flush
+/// fails (so the journal is never rewritten) and the second append tears
+/// after 7 bytes: that submission runs unjournaled, but the third one,
+/// appended after it, must still replay after a restart.
+#[test]
+fn a_torn_journal_append_does_not_hide_later_submissions() {
+    let (socket, store) = temp_paths("journal-torn");
+    let journal = journal_path(&store);
+    let specs = [
+        corpus::laplace_mechanism(),
+        corpus::partial_sum(),
+        corpus::prefix_sum(),
+    ]
+    .map(|alg| JobSpec::new(alg.source));
+    let config = DaemonConfig {
+        store: Some(store.clone()),
+        ..DaemonConfig::new(&socket)
+    };
+
+    let guard = FaultPlan::new()
+        .sticky("store.append.sync", FaultKind::Error, 1)
+        .sticky("store.rewrite.sync", FaultKind::Error, 1)
+        .at("journal.append.write", FaultKind::TornWrite { keep: 7 }, 2)
+        .install();
+    let (handle, mut client) = start_daemon(config.clone());
+    for spec in &specs {
+        client.submit(spec).expect("submit");
+    }
+    assert_eq!(client.status().expect("status").journaled, 2);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    drop(guard);
+
+    // Fault-free restart: both journaled submissions re-verify.
+    let (handle, mut client) = start_daemon(config);
+    wait_status(
+        &mut client,
+        Duration::from_secs(60),
+        "journal replay",
+        |s| s.queued == 0 && s.running == 0,
+    );
+    assert_eq!(client.status().expect("status").done, 2, "jobs replayed");
+    let outcomes = client.run_corpus(&specs).expect("resubmit");
+    let from_store: Vec<bool> = outcomes.iter().map(|o| o.from_store).collect();
+    assert_eq!(from_store, [true, false, true], "{outcomes:?}");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    let tmp = PathBuf::from(format!("{}.tmp", store.display()));
+    cleanup(&[&socket, &store, &journal, &tmp]);
 }
 
 // ---------------------------------------------------------------------

@@ -186,7 +186,6 @@ fn daemon_refuses_to_clobber_a_live_socket() {
         threads: Some(1),
         compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
         queue_limit: None,
-        io_timeout: None,
         max_pipeline_entries: None,
     };
     let run_config = config.clone();

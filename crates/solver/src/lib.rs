@@ -91,8 +91,6 @@ pub mod trail;
 pub use fm::{Constraint, Rel};
 pub use linear::LinExpr;
 pub use solve::{Budget, CheckResult, Model, ProveResult, QueryMemo, Solver, SolverStats};
-#[allow(deprecated)]
-pub use term::with_global_arena;
 pub use term::{
     with_fresh_shard, with_shard, Fingerprint, Symbol, Term, TermArena, TermId, TermNode,
 };

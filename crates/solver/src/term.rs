@@ -42,7 +42,6 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use shadowdp_num::Rat;
@@ -234,40 +233,19 @@ fn mix_str(mut h: u128, s: &str) -> u128 {
 // The arena
 // ---------------------------------------------------------------------------
 
-static ARENA_GENERATIONS: AtomicU64 = AtomicU64::new(0);
-
 /// A deduplicating term store. See the module docs for the two usage modes.
+#[derive(Default)]
 pub struct TermArena {
-    generation: u64,
     nodes: Vec<TermNode>,
     /// Structural fingerprint per node, parallel to `nodes`.
     fps: Vec<u128>,
     dedup: HashMap<TermNode, TermId>,
 }
 
-impl Default for TermArena {
-    fn default() -> Self {
-        TermArena::new()
-    }
-}
-
 impl TermArena {
-    /// Creates an empty arena with a process-unique generation tag.
+    /// Creates an empty arena.
     pub fn new() -> TermArena {
-        TermArena {
-            generation: ARENA_GENERATIONS.fetch_add(1, Ordering::Relaxed),
-            nodes: Vec::new(),
-            fps: Vec::new(),
-            dedup: HashMap::new(),
-        }
-    }
-
-    /// The arena's unique tag. Ids are only meaningful per-arena; any cache
-    /// keyed by raw `TermId`s must qualify them with the generation. (The
-    /// solver's query memo keys on [`TermArena::fingerprint`] instead,
-    /// which is arena-independent by construction.)
-    pub fn generation(&self) -> u64 {
-        self.generation
+        TermArena::default()
     }
 
     /// Number of distinct interned nodes.
@@ -900,13 +878,6 @@ pub fn with_shard<R>(f: impl FnOnce(&mut TermArena) -> R) -> R {
     })
 }
 
-/// Former name of [`with_shard`], from when the arena was a process-wide
-/// mutex rather than per-thread shards.
-#[deprecated(note = "arenas are per-thread shards now; use with_shard")]
-pub fn with_global_arena<R>(f: impl FnOnce(&mut TermArena) -> R) -> R {
-    with_shard(f)
-}
-
 macro_rules! shard_binop {
     ($($(#[$doc:meta])* $name:ident),* $(,)?) => {$(
         $(#[$doc])*
@@ -1182,9 +1153,6 @@ mod tests {
         let x2 = arena.real_var("x");
         let t2 = arena.add(x2, one);
         assert_eq!(t, t2);
-        // Generations differ from this thread's shard.
-        let g = with_shard(|a| a.generation());
-        assert_ne!(arena.generation(), g);
     }
 
     #[test]

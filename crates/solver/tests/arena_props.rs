@@ -521,8 +521,8 @@ fn dropped_arena_entries_are_unreachable() {
         assert!(solver.check_in(&mut a, &[le]).is_sat());
         le
     };
-    // New arena, same construction order → same numeric ids, different
-    // generation.
+    // New arena, same construction order → same numeric ids for a
+    // different structure.
     let mut b = TermArena::new();
     let one = b.int(1);
     let zero = b.int(0);
