@@ -20,7 +20,9 @@
 
 use std::process::ExitCode;
 
-use shadowdp_bench::{check_invariants, compare_gated, parse_bench_json, Comparison};
+use shadowdp_bench::{
+    check_invariants, compare_gated, parse_bench_json, reseed_command, Comparison,
+};
 
 fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
@@ -122,10 +124,10 @@ fn main() -> ExitCode {
              missing), or a machine-independent invariant broke. If an absolute-time change \
              is intentional (or the runner class changed), regenerate the snapshot on the \
              gating machine — the CRITERION_JSON path must be absolute, cargo runs benches \
-             from the bench package dir: \
-             rm {baseline_path} && CRITERION_JSON=\"$PWD/{baseline_path}\" cargo bench -p \
-             shadowdp-bench (or commit the fresh-bench-json artifact a CI run uploads)",
-            threshold * 100.0
+             from the bench package dir: {} (or commit the fresh-bench-json artifact a CI run \
+             uploads)",
+            threshold * 100.0,
+            reseed_command(baseline_path)
         );
         ExitCode::from(1)
     } else {

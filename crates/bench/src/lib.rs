@@ -295,6 +295,19 @@ pub fn compare_gated(
         .collect()
 }
 
+/// The shell command that re-seeds the snapshot at `baseline_path`, for
+/// `bench_compare`'s failure hint. Cargo runs benches from the bench
+/// package's directory, so `CRITERION_JSON` must be absolute: a relative
+/// path gets a `$PWD/` prefix, an absolute one is kept as it is.
+pub fn reseed_command(baseline_path: &str) -> String {
+    let target = if std::path::Path::new(baseline_path).is_absolute() {
+        baseline_path.to_string()
+    } else {
+        format!("$PWD/{baseline_path}")
+    };
+    format!("rm {baseline_path} && CRITERION_JSON=\"{target}\" cargo bench -p shadowdp-bench")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,5 +436,19 @@ mod tests {
         assert_eq!(check_invariants(&resaturating).len(), 1);
         // Missing entries are flagged, not silently skipped.
         assert_eq!(check_invariants(&[]).len(), 5);
+    }
+
+    #[test]
+    fn reseed_command_prefixes_only_relative_paths() {
+        assert_eq!(
+            reseed_command("BENCH_solver.json"),
+            "rm BENCH_solver.json && CRITERION_JSON=\"$PWD/BENCH_solver.json\" cargo bench \
+             -p shadowdp-bench"
+        );
+        assert_eq!(
+            reseed_command("/srv/bench/BENCH_solver.json"),
+            "rm /srv/bench/BENCH_solver.json && CRITERION_JSON=\"/srv/bench/BENCH_solver.json\" \
+             cargo bench -p shadowdp-bench"
+        );
     }
 }

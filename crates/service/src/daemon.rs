@@ -62,10 +62,18 @@
 //!   re-verifies the journaled submissions on restart, so an accepted job
 //!   is never silently lost.
 //!   The journal is a record log like the store (`log.rs` owns the
-//!   framing and the append/rewrite discipline) with magic `SDPJRNL1` and
-//!   one encoded `SUBMIT` line per record. Replay stops at the first torn,
-//!   corrupt or unparseable record, keeping the valid prefix, and the
-//!   journal is rewritten to that prefix once the daemon owns its socket.
+//!   framing and the append/rewrite/clear discipline) with magic
+//!   `SDPJRNL1` and one encoded `SUBMIT` line per record. It is
+//!   append-only while the daemon lives: the first append creates the
+//!   file (and fsyncs the directory), and a finished job does not rewrite
+//!   it. Once the store is clean, a job's record is dead: when nothing is
+//!   queued or running the file is cut back to its magic, and otherwise
+//!   it is rewritten to the outstanding jobs only once
+//!   [`JOURNAL_REWRITE_FLOOR`] records are dead. Replay stops at the first
+//!   torn, corrupt or unparseable record, keeping the valid prefix; once
+//!   the daemon owns its socket the journal is rewritten to that prefix,
+//!   which removes the file if nothing replayed. A clean shutdown removes
+//!   it too.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader};
@@ -147,7 +155,9 @@ static QUEUE_CAPACITY: LazyGauge = LazyGauge::new(
 );
 static JOURNAL_ENTRIES: LazyGauge = LazyGauge::new(
     "shadowdp_journal_entries",
-    "Accepted submissions currently covered by the in-flight journal",
+    "Records in the in-flight journal file: the submissions a crash now \
+     would re-verify (finished jobs' records linger until the journal is \
+     cut back or rewritten)",
 );
 static MEMO_ENTRIES: LazyGauge = LazyGauge::new(
     "shadowdp_memo_entries",
@@ -182,7 +192,7 @@ static JOB_STAGE_US: LazyHistogramFamily = LazyHistogramFamily::new(
     "shadowdp_job_stage_us",
     "Microseconds per stage of each freshly verified job: queue_wait (SUBMIT \
      accepted to taken by a worker), verify (the corpus call), flush (verify \
-     end to outcome published: store lock wait, puts, flush, journal reset)",
+     end to outcome published: store lock wait, puts, flush)",
     "stage",
 );
 
@@ -212,6 +222,7 @@ fn register_metrics() {
     for stage in ["queue_wait", "verify", "flush"] {
         JOB_STAGE_US.with(stage);
     }
+    crate::log::register_metrics();
     // Pipeline + solver metrics live in their own crates; pull them in
     // too, or a warm daemon serving everything from its store would
     // scrape without the solver counters.
@@ -283,6 +294,14 @@ impl DaemonConfig {
 /// The journal's file magic (see the module docs).
 const JOURNAL_MAGIC: &[u8; 8] = b"SDPJRNL1";
 
+/// Dead journal records (finished jobs, verdicts durable) that trigger a
+/// rewrite to the outstanding jobs while some are still queued or
+/// running. A rewrite costs a temp file, two fsyncs and a rename under
+/// the state lock; the floor bounds what a crash re-verifies needlessly
+/// (as store hits) and how far the file grows under a queue that never
+/// drains.
+pub const JOURNAL_REWRITE_FLOOR: u64 = 64;
+
 /// A journal record: the submission's encoded `SUBMIT` line.
 fn submit_line(spec: &JobSpec) -> String {
     proto::encode_request(&Request::Submit(spec.clone()))
@@ -323,12 +342,8 @@ struct State {
     next_id: u64,
     /// The in-flight journal, `<store>.journal` (`None` without a store).
     /// Kept here, every journal call holds the state lock, which orders
-    /// appends and rewrites.
+    /// appends, rewrites and clears.
     journal: Option<RecordLog>,
-    /// Submissions currently covered by the on-disk journal (reported by
-    /// `STATUS`). Incremented per successful append, reset to the
-    /// outstanding count after each journal rewrite.
-    journaled: u64,
     shutdown: bool,
 }
 
@@ -336,30 +351,52 @@ impl State {
     /// Journals one accepted submission, fsynced so it survives a crash
     /// the instant after `QUEUED` is acknowledged.
     fn journal_submit(&mut self, spec: &JobSpec) -> std::io::Result<()> {
-        if let Some(journal) = &mut self.journal {
-            journal.append(submit_line(spec).as_bytes())?;
+        match &mut self.journal {
+            Some(journal) => journal.append(submit_line(spec).as_bytes()),
+            None => Ok(()),
         }
-        self.journaled += 1;
-        Ok(())
+    }
+
+    /// Records in the journal file: the submissions a crash now would
+    /// re-verify (`STATUS journaled`).
+    fn journaled(&self) -> u64 {
+        self.journal.as_ref().map_or(0, RecordLog::records)
     }
 
     /// Rewrites the journal to every accepted submission whose verdict may
-    /// not be durable yet — running, then pending, so in id order. Call
-    /// only after checking, with the store locked, that it holds no
-    /// unflushed verdict, and without releasing this state since.
-    fn reset_journal(&mut self) -> std::io::Result<()> {
+    /// not be durable yet — running, then pending, so in id order; with
+    /// none, this removes the file. Call only after checking, with the
+    /// store locked, that it holds no unflushed verdict, and without
+    /// releasing this state since.
+    fn rewrite_journal(&mut self) -> std::io::Result<()> {
+        let Some(journal) = &mut self.journal else {
+            return Ok(());
+        };
         let lines: Vec<String> = self
             .running
             .iter()
             .chain(&self.pending)
             .map(|s| submit_line(&s.spec))
             .collect();
-        if let Some(journal) = &mut self.journal {
-            journal.rewrite(&lines)?;
+        journal.rewrite(&lines)
+    }
+
+    /// Forgets finished jobs' records, on the same precondition as
+    /// [`State::rewrite_journal`]: with nothing queued or running the
+    /// journal is cut back to its magic, and otherwise it is rewritten
+    /// once [`JOURNAL_REWRITE_FLOOR`] of its records are dead.
+    fn trim_journal(&mut self) -> std::io::Result<()> {
+        let outstanding = (self.running.len() + self.pending.len()) as u64;
+        let Some(journal) = &mut self.journal else {
+            return Ok(());
+        };
+        if outstanding == 0 {
+            journal.clear()
+        } else if journal.records().saturating_sub(outstanding) >= JOURNAL_REWRITE_FLOOR {
+            self.rewrite_journal()
+        } else {
+            Ok(())
         }
-        self.journaled = lines.len() as u64;
-        JOURNAL_ENTRIES.set(self.journaled);
-        Ok(())
     }
 }
 
@@ -535,7 +572,6 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
             "shadowdpd: journal: re-verifying {} in-flight submission(s) from a previous run",
             initial.pending.len()
         );
-        initial.journaled = initial.pending.len() as u64;
         JOURNAL_REPLAYED.add(initial.pending.len() as u64);
     }
     // Spans stay disarmed unless SHADOWDP_TRACE asks for them; metrics
@@ -544,7 +580,7 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     register_metrics();
     QUEUE_CAPACITY.set(config.queue_limit.map_or(0, |n| n as u64));
     QUEUE_DEPTH.set(initial.pending.len() as u64);
-    JOURNAL_ENTRIES.set(initial.journaled);
+    JOURNAL_ENTRIES.set(initial.journaled());
     refresh_store_gauges(&store);
 
     // A socket file may be left over from a crashed daemon — or belong to
@@ -593,8 +629,8 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     // daemon per store (and so per journal): the bind lock serializes
     // the socket only, and a second daemon on another socket with the
     // same `--store` would replay and rewrite the same journal.
-    if let Err(e) = initial.reset_journal() {
-        eprintln!("shadowdpd: journal reset after replay failed: {e}");
+    if let Err(e) = initial.rewrite_journal() {
+        eprintln!("shadowdpd: journal rewrite after replay failed: {e}");
     }
 
     let worker_count = config
@@ -745,22 +781,23 @@ fn work(shared: &Shared) {
         }
 
         // A clean store means every verdict put so far is on disk, this
-        // job's included, so the journal can shrink to the jobs still
-        // running or queued. Checking under both locks makes that safe: a
-        // verdict put after the check belongs to a job that is already
-        // running (taking a job needs the state lock), and it stays listed
-        // until its worker gets the state lock after this one. A failed
-        // flush leaves the store dirty, and the journal keeps covering
-        // this job until a later flush succeeds.
+        // job's included, so the journal may drop every record but those
+        // of jobs still running or queued. Checking under both locks makes
+        // that safe: a verdict put after the check belongs to a job that
+        // is already running (taking a job needs the state lock), and it
+        // stays listed until its worker gets the state lock after this
+        // one. A failed flush leaves the store dirty, and the journal
+        // keeps covering this job until a later flush succeeds.
         let mut st = shared.state();
         st.running.retain(|s| s.id != job.id);
         let clean = store.dirty_len() == 0;
         drop(store);
         if clean {
-            if let Err(e) = st.reset_journal() {
-                eprintln!("shadowdpd: journal reset failed (will retry): {e}");
+            if let Err(e) = st.trim_journal() {
+                eprintln!("shadowdpd: journal trim failed (will retry): {e}");
             }
         }
+        JOURNAL_ENTRIES.set(st.journaled());
         // Every metric for this job moves before its outcome becomes
         // visible, so a client that scrapes after its RESULT sees them.
         if let Some((start, end)) = verified_in {
@@ -901,8 +938,8 @@ fn close_store(shared: &Shared) {
     if store.dirty_len() == 0 {
         // Everything is persisted and the queue drained; an empty journal
         // (removed file) marks the shutdown as clean.
-        if let Err(e) = shared.state().reset_journal() {
-            eprintln!("shadowdpd: shutdown journal reset failed: {e}");
+        if let Err(e) = shared.state().rewrite_journal() {
+            eprintln!("shadowdpd: shutdown journal removal failed: {e}");
         }
     }
 }
@@ -970,7 +1007,7 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                     done: (st.done.len() + st.delivered.len()) as u64,
                     memo_entries: shared.memo.len() as u64,
                     pipeline_store,
-                    journaled: st.journaled,
+                    journaled: st.journaled(),
                 })
             }
             Ok(Request::Metrics) => {
@@ -980,7 +1017,7 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                 {
                     let st = shared.state();
                     QUEUE_DEPTH.set(st.pending.len() as u64);
-                    JOURNAL_ENTRIES.set(st.journaled);
+                    JOURNAL_ENTRIES.set(st.journaled());
                 }
                 refresh_store_gauges(&shared.store());
                 Response::Metrics(shadowdp_obs::render_prometheus())
@@ -1024,7 +1061,7 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                     });
                     st.owners.insert(id, conn);
                     QUEUE_DEPTH.set(st.pending.len() as u64);
-                    JOURNAL_ENTRIES.set(st.journaled);
+                    JOURNAL_ENTRIES.set(st.journaled());
                     shared.queued.notify_one();
                     Response::Queued(id)
                 }

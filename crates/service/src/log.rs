@@ -14,28 +14,58 @@
 //! - **Append** truncates the file to the valid prefix (dropping what a
 //!   crashed or failed append left), writes one record and fsyncs; if a
 //!   step fails or panics, the file is cut back to the valid prefix. On
-//!   an empty log it creates the file and writes the magic first.
-//! - **Rewrite** writes a sibling temp file, fsyncs it and renames it
-//!   over the file, so a crash leaves the old file or the new one.
-//!   Rewriting to zero records removes the file.
+//!   an empty log it creates the file, writes the magic first and fsyncs
+//!   the directory, so the new file survives a power loss.
+//! - **Rewrite** writes a sibling temp file, fsyncs it, renames it over
+//!   the file and fsyncs the directory, so a crash leaves the old file or
+//!   the new one. Rewriting to zero records removes the file.
+//! - **Clear** cuts the file back to its magic, without an fsync: it is
+//!   for records whose effect is already durable elsewhere (a lost cut
+//!   only replays them again), and the next append's fsync makes the new
+//!   length durable.
 //!
 //! After a rejected header, or a failed append whose cut-back failed too,
-//! the log refuses appends until a rewrite: a record behind damage would
-//! never replay. Each I/O step is a fault site,
-//! `<owner>.append.{open,setlen,write,sync}` and
-//! `<owner>.rewrite.{create,write,sync,rename}` (removing the file is the
-//! `rename` step).
+//! the log refuses appends until a rewrite (a clear of a refused log is
+//! one): a record behind damage would never replay. Each I/O step is a
+//! fault site, `<owner>.append.{open,setlen,write,sync,dirsync}`,
+//! `<owner>.rewrite.{create,write,sync,rename,dirsync}` (removing the file
+//! is the `rename` step) and `<owner>.clear.setlen`; every fsync that
+//! succeeds counts in `shadowdp_log_syncs_total{site}` under its step's
+//! site.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use shadowdp_fault::{fail_point, write_all};
+use shadowdp_obs::LazyCounterFamily;
 
 use crate::store::fnv128;
 
 /// Length field plus checksum: a record's bytes beyond its payload.
 const FRAME_OVERHEAD: usize = 4 + 16;
+
+static LOG_SYNCS: LazyCounterFamily = LazyCounterFamily::new(
+    "shadowdp_log_syncs_total",
+    "Successful fsyncs of the store and journal logs, by the fault site of \
+     the sync step (file syncs and directory syncs)",
+    "site",
+);
+
+/// Registers every member of `shadowdp_log_syncs_total`, so a scrape
+/// shows a sync step that has not run yet as 0.
+pub(crate) fn register_metrics() {
+    for owner in ["store", "journal"] {
+        for step in [
+            "append.sync",
+            "append.dirsync",
+            "rewrite.sync",
+            "rewrite.dirsync",
+        ] {
+            LOG_SYNCS.with(&format!("{owner}.{step}"));
+        }
+    }
+}
 
 /// One durable record log (see the module docs).
 #[derive(Debug)]
@@ -47,6 +77,9 @@ pub(crate) struct RecordLog {
     /// Bytes of the valid prefix on disk (magic and accepted records), 0
     /// for no file; `None` while appends are refused.
     valid_len: Option<u64>,
+    /// Records in the valid prefix: what a replay now would hand back
+    /// (the last known prefix while appends are refused).
+    records: u64,
 }
 
 /// What [`replay`] kept: the valid prefix's length and its records.
@@ -148,6 +181,7 @@ impl RecordLog {
             magic,
             owner,
             valid_len: Some(0),
+            records: 0,
         };
         let Ok(bytes) = std::fs::read(&log.path) else {
             return (log, None); // missing (or unreadable): empty
@@ -160,6 +194,7 @@ impl RecordLog {
             }
             Ok(kept) => {
                 log.valid_len = Some(kept.valid_len);
+                log.records = kept.records;
                 (kept.valid_len < bytes.len() as u64).then(|| {
                     format!(
                         "{owner} {shown}: dropped {} trailing bytes after the last valid \
@@ -177,6 +212,11 @@ impl RecordLog {
     /// or appends refused).
     pub(crate) fn len(&self) -> u64 {
         self.valid_len.unwrap_or(0)
+    }
+
+    /// Records in the valid prefix: what a replay now would hand back.
+    pub(crate) fn records(&self) -> u64 {
+        self.records
     }
 
     /// Appends one record and fsyncs it (see the module docs).
@@ -213,10 +253,13 @@ impl RecordLog {
         file.set_len(keep)?;
         file.seek(SeekFrom::Start(keep))?;
         write_all(&site("write"), &mut file, &bytes)?;
-        fail_point(&site("sync"))?;
-        file.sync_all()?;
+        sync(&site("sync"), || file.sync_all())?;
+        if keep == 0 {
+            sync(&site("dirsync"), || sync_dir(cut.path))?;
+        }
         cut.armed = false;
         *cut.valid_len = Some(keep + bytes.len() as u64);
+        self.records += 1;
         Ok(())
     }
 
@@ -225,13 +268,16 @@ impl RecordLog {
     ///
     /// # Errors
     ///
-    /// The failing step's error; the file is then as it was before.
+    /// The failing step's error. The file is then as it was before,
+    /// unless only the directory fsync failed: the new file is then in
+    /// place, and the log describes it.
     pub(crate) fn rewrite<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> io::Result<()> {
         let site = |step: &str| format!("{}.rewrite.{step}", self.owner);
         if payloads.is_empty() {
             fail_point(&site("rename"))?;
             remove(&self.path)?;
             self.valid_len = Some(0);
+            self.records = 0;
             return Ok(());
         }
         let bytes = image(self.magic, payloads)?;
@@ -240,8 +286,7 @@ impl RecordLog {
             fail_point(&site("create"))?;
             let mut file = File::create(&tmp)?;
             write_all(&site("write"), &mut file, &bytes)?;
-            fail_point(&site("sync"))?;
-            file.sync_all()?;
+            sync(&site("sync"), || file.sync_all())?;
         }
         fail_point(&site("rename"))?;
         if let Err(e) = std::fs::rename(&tmp, &self.path) {
@@ -249,8 +294,53 @@ impl RecordLog {
             return Err(e);
         }
         self.valid_len = Some(bytes.len() as u64);
+        self.records = payloads.len() as u64;
+        sync(&site("dirsync"), || sync_dir(&self.path))
+    }
+
+    /// Cuts the file back to its magic, dropping every record without an
+    /// fsync (see the module docs). A refused log is rewritten to zero
+    /// records instead, which removes the file.
+    ///
+    /// # Errors
+    ///
+    /// The failing step's error; the file is then as it was before.
+    pub(crate) fn clear(&mut self) -> io::Result<()> {
+        fail_point(&format!("{}.clear.setlen", self.owner))?;
+        let magic = self.magic.len() as u64;
+        match self.valid_len {
+            None => return self.rewrite::<&[u8]>(&[]),
+            Some(len) if len > magic => {
+                OpenOptions::new()
+                    .write(true)
+                    .open(&self.path)?
+                    .set_len(magic)?;
+                self.valid_len = Some(magic);
+            }
+            Some(_) => {} // no file, or the bare magic
+        }
+        self.records = 0;
         Ok(())
     }
+}
+
+/// One fsync step: its fault site, then `fsync`, counted under the site
+/// in `shadowdp_log_syncs_total` once it succeeds.
+fn sync(site: &str, fsync: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
+    fail_point(site)?;
+    fsync()?;
+    LOG_SYNCS.with(site).inc();
+    Ok(())
+}
+
+/// Fsyncs the directory holding `path`, which makes a file created or
+/// renamed there durable.
+fn sync_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// While armed, cuts the file back to `keep` bytes when dropped (on a
@@ -318,10 +408,19 @@ mod tests {
         (log, records)
     }
 
+    /// A call the sweep faults, and the records it leaves once it lands.
+    enum Call {
+        Append(&'static [u8]),
+        Rewrite(Vec<&'static [u8]>),
+        Clear,
+    }
+
     /// Every journal I/O site under every fault kind, on an empty log and
     /// on one of two records: after the faulted call, a replay gives
-    /// exactly the records of the calls that returned `Ok`, and the next
-    /// append lands right behind them.
+    /// exactly the records of the calls that returned `Ok` (and those of
+    /// a rewrite whose directory fsync failed after its rename), the
+    /// log's record count agrees, and the next append lands right behind
+    /// them.
     #[test]
     fn journal_sites_keep_exactly_the_acknowledged_records() {
         let kinds = [
@@ -330,22 +429,27 @@ mod tests {
             FaultKind::Panic,
             FaultKind::Delay { millis: 1 },
         ];
-        let [a, b, c]: [&[u8]; 3] = [b"SUBMIT\ta", b"SUBMIT\tb", b"SUBMIT\tc"];
-        // (site, the call: an append of its one record, or a rewrite)
-        let calls: [(&str, bool, Vec<&[u8]>); 9] = [
-            ("append.open", true, vec![c]),
-            ("append.setlen", true, vec![c]),
-            ("append.write", true, vec![c]),
-            ("append.sync", true, vec![c]),
-            ("rewrite.create", false, vec![b, c]),
-            ("rewrite.write", false, vec![b, c]),
-            ("rewrite.sync", false, vec![b, c]),
-            ("rewrite.rename", false, vec![b, c]),
-            ("rewrite.rename", false, vec![]),
+        let [a, b, c]: [&'static [u8]; 3] = [b"SUBMIT\ta", b"SUBMIT\tb", b"SUBMIT\tc"];
+        // (site, the call, the initial record counts at which it reaches
+        // the site: only an append that creates the file syncs the
+        // directory)
+        let calls: [(&str, Call, &[usize]); 12] = [
+            ("append.open", Call::Append(c), &[0, 2]),
+            ("append.setlen", Call::Append(c), &[0, 2]),
+            ("append.write", Call::Append(c), &[0, 2]),
+            ("append.sync", Call::Append(c), &[0, 2]),
+            ("append.dirsync", Call::Append(c), &[0]),
+            ("rewrite.create", Call::Rewrite(vec![b, c]), &[0, 2]),
+            ("rewrite.write", Call::Rewrite(vec![b, c]), &[0, 2]),
+            ("rewrite.sync", Call::Rewrite(vec![b, c]), &[0, 2]),
+            ("rewrite.rename", Call::Rewrite(vec![b, c]), &[0, 2]),
+            ("rewrite.dirsync", Call::Rewrite(vec![b, c]), &[0, 2]),
+            ("rewrite.rename", Call::Rewrite(vec![]), &[0, 2]),
+            ("clear.setlen", Call::Clear, &[0, 2]),
         ];
-        for (step, appends, records) in &calls {
+        for (step, call, initials) in &calls {
             for kind in &kinds {
-                for initial in [0, 2] {
+                for &initial in *initials {
                     let case = format!("journal.{step} {kind:?} after {initial} records");
                     let path = temp_path("sweep");
                     let (mut log, _) = open(&path);
@@ -357,22 +461,25 @@ mod tests {
                     let guard = FaultPlan::new()
                         .once(&format!("journal.{step}"), kind.clone())
                         .install();
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if *appends {
-                            log.append(records[0])
-                        } else {
-                            log.rewrite(records)
-                        }
+                    let result = catch_unwind(AssertUnwindSafe(|| match call {
+                        Call::Append(record) => log.append(record),
+                        Call::Rewrite(records) => log.rewrite(records),
+                        Call::Clear => log.clear(),
                     }));
                     drop(guard);
                     let ok = matches!(result, Ok(Ok(())));
                     assert_eq!(ok, matches!(kind, FaultKind::Delay { .. }), "{case}");
-                    if ok && *appends {
-                        acked.push(records[0].to_vec());
-                    } else if ok {
-                        acked = records.iter().map(|r| r.to_vec()).collect();
+                    if ok || *step == "rewrite.dirsync" {
+                        match call {
+                            Call::Append(record) => acked.push(record.to_vec()),
+                            Call::Rewrite(records) => {
+                                acked = records.iter().map(|r| r.to_vec()).collect();
+                            }
+                            Call::Clear => acked.clear(),
+                        }
                     }
                     assert_eq!(open(&path).1, acked, "{case}");
+                    assert_eq!(log.records(), acked.len() as u64, "{case}");
 
                     log.append(b"next").expect("the next append succeeds");
                     acked.push(b"next".to_vec());
@@ -386,7 +493,8 @@ mod tests {
         }
     }
 
-    /// Nothing is appended behind a rejected header; a rewrite heals it.
+    /// Nothing is appended behind a rejected header; a rewrite heals it,
+    /// and so does a clear.
     #[test]
     fn a_rejected_header_refuses_appends_until_a_rewrite() {
         let path = temp_path("header");
@@ -399,5 +507,12 @@ mod tests {
         assert_eq!(open(&path).1, [b"kept".to_vec(), b"next".to_vec()]);
         log.rewrite::<&[u8]>(&[]).expect("empty rewrite");
         assert!(!path.exists(), "zero records remove the file");
+
+        std::fs::write(&path, b"not a journal").expect("write foreign file");
+        let (mut log, _) = open(&path);
+        log.clear().expect("a clear heals by removing the file");
+        log.append(b"next").expect("appends resume");
+        assert_eq!(open(&path).1, [b"next".to_vec()]);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -154,9 +154,11 @@ pub struct StatusInfo {
     pub memo_entries: u64,
     /// Entries in the persistent pipeline tier.
     pub pipeline_store: u64,
-    /// Accepted submissions currently covered by the in-flight journal
-    /// (queued + running); they re-verify on restart if the daemon
-    /// crashes before their verdicts are persisted.
+    /// Records in the in-flight journal file: the submissions a crash
+    /// now would re-verify on restart. That is every journaled queued or
+    /// running job, plus finished jobs whose records the daemon has not
+    /// dropped yet (their verdicts are durable, so they replay as store
+    /// hits); 0 without a store.
     pub journaled: u64,
 }
 

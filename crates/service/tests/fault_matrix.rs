@@ -14,7 +14,9 @@
 //!    into re-verification on startup, and one holding a record in the
 //!    old positional encoding replays nothing; accepted submissions stay
 //!    journaled until their verdicts are flushed, also while another
-//!    worker publishes a faster job; a torn append costs only its own
+//!    worker publishes a faster job; an idle daemon keeps the journal as
+//!    its bare magic, and a busy one rewrites it before the dead records
+//!    of finished jobs reach the floor; a torn append costs only its own
 //!    record, never the submissions journaled after it; a clean shutdown
 //!    removes the journal.
 //! 4. **Backpressure** — a full queue answers `BUSY`, the raw protocol
@@ -80,6 +82,8 @@ fn wait_status(
 // 1 + 2: the store site × kind sweeps
 // ---------------------------------------------------------------------
 
+/// The store's first flush is a rewrite, so its appends never create the
+/// file and never reach `store.append.dirsync`.
 const APPEND_SITES: &[&str] = &[
     "store.append.open",
     "store.append.setlen",
@@ -92,6 +96,7 @@ const REWRITE_SITES: &[&str] = &[
     "store.rewrite.write",
     "store.rewrite.sync",
     "store.rewrite.rename",
+    "store.rewrite.dirsync",
 ];
 
 fn kinds() -> Vec<FaultKind> {
@@ -222,8 +227,10 @@ fn injected_compaction_faults_keep_the_live_view() {
                 }
                 FaultKind::Panic => {
                     assert!(result.is_err(), "panic at {site} must unwind");
-                    // Every rewrite site fires before the rename, so the
-                    // old log is still the authoritative store.
+                    // Every rewrite site but the directory fsync fires
+                    // before the rename: the file is the old log or, after
+                    // the rename, the compacted one, and both hold the
+                    // live view.
                     assert_eq!(disk_view(&path), live, "panic at {site} lost the view");
                     let mut fresh = VerdictStore::load(&path);
                     fresh.compact().expect("post-crash compaction heals");
@@ -396,8 +403,10 @@ fn accepted_submissions_stay_journaled_until_flushed() {
 }
 
 /// Per-job dispatch: with two workers, a fast job submitted while a slow
-/// one verifies is published without waiting for it, and the journal
-/// rewrite after the fast job's flush keeps covering the slow one.
+/// one verifies is published without waiting for it. The journal is
+/// append-only while a job runs: at the fast job's result it still holds
+/// both submissions, and only the slow job's result, which leaves the
+/// daemon idle, cuts it back to its magic.
 #[test]
 fn a_slow_job_does_not_hold_a_fast_one() {
     // Every uncached solver query sleeps, so a job's wall time follows
@@ -431,24 +440,105 @@ fn a_slow_job_does_not_hold_a_fast_one() {
 
     let status = control.status().expect("status");
     assert_eq!(status.running, 1, "the slow job still runs: {status:?}");
-    assert_eq!(status.journaled, 1, "{status:?}");
-    let mut slow_only = b"SDPJRNL1".to_vec();
-    slow_only.extend_from_slice(&journal_frame(&proto::encode_request(&Request::Submit(
-        slow.clone(),
-    ))));
+    assert_eq!(status.journaled, 2, "{status:?}");
+    let mut both = b"SDPJRNL1".to_vec();
+    for spec in [&slow, &fast] {
+        let line = proto::encode_request(&Request::Submit(spec.clone()));
+        both.extend_from_slice(&journal_frame(&line));
+    }
     assert_eq!(
         std::fs::read(&journal).expect("journal exists"),
-        slow_only,
-        "the journal holds exactly the slow job's SUBMIT"
+        both,
+        "the journal holds exactly the slow and the fast job's SUBMIT"
     );
 
     let out_slow = slow_client.result(slow_id).expect("slow result");
     drop(guard);
     assert_eq!(out_slow.verdict, "proved");
     assert_eq!(control.status().expect("status").journaled, 0);
+    assert_eq!(
+        std::fs::read(&journal).expect("the journal is kept while idle"),
+        b"SDPJRNL1",
+        "an idle daemon cuts the journal back to its magic"
+    );
 
     control.shutdown().expect("shutdown");
     handle.join().expect("daemon exits");
+    cleanup(&[&socket, &store]);
+}
+
+/// A one-worker daemon fed a pipelined stream longer than the rewrite
+/// floor never goes idle, so it never cuts the journal back; it rewrites
+/// the journal to the outstanding jobs instead, and at every `STATUS`
+/// poll fewer than the floor of its records belong to finished jobs. The
+/// last job leaves the daemon idle and the journal its bare magic.
+#[test]
+fn a_busy_daemon_rewrites_the_journal_before_the_floor() {
+    let floor = shadowdp_service::daemon::JOURNAL_REWRITE_FLOOR;
+    let jobs = floor + 16;
+    // The first job's flush (the store's first, a rewrite) stalls for two
+    // seconds, long enough to queue every submission behind it, so the
+    // queue only drains from then on; later flushes are slowed so that
+    // polls see it drain.
+    let guard = FaultPlan::new()
+        .once("store.rewrite.sync", FaultKind::Delay { millis: 2000 })
+        .sticky("store.append.sync", FaultKind::Delay { millis: 3 }, 1)
+        .install();
+    let (socket, store) = temp_paths("journal-floor");
+    let journal = journal_path(&store);
+    let (handle, mut control) = start_daemon(DaemonConfig {
+        store: Some(store.clone()),
+        threads: Some(1),
+        ..DaemonConfig::new(&socket)
+    });
+    // Distinct store keys for one program: each job verifies (memo hits
+    // after the first) and flushes.
+    let laplace = corpus::laplace_mechanism().source;
+    let mut client = Client::connect(&socket).expect("connect");
+    let started = Instant::now();
+    let ids: Vec<u64> = (0..jobs as usize)
+        .map(|i| {
+            let spec = JobSpec::new(format!("{laplace}{}", " ".repeat(i)));
+            client.submit(&spec).expect("submit")
+        })
+        .collect();
+    // `STATUS` would wait for the stalled flush (it reads the store), so
+    // time the submissions instead: the first job cannot finish sooner.
+    assert!(
+        started.elapsed() < Duration::from_millis(2000),
+        "every submission is queued before the first job finishes"
+    );
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut past_floor = 0;
+    loop {
+        let s = control.status().expect("status");
+        assert_eq!(s.queued + s.running, jobs - s.done, "never idle: {s:?}");
+        assert!(s.journaled < s.queued + s.running + floor, "{s:?}");
+        if s.done == jobs {
+            assert_eq!(s.journaled, 0, "{s:?}");
+            break;
+        }
+        if s.done >= floor {
+            past_floor += 1;
+        }
+        assert!(Instant::now() < deadline, "timed out draining: {s:?}");
+        thread::sleep(Duration::from_millis(1));
+    }
+    drop(guard);
+    assert!(past_floor > 0, "no poll saw the stream past the floor");
+    assert_eq!(
+        std::fs::read(&journal).expect("the journal is kept while idle"),
+        b"SDPJRNL1"
+    );
+    for id in ids {
+        let outcome = client.result(id).expect("result");
+        assert_eq!(outcome.verdict, "proved", "{outcome:?}");
+    }
+
+    control.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    assert!(!journal.exists(), "clean shutdown removes the journal");
     cleanup(&[&socket, &store]);
 }
 

@@ -1,7 +1,7 @@
 //! `METRICS` end-to-end over a live daemon socket: the exposition is
 //! well-formed, counters move with daemon activity (fresh work, store
-//! hits, flushes, batches), the gauges agree with `STATUS`, fault
-//! counters track injected crashes and budget exhaustion, and a
+//! hits, flushes, batches, log fsyncs), the gauges agree with `STATUS`,
+//! fault counters track injected crashes and budget exhaustion, and a
 //! journal replay is counted.
 //!
 //! The obs registry is process-global while tests in this binary run in
@@ -55,6 +55,15 @@ fn stage_count(samples: &[Sample], stage: &str) -> f64 {
         .iter()
         .find(|s| s.name == "shadowdp_job_stage_us_count" && s.label("stage") == Some(stage))
         .unwrap_or_else(|| panic!("missing stage `{stage}`"))
+        .value
+}
+
+/// The `shadowdp_log_syncs_total{site=…}` member.
+fn syncs(samples: &[Sample], site: &str) -> f64 {
+    samples
+        .iter()
+        .find(|s| s.name == "shadowdp_log_syncs_total" && s.label("site") == Some(site))
+        .unwrap_or_else(|| panic!("missing sync site `{site}`"))
         .value
 }
 
@@ -153,6 +162,54 @@ fn metrics_track_fresh_work_store_hits_and_flushes() {
             "store hits are not timed as fresh jobs (stage {stage})"
         );
     }
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_file(&store);
+}
+
+/// N sequential jobs on one connection against a fresh store: each
+/// SUBMIT pays one journal fsync and only the first (which creates the
+/// journal) a directory fsync, and the journal, idle after every job, is
+/// never rewritten. Each store flush is one file fsync, and the first
+/// flush's rename one directory fsync.
+#[test]
+fn sequential_jobs_append_to_one_journal_and_never_rewrite_it() {
+    let _lock = lock();
+    const N: usize = 5;
+    let (socket, store) = temp_paths("syncs");
+    let (handle, mut client) = start_daemon(DaemonConfig {
+        store: Some(store.clone()),
+        threads: Some(2),
+        ..DaemonConfig::new(&socket)
+    });
+
+    let before = scrape(&mut client);
+    let laplace = corpus::laplace_mechanism().source;
+    for i in 0..N {
+        // Distinct store keys, so every job verifies and flushes.
+        let spec = JobSpec::new(format!("{laplace}{}", " ".repeat(i)));
+        let outcome = client
+            .run_corpus(std::slice::from_ref(&spec))
+            .expect("job")
+            .remove(0);
+        assert!(!outcome.from_store, "{outcome:?}");
+    }
+    let after = scrape(&mut client);
+    let delta = |site: &str| syncs(&after, site) - syncs(&before, site);
+    assert_eq!(delta("journal.append.sync"), N as f64);
+    assert_eq!(delta("journal.append.dirsync"), 1.0);
+    assert_eq!(delta("journal.rewrite.sync"), 0.0);
+    assert_eq!(delta("journal.rewrite.dirsync"), 0.0);
+    let flushes = value(&after, "shadowdp_store_flush_us_count")
+        - value(&before, "shadowdp_store_flush_us_count");
+    assert_eq!(flushes, N as f64);
+    assert_eq!(
+        delta("store.append.sync") + delta("store.rewrite.sync"),
+        flushes
+    );
+    assert_eq!(delta("store.rewrite.dirsync"), 1.0);
+    assert_eq!(client.status().expect("status").journaled, 0);
 
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon exits");
