@@ -173,9 +173,8 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Renders diagnostics as JSON-lines (one object per line, no trailing
-/// spaces, keys in a fixed order) — the machine-readable form served by
-/// `shadowdp lint --json` and the daemon's `LINT` verb. Byte-identical
-/// for identical findings.
+/// spaces, keys in a fixed order) — the machine-readable form printed by
+/// `shadowdp lint --json`. Byte-identical for identical findings.
 pub fn render_json_lines(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     for d in diags {

@@ -88,8 +88,9 @@ impl OptionsSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`JobSpecError`] on an unknown mode/engine token or an
-    /// assumption that does not parse as an expression.
+    /// Returns [`JobSpecError`] on an unknown mode/engine token, a fix-ε
+    /// that is not positive, or an assumption that does not parse as an
+    /// expression.
     pub fn to_options(&self) -> Result<Options, JobSpecError> {
         let mode = if self.mode == "scaled" {
             VerifyMode::Scaled
@@ -114,7 +115,16 @@ impl OptionsSpec {
                     self.mode
                 )));
             }
-            VerifyMode::FixEps(Rat::new(n, d))
+            // ε ≤ 0 carries no privacy guarantee: a proof under it would be
+            // a stored `proved` that means nothing.
+            let eps = Rat::new(n, d);
+            if !eps.is_positive() {
+                return Err(JobSpecError(format!(
+                    "mode `{}`: ε must be positive",
+                    self.mode
+                )));
+            }
+            VerifyMode::FixEps(eps)
         } else {
             return Err(JobSpecError(format!("unknown mode `{}`", self.mode)));
         };
@@ -287,6 +297,14 @@ mod tests {
         assert!(spec.to_options().is_err());
         spec.mode = format!("fixeps:{}/1", i128::MIN);
         assert!(spec.to_options().is_err());
+        // ε ≤ 0 is no privacy guarantee; a negative over a negative is.
+        for mode in ["fixeps:0/1", "fixeps:-1/1", "fixeps:1/-2"] {
+            spec.mode = mode.into();
+            let err = spec.to_options().expect_err(mode);
+            assert!(err.0.ends_with("ε must be positive"), "{err}");
+        }
+        spec.mode = "fixeps:-1/-2".into();
+        assert!(spec.to_options().is_ok());
         spec.mode = "scaled".into();
         spec.engine = "oracle".into();
         assert!(spec.to_options().is_err());

@@ -56,7 +56,7 @@ static ASSUMPTION_HITS: shadowdp_obs::LazyCounter = shadowdp_obs::LazyCounter::n
 );
 static TRAIL_DEPTH: shadowdp_obs::LazyHistogram = shadowdp_obs::LazyHistogram::new(
     "shadowdp_solver_trail_depth",
-    "Deepest solver decision-level nesting per corpus batch",
+    "Deepest solver decision-level nesting per corpus run (one job in the daemon)",
 );
 static TRAIL_OPS: shadowdp_obs::LazyCounter = shadowdp_obs::LazyCounter::new(
     "shadowdp_solver_trail_ops_total",
@@ -132,8 +132,8 @@ pub fn lint_timed(f: &Function, source: &str) -> Vec<Diagnostic> {
 }
 
 /// Parses and lints source text without typechecking or verifying —
-/// the cheap diagnostics tier (`shadowdp lint`, the daemon's `LINT`
-/// verb) that front-ends call before paying for a proof.
+/// the cheap diagnostics tier (`shadowdp lint`) that front-ends call
+/// before paying for a proof.
 ///
 /// # Errors
 ///

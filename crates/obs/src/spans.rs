@@ -15,7 +15,7 @@ use std::time::Instant;
 
 /// Ring capacity: the buffer keeps the most recent window of completed
 /// spans. Phase-granularity instrumentation (a handful of spans per
-/// verification job, one per Houdini round, a few per daemon batch)
+/// verification job, one per Houdini round, a few per daemon job)
 /// stays far below this for any realistic corpus run.
 const RING_CAPACITY: usize = 65_536;
 
@@ -84,7 +84,7 @@ pub fn arm_from_env() {
 /// One completed span, as stored in the ring buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Static site name, e.g. `"verify"` or `"daemon.batch"`.
+    /// Static site name, e.g. `"verify"` or `"daemon.job"`.
     pub name: &'static str,
     /// Optional dynamic label (algorithm name, round counters, …).
     pub label: Option<String>,

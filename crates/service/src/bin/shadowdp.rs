@@ -4,7 +4,7 @@
 //! ```text
 //! shadowdp check <file>... [--fixeps <n>/<d>] [--trace-out <path>]
 //!                [--socket <path> [--spawn]]
-//! shadowdp lint (<file>... | --table1) [--json] [--socket <path> [--spawn]]
+//! shadowdp lint (<file>... | --table1) [--json]
 //! shadowdp table1 [--trace-out <path>] [--socket <path> [--spawn]]
 //!                 [--store <path>] [--threads <n>]
 //! shadowdp status --socket <path>
@@ -21,9 +21,9 @@
 //!   typechecking, no verification — and prints located diagnostics,
 //!   human-readable by default or as deterministic JSON-lines with
 //!   `--json`. `--table1` lints the paper's nine Table 1 algorithms
-//!   instead of files (they must come back clean). With `--socket` the
-//!   daemon lints via the `LINT` verb and the output is always the wire
-//!   JSON. Exit code: 0 iff no diagnostics.
+//!   instead of files (they must come back clean). Linting reads no
+//!   daemon state, so it always runs in this process; `--socket` is a
+//!   usage error. Exit code: 0 iff no diagnostics.
 //! - `table1` submits the paper's 18-job Table 1 corpus (both
 //!   verification modes of all nine algorithms, shared-memo service
 //!   variant) and prints one line per job with verdict, digest, and
@@ -72,7 +72,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: shadowdp check <file>... [--fixeps <n>/<d>] [--trace-out <path>] \
          [--socket <path> [--spawn]]\n\
-         \x20      shadowdp lint (<file>... | --table1) [--json] [--socket <path> [--spawn]]\n\
+         \x20      shadowdp lint (<file>... | --table1) [--json]\n\
          \x20      shadowdp table1 [--trace-out <path>] [--socket <path> [--spawn]] \
          [--store <path>] [--threads <n>]\n\
          \x20      shadowdp status --socket <path>\n\
@@ -251,34 +251,17 @@ fn lint(args: &Args) -> Result<bool, ExitCode> {
             sources.push((file.display().to_string(), source));
         }
     }
-    let mut client = if args.socket.is_some() {
-        Some(connect(args)?)
-    } else {
-        None
-    };
     let mut clean = true;
     for (label, source) in &sources {
-        if let Some(client) = client.as_mut() {
-            // Over the wire the daemon renders; the payload is already
-            // the canonical JSON-lines text, byte-identical to a local
-            // `--json` run on the same source.
-            let diags = client.lint(source).map_err(|e| {
-                eprintln!("shadowdp: {label}: {e}");
-                ExitCode::FAILURE
-            })?;
-            clean &= diags.is_empty();
-            print!("{diags}");
+        let diags = shadowdp::lint_source(source).map_err(|e| {
+            eprintln!("shadowdp: {label}: {}", e.render(source));
+            ExitCode::from(2)
+        })?;
+        clean &= diags.is_empty();
+        if args.json {
+            print!("{}", shadowdp::render_json_lines(&diags));
         } else {
-            let diags = shadowdp::lint_source(source).map_err(|e| {
-                eprintln!("shadowdp: {label}: {}", e.render(source));
-                ExitCode::from(2)
-            })?;
-            clean &= diags.is_empty();
-            if args.json {
-                print!("{}", shadowdp::render_json_lines(&diags));
-            } else {
-                print!("{}", shadowdp::render_human(&diags, Some(label)));
-            }
+            print!("{}", shadowdp::render_human(&diags, Some(label)));
         }
     }
     Ok(clean)
@@ -336,55 +319,54 @@ mod top {
         f64::INFINITY
     }
 
-    /// Collects every series of histogram family `family` keyed by
-    /// label `key`, reduced to count/sum/p50/p99. Sorted by
-    /// descending total time so the busiest row tops the table.
+    /// One series of histogram family `family` (the samples `in_series`
+    /// accepts) reduced to count/sum/p50/p99, if it has observations.
+    fn series_row(
+        samples: &[Sample],
+        family: &str,
+        label: &str,
+        in_series: impl Fn(&Sample) -> bool,
+    ) -> Option<HistRow> {
+        let in_series = &in_series;
+        let part = move |suffix: &'static str| {
+            samples
+                .iter()
+                .filter(move |s| s.name.strip_prefix(family) == Some(suffix) && in_series(s))
+        };
+        let mut buckets: Vec<(f64, f64)> = part("_bucket")
+            .filter_map(|s| {
+                let bound = match s.label("le")? {
+                    "+Inf" => f64::INFINITY,
+                    t => t.parse().ok()?,
+                };
+                Some((bound, s.value))
+            })
+            .collect();
+        buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let pick = |suffix| part(suffix).next().map_or(0.0, |s| s.value);
+        let count = pick("_count");
+        (count > 0.0).then(|| HistRow {
+            label: label.to_string(),
+            count: count as u64,
+            sum_us: pick("_sum"),
+            p50_us: quantile(&buckets, count, 0.50),
+            p99_us: quantile(&buckets, count, 0.99),
+        })
+    }
+
+    /// Every series of histogram family `family` keyed by label `key`,
+    /// sorted by descending total time so the busiest row tops the table.
     fn hist_rows(samples: &[Sample], family: &str, key: &str) -> Vec<HistRow> {
-        let bucket_name = format!("{family}_bucket");
-        let sum_name = format!("{family}_sum");
         let count_name = format!("{family}_count");
-        let mut labels: Vec<String> = Vec::new();
-        for s in samples {
-            if s.name == count_name {
-                if let Some(v) = s.label(key) {
-                    if !labels.iter().any(|l| l == v) {
-                        labels.push(v.to_string());
-                    }
-                }
+        let mut labels: Vec<&str> = Vec::new();
+        for s in samples.iter().filter(|s| s.name == count_name) {
+            if let Some(v) = s.label(key).filter(|v| !labels.contains(v)) {
+                labels.push(v);
             }
         }
         let mut rows: Vec<HistRow> = labels
             .into_iter()
-            .map(|label| {
-                let mut buckets: Vec<(f64, f64)> = samples
-                    .iter()
-                    .filter(|s| s.name == bucket_name && s.label(key) == Some(&label))
-                    .filter_map(|s| {
-                        let le = s.label("le")?;
-                        let bound = match le {
-                            "+Inf" => f64::INFINITY,
-                            t => t.parse().ok()?,
-                        };
-                        Some((bound, s.value))
-                    })
-                    .collect();
-                buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-                let pick = |name: &str| {
-                    samples
-                        .iter()
-                        .find(|s| s.name == name && s.label(key) == Some(&label))
-                        .map_or(0.0, |s| s.value)
-                };
-                let count = pick(&count_name);
-                HistRow {
-                    p50_us: quantile(&buckets, count, 0.50),
-                    p99_us: quantile(&buckets, count, 0.99),
-                    sum_us: pick(&sum_name),
-                    count: count as u64,
-                    label,
-                }
-            })
-            .filter(|r| r.count > 0)
+            .filter_map(|label| series_row(samples, family, label, |s| s.label(key) == Some(label)))
             .collect();
         rows.sort_by(|a, b| b.sum_us.total_cmp(&a.sum_us));
         rows
@@ -441,9 +423,8 @@ mod top {
             0.0
         };
         println!(
-            "jobs done {}  batches {}  store hits {}  solver memo {:.1}% ({:.0}/{:.0})",
+            "jobs done {}  store hits {}  solver memo {:.1}% ({:.0}/{:.0})",
             value(samples, "shadowdp_jobs_done_total"),
-            value(samples, "shadowdp_batches_total"),
             value(samples, "shadowdp_store_hits_total"),
             hit_rate,
             hits,
@@ -498,45 +479,13 @@ mod top {
             &hist_rows(samples, "shadowdp_solver_query_us", "path"),
         );
         let daemon: Vec<HistRow> = [
-            ("batch jobs", "shadowdp_batch_jobs"),
             ("store flush", "shadowdp_store_flush_us"),
             ("trail depth", "shadowdp_solver_trail_depth"),
         ]
         .iter()
-        .filter_map(|(label, family)| bare_hist_row(samples, label, family))
+        .filter_map(|(label, family)| series_row(samples, family, label, |_| true))
         .collect();
-        print_table(
-            "daemon (batch jobs and trail depth are counts, not µs)",
-            &daemon,
-        );
-    }
-
-    /// A label-less histogram as one table row, if it has observations.
-    fn bare_hist_row(samples: &[Sample], label: &str, family: &str) -> Option<HistRow> {
-        let bucket_name = format!("{family}_bucket");
-        let mut buckets: Vec<(f64, f64)> = samples
-            .iter()
-            .filter(|s| s.name == bucket_name)
-            .filter_map(|s| {
-                let bound = match s.label("le")? {
-                    "+Inf" => f64::INFINITY,
-                    t => t.parse().ok()?,
-                };
-                Some((bound, s.value))
-            })
-            .collect();
-        buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let count = value(samples, &format!("{family}_count"));
-        if count == 0.0 {
-            return None;
-        }
-        Some(HistRow {
-            label: label.to_string(),
-            count: count as u64,
-            sum_us: value(samples, &format!("{family}_sum")),
-            p50_us: quantile(&buckets, count, 0.50),
-            p99_us: quantile(&buckets, count, 0.99),
-        })
+        print_table("daemon (trail depth is a count, not µs)", &daemon);
     }
 
     pub fn run(
@@ -606,7 +555,8 @@ fn main() -> ExitCode {
     }
     let result = match args.command.as_str() {
         "check" => check(&args),
-        "lint" => lint(&args),
+        // `lint` asks no daemon: accepting `--socket` would run it locally.
+        "lint" if args.socket.is_none() => lint(&args),
         "table1" => {
             let specs = table1_specs();
             if args.socket.is_some() {

@@ -1,17 +1,16 @@
 //! The verification daemon binary.
 //!
 //! ```text
-//! shadowdpd --socket <path> [--store <path>] [--threads <workers>] [--compact-ratio <r>]
+//! shadowdpd --socket <path> [--store <path>] [--threads <workers>]
 //!           [--queue-limit <n>] [--store-max-pipeline-entries <n>]
 //! ```
 //!
 //! Listens on the Unix socket, runs each submitted job on the first free
 //! of `--threads` workers (default: one per core), and persists verdicts
-//! to the store — an append-only record log that is
-//! compacted when it holds more than `r` times as many logged entries as
-//! live ones (default 2; `inf` disables ratio-triggered compaction —
-//! clean shutdown still compacts). `--queue-limit` bounds the submission
-//! queue (`SUBMIT` past it answers `BUSY`);
+//! to the store — an append-only record log that is compacted when it
+//! holds more than twice as many logged entries as live ones, and on
+//! clean shutdown. `--queue-limit` bounds the submission queue (`SUBMIT`
+//! past it answers `BUSY`);
 //! `--store-max-pipeline-entries` caps the pipeline tier of the store,
 //! evicting the least recently served entries past the cap after each
 //! job. See `shadowdp_service` for the protocol and formats. Exits on a
@@ -20,12 +19,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use shadowdp_service::daemon::{self, DaemonConfig, DEFAULT_COMPACT_RATIO};
+use shadowdp_service::daemon::{self, DaemonConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: shadowdpd --socket <path> [--store <path>] [--threads <workers>] \
-         [--compact-ratio <r>] [--queue-limit <n>] [--store-max-pipeline-entries <n>]"
+         [--queue-limit <n>] [--store-max-pipeline-entries <n>]"
     );
     ExitCode::from(2)
 }
@@ -34,7 +33,6 @@ fn main() -> ExitCode {
     let mut socket: Option<PathBuf> = None;
     let mut store: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
-    let mut compact_ratio: f64 = DEFAULT_COMPACT_RATIO;
     let mut queue_limit: Option<usize> = None;
     let mut max_pipeline_entries: Option<usize> = None;
 
@@ -59,27 +57,6 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            "--compact-ratio" => {
-                let Some(raw) = args.next() else {
-                    eprintln!("shadowdpd: --compact-ratio needs a value");
-                    return usage();
-                };
-                // A ratio below 1 would trigger an O(store) compaction
-                // after every job, and NaN would make the trigger
-                // comparison silently false forever — both are config
-                // mistakes worth a precise message, not a generic usage
-                // line.
-                match raw.parse::<f64>() {
-                    Ok(r) if !r.is_nan() && r >= 1.0 => compact_ratio = r,
-                    _ => {
-                        eprintln!(
-                            "shadowdpd: --compact-ratio must be a number >= 1 (got `{raw}`); \
-                             `inf` disables ratio-triggered compaction"
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             _ => return usage(),
         }
     }
@@ -98,7 +75,6 @@ fn main() -> ExitCode {
         socket,
         store,
         threads,
-        compact_ratio,
         queue_limit,
         max_pipeline_entries,
     }) {

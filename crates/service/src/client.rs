@@ -259,22 +259,6 @@ impl Client {
         }
     }
 
-    /// Lints a source program on the daemon (the `LINT` verb), returning
-    /// the JSON-lines diagnostics rendering — empty when the program
-    /// lints clean. A daemon-side `ERR` (the source does not parse)
-    /// surfaces as an error carrying the parse message.
-    ///
-    /// # Errors
-    ///
-    /// I/O or protocol failure, or a source that does not parse.
-    pub fn lint(&mut self, source: &str) -> io::Result<String> {
-        match self.roundtrip(&Request::Lint(source.to_string()))? {
-            Response::Lint(diags) => Ok(diags),
-            Response::Err(msg) => Err(bad_data(format!("daemon error: {msg}"))),
-            other => Err(bad_data(format!("expected LINT, got {other:?}"))),
-        }
-    }
-
     /// Asks the daemon to flush its store and exit.
     ///
     /// # Errors

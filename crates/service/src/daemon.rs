@@ -24,8 +24,8 @@
 //! every freshly verified job it drains the memo's dirty delta and
 //! **appends one framed delta record** — O(job), not O(store), so a long
 //! candidate loop pays constant flush cost per job instead of quadratic
-//! total. When the log accumulates enough superseded weight
-//! (`--compact-ratio`), and always on clean shutdown, a compaction pass
+//! total. When the log holds more than twice as many entries as live
+//! ones (`COMPACT_RATIO`), and always on clean shutdown, a compaction pass
 //! rewrites the log atomically and drops solver-tier entries unreachable
 //! from any pipeline-tier job. Jobs whose (source, options) pair is
 //! already in the pipeline tier are answered from disk without verifying
@@ -33,9 +33,7 @@
 //!
 //! Results are published per job id; each client receives `RESULT`
 //! replies in the order it asks for them, which the bundled client does
-//! in submission order. The metrics and span that predate per-job
-//! dispatch keep their names: `shadowdp_batches_total`,
-//! `shadowdp_batch_jobs` and `daemon.batch` count one dispatched job each.
+//! in submission order.
 //!
 //! # Fault tolerance
 //!
@@ -91,12 +89,12 @@ use crate::log::RecordLog;
 use crate::proto::{self, JobOutcome, OutcomeKind, Request, Response, StatusInfo};
 use crate::store::{fnv128, hex128, PipelineEntry, VerdictStore};
 
-/// Default live/dead compaction trigger: compact once the log holds more
-/// than twice as many record entries as there are live entries. Low
-/// enough that a long-lived candidate loop's log stays within a small
-/// constant factor of live state, high enough that compaction (an
-/// O(store) rewrite) stays rare next to O(job) appends.
-pub const DEFAULT_COMPACT_RATIO: f64 = 2.0;
+/// Live/dead compaction trigger: compact once the log holds more than
+/// twice as many record entries as there are live entries. Low enough
+/// that a long-lived candidate loop's log stays within a small constant
+/// factor of live state, high enough that compaction (an O(store)
+/// rewrite) stays rare next to O(job) appends.
+const COMPACT_RATIO: f64 = 2.0;
 
 /// What `BUSY` tells a rejected submitter to wait before retrying.
 /// Jobs normally turn around well within this; the client treats it
@@ -141,10 +139,6 @@ static PIPELINE_EVICTIONS: LazyCounter = LazyCounter::new(
     "shadowdp_pipeline_evictions_total",
     "Pipeline-tier entries evicted by the --store-max-pipeline-entries LRU cap",
 );
-static BATCHES: LazyCounter = LazyCounter::new(
-    "shadowdp_batches_total",
-    "Batches dispatched to a worker, one job each (store hits included)",
-);
 static QUEUE_DEPTH: LazyGauge = LazyGauge::new(
     "shadowdp_queue_depth",
     "Submissions accepted but not yet taken by a worker",
@@ -177,12 +171,8 @@ static LAST_FLUSH_US: LazyGauge = LazyGauge::new(
 );
 static COMPACTION_RATIO: LazyFloatGauge = LazyFloatGauge::new(
     "shadowdp_store_compaction_ratio",
-    "Logged entries (superseded included) over live entries; the \
-     --compact-ratio trigger compares against this",
-);
-static BATCH_JOBS: LazyHistogram = LazyHistogram::new(
-    "shadowdp_batch_jobs",
-    "Jobs per dispatch (always 1: a worker carries one job at a time)",
+    "Logged entries (superseded included) over live entries; a job's \
+     flush compacts the store once this exceeds 2",
 );
 static FLUSH_US: LazyHistogram = LazyHistogram::new(
     "shadowdp_store_flush_us",
@@ -208,7 +198,6 @@ fn register_metrics() {
     JOURNAL_REPLAYED.get();
     COMPACTIONS.get();
     PIPELINE_EVICTIONS.get();
-    BATCHES.get();
     QUEUE_DEPTH.get();
     QUEUE_CAPACITY.get();
     JOURNAL_ENTRIES.get();
@@ -217,7 +206,6 @@ fn register_metrics() {
     STORE_LOG_BYTES.get();
     LAST_FLUSH_US.get();
     COMPACTION_RATIO.get();
-    BATCH_JOBS.get();
     FLUSH_US.get();
     for stage in ["queue_wait", "verify", "flush"] {
         JOB_STAGE_US.with(stage);
@@ -255,12 +243,6 @@ pub struct DaemonConfig {
     /// worker verifies one job at a time, so this is how many jobs run at
     /// once.
     pub threads: Option<usize>,
-    /// Live/dead ratio that triggers a store compaction after a job's
-    /// flush (see [`VerdictStore::wants_compaction`]);
-    /// [`DEFAULT_COMPACT_RATIO`] unless overridden (`--compact-ratio`),
-    /// `f64::INFINITY` disables ratio-triggered compaction. Clean
-    /// shutdown always compacts.
-    pub compact_ratio: f64,
     /// Bound on the submission queue (`--queue-limit`). A `SUBMIT` that
     /// would push `pending` past this answers `BUSY` instead of queueing;
     /// `None` keeps the queue unbounded (the pre-backpressure behavior).
@@ -276,7 +258,7 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// A config with defaults for everything but the socket path: no
-    /// store, all cores, [`DEFAULT_COMPACT_RATIO`], unbounded queue.
+    /// store, all cores, unbounded queue and pipeline tier.
     /// Construct variants with struct-update syntax:
     /// `DaemonConfig { store: Some(p), ..DaemonConfig::new(sock) }`.
     pub fn new(socket: impl Into<PathBuf>) -> DaemonConfig {
@@ -284,7 +266,6 @@ impl DaemonConfig {
             socket: socket.into(),
             store: None,
             threads: None,
-            compact_ratio: DEFAULT_COMPACT_RATIO,
             queue_limit: None,
             max_pipeline_entries: None,
         }
@@ -502,21 +483,6 @@ fn job_outcome(
 /// Returns an error if the socket cannot be bound. Per-connection and
 /// store-flush errors are logged to stderr and survived.
 pub fn run(config: DaemonConfig) -> std::io::Result<()> {
-    // `compact_ratio` semantics only make sense at >= 1 (logged entries
-    // can never be fewer than live ones): NaN would make the trigger
-    // comparison silently false forever, and a sub-1 ratio would fire an
-    // O(store) compaction after every job. Reject both up front — the
-    // CLI validates its flag, but `DaemonConfig` is a public API.
-    if config.compact_ratio.is_nan() || config.compact_ratio < 1.0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!(
-                "compact-ratio must be a number >= 1 (got {}); use `inf` to disable \
-                 ratio-triggered compaction",
-                config.compact_ratio
-            ),
-        ));
-    }
     let store = match &config.store {
         Some(path) => VerdictStore::load(path),
         None => VerdictStore::in_memory(),
@@ -716,9 +682,7 @@ fn work(shared: &Shared) {
         // LRU eviction (+ 1: stamp 0 means never served).
         let stamp = job.id + 1;
         let picked = Instant::now();
-        let mut span = shadowdp_obs::span("daemon.batch");
-        BATCHES.inc();
-        BATCH_JOBS.observe(1);
+        let mut span = shadowdp_obs::span("daemon.job");
 
         let mut store = shared.store();
         // The verify window of a freshly verified job, for its stage
@@ -892,7 +856,7 @@ fn persist(
     LAST_FLUSH_US.set(us);
     if let Err(e) = flushed {
         eprintln!("shadowdpd: store flush failed (delta retained, will retry): {e}");
-    } else if store.wants_compaction(shared.config.compact_ratio) {
+    } else if store.wants_compaction(COMPACT_RATIO) {
         match store.compact() {
             Ok(stats) => {
                 COMPACTIONS.inc();
@@ -1021,15 +985,6 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                 }
                 refresh_store_gauges(&shared.store());
                 Response::Metrics(shadowdp_obs::render_prometheus())
-            }
-            Ok(Request::Lint(source)) => {
-                // Linting is synchronous and cheap (milliseconds for the
-                // whole corpus): it runs on the connection thread, never
-                // touching the workers, the queue, or the store.
-                match shadowdp::lint_source(&source) {
-                    Ok(diags) => Response::Lint(shadowdp::render_json_lines(&diags)),
-                    Err(e) => Response::Err(e.to_string()),
-                }
             }
             Ok(Request::Submit(spec)) => {
                 let mut st = shared.state();

@@ -63,8 +63,6 @@ pub(crate) fn sibling_path(path: &std::path::Path, suffix: &str) -> std::path::P
 }
 
 pub use client::Client;
-pub use daemon::{
-    outcome_kind, render_verdict, wire_digest, DaemonConfig, BUSY_RETRY_MS, DEFAULT_COMPACT_RATIO,
-};
+pub use daemon::{outcome_kind, render_verdict, wire_digest, DaemonConfig, BUSY_RETRY_MS};
 pub use proto::{JobOutcome, OutcomeKind, ProtoError, Request, Response, StatusInfo};
 pub use store::{fnv128, hex128, CompactStats, PipelineEntry, VerdictStore};

@@ -8,11 +8,9 @@
 //!
 //! ```text
 //! request  = "PING" | "STATUS" | "METRICS" | "SHUTDOWN"
-//!          | "LINT" TAB source
 //!          | "RESULT" TAB id
 //!          | "SUBMIT" {TAB field}
 //! response = "PONG" | "BYE"
-//!          | "LINT" TAB diagnostics
 //!          | "QUEUED" TAB id
 //!          | "BUSY" TAB retry_after_ms
 //!          | "STATUS" {TAB field}
@@ -52,10 +50,6 @@
 //! Prometheus text exposition format, [`esc`]-escaped onto the one
 //! response line (the exposition is multi-line; the escaping keeps the
 //! protocol strictly line-oriented).
-//! `LINT` runs the static-analysis passes on the (escaped) source and
-//! answers synchronously — no queueing, no job id — with the JSON-lines
-//! diagnostics rendering, [`esc`]-escaped onto one line (empty payload =
-//! no findings). A source that does not parse is an `ERR`.
 //! Job ids are owned by the connection that submitted them: `RESULT`
 //! from any other connection is an `ERR`, and a second `RESULT` for an
 //! already-delivered id is too (outcomes are dropped on delivery to
@@ -128,9 +122,6 @@ pub enum Request {
     Status,
     /// Full metrics registry in Prometheus text exposition format.
     Metrics,
-    /// Lint a source program synchronously (no queueing); answered with
-    /// `LINT` diagnostics or `ERR` on a parse failure.
-    Lint(String),
     /// Queue a verification job; answered immediately with `QUEUED`.
     Submit(JobSpec),
     /// Block until the job is done, then return its outcome.
@@ -171,7 +162,7 @@ pub enum OutcomeKind {
     /// error).
     Error,
     /// The job panicked. Panic isolation converts this into a per-job
-    /// outcome: the rest of the batch completes and the daemon keeps
+    /// outcome: the other workers' jobs complete and the daemon keeps
     /// serving.
     Crashed,
     /// The job hit its resource budget before reaching a conclusion.
@@ -272,8 +263,6 @@ pub enum Response {
     Status(StatusInfo),
     /// Prometheus text exposition of the daemon's metrics registry.
     Metrics(String),
-    /// JSON-lines lint diagnostics (empty = the program lints clean).
-    Lint(String),
     /// Finished job.
     Result(JobOutcome),
     /// The request could not be served (malformed line, unknown id).
@@ -317,7 +306,6 @@ pub fn encode_request(req: &Request) -> String {
         Request::Status => "STATUS".into(),
         Request::Metrics => "METRICS".into(),
         Request::Shutdown => "SHUTDOWN".into(),
-        Request::Lint(source) => format!("LINT\t{}", esc(source)),
         Request::Result(id) => format!("RESULT\t{id}"),
         Request::Submit(spec) => {
             let mut line = Line::new("SUBMIT").field("isolated", spec.isolated_memo);
@@ -404,7 +392,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         "STATUS" if fields.len() == 1 => Ok(Request::Status),
         "METRICS" if fields.len() == 1 => Ok(Request::Metrics),
         "SHUTDOWN" if fields.len() == 1 => Ok(Request::Shutdown),
-        "LINT" if fields.len() == 2 => Ok(Request::Lint(unesc(fields[1])?)),
         "RESULT" if fields.len() == 2 => fields[1]
             .parse()
             .map(Request::Result)
@@ -472,7 +459,6 @@ pub fn encode_response(resp: &Response) -> String {
                 .0
         }
         Response::Metrics(exposition) => format!("METRICS\t{}", esc(exposition)),
-        Response::Lint(diags) => format!("LINT\t{}", esc(diags)),
         Response::Result(r) => {
             Line::new("RESULT")
                 .field("id", r.id)
@@ -524,7 +510,6 @@ pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
             }))
         }
         "METRICS" if fields.len() == 2 => Ok(Response::Metrics(unesc(fields[1])?)),
-        "LINT" if fields.len() == 2 => Ok(Response::Lint(unesc(fields[1])?)),
         "RESULT" => {
             let f = Fields::new(&fields[1..])?;
             let kind: OutcomeKind = f.need("kind")?;
@@ -590,8 +575,6 @@ mod tests {
             Request::Status,
             Request::Metrics,
             Request::Result(17),
-            Request::Lint("function F() returns o: num(0,0)\n{ o := 0; }".into()),
-            Request::Lint(String::new()),
             Request::Shutdown,
         ]);
         for req in requests {
@@ -643,15 +626,6 @@ mod tests {
                     .into(),
             ),
             Response::Result(outcome.clone()),
-            // A LINT payload is multi-line JSON-lines; like METRICS it
-            // must ride one physical line and round-trip exactly. The
-            // empty payload (a clean program) is a valid message too.
-            Response::Lint(
-                "{\"code\":\"SD01\",\"severity\":\"error\",\"start\":120,\"end\":132,\
-                 \"line\":6,\"col\":3,\"message\":\"sensitive data flows into output\"}\n"
-                    .into(),
-            ),
-            Response::Lint(String::new()),
             Response::Result(JobOutcome {
                 id: 8,
                 ok: false,
@@ -730,10 +704,6 @@ mod tests {
                 // Positional lines: their first field has no `=`.
                 "SUBMIT\t0\t-\t-\t-\t-\t-\t-\t-\t0\tsrc",
                 "SUBMIT\t0\tscaled\tbmc\t3\t-\t24\t-\t-\t1\tx > 0\tsrc",
-                // LINT is arity 2: a bare verb or an extra field is rejected.
-                "LINT",
-                "LINT\tsrc\textra",
-                "LINT\tbad\\escape",
             ]
             .map(String::from),
         );
@@ -751,8 +721,6 @@ mod tests {
                 "METRICS",
                 "BUSY\tnope",
                 "QUEUED\tnope",
-                "LINT",
-                "LINT\tpayload\textra",
             ]
             .map(String::from),
         );
@@ -762,5 +730,9 @@ mod tests {
         for line in responses {
             assert!(parse_response(&line).is_err(), "{line:?}");
         }
+        // `LINT` is no verb either way: `shadowdp lint` runs in the client.
+        let unknown = |dir: &str| ProtoError(format!("unknown {dir} `LINT`"));
+        assert_eq!(parse_request("LINT\tsrc"), Err(unknown("request")));
+        assert_eq!(parse_response("LINT\tpayload"), Err(unknown("response")));
     }
 }

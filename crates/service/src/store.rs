@@ -144,11 +144,11 @@ pub struct VerdictStore {
     /// log, superseded ones included — the denominator of the live/dead
     /// compaction ratio.
     logged_entries: u64,
-    /// Last-served-batch stamps for pipeline-tier entries, keyed like
+    /// Last-served stamps for pipeline-tier entries, keyed like
     /// `pipeline`: the recency [`VerdictStore::evict_pipeline_lru`]
     /// orders by. In-memory only (a restart resets them — eviction should
     /// act on traffic the current process observed).
-    batch_stamps: HashMap<u128, u64>,
+    served_stamps: HashMap<u128, u64>,
     /// An LRU eviction dropped entries since the last rewrite; the log has
     /// no tombstones, so only a whole rewrite forgets them.
     needs_rewrite: bool,
@@ -168,7 +168,7 @@ impl VerdictStore {
             pipeline: HashMap::new(),
             dirty_solver: Vec::new(),
             dirty_pipeline: Vec::new(),
-            batch_stamps: HashMap::new(),
+            served_stamps: HashMap::new(),
             logged_entries: 0,
             needs_rewrite: false,
             load_note: None,
@@ -260,7 +260,7 @@ impl VerdictStore {
     }
 
     /// Drains a memo's dirty delta ([`QueryMemo::drain_dirty`]) into the
-    /// solver tier. O(batch): only entries solved since the last drain
+    /// solver tier. O(job): only entries solved since the last drain
     /// move. Returns how many entries were absorbed.
     pub fn absorb_dirty(&mut self, memo: &QueryMemo) -> usize {
         let delta = memo.drain_dirty();
@@ -312,7 +312,7 @@ impl VerdictStore {
     pub fn stamp_served(&mut self, spec: &JobSpec, stamp: u64) {
         let key = Self::job_key(spec);
         if self.pipeline.contains_key(&key) {
-            self.batch_stamps.insert(key, stamp);
+            self.served_stamps.insert(key, stamp);
         }
     }
 
@@ -333,12 +333,12 @@ impl VerdictStore {
         let mut order: Vec<(u64, u128)> = self
             .pipeline
             .keys()
-            .map(|k| (self.batch_stamps.get(k).copied().unwrap_or(0), *k))
+            .map(|k| (self.served_stamps.get(k).copied().unwrap_or(0), *k))
             .collect();
         order.sort_unstable();
         for (_, key) in order.into_iter().take(excess) {
             self.pipeline.remove(&key);
-            self.batch_stamps.remove(&key);
+            self.served_stamps.remove(&key);
         }
         self.needs_rewrite = true;
         excess
@@ -352,7 +352,7 @@ impl VerdictStore {
     /// dropped them as orphans (e.g. solver work stranded by a job that
     /// failed before producing a verdict), the entry's deps would dangle
     /// and a daemon restart would quietly re-prove them. Call before
-    /// flushing the batch that recorded the entry.
+    /// flushing the job that recorded the entry.
     pub fn ensure_deps(&mut self, memo: &QueryMemo, deps: &[Fingerprint]) {
         for fp in deps {
             if !self.solver.contains_key(fp) {
@@ -365,7 +365,7 @@ impl VerdictStore {
 
     /// Persists everything recorded since the last successful flush.
     ///
-    /// Steady state this **appends one delta record** — O(batch), not
+    /// Steady state this **appends one delta record** — O(job), not
     /// O(store): the record holds only the dirty entries. The whole log is
     /// rewritten instead as one base record when there is no valid log to
     /// append to (first flush, a damaged or unknown header, or a failed
@@ -900,14 +900,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_stamps_track_last_use_in_memory_only() {
+    fn served_stamps_track_last_use_in_memory_only() {
         let mut store = VerdictStore::in_memory();
         let a = JobSpec::new("function A() returns o: num(0,0) { o := 0; }");
         let b = JobSpec::new("function B() returns o: num(0,0) { o := 0; }");
         let key = VerdictStore::job_key;
         // Stamping an absent entry is a no-op.
         store.stamp_served(&a, 1);
-        assert!(store.batch_stamps.is_empty());
+        assert!(store.served_stamps.is_empty());
 
         let entry = PipelineEntry {
             ok: true,
@@ -920,13 +920,13 @@ mod tests {
         store.pipeline_put(&b, entry);
         store.stamp_served(&b, 4);
         assert_eq!(
-            store.batch_stamps,
+            store.served_stamps,
             HashMap::from([(key(&a), 1), (key(&b), 4)])
         );
         // A later serve moves an entry's stamp: `a` is now the newest.
         store.stamp_served(&a, 9);
         assert_eq!(
-            store.batch_stamps,
+            store.served_stamps,
             HashMap::from([(key(&a), 9), (key(&b), 4)])
         );
     }
@@ -969,7 +969,7 @@ mod tests {
         assert!(store.pipeline_get(&specs[3]).is_some());
         // Stamps follow the entries out; the survivors keep their own.
         assert_eq!(
-            store.batch_stamps,
+            store.served_stamps,
             HashMap::from([
                 (VerdictStore::job_key(&specs[0]), 9),
                 (VerdictStore::job_key(&specs[3]), 4),

@@ -8,7 +8,7 @@ mod support;
 use std::thread::{self, JoinHandle};
 
 use shadowdp::{corpus, JobSpec};
-use shadowdp_service::daemon::{self, DaemonConfig};
+use shadowdp_service::daemon::DaemonConfig;
 use shadowdp_service::Client;
 use support::{start_daemon, temp_paths};
 
@@ -143,77 +143,6 @@ fn assumption_verdicts_transfer_across_candidate_set_variations() {
     let _ = std::fs::remove_file(&store);
 }
 
-/// The `LINT` verb answers synchronously with exactly the bytes a local
-/// render of the same source produces — the wire adds transport, not
-/// variance — and a parse failure is an `ERR` the connection survives.
-#[test]
-fn lint_verb_matches_local_rendering_byte_for_byte() {
-    let (socket, _store) = temp_paths("lint");
-    let config = DaemonConfig {
-        threads: Some(1),
-        ..DaemonConfig::new(&socket)
-    };
-    let (handle, mut client) = start_daemon(config);
-
-    let clean = corpus::laplace_mechanism();
-    let buggy = corpus::buggy_algorithms()
-        .into_iter()
-        .find(|a| a.name == "Buggy SVT (unbounded answers)")
-        .expect("corpus has the over-budget SVT");
-    for source in [clean.source, buggy.source] {
-        let local =
-            shadowdp::render_json_lines(&shadowdp::lint_source(source).expect("corpus parses"));
-        let wire_first = client.lint(source).expect("LINT answers");
-        let wire_second = client.lint(source).expect("LINT answers again");
-        assert_eq!(wire_first, local, "wire and local renderings must agree");
-        assert_eq!(wire_first, wire_second, "LINT must be deterministic");
-    }
-    // A clean program is the empty payload, a flagged one is not.
-    assert_eq!(client.lint(clean.source).expect("LINT"), "");
-    assert!(!client.lint(buggy.source).expect("LINT").is_empty());
-
-    // Parse failures are per-request errors, not connection killers.
-    assert!(client.lint("function {").is_err());
-    client.ping().expect("connection survives a LINT error");
-
-    client.shutdown().expect("shutdown");
-    handle.join().expect("daemon exits cleanly");
-}
-
-/// `DaemonConfig::compact_ratio` is validated before anything is touched:
-/// a sub-1 ratio would compact after every batch and NaN would never
-/// compact at all, so both are errors — and the socket/store must not
-/// have been created by the failed start.
-#[test]
-fn nonsensical_compact_ratio_is_rejected_up_front() {
-    for bad in [0.0, 0.5, -3.0, f64::NAN, f64::NEG_INFINITY] {
-        let (socket, store) = temp_paths("badratio");
-        let err = daemon::run(DaemonConfig {
-            store: Some(store.clone()),
-            threads: Some(1),
-            compact_ratio: bad,
-            ..DaemonConfig::new(&socket)
-        })
-        .expect_err("ratio {bad} must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{bad}: {err}");
-        assert!(err.to_string().contains("compact-ratio"), "{err}");
-        assert!(!socket.exists(), "failed start must not bind {bad}");
-        assert!(!store.exists(), "failed start must not create a store");
-    }
-    // `inf` stays a valid opt-out of ratio-triggered compaction.
-    let (socket, store) = temp_paths("infratio");
-    let config = DaemonConfig {
-        store: Some(store.clone()),
-        threads: Some(1),
-        compact_ratio: f64::INFINITY,
-        ..DaemonConfig::new(&socket)
-    };
-    let (handle, mut client) = start_daemon(config);
-    client.shutdown().expect("shutdown");
-    handle.join().expect("daemon exits cleanly");
-    let _ = std::fs::remove_file(&store);
-}
-
 /// The candidate-loop steady state: resubmitting an identical corpus is
 /// served from the pipeline tier and flushes **nothing** — the log file
 /// does not grow by a byte across resubmission batches. New work appends
@@ -285,7 +214,7 @@ fn resubmission_batches_keep_the_log_bounded() {
 }
 
 /// `--store-max-pipeline-entries`: past the cap, the daemon evicts the
-/// least recently *served* pipeline entries after each batch, and a
+/// least recently *served* pipeline entries after each job, and a
 /// store hit counts as a use. Survivors keep answering from the store
 /// (across a restart too); an evicted spec re-verifies fresh and
 /// re-enters the store.
@@ -295,7 +224,6 @@ fn pipeline_cap_evicts_lru_and_survivors_stay_warm() {
     let config = DaemonConfig {
         store: Some(store.clone()),
         threads: Some(2),
-        compact_ratio: f64::INFINITY,
         max_pipeline_entries: Some(2),
         ..DaemonConfig::new(&socket)
     };
@@ -305,7 +233,7 @@ fn pipeline_cap_evicts_lru_and_survivors_stay_warm() {
         corpus::prefix_sum(),
     ]
     .map(|alg| JobSpec::new(alg.source));
-    // Runs `spec` as a batch of its own; true when the store answered.
+    // Runs `spec` on its own; true when the store answered.
     let served = |client: &mut Client, spec: &JobSpec| {
         let o = client.run_corpus(std::slice::from_ref(spec)).expect("runs");
         assert_eq!(o[0].verdict, "proved");
@@ -423,6 +351,8 @@ fn protocol_errors_do_not_kill_the_connection() {
     };
     assert!(ask("GIBBERISH\twith\tfields").starts_with("ERR\t"));
     assert!(ask("SUBMIT\t9\tbad").starts_with("ERR\t"));
+    // Lint runs in the client; the daemon has no such verb.
+    assert!(ask("LINT\tfunction F() returns o: num(0,0) { o := 0; }").starts_with("ERR\t"));
     assert_eq!(ask("PING"), "PONG");
     assert!(
         ask("RESULT\t999").starts_with("ERR\t"),

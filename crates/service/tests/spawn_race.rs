@@ -184,7 +184,6 @@ fn daemon_refuses_to_clobber_a_live_socket() {
         socket: socket.clone(),
         store: None,
         threads: Some(1),
-        compact_ratio: shadowdp_service::DEFAULT_COMPACT_RATIO,
         queue_limit: None,
         max_pipeline_entries: None,
     };

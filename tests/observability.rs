@@ -1,7 +1,7 @@
 //! Observability acceptance tests: tracing spans account for the wall
 //! clock of a cold Table 1 run, the Chrome trace export is structurally
-//! sound, and the metrics registry is deterministic across identical
-//! cold corpus runs.
+//! sound, a daemon traces each job as one labelled span, and the metrics
+//! registry is deterministic across identical cold corpus runs.
 //!
 //! The span ring and the metrics registry are process-global, so the
 //! tests in this binary serialize on one lock and work with snapshot
@@ -9,10 +9,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::thread;
+use std::time::{Duration, Instant};
 
-use shadowdp::{table1, Pipeline};
+use shadowdp::{corpus, table1, JobSpec, Pipeline};
 use shadowdp_obs::{SnapValue, SpanRecord};
+use shadowdp_service::daemon::{self, DaemonConfig};
+use shadowdp_service::Client;
 
 /// Serializes the tests in this binary: arming spans and diffing global
 /// counters cannot tolerate a concurrent sibling run.
@@ -109,6 +112,55 @@ fn verify_spans_account_for_table1_wall_clock() {
     // Labelled spans render as `name [label]`.
     assert!(json.contains("\"name\":\"corpus [jobs=18 threads=1]\""));
     assert!(json.contains("\"name\":\"houdini.round"));
+}
+
+/// An in-process daemon traces each job it serves as one `daemon.job`
+/// span, labelled with the job id and whether the store answered it.
+#[test]
+fn each_daemon_job_is_one_labelled_span() {
+    let _guard = lock();
+    let socket = std::env::temp_dir().join(format!("sdpt-{}-obs-job.sock", std::process::id()));
+    let config = DaemonConfig {
+        threads: Some(1),
+        ..DaemonConfig::new(&socket)
+    };
+    let handle = thread::spawn(move || daemon::run(config).expect("daemon runs"));
+    let mut client = (0..200)
+        .find_map(|_| {
+            Client::connect(&socket).ok().or_else(|| {
+                thread::sleep(Duration::from_millis(25));
+                None
+            })
+        })
+        .expect("daemon comes up");
+    shadowdp_obs::arm();
+    let _ = shadowdp_obs::take_spans(); // drop spans from earlier tests
+
+    // The same job twice: verified fresh, then answered by the store.
+    let spec = JobSpec::new(corpus::laplace_mechanism().source);
+    for _ in 0..2 {
+        client
+            .run_corpus(std::slice::from_ref(&spec))
+            .expect("job runs");
+    }
+    // A worker closes its job span after publishing the outcome; joining
+    // the daemon waits for it, and a span open when disarmed still
+    // records.
+    shadowdp_obs::disarm();
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits cleanly");
+    let spans = shadowdp_obs::take_spans();
+
+    let labels: Vec<Option<&str>> = spans
+        .iter()
+        .filter(|s| s.name == "daemon.job")
+        .map(|s| s.label.as_deref())
+        .collect();
+    assert_eq!(
+        labels,
+        [Some("id=0 store_hit=false"), Some("id=1 store_hit=true")]
+    );
+    assert!(spans.iter().all(|s| s.name != "daemon.batch"));
 }
 
 /// Counter values and histogram observation counts from one snapshot,
