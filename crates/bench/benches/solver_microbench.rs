@@ -3,8 +3,9 @@
 //! - `construction/*` — smart-constructor throughput against the interning
 //!   arena (all-hit after the first build: no tree allocation, no deep
 //!   hashing);
-//! - `normalize/*` — one full normalize + tableau + Fourier–Motzkin solve
-//!   (the uncached query cost);
+//! - `normalize/*` — normalization alone: the query's `hyps ∧ ¬goal`
+//!   into negation normal form with linear atoms, no search (the whole
+//!   uncached query is `repeated-query/uncached`);
 //! - `repeated-query/*` — the same `prove` asked again and again, with the
 //!   memo table off vs. on. The memoized path must be ≥ 2× the uncached
 //!   throughput (it is orders of magnitude in practice — a `u32`-keyed hash
@@ -29,7 +30,8 @@ use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shadowdp_solver::{Solver, Term};
+use shadowdp_solver::normalize::Normalizer;
+use shadowdp_solver::{with_shard, Solver, Term};
 use shadowdp_syntax::parse_function;
 use shadowdp_typing::check_function;
 use shadowdp_verify::{inductive, lower_to_target, InductiveOptions, RoundProfileSink, VerifyMode};
@@ -83,9 +85,13 @@ fn bench_construction(c: &mut Criterion) {
 fn bench_normalize(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_micro/normalize");
     let (hyps, goal) = noisy_max_vc();
+    let query = Term::conj(hyps.into_iter().chain([goal.not()]));
     group.bench_function("noisy-max-vc-uncached", |b| {
-        let solver = Solver::without_memo();
-        b.iter(|| assert!(solver.prove(&hyps, &goal).is_proved()));
+        b.iter(|| {
+            with_shard(|arena| {
+                std::hint::black_box(Normalizer::new().normalize(arena, query, true))
+            })
+        });
     });
     group.finish();
 }

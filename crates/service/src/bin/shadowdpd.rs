@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! shadowdpd --socket <path> [--store <path>] [--threads <workers>]
-//!           [--queue-limit <n>] [--store-max-pipeline-entries <n>]
+//!           [--queue-limit <n>] [--store-max-pipeline-entries <n>]   (n ≥ 1)
 //! ```
 //!
 //! Listens on the Unix socket, runs each submitted job on the first free
@@ -13,8 +13,9 @@
 //! past it answers `BUSY`);
 //! `--store-max-pipeline-entries` caps the pipeline tier of the store,
 //! evicting the least recently served entries past the cap after each
-//! job. See `shadowdp_service` for the protocol and formats. Exits on a
-//! client `SHUTDOWN`.
+//! job. Both caps are at least 1; 0 is a usage error. See
+//! `shadowdp_service` for the protocol and formats. Exits on a client
+//! `SHUTDOWN`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,7 +25,7 @@ use shadowdp_service::daemon::{self, DaemonConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: shadowdpd --socket <path> [--store <path>] [--threads <workers>] \
-         [--queue-limit <n>] [--store-max-pipeline-entries <n>]"
+         [--queue-limit <n>] [--store-max-pipeline-entries <n>]  (n >= 1)"
     );
     ExitCode::from(2)
 }
@@ -45,12 +46,13 @@ fn main() -> ExitCode {
                 Some(n) => threads = Some(n),
                 None => return usage(),
             },
+            // A zero cap is a config mistake, not a meaningful bound: the
+            // queue would refuse every SUBMIT, and the pipeline tier would
+            // evict every entry after every job.
             "--queue-limit" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => queue_limit = Some(n),
-                None => return usage(),
+                Some(n) if n > 0 => queue_limit = Some(n),
+                _ => return usage(),
             },
-            // A zero cap would evict every entry after every job —
-            // a config mistake, not a meaningful bound.
             "--store-max-pipeline-entries" => {
                 match args.next().and_then(|v| v.parse::<usize>().ok()) {
                     Some(n) if n > 0 => max_pipeline_entries = Some(n),

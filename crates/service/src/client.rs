@@ -223,8 +223,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O or protocol failure, or a daemon-side `ERR` (unknown id,
-    /// shutdown while waiting).
+    /// I/O or protocol failure, or a daemon-side `ERR` (an id never
+    /// issued, or one this connection is not owed).
     pub fn result(&mut self, id: u64) -> io::Result<JobOutcome> {
         match self.roundtrip(&Request::Result(id))? {
             Response::Result(outcome) => Ok(outcome),

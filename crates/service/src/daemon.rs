@@ -6,9 +6,9 @@
 //!
 //! - the **accept loop** (caller's thread inside [`run`]) spawns one
 //!   handler thread per connection;
-//! - **handler threads** parse requests and touch only the queue state —
-//!   `SUBMIT` enqueues and returns immediately, `RESULT` blocks on a
-//!   condvar until the job's outcome is published;
+//! - **handler threads** parse requests — `SUBMIT` enqueues and returns
+//!   immediately, `RESULT` waits on the connection's own reply channel
+//!   for the job's outcome;
 //! - **workers** ([`DaemonConfig::threads`] of them) each take the oldest
 //!   pending job and carry it alone from store lookup to published
 //!   outcome. A fresh job is verified through
@@ -31,9 +31,10 @@
 //! already in the pipeline tier are answered from disk without verifying
 //! and report `from = store` over the wire.
 //!
-//! Results are published per job id; each client receives `RESULT`
-//! replies in the order it asks for them, which the bundled client does
-//! in submission order.
+//! A worker sends a finished job's outcome straight to the reply channel
+//! of the connection that submitted it, which holds it until its client
+//! asks with `RESULT`, in any order. A connection that closes drops what
+//! it did not collect, and a journal replay's outcome goes to nobody.
 //!
 //! # Fault tolerance
 //!
@@ -73,11 +74,11 @@
 //!   which removes the file if nothing replayed. A clean shutdown removes
 //!   it too.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -217,16 +218,20 @@ fn register_metrics() {
     shadowdp::pipeline::register_metrics();
 }
 
-/// Refreshes the store-shaped gauges from a locked store. Called after
-/// every job and on METRICS reads so scrapes see current state even
-/// when the daemon is idle.
-fn refresh_store_gauges(store: &VerdictStore) {
+/// Sets the state gauges from the daemon's current state. `METRICS`, their
+/// only reader, calls this before rendering; nothing else moves them.
+fn refresh_gauges(shared: &Shared) {
+    let store = shared.store();
     PIPELINE_ENTRIES.set(store.pipeline_len() as u64);
     STORE_LOG_BYTES.set(store.log_bytes());
     let live = store.live_entries();
     if live > 0 {
         COMPACTION_RATIO.set(store.logged_entries() as f64 / live as f64);
     }
+    let st = shared.state();
+    QUEUE_DEPTH.set(st.pending.len() as u64);
+    JOURNAL_ENTRIES.set(st.journaled());
+    MEMO_ENTRIES.set(shared.memo.len() as u64);
 }
 
 /// Daemon configuration.
@@ -243,13 +248,14 @@ pub struct DaemonConfig {
     /// worker verifies one job at a time, so this is how many jobs run at
     /// once.
     pub threads: Option<usize>,
-    /// Bound on the submission queue (`--queue-limit`). A `SUBMIT` that
-    /// would push `pending` past this answers `BUSY` instead of queueing;
-    /// `None` keeps the queue unbounded (the pre-backpressure behavior).
+    /// Bound on the submission queue (`--queue-limit`, at least 1). A
+    /// `SUBMIT` that would push `pending` past this answers `BUSY` instead
+    /// of queueing; `None` keeps the queue unbounded (the pre-backpressure
+    /// behavior).
     pub queue_limit: Option<usize>,
-    /// Cap on pipeline-tier store entries (`--store-max-pipeline-entries`).
-    /// After each job's put and before its flush, the least recently
-    /// *served* entries past the cap are evicted
+    /// Cap on pipeline-tier store entries (`--store-max-pipeline-entries`,
+    /// at least 1). After each job's put and before its flush, the least
+    /// recently *served* entries past the cap are evicted
     /// ([`VerdictStore::evict_pipeline_lru`]), so a daemon fed an
     /// unbounded stream of distinct programs keeps a bounded store.
     /// `None` = unbounded (the pre-eviction behavior).
@@ -296,6 +302,9 @@ struct Submission {
     /// When `SUBMIT` accepted it (daemon start, for a journal replay): the
     /// start of its `queue_wait` stage.
     accepted: Instant,
+    /// The submitting connection's reply channel; `None` for a journal
+    /// replay, whose outcome nobody collects.
+    reply: Option<mpsc::Sender<JobOutcome>>,
 }
 
 /// Queue state behind the daemon's mutex.
@@ -307,19 +316,9 @@ struct State {
     /// the oldest pending job and removal keeps order, so this is in id
     /// order and every id here is below every pending id.
     running: Vec<Submission>,
-    done: HashMap<u64, JobOutcome>,
-    /// Ids whose outcome was handed to a RESULT request — or dropped
-    /// because the submitter disconnected first. Outcomes leave `done` on
-    /// delivery and disconnect-reaping, so a long-lived daemon's memory is
-    /// bounded by live connections' work, not total jobs served; this id
-    /// set (8 bytes per job, the only per-job residue) keeps a re-asked id
-    /// an error instead of an infinite wait.
-    delivered: HashSet<u64>,
-    /// Which connection submitted each undelivered job. Only the
-    /// submitting connection may consume the outcome — otherwise any
-    /// client probing ids could steal results and leave the rightful
-    /// submitter with a permanent error. Entries are removed on delivery.
-    owners: HashMap<u64, u64>,
+    /// Outcomes published since startup, replays and those of closed
+    /// connections included (`STATUS done`).
+    done: u64,
     next_id: u64,
     /// The in-flight journal, `<store>.journal` (`None` without a store).
     /// Kept here, every journal call holds the state lock, which orders
@@ -386,9 +385,6 @@ struct Shared {
     /// Signalled when a submission is queued or shutdown begins; workers
     /// wait on it.
     queued: Condvar,
-    /// Signalled when an outcome is published; `RESULT` requests wait on
-    /// it.
-    published: Condvar,
     store: Mutex<VerdictStore>,
     memo: Arc<QueryMemo>,
     config: DaemonConfig,
@@ -480,9 +476,17 @@ fn job_outcome(
 ///
 /// # Errors
 ///
-/// Returns an error if the socket cannot be bound. Per-connection and
-/// store-flush errors are logged to stderr and survived.
+/// Returns [`std::io::ErrorKind::InvalidInput`], before touching the
+/// store or the socket, if either cap is 0, and an error if the socket
+/// cannot be bound. Per-connection and store-flush errors are logged to
+/// stderr and survived.
 pub fn run(config: DaemonConfig) -> std::io::Result<()> {
+    if config.queue_limit == Some(0) || config.max_pipeline_entries == Some(0) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "the queue limit and the pipeline cap must be at least 1",
+        ));
+    }
     let store = match &config.store {
         Some(path) => VerdictStore::load(path),
         None => VerdictStore::in_memory(),
@@ -494,9 +498,9 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     store.warm_memo(&memo);
 
     // Submissions journaled by a previous run that crashed before their
-    // verdicts were flushed: requeue them ownerless. Nobody collects the
-    // outcomes (the submitting connections are gone), but the verdicts
-    // land in the store, so resubmitting clients get store hits.
+    // verdicts were flushed: requeue them without a reply channel. Nobody
+    // collects the outcomes (the submitting connections are gone), but the
+    // verdicts land in the store, so resubmitting clients get store hits.
     let mut initial = State::default();
     let mut replayed = Vec::new();
     initial.journal = config.store.as_deref().map(|store| {
@@ -531,6 +535,7 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
             id,
             spec,
             accepted: started,
+            reply: None,
         });
     }
     if !initial.pending.is_empty() {
@@ -545,9 +550,6 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     shadowdp_obs::arm_from_env();
     register_metrics();
     QUEUE_CAPACITY.set(config.queue_limit.map_or(0, |n| n as u64));
-    QUEUE_DEPTH.set(initial.pending.len() as u64);
-    JOURNAL_ENTRIES.set(initial.journaled());
-    refresh_store_gauges(&store);
 
     // A socket file may be left over from a crashed daemon — or belong to
     // a daemon that is alive right now. Probe before touching it: only a
@@ -606,7 +608,6 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     let shared = Arc::new(Shared {
         state: Mutex::new(initial),
         queued: Condvar::new(),
-        published: Condvar::new(),
         store: Mutex::new(store),
         memo,
         config,
@@ -626,19 +627,16 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
         })
         .collect();
 
-    let mut next_conn: u64 = 0;
     for stream in listener.incoming() {
         if shared.state().shutdown {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let conn = next_conn;
-        next_conn += 1;
         let shared = shared.clone();
         let faults = faults.clone();
         thread::spawn(move || {
             let _faults = faults.bind();
-            if let Err(e) = handle(&shared, conn, stream) {
+            if let Err(e) = serve(&shared, stream) {
                 eprintln!("shadowdpd: connection error: {e}");
             }
         });
@@ -659,7 +657,6 @@ fn take(shared: &Shared) -> Option<Submission> {
     loop {
         if let Some(job) = st.pending.pop_front() {
             st.running.push(job.clone());
-            QUEUE_DEPTH.set(st.pending.len() as u64);
             return Some(job);
         }
         if st.shutdown {
@@ -732,14 +729,12 @@ fn work(shared: &Shared) {
                 ),
             }
         };
-        refresh_store_gauges(&store);
         match outcome.kind {
             OutcomeKind::Crashed => CRASHES.inc(),
             OutcomeKind::Exhausted => BUDGET_EXHAUSTED.inc(),
             OutcomeKind::Completed | OutcomeKind::Error => {}
         }
         JOBS_DONE.inc();
-        MEMO_ENTRIES.set(shared.memo.len() as u64);
         if shadowdp_obs::armed() {
             span.set_label(&format!("id={} store_hit={}", job.id, outcome.from_store));
         }
@@ -761,7 +756,6 @@ fn work(shared: &Shared) {
                 eprintln!("shadowdpd: journal trim failed (will retry): {e}");
             }
         }
-        JOURNAL_ENTRIES.set(st.journaled());
         // Every metric for this job moves before its outcome becomes
         // visible, so a client that scrapes after its RESULT sees them.
         if let Some((start, end)) = verified_in {
@@ -772,16 +766,13 @@ fn work(shared: &Shared) {
             JOB_STAGE_US.with("verify").observe(us(end - start));
             JOB_STAGE_US.with("flush").observe(us(end.elapsed()));
         }
-        if st.owners.contains_key(&job.id) {
-            st.done.insert(job.id, outcome);
-        } else {
-            // The submitting connection disconnected while this job was
-            // in flight; nobody can ever collect it, so publishing would
-            // leak. The verdict is persisted either way.
-            st.delivered.insert(job.id);
-        }
+        st.done += 1;
         drop(st);
-        shared.published.notify_all();
+        // A failed send means the submitting connection has closed: nobody
+        // can collect the outcome, and its verdict is persisted either way.
+        if let Some(reply) = &job.reply {
+            let _ = reply.send(outcome);
+        }
     }
 }
 
@@ -898,7 +889,6 @@ fn close_store(shared: &Shared) {
             }
         }
     }
-    refresh_store_gauges(&store);
     if store.dirty_len() == 0 {
         // Everything is persisted and the queue drained; an empty journal
         // (removed file) marks the shutdown as clean.
@@ -908,31 +898,6 @@ fn close_store(shared: &Shared) {
     }
 }
 
-/// One connection: request lines in, response lines out, until EOF or
-/// `SHUTDOWN`, then reap whatever the client never collected. `conn`
-/// identifies this connection for job ownership.
-fn handle(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> {
-    let result = serve(shared, conn, stream);
-    // A client that disconnected without collecting its outcomes will
-    // never RESULT them; dropping them here (and letting the workers drop
-    // in-flight ones at publication, see above) keeps daemon memory
-    // bounded by live connections' work, not total jobs ever served.
-    let mut st = shared.state();
-    let orphaned: Vec<u64> = st
-        .owners
-        .iter()
-        .filter(|(_, owner)| **owner == conn)
-        .map(|(id, _)| *id)
-        .collect();
-    for id in orphaned {
-        st.owners.remove(&id);
-        if st.done.remove(&id).is_some() {
-            st.delivered.insert(id);
-        }
-    }
-    result
-}
-
 /// Writes one response line through the `daemon.socket.write` fault site.
 fn write_response(writer: &mut UnixStream, resp: &Response) -> std::io::Result<()> {
     let mut line = proto::encode_response(resp);
@@ -940,10 +905,17 @@ fn write_response(writer: &mut UnixStream, resp: &Response) -> std::io::Result<(
     shadowdp_fault::write_all("daemon.socket.write", writer, line.as_bytes())
 }
 
-/// The request/response loop behind [`handle`].
-fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> {
+/// One connection: request lines in, response lines out, until EOF or
+/// `SHUTDOWN`.
+fn serve(shared: &Shared, stream: UnixStream) -> std::io::Result<()> {
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
+    // Workers send the outcome of every job submitted here to `reply`.
+    // `owed` holds the ids submitted here and not yet collected, each with
+    // its outcome once that has arrived. Both go when the connection
+    // closes, and a worker's send to the closed channel drops the outcome.
+    let (reply, outcomes) = mpsc::channel();
+    let mut owed: HashMap<u64, Option<JobOutcome>> = HashMap::new();
     for line in reader.lines() {
         shadowdp_fault::fail_point("daemon.socket.read")?;
         let line = line?;
@@ -968,22 +940,14 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                 Response::Status(StatusInfo {
                     queued: st.pending.len() as u64,
                     running: st.running.len() as u64,
-                    done: (st.done.len() + st.delivered.len()) as u64,
+                    done: st.done,
                     memo_entries: shared.memo.len() as u64,
                     pipeline_store,
                     journaled: st.journaled(),
                 })
             }
             Ok(Request::Metrics) => {
-                // Refresh point-in-time gauges so an idle daemon's scrape
-                // is current, then render the whole registry.
-                MEMO_ENTRIES.set(shared.memo.len() as u64);
-                {
-                    let st = shared.state();
-                    QUEUE_DEPTH.set(st.pending.len() as u64);
-                    JOURNAL_ENTRIES.set(st.journaled());
-                }
-                refresh_store_gauges(&shared.store());
+                refresh_gauges(shared);
                 Response::Metrics(shadowdp_obs::render_prometheus())
             }
             Ok(Request::Submit(spec)) => {
@@ -1013,44 +977,32 @@ fn serve(shared: &Shared, conn: u64, stream: UnixStream) -> std::io::Result<()> 
                         id,
                         spec,
                         accepted: Instant::now(),
+                        reply: Some(reply.clone()),
                     });
-                    st.owners.insert(id, conn);
-                    QUEUE_DEPTH.set(st.pending.len() as u64);
-                    JOURNAL_ENTRIES.set(st.journaled());
+                    owed.insert(id, None);
                     shared.queued.notify_one();
                     Response::Queued(id)
                 }
             }
-            Ok(Request::Result(id)) => {
-                let mut st = shared.state();
-                loop {
-                    if id >= st.next_id {
-                        break Response::Err(format!("unknown job id {id}"));
+            Ok(Request::Result(id)) => match owed.remove(&id) {
+                // Outcomes of this connection's other jobs that arrive
+                // first are held for their own `RESULT`. The wait is
+                // finite: workers drain every pending job before exiting,
+                // even after shutdown begins.
+                Some(held) => Response::Result(held.unwrap_or_else(|| loop {
+                    let outcome = outcomes.recv().expect("this connection holds a sender");
+                    if outcome.id == id {
+                        break outcome;
                     }
-                    if st.delivered.contains(&id) {
-                        break Response::Err(format!("job {id} already delivered"));
-                    }
-                    // Only the submitting connection may consume an
-                    // outcome; anyone else probing the id would otherwise
-                    // steal it and leave the submitter with an error.
-                    if st.owners.get(&id) != Some(&conn) {
-                        break Response::Err(format!("job {id} was submitted by another client"));
-                    }
-                    if let Some(outcome) = st.done.remove(&id) {
-                        st.delivered.insert(id);
-                        st.owners.remove(&id);
-                        break Response::Result(outcome);
-                    }
-                    // Note: no shutdown early-out here. Every issued id is
-                    // eventually published — workers drain pending jobs
-                    // before exiting even after the shutdown flag is set —
-                    // so waiting is always finite and correct.
-                    st = shared
-                        .published
-                        .wait(st)
-                        .expect("no thread panics while holding the queue state");
+                    owed.insert(outcome.id, Some(outcome));
+                })),
+                None if id >= shared.state().next_id => {
+                    Response::Err(format!("unknown job id {id}"))
                 }
-            }
+                None => Response::Err(format!(
+                    "job {id} was submitted by another client or already delivered"
+                )),
+            },
             Ok(Request::Shutdown) => {
                 shared.state().shutdown = true;
                 shared.queued.notify_all();

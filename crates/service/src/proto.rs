@@ -50,11 +50,13 @@
 //! Prometheus text exposition format, [`esc`]-escaped onto the one
 //! response line (the exposition is multi-line; the escaping keeps the
 //! protocol strictly line-oriented).
-//! Job ids are owned by the connection that submitted them: `RESULT`
-//! from any other connection is an `ERR`, and a second `RESULT` for an
-//! already-delivered id is too (outcomes are dropped on delivery to
-//! bound daemon memory). Protocol errors never kill the connection:
-//! the daemon answers `ERR` and keeps reading.
+//! A job's outcome is held by the connection that submitted it until a
+//! `RESULT` on that connection collects it, in any order, and is dropped
+//! if the connection closes first. `RESULT` for an id never issued is
+//! `ERR unknown job id …`; for any other id this connection does not owe
+//! (another client's, or one already collected) it is `ERR job … was
+//! submitted by another client or already delivered`. Protocol errors
+//! never kill the connection: the daemon answers `ERR` and keeps reading.
 
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
@@ -138,8 +140,9 @@ pub struct StatusInfo {
     pub queued: u64,
     /// Jobs taken by a worker and not yet published.
     pub running: u64,
-    /// Jobs completed since startup (awaiting pickup or already
-    /// delivered).
+    /// Job outcomes published since startup, whether collected, still
+    /// held by their connection, or dropped with it (journal replays
+    /// included).
     pub done: u64,
     /// Entries in the live solver query memo.
     pub memo_entries: u64,

@@ -1,14 +1,17 @@
 //! End-to-end daemon tests over a real Unix socket: warm restart served
 //! from the persistent store, solver-tier warmth crossing a restart for
-//! *new* cache keys, corrupted-store cold recovery, and protocol
-//! robustness.
+//! *new* cache keys, corrupted-store cold recovery, protocol robustness,
+//! and zero caps refused at start-up.
 
 mod support;
 
+use std::io::ErrorKind;
+use std::sync::mpsc;
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 use shadowdp::{corpus, JobSpec};
-use shadowdp_service::daemon::DaemonConfig;
+use shadowdp_service::daemon::{self, DaemonConfig};
 use shadowdp_service::Client;
 use support::{start_daemon, temp_paths};
 
@@ -392,4 +395,37 @@ fn results_are_owned_by_the_submitting_connection() {
 
     submitter.shutdown().expect("shutdown");
     handle.join().expect("daemon exits");
+}
+
+/// A queue limit of 0 would answer every `SUBMIT` with `BUSY`, and a
+/// pipeline cap of 0 would evict every entry after every job: `run`
+/// refuses either before it binds the socket, instead of serving.
+#[test]
+fn zero_caps_are_rejected_up_front() {
+    let (socket, store) = temp_paths("zero-caps");
+    let base = DaemonConfig {
+        store: Some(store),
+        ..DaemonConfig::new(&socket)
+    };
+    let zero_queue = DaemonConfig {
+        queue_limit: Some(0),
+        ..base.clone()
+    };
+    let zero_pipeline = DaemonConfig {
+        max_pipeline_entries: Some(0),
+        ..base
+    };
+    for config in [zero_queue, zero_pipeline] {
+        // A daemon that serves never returns: wait on a channel, not a
+        // join, so the test fails instead of hanging.
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || tx.send(daemon::run(config)));
+        let err = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run returns instead of serving")
+            .expect_err("a zero cap is refused");
+        runner.join().expect("runner").expect("result received");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        assert!(!socket.exists(), "no socket was bound");
+    }
 }

@@ -31,6 +31,10 @@
 //!    bigger budget proves (and then store-hits).
 //! 7. **Graceful drain** — `SHUTDOWN` mid-batch still publishes every
 //!    accepted job's result, flushes the store, and clears the journal.
+//! 8. **Delivery** — an outcome goes to the connection that submitted
+//!    it: collected there in any order and only once, refused to any
+//!    other, and dropped with a connection that closes before collecting
+//!    it while its verdict is still stored.
 //!
 //! A test's `FaultPlan` is bound to the test's thread, and `start_daemon`
 //! hands it to the in-process daemon, so a daemon never observes another
@@ -461,6 +465,69 @@ fn a_slow_job_does_not_hold_a_fast_one() {
         b"SDPJRNL1",
         "an idle daemon cuts the journal back to its magic"
     );
+
+    control.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    cleanup(&[&socket, &store]);
+}
+
+/// Outcomes follow their connection. One connection collects a slow job
+/// before a fast one that finished first, so its connection holds the
+/// fast outcome until it is asked for; a second `RESULT` for an id, or
+/// one from another connection, is an `ERR`. A connection that closes
+/// without collecting loses only the outcome: the job is counted done
+/// and its verdict stored.
+#[test]
+fn outcomes_follow_their_connection() {
+    // The delay plan of `a_slow_job_does_not_hold_a_fast_one`: Smart Sum
+    // runs far longer than the Laplace mechanism.
+    let guard = FaultPlan::new()
+        .sticky("solver.step", FaultKind::Delay { millis: 5 }, 1)
+        .install();
+    let (socket, store) = temp_paths("follow");
+    let (handle, mut control) = start_daemon(DaemonConfig {
+        store: Some(store.clone()),
+        threads: Some(2),
+        ..DaemonConfig::new(&socket)
+    });
+    let laplace = corpus::laplace_mechanism().source;
+
+    let mut client = Client::connect(&socket).expect("connect");
+    let slow_id = client
+        .submit(&JobSpec::new(corpus::smart_sum().source))
+        .expect("submit slow");
+    wait_status(
+        &mut control,
+        Duration::from_secs(30),
+        "slow job start",
+        |s| s.running == 1,
+    );
+    let fast_id = client.submit(&JobSpec::new(laplace)).expect("submit fast");
+    wait_status(
+        &mut control,
+        Duration::from_secs(30),
+        "fast job done",
+        |s| s.done == 1 && s.running == 1,
+    );
+    let slow = client.result(slow_id).expect("slow result");
+    assert_eq!((slow.id, slow.verdict.as_str()), (slow_id, "proved"));
+    let fast = client.result(fast_id).expect("held fast result");
+    assert_eq!((fast.id, fast.verdict.as_str()), (fast_id, "proved"));
+    assert!(client.result(fast_id).is_err(), "collected only once");
+    let mut other = Client::connect(&socket).expect("connect");
+    assert!(other.result(fast_id).is_err(), "not another client's");
+
+    // A distinct store key, submitted by a connection that never collects.
+    let orphan = JobSpec::new(format!("{laplace} "));
+    let mut quitter = Client::connect(&socket).expect("connect");
+    quitter.submit(&orphan).expect("submit orphan");
+    drop(quitter);
+    wait_status(&mut control, Duration::from_secs(30), "orphan done", |s| {
+        s.done == 3 && s.pipeline_store == 3
+    });
+    drop(guard);
+    let id = other.submit(&orphan).expect("resubmit");
+    assert!(other.result(id).expect("result").from_store);
 
     control.shutdown().expect("shutdown");
     handle.join().expect("daemon exits");
