@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use shadowdp_num::Rat;
-use shadowdp_syntax::{BinOp, Cmd, CmdKind, Expr, Function, Name, UnOp};
+use shadowdp_syntax::{assigned_vars, BinOp, Cmd, CmdKind, Expr, Function, Name, UnOp};
 
 use crate::diag::{Code, Diagnostic, Severity};
 use crate::taint::Class;
@@ -93,32 +93,12 @@ fn conjuncts(e: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Variable base names assigned (or sampled) anywhere in `cmds`.
-fn assigned_vars(cmds: &[Cmd], out: &mut Vec<String>) {
-    for c in cmds {
-        match &c.kind {
-            CmdKind::Assign(n, _) | CmdKind::Sample { var: n, .. } | CmdKind::Havoc(n)
-                if !n.is_hat() && !out.contains(&n.base) =>
-            {
-                out.push(n.base.clone());
-            }
-            CmdKind::If(_, a, b) => {
-                assigned_vars(a, out);
-                assigned_vars(b, out);
-            }
-            CmdKind::While { body, .. } => assigned_vars(body, out),
-            _ => {}
-        }
-    }
-}
-
 /// Whether some guard conjunct `v < E` / `v <= E` statically bounds the
 /// loop for cost purposes: `v` is updated in the body and `E` is either
 /// a constant or built only from variables the scale compensates for
 /// (the `·NN/eps` cancellation).
 fn guard_bounds_cost(cond: &Expr, body: &[Cmd], scale: &Expr) -> bool {
-    let mut modified = Vec::new();
-    assigned_vars(body, &mut modified);
+    let modified = assigned_vars(body);
     let scale_vars: Vec<String> = scale
         .vars()
         .into_iter()

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use shadowdp_syntax::{Cmd, CmdKind, Function, Name};
+use shadowdp_syntax::{preorder, Cmd, CmdKind, Function, Name};
 
 use crate::diag::{Code, Diagnostic, Severity};
 use crate::taint::Class;
@@ -25,34 +25,11 @@ struct SampleSite {
     zero_aligned: bool,
 }
 
-fn collect_samples(cmds: &[Cmd], out: &mut Vec<SampleSite>) {
-    for c in cmds {
-        match &c.kind {
-            CmdKind::Sample {
-                var,
-                selector,
-                align,
-                ..
-            } => out.push(SampleSite {
-                var: var.clone(),
-                span: c.span,
-                zero_aligned: align.is_zero_lit() && !selector.uses_shadow(),
-            }),
-            CmdKind::If(_, a, b) => {
-                collect_samples(a, out);
-                collect_samples(b, out);
-            }
-            CmdKind::While { body, .. } => collect_samples(body, out),
-            _ => {}
-        }
-    }
-}
-
 /// Whether `name` is read in any expression of any command other than
 /// the sample at `site_span` (a sample's own scale/selector/alignment
 /// annotations reference the sampled value and do not count as uses).
 fn is_read(cmds: &[Cmd], name: &Name, site_span: shadowdp_syntax::Span) -> bool {
-    cmds.iter().any(|c| {
+    preorder(cmds).any(|c| {
         if c.span == site_span && matches!(&c.kind, CmdKind::Sample { var, .. } if var == name) {
             return false;
         }
@@ -61,7 +38,8 @@ fn is_read(cmds: &[Cmd], name: &Name, site_span: shadowdp_syntax::Span) -> bool 
             CmdKind::Assign(_, e)
             | CmdKind::Return(e)
             | CmdKind::Assert(e)
-            | CmdKind::Assume(e) => e.mentions(name),
+            | CmdKind::Assume(e)
+            | CmdKind::If(e, ..) => e.mentions(name),
             CmdKind::Sample {
                 dist,
                 selector,
@@ -72,18 +50,9 @@ fn is_read(cmds: &[Cmd], name: &Name, site_span: shadowdp_syntax::Span) -> bool 
                     || align.mentions(name)
                     || selector_mentions(selector, name)
             }
-            CmdKind::If(cond, a, b) => {
-                cond.mentions(name) || is_read(a, name, site_span) || is_read(b, name, site_span)
-            }
             CmdKind::While {
-                cond,
-                invariants,
-                body,
-            } => {
-                cond.mentions(name)
-                    || invariants.iter().any(|inv| inv.mentions(name))
-                    || is_read(body, name, site_span)
-            }
+                cond, invariants, ..
+            } => cond.mentions(name) || invariants.iter().any(|inv| inv.mentions(name)),
         }
     })
 }
@@ -105,48 +74,34 @@ fn check_divergence(
     zero_aligned: &[Name],
     diags: &mut Vec<Diagnostic>,
 ) {
-    for c in cmds {
-        let cond = match &c.kind {
-            CmdKind::If(cond, _, _) => Some(cond),
-            CmdKind::While { cond, .. } => Some(cond),
-            _ => None,
+    for c in preorder(cmds) {
+        let (CmdKind::If(cond, ..) | CmdKind::While { cond, .. }) = &c.kind else {
+            continue;
         };
-        if let Some(cond) = cond {
-            let mentions_tainted = cond.vars().iter().any(|n| {
-                !n.is_hat()
-                    && taint.get(&n.base).copied().unwrap_or(Class::Public) == Class::Tainted
-            });
-            if mentions_tainted {
-                if let Some(nv) = zero_aligned.iter().find(|n| cond.mentions(n)) {
-                    diags.push(
-                        Diagnostic::new(
-                            Code::Sd03,
-                            Severity::Warning,
-                            c.span,
-                            src,
-                            format!(
-                                "branch on sensitive data with zero-aligned noise `{}`: the \
-                                 aligned and shadow executions trivially diverge here",
-                                nv.base
-                            ),
-                        )
-                        .with_hint(
-                            "give the sample a nonzero alignment (or a shadow selector) so \
-                             both executions take the same branch",
-                        ),
-                    );
-                }
-            }
+        let mentions_tainted = cond.vars().iter().any(|n| {
+            !n.is_hat() && taint.get(&n.base).copied().unwrap_or(Class::Public) == Class::Tainted
+        });
+        if !mentions_tainted {
+            continue;
         }
-        match &c.kind {
-            CmdKind::If(_, a, b) => {
-                check_divergence(a, src, taint, zero_aligned, diags);
-                check_divergence(b, src, taint, zero_aligned, diags);
-            }
-            CmdKind::While { body, .. } => {
-                check_divergence(body, src, taint, zero_aligned, diags);
-            }
-            _ => {}
+        if let Some(nv) = zero_aligned.iter().find(|n| cond.mentions(n)) {
+            diags.push(
+                Diagnostic::new(
+                    Code::Sd03,
+                    Severity::Warning,
+                    c.span,
+                    src,
+                    format!(
+                        "branch on sensitive data with zero-aligned noise `{}`: the \
+                         aligned and shadow executions trivially diverge here",
+                        nv.base
+                    ),
+                )
+                .with_hint(
+                    "give the sample a nonzero alignment (or a shadow selector) so \
+                     both executions take the same branch",
+                ),
+            );
         }
     }
 }
@@ -154,8 +109,21 @@ fn check_divergence(
 /// Runs the SD03 checks.
 pub(crate) fn analyze(f: &Function, src: &str, taint: &BTreeMap<String, Class>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut sites = Vec::new();
-    collect_samples(&f.body, &mut sites);
+    let sites: Vec<SampleSite> = preorder(&f.body)
+        .filter_map(|c| match &c.kind {
+            CmdKind::Sample {
+                var,
+                selector,
+                align,
+                ..
+            } => Some(SampleSite {
+                var: var.clone(),
+                span: c.span,
+                zero_aligned: align.is_zero_lit() && !selector.uses_shadow(),
+            }),
+            _ => None,
+        })
+        .collect();
     for site in &sites {
         if !is_read(&f.body, &site.var, site.span) {
             diags.push(

@@ -63,7 +63,7 @@ fn emit_phase_rows() {
             .sum()
     };
     let n = jobs.len() as f64;
-    for phase in ["parse", "typecheck", "lower", "verify"] {
+    for phase in ["parse", "lint", "typecheck", "lower", "verify"] {
         let mean_ns = phase_total_us(phase) as f64 * 1_000.0 / n;
         println!("table1/phase/{phase}    mean {mean_ns:.0} ns/job (span-derived)");
         if let Ok(path) = std::env::var("CRITERION_JSON") {

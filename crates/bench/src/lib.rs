@@ -18,7 +18,7 @@
 //!   `service/flush-incremental` group pinning the O(delta) append-only
 //!   store flush (same dirty delta into a small vs. a ~128× larger store,
 //!   with per-batch appended bytes asserted flat inside the bench);
-//! - `baseline_synthesis` — the "Verification by [2] (s)" comparison
+//! - `baseline_synthesis` — the "Verification by \[2\] (s)" comparison
 //!   column: proof *search* over the §6.4 annotation space;
 //! - `substrates` — microbenchmarks of the home-grown substrates (QF-LRA
 //!   solver, interpreter) so regressions are visible independently of the

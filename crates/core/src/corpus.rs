@@ -38,7 +38,7 @@ pub struct PaperTimes {
     pub verify_rewrite: Option<f64>,
     /// "Verification by ShadowDP (s)" — Fix ε column.
     pub verify_fix: Option<f64>,
-    /// "Verification by [2] (s)" — the coupling-based verifier.
+    /// "Verification by \[2\] (s)" — the coupling-based verifier.
     pub coupling: Option<f64>,
 }
 

@@ -1006,5 +1006,20 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.phase(), Phase::TypeCheck);
+
+        // A hat in a source `return` is a stage error at its command.
+        let src = "function F(eps: num(0,0), x: num(1,1)) returns out: num(0,-)
+precondition eps > 0
+{
+    eta := lap(1 / eps) { select: aligned, align: -1 };
+    out := x + eta;
+    return ^out;
+}";
+        let err = Pipeline::new().run(src).unwrap_err();
+        assert_eq!(err.phase(), Phase::TypeCheck);
+        assert_eq!(
+            err.render_located(src),
+            "type error at 6:5: hat variables are not allowed in source programs (in `return`)"
+        );
     }
 }

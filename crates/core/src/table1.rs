@@ -41,7 +41,7 @@ pub struct Table1Row {
     pub paper_verify: Option<f64>,
     /// Paper "Fix ε" verification seconds.
     pub paper_verify_fix: Option<f64>,
-    /// Paper coupling-verifier seconds ([2]).
+    /// Paper coupling-verifier seconds (\[2\]).
     pub paper_coupling: Option<f64>,
 }
 

@@ -93,8 +93,8 @@ impl Client {
     /// # Errors
     ///
     /// Returns an error if spawning fails, the spawned daemon does not
-    /// come up within [`SPAWN_POLL_BUDGET`] (~10 s), or another caller's
-    /// spawn has not produced a daemon within [`SPAWN_WAIT_BUDGET`]
+    /// come up within `SPAWN_POLL_BUDGET` (~10 s), or another caller's
+    /// spawn has not produced a daemon within `SPAWN_WAIT_BUDGET`
     /// (~15 s).
     pub fn connect_or_spawn(
         socket: impl AsRef<Path>,
@@ -187,7 +187,7 @@ impl Client {
     /// Queues a job, returning its id. A `BUSY` answer (the daemon's
     /// submission queue is full) is retried with capped exponential
     /// backoff — honoring the daemon's advertised retry-after as a floor —
-    /// for up to [`SUBMIT_BUSY_BUDGET`] before surfacing as an error.
+    /// for up to `SUBMIT_BUSY_BUDGET` before surfacing as an error.
     ///
     /// # Errors
     ///

@@ -312,7 +312,7 @@ const MEMO_SHARDS: usize = 16;
 /// Keys are structural [`Fingerprint`]s of whole query conjunctions, so an
 /// entry written by a solver on one thread (against its own arena shard)
 /// answers the structurally identical query from any other thread. The
-/// table is split into [`MEMO_SHARDS`] fingerprint-hashed lock shards:
+/// table is split into `MEMO_SHARDS` fingerprint-hashed lock shards:
 /// queries hold one shard's lock only for the lookup or the insert, never
 /// across a solve, and two workers contend only when their queries land in
 /// the same shard — so the hit path stays constant-time as worker counts

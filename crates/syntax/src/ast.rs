@@ -661,75 +661,101 @@ impl Function {
     /// distances are never consulted, so shadow tracking (and the `pc = ⊤`
     /// restriction on sampling) is disabled.
     pub fn uses_shadow(&self) -> bool {
-        fn cmds_use_shadow(cmds: &[Cmd]) -> bool {
-            cmds.iter().any(|c| match &c.kind {
-                CmdKind::Sample { selector, .. } => selector.uses_shadow(),
-                CmdKind::If(_, c1, c2) => cmds_use_shadow(c1) || cmds_use_shadow(c2),
-                CmdKind::While { body, .. } => cmds_use_shadow(body),
-                _ => false,
-            })
-        }
-        cmds_use_shadow(&self.body)
+        preorder(&self.body)
+            .any(|c| matches!(&c.kind, CmdKind::Sample { selector, .. } if selector.uses_shadow()))
     }
 
     /// Checks the stage discipline for *source* programs: no `assert`,
-    /// `havoc`, `assume`, or hat variables may appear.
+    /// `havoc` or `assume`, and no hat variable in an assignment, a
+    /// Laplace scale, a guard or a `return`. Sampling annotations and
+    /// loop invariants may read hats: they are proof annotations, not
+    /// program text (Table 1's alignments read `^q[i]` and `^sum`).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first offending command.
-    pub fn validate_source(&self) -> Result<(), String> {
-        fn check(cmds: &[Cmd]) -> Result<(), String> {
-            for c in cmds {
-                match &c.kind {
-                    CmdKind::Assert(_) => {
-                        return Err("assert is not allowed in source programs".into())
-                    }
-                    CmdKind::Havoc(_) => {
-                        return Err("havoc is not allowed in source programs".into())
-                    }
-                    CmdKind::Assume(_) => {
-                        return Err("assume is not allowed in source programs".into())
-                    }
-                    CmdKind::Assign(n, e) if (n.is_hat() || e.vars().iter().any(Name::is_hat)) => {
-                        return Err(format!(
-                            "hat variables are not allowed in source programs (in `{n} := ...`)"
-                        ));
-                    }
-                    CmdKind::If(_, c1, c2) => {
-                        check(c1)?;
-                        check(c2)?;
-                    }
-                    CmdKind::While { body, .. } => check(body)?,
-                    _ => {}
+    /// The span of the first offending command, in pre-order, and a
+    /// description of it.
+    pub fn validate_source(&self) -> Result<(), (Span, String)> {
+        const HATS: &str = "hat variables are not allowed in source programs";
+        let has_hat = |e: &Expr| e.vars().iter().any(Name::is_hat);
+        for c in preorder(&self.body) {
+            let message = match &c.kind {
+                CmdKind::Assert(_) => "assert is not allowed in source programs".to_string(),
+                CmdKind::Havoc(_) => "havoc is not allowed in source programs".to_string(),
+                CmdKind::Assume(_) => "assume is not allowed in source programs".to_string(),
+                CmdKind::Assign(n, e) if n.is_hat() || has_hat(e) => {
+                    format!("{HATS} (in `{n} := ...`)")
                 }
-            }
-            Ok(())
+                CmdKind::Sample { var, dist, .. } if has_hat(dist.scale()) => {
+                    format!("{HATS} (in the Laplace scale of `{var}`)")
+                }
+                CmdKind::If(cond, ..) if has_hat(cond) => format!("{HATS} (in an `if` guard)"),
+                CmdKind::While { cond, .. } if has_hat(cond) => {
+                    format!("{HATS} (in a `while` guard)")
+                }
+                CmdKind::Return(e) if has_hat(e) => format!("{HATS} (in `return`)"),
+                _ => continue,
+            };
+            return Err((c.span, message));
         }
-        check(&self.body)
+        Ok(())
     }
+}
 
-    /// Names of all random variables (targets of sampling commands).
-    pub fn random_vars(&self) -> Vec<String> {
-        fn walk(cmds: &[Cmd], out: &mut Vec<String>) {
-            for c in cmds {
-                match &c.kind {
-                    CmdKind::Sample { var, .. } if !out.contains(&var.base) => {
-                        out.push(var.base.clone());
-                    }
-                    CmdKind::If(_, c1, c2) => {
-                        walk(c1, out);
-                        walk(c2, out);
-                    }
-                    CmdKind::While { body, .. } => walk(body, out),
-                    _ => {}
+/// Walks a command tree in pre-order: each command before its branches
+/// or loop body, and a `then` block before its `else` block.
+///
+/// Every pass that only collects from the tree uses this walk. Passes
+/// that rewrite commands, execute them, or carry per-branch state keep
+/// their own recursion.
+pub fn preorder(cmds: &[Cmd]) -> Preorder<'_> {
+    Preorder {
+        stack: vec![cmds.iter()],
+    }
+}
+
+/// The iterator returned by [`preorder`].
+#[derive(Clone, Debug)]
+pub struct Preorder<'a> {
+    /// The unvisited rest of each enclosing block, innermost last.
+    stack: Vec<std::slice::Iter<'a, Cmd>>,
+}
+
+impl<'a> Iterator for Preorder<'a> {
+    type Item = &'a Cmd;
+
+    fn next(&mut self) -> Option<&'a Cmd> {
+        loop {
+            let Some(c) = self.stack.last_mut()?.next() else {
+                self.stack.pop();
+                continue;
+            };
+            match &c.kind {
+                CmdKind::If(_, then, els) => {
+                    self.stack.push(els.iter());
+                    self.stack.push(then.iter());
                 }
+                CmdKind::While { body, .. } => self.stack.push(body.iter()),
+                _ => {}
+            }
+            return Some(c);
+        }
+    }
+}
+
+/// Base names of the plain variables assigned, sampled into or havoc'd
+/// anywhere in `cmds`, in order of first appearance.
+pub fn assigned_vars(cmds: &[Cmd]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for c in preorder(cmds) {
+        if let CmdKind::Assign(n, _) | CmdKind::Sample { var: n, .. } | CmdKind::Havoc(n) = &c.kind
+        {
+            if !n.is_hat() && !out.contains(&n.base) {
+                out.push(n.base.clone());
             }
         }
-        let mut out = Vec::new();
-        walk(&self.body, &mut out);
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -800,6 +826,106 @@ mod tests {
         );
         assert!(s.uses_shadow());
         assert!(!Selector::Aligned.uses_shadow());
+    }
+
+    #[test]
+    fn preorder_visits_each_command_before_its_blocks_and_then_before_else() {
+        let src = "function F(eps: num(0,0), n: num(0,0)) returns out: num(0,0)
+{
+    a := 1;
+    if (n > 0) {
+        b := 2;
+        while (b < n) {
+            c := b;
+        }
+    } else {
+        havoc d;
+        a := 3;
+    }
+    e := lap(1 / eps) { select: aligned, align: 1 };
+    ^f := 0;
+    out := a;
+}";
+        let f = crate::parse_function(src).unwrap();
+        let at: Vec<(usize, usize)> = preorder(&f.body).map(|c| c.span.line_col(src)).collect();
+        assert_eq!(
+            at,
+            [
+                (3, 5),
+                (4, 5),
+                (5, 9),
+                (6, 9),
+                (7, 13),
+                (10, 9),
+                (11, 9),
+                (13, 5),
+                (14, 5),
+                (15, 5),
+                (1, 1), // the parser's implicit `return out`
+            ]
+        );
+        // First appearance, hats skipped, havoc included.
+        assert_eq!(assigned_vars(&f.body), ["a", "b", "c", "d", "e", "out"]);
+    }
+
+    #[test]
+    fn validate_source_locates_each_stage_violation() {
+        let hats = "hat variables are not allowed in source programs";
+        let probes = [
+            ("out := ^q[0];", format!("{hats} (in `out := ...`)")),
+            ("return ^out;", format!("{hats} (in `return`)")),
+            (
+                "if (^out > 0) { skip; }",
+                format!("{hats} (in an `if` guard)"),
+            ),
+            (
+                "while (out < ^out) { skip; }",
+                format!("{hats} (in a `while` guard)"),
+            ),
+            (
+                "eta := lap(1 / eps + ^q[0]) { select: aligned, align: 1 };",
+                format!("{hats} (in the Laplace scale of `eta`)"),
+            ),
+            (
+                "assert(out > 0);",
+                "assert is not allowed in source programs".into(),
+            ),
+            (
+                "assume(out > 0);",
+                "assume is not allowed in source programs".into(),
+            ),
+            (
+                "havoc out;",
+                "havoc is not allowed in source programs".into(),
+            ),
+        ];
+        for (cmd, message) in probes {
+            let src = format!(
+                "function F(eps: num(0,0), q: list num(*,*)) returns out: num(0,0)\n\
+                 {{\n    out := 0;\n    if (eps > 1) {{\n        {cmd}\n    }}\n}}"
+            );
+            let f = crate::parse_function(&src).unwrap();
+            let (span, got) = f.validate_source().unwrap_err();
+            assert_eq!((span.line_col(&src), got), ((5, 9), message), "{cmd}");
+        }
+    }
+
+    #[test]
+    fn annotations_may_mention_hats() {
+        // Alignments, selectors and invariants are proof annotations.
+        let src = "function F(eps: num(0,0), q: list num(*,*), n: num(0,0)) returns out: num(0,0)
+{
+    i := 0; out := 0;
+    while (i < n) invariant(^out == 0) {
+        eta := lap(2 / eps) { select: ^q[i] > 0 ? shadow : aligned, align: 1 - ^q[i] };
+        out := out + eta;
+        i := i + 1;
+    }
+}";
+        assert_eq!(
+            crate::parse_function(src).unwrap().validate_source(),
+            Ok(())
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! - [`ast`] — the abstract syntax: expressions, commands, types with
 //!   aligned/shadow distances, selectors, sampling annotations, and function
-//!   declarations with adjacency preconditions;
+//!   declarations with adjacency preconditions, plus [`preorder`], the one
+//!   command walk every collecting pass uses;
 //! - [`lexer`] — a hand-written tokenizer with byte-precise spans;
 //! - [`parser`] — a recursive-descent parser producing [`ast::Function`];
 //! - [`pretty`] — a pretty-printer whose output re-parses to the same AST
@@ -60,8 +61,8 @@ pub mod parser;
 pub mod pretty;
 
 pub use ast::{
-    Adjacency, BinOp, Cmd, CmdKind, Distance, Expr, Function, Name, NameKind, Param, Precondition,
-    RandExpr, RetDecl, Selector, Ty, UnOp,
+    assigned_vars, preorder, Adjacency, BinOp, Cmd, CmdKind, Distance, Expr, Function, Name,
+    NameKind, Param, Precondition, Preorder, RandExpr, RetDecl, Selector, Ty, UnOp,
 };
 pub use lexer::{Lexer, Span, Token, TokenKind};
 pub use parser::{parse_expr, parse_function, ParseError};

@@ -12,7 +12,7 @@
 //!
 //! and run the full check-and-verify pipeline on each candidate vector
 //! until one verifies. This doubles as the reproduction's stand-in for the
-//! *coupling-proof synthesis* baseline of Albarghouthi & Hsu ([2] in the
+//! *coupling-proof synthesis* baseline of Albarghouthi & Hsu (\[2\] in the
 //! paper): that system also *searches* for a proof rather than checking a
 //! pinned one, which is why the paper's Table 1 shows it minutes-slow where
 //! ShadowDP is seconds-fast. The search multiplies the per-check cost by
@@ -40,7 +40,9 @@
 
 use std::time::{Duration, Instant};
 
-use shadowdp_syntax::{pretty_expr, Cmd, CmdKind, Expr, Function, Name, NameKind, Selector, Ty};
+use shadowdp_syntax::{
+    preorder, pretty_expr, Cmd, CmdKind, Expr, Function, Name, NameKind, Selector, Ty,
+};
 use shadowdp_typing::check_function;
 use shadowdp_verify::{verify, Engine, Options, Verdict};
 
@@ -299,51 +301,32 @@ fn indexed_lists(cmds: &[Cmd]) -> Vec<(String, Expr)> {
             _ => {}
         }
     }
-    fn walk(cmds: &[Cmd], out: &mut Vec<(String, Expr)>) {
-        for c in cmds {
-            match &c.kind {
-                CmdKind::Assign(_, e) | CmdKind::Return(e) => scan_expr(e, out),
-                CmdKind::If(g, a, b) => {
-                    scan_expr(g, out);
-                    walk(a, out);
-                    walk(b, out);
-                }
-                CmdKind::While { cond, body, .. } => {
-                    scan_expr(cond, out);
-                    walk(body, out);
-                }
-                _ => {}
-            }
+    for c in preorder(cmds) {
+        if let CmdKind::Assign(_, e)
+        | CmdKind::Return(e)
+        | CmdKind::If(e, ..)
+        | CmdKind::While { cond: e, .. } = &c.kind
+        {
+            scan_expr(e, &mut out);
         }
     }
-    walk(cmds, &mut out);
     out
 }
 
 /// Scalars accumulated with `x := x + <something indexed>` — candidates for
 /// tracked-sum alignments.
 fn summed_scalars(cmds: &[Cmd]) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk(cmds: &[Cmd], out: &mut Vec<String>) {
-        for c in cmds {
-            match &c.kind {
-                CmdKind::Assign(n, Expr::Binary(shadowdp_syntax::BinOp::Add, a, _))
-                    if n.kind == NameKind::Plain
-                        && matches!(&**a, Expr::Var(v) if v == n)
-                        && !out.contains(&n.base) =>
-                {
-                    out.push(n.base.clone());
-                }
-                CmdKind::If(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                CmdKind::While { body, .. } => walk(body, out),
-                _ => {}
+    let mut out: Vec<String> = Vec::new();
+    for c in preorder(cmds) {
+        if let CmdKind::Assign(n, Expr::Binary(shadowdp_syntax::BinOp::Add, a, _)) = &c.kind {
+            if n.kind == NameKind::Plain
+                && matches!(&**a, Expr::Var(v) if v == n)
+                && !out.contains(&n.base)
+            {
+                out.push(n.base.clone());
             }
         }
     }
-    walk(cmds, &mut out);
     out
 }
 

@@ -5,7 +5,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use shadowdp_solver::{Solver, Symbol, Term};
-use shadowdp_syntax::{pretty_expr, Cmd, CmdKind, Expr, Function, Name, RandExpr, Selector, Span};
+use shadowdp_syntax::{
+    assigned_vars, preorder, pretty_expr, Cmd, CmdKind, Expr, Function, Name, RandExpr, Selector,
+    Span,
+};
 
 use crate::cleanup::eliminate_dead_hats;
 use crate::env::{Dist, TypeEnv, VarTy};
@@ -97,7 +100,7 @@ pub fn check_function(f: &Function) -> Result<Transformed, TypeError> {
 /// aggregate [`shadowdp_solver::SolverStats`] across phases).
 pub fn check_function_with(f: &Function, solver: &Solver) -> Result<Transformed, TypeError> {
     f.validate_source()
-        .map_err(|m| TypeError::at(Span::ZERO, m))?;
+        .map_err(|(span, m)| TypeError::at(span, m))?;
 
     let psi = Psi::from_function(f);
     let shadow_enabled = f.uses_shadow();
@@ -205,34 +208,16 @@ fn annotation_hats(
             scan_selector(b, lists, aligned, shadow);
         }
     }
-    fn walk(
-        cmds: &[Cmd],
-        lists: &BTreeSet<String>,
-        aligned: &mut BTreeSet<String>,
-        shadow: &mut BTreeSet<String>,
-    ) {
-        for c in cmds {
-            match &c.kind {
-                CmdKind::Sample {
-                    dist,
-                    selector,
-                    align,
-                    ..
-                } => {
-                    scan_expr(dist.scale(), lists, aligned, shadow);
-                    scan_expr(align, lists, aligned, shadow);
-                    scan_selector(selector, lists, aligned, shadow);
-                }
-                CmdKind::If(_, a, b) => {
-                    walk(a, lists, aligned, shadow);
-                    walk(b, lists, aligned, shadow);
-                }
-                CmdKind::While { body, .. } => walk(body, lists, aligned, shadow),
-                _ => {}
-            }
+    // Laplace scales need no scan: `validate_source` rejects hats there.
+    for c in preorder(&f.body) {
+        if let CmdKind::Sample {
+            selector, align, ..
+        } = &c.kind
+        {
+            scan_expr(align, list_params, &mut aligned, &mut shadow);
+            scan_selector(selector, list_params, &mut aligned, &mut shadow);
         }
     }
-    walk(&f.body, list_params, &mut aligned, &mut shadow);
     (aligned, shadow)
 }
 
@@ -837,8 +822,11 @@ impl<'a> Checker<'a> {
         c2: &[Cmd],
         span: Span,
     ) -> Result<Vec<Cmd>, TypeError> {
-        let mut assigned = assigned_vars(c1);
-        assigned.extend(assigned_vars(c2));
+        // Sorted, so the `~x` initializations come out in name order.
+        let assigned: BTreeSet<String> = assigned_vars(c1)
+            .into_iter()
+            .chain(assigned_vars(c2))
+            .collect();
         let mut out = Vec::new();
         for name in assigned {
             let Some(ty) = env.get(&name).cloned() else {
@@ -991,32 +979,6 @@ impl<'a> Checker<'a> {
             }],
         ))
     }
-}
-
-/// Plain variables assigned (or sampled into) anywhere in a command
-/// sequence.
-fn assigned_vars(cmds: &[Cmd]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    fn walk(cmds: &[Cmd], out: &mut BTreeSet<String>) {
-        for c in cmds {
-            match &c.kind {
-                CmdKind::Assign(n, _) if !n.is_hat() => {
-                    out.insert(n.base.clone());
-                }
-                CmdKind::Sample { var, .. } => {
-                    out.insert(var.base.clone());
-                }
-                CmdKind::If(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                CmdKind::While { body, .. } => walk(body, out),
-                _ => {}
-            }
-        }
-    }
-    walk(cmds, &mut out);
-    out
 }
 
 fn count_vars(env: &TypeEnv) -> usize {

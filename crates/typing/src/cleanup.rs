@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use shadowdp_syntax::{Cmd, CmdKind, Expr, Name, NameKind, Selector};
+use shadowdp_syntax::{preorder, Cmd, CmdKind, Expr, Name, NameKind, Selector};
 
 fn hat_reads(e: &Expr, out: &mut BTreeSet<Name>) {
     for v in e.vars() {
@@ -30,9 +30,9 @@ fn selector_hat_reads(s: &Selector, out: &mut BTreeSet<Name>) {
 
 /// Collects (root reads, hat-assignment dependency edges).
 fn collect(cmds: &[Cmd], roots: &mut BTreeSet<Name>, edges: &mut Vec<(Name, BTreeSet<Name>)>) {
-    for c in cmds {
+    for c in preorder(cmds) {
         match &c.kind {
-            CmdKind::Skip => {}
+            CmdKind::Skip | CmdKind::Havoc(_) => {}
             CmdKind::Assign(lhs, rhs) => {
                 if lhs.is_hat() {
                     let mut reads = BTreeSet::new();
@@ -53,24 +53,16 @@ fn collect(cmds: &[Cmd], roots: &mut BTreeSet<Name>, edges: &mut Vec<(Name, BTre
                 hat_reads(align, roots);
                 selector_hat_reads(selector, roots);
             }
-            CmdKind::If(cond, a, b) => {
-                hat_reads(cond, roots);
-                collect(a, roots, edges);
-                collect(b, roots, edges);
-            }
+            CmdKind::If(cond, ..) => hat_reads(cond, roots),
             CmdKind::While {
-                cond,
-                invariants,
-                body,
+                cond, invariants, ..
             } => {
                 hat_reads(cond, roots);
                 for inv in invariants {
                     hat_reads(inv, roots);
                 }
-                collect(body, roots, edges);
             }
             CmdKind::Return(e) | CmdKind::Assert(e) | CmdKind::Assume(e) => hat_reads(e, roots),
-            CmdKind::Havoc(_) => {}
         }
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! Modules:
 //!
-//! - [`env`] — distances, variable types, typing environments, the
+//! - [`env`](mod@env) — distances, variable types, typing environments, the
 //!   two-level lattice join, and branch-condition simplification;
 //! - [`lower`] — lowering ShadowDP expressions to solver terms
 //!   (skolemizing list indexing);

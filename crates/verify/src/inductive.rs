@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use shadowdp_num::Rat;
 use shadowdp_solver::{Solver, Term, TermNode};
-use shadowdp_syntax::{pretty_expr, BinOp, Cmd, CmdKind, Expr, Name, Ty};
+use shadowdp_syntax::{preorder, pretty_expr, BinOp, Cmd, CmdKind, Expr, Name, Ty};
 
 use crate::sym::{AdjacencySpec, SymExec, SymState, SymVal};
 use crate::target::{CostSite, TargetInfo, V_EPS};
@@ -459,26 +459,12 @@ impl Engine {
 /// Variables (including hats, `v_eps`, and adjacency ghosts) the loop body
 /// can change.
 fn assigned_in(body: &[Cmd], exec: &SymExec<'_>) -> BTreeSet<Name> {
-    let mut out = BTreeSet::new();
-    fn walk(cmds: &[Cmd], out: &mut BTreeSet<Name>) {
-        for c in cmds {
-            match &c.kind {
-                CmdKind::Assign(n, _) => {
-                    out.insert(n.clone());
-                }
-                CmdKind::Havoc(n) => {
-                    out.insert(n.clone());
-                }
-                CmdKind::If(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                CmdKind::While { body, .. } => walk(body, out),
-                _ => {}
-            }
-        }
-    }
-    walk(body, &mut out);
+    let mut out: BTreeSet<Name> = preorder(body)
+        .filter_map(|c| match &c.kind {
+            CmdKind::Assign(n, _) | CmdKind::Havoc(n) => Some(n.clone()),
+            _ => None,
+        })
+        .collect();
     // Reading an at-most-one list advances its ghost.
     for list in &exec.adjacency.at_most_one {
         if body_reads_list(body, list) {
@@ -503,14 +489,13 @@ fn body_reads_list(cmds: &[Cmd], list: &str) -> bool {
             _ => false,
         }
     }
-    cmds.iter().any(|c| match &c.kind {
-        CmdKind::Assign(_, e) | CmdKind::Assert(e) | CmdKind::Assume(e) | CmdKind::Return(e) => {
-            expr_reads(e, list)
-        }
-        CmdKind::If(g, a, b) => {
-            expr_reads(g, list) || body_reads_list(a, list) || body_reads_list(b, list)
-        }
-        CmdKind::While { cond, body, .. } => expr_reads(cond, list) || body_reads_list(body, list),
+    preorder(cmds).any(|c| match &c.kind {
+        CmdKind::Assign(_, e)
+        | CmdKind::Assert(e)
+        | CmdKind::Assume(e)
+        | CmdKind::Return(e)
+        | CmdKind::If(e, ..)
+        | CmdKind::While { cond: e, .. } => expr_reads(e, list),
         _ => false,
     })
 }
@@ -667,26 +652,19 @@ fn generate_candidates(
 /// `x := x + k` updates anywhere in the body, with `k` a positive constant.
 fn find_counters(body: &[Cmd]) -> Vec<(String, Rat)> {
     let mut out: Vec<(String, Rat)> = Vec::new();
-    fn walk(cmds: &[Cmd], out: &mut Vec<(String, Rat)>) {
-        for c in cmds {
-            match &c.kind {
-                CmdKind::Assign(n, Expr::Binary(BinOp::Add, a, b)) if !n.is_hat() => {
-                    if let (Expr::Var(v), Expr::Num(k)) = (&**a, &**b) {
-                        if v == n && k.is_positive() && !out.iter().any(|(x, _)| x == &n.base) {
-                            out.push((n.base.clone(), *k));
-                        }
-                    }
+    for c in preorder(body) {
+        if let CmdKind::Assign(n, Expr::Binary(BinOp::Add, a, b)) = &c.kind {
+            if let (Expr::Var(v), Expr::Num(k)) = (&**a, &**b) {
+                if !n.is_hat()
+                    && v == n
+                    && k.is_positive()
+                    && !out.iter().any(|(x, _)| x == &n.base)
+                {
+                    out.push((n.base.clone(), *k));
                 }
-                CmdKind::If(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                CmdKind::While { body, .. } => walk(body, out),
-                _ => {}
             }
         }
     }
-    walk(body, &mut out);
     out
 }
 

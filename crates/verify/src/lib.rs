@@ -135,7 +135,7 @@ pub struct Report {
 /// Lowers `c'` to the target language and verifies it.
 ///
 /// The input must be the output of
-/// [`shadowdp_typing::check_function`] — a source program straight from the
+/// `shadowdp_typing::check_function` — a source program straight from the
 /// parser still contains un-instrumented sampling and will be rejected by
 /// lowering only if malformed, but its verification says nothing about
 /// privacy.

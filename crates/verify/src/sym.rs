@@ -26,7 +26,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use shadowdp_solver::{Solver, Term};
-use shadowdp_syntax::{pretty_expr, BinOp, Cmd, CmdKind, Expr, Name, NameKind, Precondition, UnOp};
+use shadowdp_syntax::{
+    preorder, pretty_expr, BinOp, Cmd, CmdKind, Expr, Name, NameKind, Precondition, UnOp,
+};
 
 /// Whether `e` is integer-valued assuming the variables in `ints` are.
 fn int_expr_over(e: &Expr, ints: &std::collections::BTreeSet<Name>) -> bool {
@@ -676,30 +678,23 @@ impl<'a> SymExec<'a> {
     /// `int` declarations in the paper's benchmarks.
     pub fn infer_int_vars(f: &shadowdp_syntax::Function) -> BTreeSet<Name> {
         // Collect assignments and disqualifying writes.
-        let mut assigns: Vec<(Name, Expr)> = Vec::new();
-        let mut disqualified: BTreeSet<Name> = BTreeSet::new();
-        fn walk(cmds: &[Cmd], assigns: &mut Vec<(Name, Expr)>, dis: &mut BTreeSet<Name>) {
-            for c in cmds {
-                match &c.kind {
-                    CmdKind::Assign(n, e) if !n.is_hat() => assigns.push((n.clone(), e.clone())),
-                    CmdKind::Havoc(n) | CmdKind::Sample { var: n, .. } => {
-                        dis.insert(n.clone());
-                    }
-                    CmdKind::If(_, a, b) => {
-                        walk(a, assigns, dis);
-                        walk(b, assigns, dis);
-                    }
-                    CmdKind::While { body, .. } => walk(body, assigns, dis),
-                    _ => {}
+        let mut assigns: Vec<(&Name, &Expr)> = Vec::new();
+        let mut disqualified: BTreeSet<&Name> = BTreeSet::new();
+        for c in preorder(&f.body) {
+            match &c.kind {
+                CmdKind::Assign(n, e) if !n.is_hat() => assigns.push((n, e)),
+                CmdKind::Havoc(n) | CmdKind::Sample { var: n, .. } => {
+                    disqualified.insert(n);
                 }
+                _ => {}
             }
         }
-        walk(&f.body, &mut assigns, &mut disqualified);
 
         let mut ints: BTreeSet<Name> = assigns
             .iter()
-            .map(|(n, _)| n.clone())
+            .map(|(n, _)| *n)
             .filter(|n| !disqualified.contains(n))
+            .cloned()
             .collect();
         // Fixed point: drop variables with a non-integer assignment.
         loop {
@@ -707,7 +702,7 @@ impl<'a> SymExec<'a> {
             ints.retain(|candidate| {
                 assigns
                     .iter()
-                    .filter(|(n, _)| n == candidate)
+                    .filter(|(n, _)| *n == candidate)
                     .all(|(_, rhs)| int_expr_over(rhs, &snapshot))
             });
             if ints.len() == snapshot.len() {
@@ -719,56 +714,35 @@ impl<'a> SymExec<'a> {
         // themselves.
         let param_names: BTreeSet<String> = f.params.iter().map(|p| p.name.clone()).collect();
         let mut bound_params: BTreeSet<Name> = BTreeSet::new();
-        fn scan_guards(
-            cmds: &[Cmd],
+        fn scan_expr(
+            e: &Expr,
             ints: &BTreeSet<Name>,
             params: &BTreeSet<String>,
             out: &mut BTreeSet<Name>,
         ) {
-            fn scan_expr(
-                e: &Expr,
-                ints: &BTreeSet<Name>,
-                params: &BTreeSet<String>,
-                out: &mut BTreeSet<Name>,
-            ) {
-                match e {
-                    Expr::Binary(
-                        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq,
-                        a,
-                        b,
-                    ) => {
-                        for (x, y) in [(a, b), (b, a)] {
-                            if let (Expr::Var(xv), Expr::Var(yv)) = (&**x, &**y) {
-                                if ints.contains(xv) && params.contains(&yv.base) && !yv.is_hat() {
-                                    out.insert(yv.clone());
-                                }
+            match e {
+                Expr::Binary(BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq, a, b) => {
+                    for (x, y) in [(a, b), (b, a)] {
+                        if let (Expr::Var(xv), Expr::Var(yv)) = (&**x, &**y) {
+                            if ints.contains(xv) && params.contains(&yv.base) && !yv.is_hat() {
+                                out.insert(yv.clone());
                             }
                         }
                     }
-                    Expr::Binary(BinOp::And | BinOp::Or, a, b) => {
-                        scan_expr(a, ints, params, out);
-                        scan_expr(b, ints, params, out);
-                    }
-                    Expr::Unary(_, a) => scan_expr(a, ints, params, out),
-                    _ => {}
                 }
-            }
-            for c in cmds {
-                match &c.kind {
-                    CmdKind::If(g, a, b) => {
-                        scan_expr(g, ints, params, out);
-                        scan_guards(a, ints, params, out);
-                        scan_guards(b, ints, params, out);
-                    }
-                    CmdKind::While { cond, body, .. } => {
-                        scan_expr(cond, ints, params, out);
-                        scan_guards(body, ints, params, out);
-                    }
-                    _ => {}
+                Expr::Binary(BinOp::And | BinOp::Or, a, b) => {
+                    scan_expr(a, ints, params, out);
+                    scan_expr(b, ints, params, out);
                 }
+                Expr::Unary(_, a) => scan_expr(a, ints, params, out),
+                _ => {}
             }
         }
-        scan_guards(&f.body, &ints, &param_names, &mut bound_params);
+        for c in preorder(&f.body) {
+            if let CmdKind::If(g, ..) | CmdKind::While { cond: g, .. } = &c.kind {
+                scan_expr(g, &ints, &param_names, &mut bound_params);
+            }
+        }
         ints.extend(bound_params);
         ints
     }
