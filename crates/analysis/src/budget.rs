@@ -81,18 +81,6 @@ fn budget_coeff(budget: &Expr) -> Option<(String, Rat)> {
     k.is_positive().then_some((eps, k))
 }
 
-/// Top-level `&&` conjuncts of a guard.
-fn conjuncts(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Binary(BinOp::And, a, b) => {
-            let mut out = conjuncts(a);
-            out.extend(conjuncts(b));
-            out
-        }
-        _ => vec![e],
-    }
-}
-
 /// Whether some guard conjunct `v < E` / `v <= E` statically bounds the
 /// loop for cost purposes: `v` is updated in the body and `E` is either
 /// a constant or built only from variables the scale compensates for
@@ -105,7 +93,7 @@ fn guard_bounds_cost(cond: &Expr, body: &[Cmd], scale: &Expr) -> bool {
         .filter(|n| !n.is_hat())
         .map(|n| n.base)
         .collect();
-    conjuncts(cond).iter().any(|c| {
+    cond.conjuncts().into_iter().any(|c| {
         let Expr::Binary(BinOp::Lt | BinOp::Le, lhs, rhs) = c else {
             return false;
         };

@@ -11,7 +11,7 @@
 //! | `SD01` | taint: sensitive data reaching the output or a branch without noise |
 //! | `SD02` | static privacy-budget accounting: unbounded loop cost, definite overruns |
 //! | `SD03` | unused noise; trivially divergent aligned/shadow branches |
-//! | `SD04` | structural: use-before-def, havoc'd reads, unreachable code |
+//! | `SD04` | structural: use-before-def, havoc'd reads, unreachable code, source-stage rule |
 //!
 //! Diagnostics are deterministic: source order with a stable tie-break,
 //! rendered either human-readable ([`render_human`]) or as JSON-lines
@@ -194,6 +194,34 @@ precondition size >= 0
                 out := t + eta; }}"
         );
         assert_eq!(codes(&src), vec![("SD04", "error")]);
+    }
+
+    #[test]
+    fn source_stage_violations_are_located_sd04_errors() {
+        let probes = [
+            "out := ^q[0];",
+            "return ^out;",
+            "if (^out > 0) { skip; }",
+            "while (out < ^out) { skip; }",
+            "eta := lap(1 / eps + ^q[0]) { select: aligned, align: 1 };",
+            "assert(out > 0);",
+            "assume(out > 0);",
+            "havoc out;",
+        ];
+        for cmd in probes {
+            let src = format!(
+                "function F(eps: num(0,0), q: list num(*,*)) returns out: num(0,0)\n\
+                 {{\n    out := 0;\n    if (eps > 1) {{\n        {cmd}\n    }}\n}}"
+            );
+            let f = parse_function(&src).unwrap();
+            let (_, message) = f.validate_source().unwrap_err();
+            let stage: Vec<_> = lint_function(&f, &src)
+                .into_iter()
+                .filter(|d| d.message == message)
+                .map(|d| (d.code.as_str(), d.severity.as_str(), d.line, d.col))
+                .collect();
+            assert_eq!(stage, [("SD04", "error", 5, 9)], "{cmd}");
+        }
     }
 
     #[test]

@@ -48,22 +48,13 @@ fn is_read(cmds: &[Cmd], name: &Name, site_span: shadowdp_syntax::Span) -> bool 
             } => {
                 dist.scale().mentions(name)
                     || align.mentions(name)
-                    || selector_mentions(selector, name)
+                    || selector.guards().iter().any(|g| g.mentions(name))
             }
             CmdKind::While {
                 cond, invariants, ..
             } => cond.mentions(name) || invariants.iter().any(|inv| inv.mentions(name)),
         }
     })
-}
-
-fn selector_mentions(s: &shadowdp_syntax::Selector, name: &Name) -> bool {
-    match s {
-        shadowdp_syntax::Selector::Aligned | shadowdp_syntax::Selector::Shadow => false,
-        shadowdp_syntax::Selector::Cond(e, a, b) => {
-            e.mentions(name) || selector_mentions(a, name) || selector_mentions(b, name)
-        }
-    }
 }
 
 /// Emits the divergence check over branch/loop conditions.

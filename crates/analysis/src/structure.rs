@@ -1,5 +1,8 @@
 //! SD04 — structural checks: use of possibly-undefined or havoc'd
-//! variables, and unreachable statements after `return`.
+//! variables, unreachable statements after `return`, and the source-stage
+//! rule of [`Function::validate_source`] (no hat variable in program text,
+//! no `assert`, `assume` or `havoc`), which the typechecker checks before
+//! typing.
 //!
 //! Definedness is a *must* analysis: a variable counts as defined on a
 //! path join only when every branch defines it, and a loop body starts
@@ -45,12 +48,14 @@ struct StructWalker<'a> {
 }
 
 impl StructWalker<'_> {
-    /// Flags reads of undefined or havoc'd variables in `e`.
+    /// Flags reads of undefined or havoc'd variables in `e`, once per
+    /// occurrence (`canonicalize` drops the repeats).
     /// `allow` is the sample's own variable inside its annotations.
     fn check_reads(&mut self, e: &Expr, st: &State, span: Span, allow: Option<&Name>) {
-        for n in e.vars() {
-            if n.is_hat() || allow == Some(&n) {
-                continue;
+        e.any_subexpr(&mut |x| {
+            let Expr::Var(n) = x else { return false };
+            if n.is_hat() || allow == Some(n) {
+                return false;
             }
             if st.havocked.contains(&n.base) {
                 self.diags.push(
@@ -75,7 +80,8 @@ impl StructWalker<'_> {
                     .with_hint("assign the variable on every path before this point"),
                 );
             }
-        }
+            false
+        });
     }
 
     /// Walks a block; returns `false` if the block definitely returns
@@ -96,7 +102,9 @@ impl StructWalker<'_> {
                     align,
                 } => {
                     self.check_reads(dist.scale(), st, c.span, Some(var));
-                    self.check_selector(selector, st, c.span, var);
+                    for g in selector.guards() {
+                        self.check_reads(g, st, c.span, Some(var));
+                    }
                     self.check_reads(align, st, c.span, Some(var));
                     st.define(var);
                 }
@@ -142,20 +150,6 @@ impl StructWalker<'_> {
         true
     }
 
-    fn check_selector(
-        &mut self,
-        s: &shadowdp_syntax::Selector,
-        st: &State,
-        span: Span,
-        allow: &Name,
-    ) {
-        if let shadowdp_syntax::Selector::Cond(e, a, b) = s {
-            self.check_reads(e, st, span, Some(allow));
-            self.check_selector(a, st, span, allow);
-            self.check_selector(b, st, span, allow);
-        }
-    }
-
     /// Flags the first statement after a definite `return`; reports
     /// `false` (does not fall through) either way.
     fn unreachable_after(&mut self, next: Option<&Cmd>, what: &str) -> bool {
@@ -188,5 +182,14 @@ pub(crate) fn analyze(f: &Function, src: &str) -> Vec<Diagnostic> {
         diags: Vec::new(),
     };
     w.walk(&f.body, &mut st);
+    if let Err((span, message)) = f.validate_source() {
+        w.diags.push(Diagnostic::new(
+            Code::Sd04,
+            Severity::Error,
+            span,
+            src,
+            message,
+        ));
+    }
     w.diags
 }

@@ -26,7 +26,6 @@
 //!   `mean_ns` field) and asserted ≥ 50 % both here and in
 //!   `bench_compare`'s invariant gate.
 
-use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -185,6 +184,10 @@ fn bench_trail(c: &mut Criterion) {
     // the trail core almost every atom lands on a non-empty tableau, so
     // this sits near 90 %; a regression back to clone-and-resaturate
     // per disjunct collapses it toward 0 on any hardware.
+    const RATE_ID: &str = "solver_micro/trail/saturation-reuse-pct";
+    if !c.selects(RATE_ID) {
+        return;
+    }
     let solver = Solver::without_memo();
     push_pop_houdini_pass(&solver, &hyps, &candidates, &goal);
     assert!(solver.check(std::slice::from_ref(&chain)).is_sat());
@@ -193,7 +196,7 @@ fn bench_trail(c: &mut Criterion) {
     assert!(total > 0, "the trail workload must saturate something");
     let rate_pct = 100.0 * stats.saturation_reuses as f64 / total as f64;
     println!(
-        "solver_micro/trail/saturation-reuse-pct    {rate_pct:.1} % \
+        "{RATE_ID}    {rate_pct:.1} % \
          ({}/{total} constraint pushes extended live saturation state)",
         stats.saturation_reuses
     );
@@ -203,21 +206,7 @@ fn bench_trail(c: &mut Criterion) {
          ({}/{total}): the incremental tableau stopped paying off",
         stats.saturation_reuses
     );
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if !path.is_empty() {
-            if let Ok(mut file) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-            {
-                let _ = writeln!(
-                    file,
-                    "{{\"id\": \"solver_micro/trail/saturation-reuse-pct\", \
-                     \"mean_ns\": {rate_pct:.1}, \"stddev_ns\": 0.0, \"samples\": 1}}"
-                );
-            }
-        }
-    }
+    criterion::append_json_row(RATE_ID, rate_pct, 0.0, 1);
 }
 
 const COUNTER_LOOP: &str = "function Loop(eps, NN, size: num(0,0), q: list num(*,*))
@@ -304,6 +293,10 @@ fn bench_houdini_rekey(c: &mut Criterion) {
     // field — so `bench_compare` can gate it on any hardware. Asserted
     // here too, so a plain `cargo bench` (or smoke run) fails loudly if
     // the keying stops paying off.
+    const RATE_ID: &str = "solver_micro/houdini-rekey/post-drop-hit-rate-pct";
+    if !c.selects(RATE_ID) {
+        return;
+    }
     let sink: RoundProfileSink = Arc::new(Mutex::new(Vec::new()));
     let solver = Solver::new();
     let out = inductive::prove(
@@ -330,7 +323,7 @@ fn bench_houdini_rekey(c: &mut Criterion) {
     );
     let rate_pct = 100.0 * hits as f64 / queries as f64;
     println!(
-        "solver_micro/houdini-rekey/post-drop-hit-rate-pct    {rate_pct:.1} % \
+        "{RATE_ID}    {rate_pct:.1} % \
          ({hits}/{queries} post-drop consecution queries from the memo)"
     );
     assert!(
@@ -338,21 +331,7 @@ fn bench_houdini_rekey(c: &mut Criterion) {
         "post-drop consecution hit rate {rate_pct:.1}% fell below 50% \
          ({hits}/{queries}): per-candidate assumption keying stopped hitting"
     );
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if !path.is_empty() {
-            if let Ok(mut file) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-            {
-                let _ = writeln!(
-                    file,
-                    "{{\"id\": \"solver_micro/houdini-rekey/post-drop-hit-rate-pct\", \
-                     \"mean_ns\": {rate_pct:.1}, \"stddev_ns\": 0.0, \"samples\": 1}}"
-                );
-            }
-        }
-    }
+    criterion::append_json_row(RATE_ID, rate_pct, 0.0, 1);
 }
 
 criterion_group!(

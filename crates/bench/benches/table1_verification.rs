@@ -10,8 +10,6 @@
 //! (`table1/phase/*`, mean ns per job from span durations) that are
 //! appended to the `CRITERION_JSON` dump next to the Criterion entries.
 
-use std::io::Write;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use shadowdp::corpus::table1_algorithms;
 use shadowdp::{table1, Pipeline};
@@ -49,7 +47,17 @@ fn bench_mode(c: &mut Criterion, label: &str, mode: VerifyMode) {
 /// One armed cold 18-job corpus run, reduced to per-phase span totals
 /// and appended to the `CRITERION_JSON` dump (mean ns per job) so the
 /// paper's transpilation-vs-verification split is tracked per commit.
-fn emit_phase_rows() {
+/// Only rows whose ids pass the name filter are emitted, and none runs
+/// the corpus when no row does.
+fn emit_phase_rows(c: &Criterion) {
+    let rows: Vec<(&str, String)> = ["parse", "lint", "typecheck", "lower", "verify"]
+        .into_iter()
+        .map(|phase| (phase, format!("table1/phase/{phase}")))
+        .filter(|(_, id)| c.selects(id))
+        .collect();
+    if rows.is_empty() {
+        return;
+    }
     let _ = shadowdp_obs::take_spans(); // drop the benchmark-loop spans
     let jobs = table1::service_jobs();
     let outcome = Pipeline::new().verify_corpus_parallel(&jobs, Some(1));
@@ -63,25 +71,10 @@ fn emit_phase_rows() {
             .sum()
     };
     let n = jobs.len() as f64;
-    for phase in ["parse", "lint", "typecheck", "lower", "verify"] {
+    for (phase, id) in &rows {
         let mean_ns = phase_total_us(phase) as f64 * 1_000.0 / n;
-        println!("table1/phase/{phase}    mean {mean_ns:.0} ns/job (span-derived)");
-        if let Ok(path) = std::env::var("CRITERION_JSON") {
-            if !path.is_empty() {
-                if let Ok(mut file) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                {
-                    let _ = writeln!(
-                        file,
-                        "{{\"id\": \"table1/phase/{phase}\", \"mean_ns\": {mean_ns:.1}, \
-                         \"stddev_ns\": 0.0, \"samples\": {}}}",
-                        jobs.len()
-                    );
-                }
-            }
-        }
+        println!("{id}    mean {mean_ns:.0} ns/job (span-derived)");
+        criterion::append_json_row(id, mean_ns, 0.0, jobs.len());
     }
 }
 
@@ -89,7 +82,7 @@ fn bench_verification(c: &mut Criterion) {
     shadowdp_obs::arm();
     bench_mode(c, "scaled", VerifyMode::Scaled);
     bench_mode(c, "fix-eps", VerifyMode::FixEps(Rat::ONE));
-    emit_phase_rows();
+    emit_phase_rows(c);
     shadowdp_obs::disarm();
 }
 

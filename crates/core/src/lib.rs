@@ -46,3 +46,11 @@ pub use pipeline::{
 };
 pub use shadowdp_analysis::{render_human, render_json_lines, Code, Diagnostic, Severity};
 pub use table1::{run_table1, run_table1_parallel, Table1Row};
+
+/// The verifier's epoch. Bump it with any change that moves a report
+/// digest. Stored verdicts are keyed by source and options only, so the
+/// verdict store carries this number in its file magic: a store written
+/// under another epoch is a noted cold start instead of serving verdicts
+/// this verifier would not give. `tests/houdini_rekey.rs` pins it next to
+/// the Table 1 digests.
+pub const VERIFIER_EPOCH: u8 = 1;

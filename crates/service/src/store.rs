@@ -19,9 +19,10 @@
 //! # On-disk format (v2)
 //!
 //! A record log (`log.rs` owns the framing and the disk discipline) with
-//! magic `b"SDPVERD2"` and hand-rolled little-endian payloads (the format
-//! is simple enough that a schema language would cost more than it
-//! buys):
+//! magic `b"SDPV2E"` plus the two-digit [`shadowdp::VERIFIER_EPOCH`]
+//! (`b"SDPV2E01"` at epoch 1), and hand-rolled little-endian payloads
+//! (the format is simple enough that a schema language would cost more
+//! than it buys):
 //!
 //! ```text
 //! payload   u8  kind (0 = base, 1 = delta)
@@ -62,10 +63,19 @@ use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo};
 
 use crate::log::{self, RecordLog};
 
-/// The v2 file magic: format name + version. Bump the trailing digit on
-/// any layout change — old daemons then treat new files as corrupt (cold
-/// start) instead of misreading them.
-const MAGIC_V2: &[u8; 8] = b"SDPVERD2";
+/// The v2 file magic: `SDPV2E` (format name and layout version), then
+/// [`shadowdp::VERIFIER_EPOCH`] as two decimal digits. Bump the layout
+/// digit on any layout change. A file of another layout or another
+/// verifier epoch fails the header check, so it is a noted cold start
+/// instead of being misread or serving verdicts of another verifier.
+const MAGIC_V2: &[u8; 8] = &{
+    let epoch = shadowdp::VERIFIER_EPOCH;
+    assert!(epoch < 100, "the store magic holds a two-digit epoch");
+    let mut magic = *b"SDPV2E00";
+    magic[6] += epoch / 10;
+    magic[7] += epoch % 10;
+    magic
+};
 
 /// Record kinds. A base record resets replay state; a delta merges.
 const KIND_BASE: u8 = 0;

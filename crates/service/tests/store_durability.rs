@@ -353,7 +353,7 @@ fn truncated_store_recovers_the_valid_prefix() {
     let path = temp_path("trunc");
     let bytes = flushed_store_bytes(&path);
     assert!(bytes.len() > 32);
-    const HEADER: usize = 8; // b"SDPVERD2"
+    const HEADER: usize = 8; // b"SDPV2E" and the two-digit verifier epoch
     for len in [0, 1, 7, 8, HEADER + 1, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..len]).unwrap();
         let store = VerdictStore::load(&path);
@@ -402,6 +402,31 @@ fn corrupted_store_degrades_cleanly() {
         let store = VerdictStore::load(&path);
         assert_eq!(store.solver_len(), 0);
         assert!(store.load_note().is_some());
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A store written under another verifier epoch, or before the store
+/// carried one (`SDPVERD2`), is a noted cold start: its verdicts may be
+/// ones this verifier would not give. Only the magic differs; the records
+/// behind it are intact.
+#[test]
+fn store_of_another_verifier_epoch_is_a_noted_cold_start() {
+    let path = temp_path("epoch");
+    let bytes = flushed_store_bytes(&path);
+    let epoch = shadowdp::VERIFIER_EPOCH;
+    assert_eq!(&bytes[..8], format!("SDPV2E{epoch:02}").as_bytes());
+    let warm = VerdictStore::load(&path);
+    assert!(warm.load_note().is_none());
+    assert_eq!(warm.pipeline_len(), 1);
+    let next = format!("SDPV2E{:02}", epoch + 1);
+    for magic in [b"SDPVERD2".as_slice(), next.as_bytes()] {
+        let mut other = bytes.clone();
+        other[..8].copy_from_slice(magic);
+        std::fs::write(&path, &other).unwrap();
+        let store = VerdictStore::load(&path);
+        assert_eq!((store.solver_len(), store.pipeline_len()), (0, 0));
+        assert!(store.load_note().is_some(), "a cross-epoch load is noted");
     }
     let _ = std::fs::remove_file(&path);
 }

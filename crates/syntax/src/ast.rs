@@ -315,45 +315,75 @@ impl Expr {
         matches!(self, Expr::Num(r) if r.is_zero())
     }
 
-    /// All variable names occurring in the expression.
-    pub fn vars(&self) -> Vec<Name> {
+    /// Visits this expression and its subexpressions in pre-order (a node
+    /// before its operands, operands left to right, a list before its
+    /// index) until `f` returns `true`, and returns whether it did. A
+    /// collector that wants every node returns `false` throughout.
+    ///
+    /// Every expression pass that only collects uses this walk. It
+    /// recurses on the call stack, so it allocates nothing.
+    pub fn any_subexpr<'a>(&'a self, f: &mut impl FnMut(&'a Expr) -> bool) -> bool {
+        f(self)
+            || match self {
+                Expr::Num(_) | Expr::Bool(_) | Expr::Var(_) | Expr::Nil => false,
+                Expr::Unary(_, a) => a.any_subexpr(f),
+                Expr::Binary(_, a, b) | Expr::Cons(a, b) | Expr::Index(a, b) => {
+                    a.any_subexpr(f) || b.any_subexpr(f)
+                }
+                Expr::Ternary(a, b, c) => a.any_subexpr(f) || b.any_subexpr(f) || c.any_subexpr(f),
+            }
+    }
+
+    /// The operands of the top-level `&&`s, flattened, left to right; the
+    /// expression itself when it is not a conjunction.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        fn push<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+            match e {
+                Expr::Binary(BinOp::And, a, b) => {
+                    push(a, out);
+                    push(b, out);
+                }
+                _ => out.push(e),
+            }
+        }
         let mut out = Vec::new();
-        self.collect_vars(&mut out);
+        push(self, &mut out);
         out
     }
 
-    fn collect_vars(&self, out: &mut Vec<Name>) {
+    /// This node rebuilt with `f` applied to each operand, left to right.
+    /// It uses the plain constructors, never the folding ones, so only `f`
+    /// changes the shape. Rewriters handle the variants they care about and
+    /// hand every other node to this.
+    pub fn map_children(&self, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
+        let mut f = |e: &Expr| Box::new(f(e));
         match self {
-            Expr::Num(_) | Expr::Bool(_) | Expr::Nil => {}
-            Expr::Var(n) => {
+            Expr::Num(_) | Expr::Bool(_) | Expr::Var(_) | Expr::Nil => self.clone(),
+            Expr::Unary(op, a) => Expr::Unary(*op, f(a)),
+            Expr::Binary(op, a, b) => Expr::Binary(*op, f(a), f(b)),
+            Expr::Ternary(a, b, c) => Expr::Ternary(f(a), f(b), f(c)),
+            Expr::Cons(a, b) => Expr::Cons(f(a), f(b)),
+            Expr::Index(a, b) => Expr::Index(f(a), f(b)),
+        }
+    }
+
+    /// All variable names occurring in the expression.
+    pub fn vars(&self) -> Vec<Name> {
+        let mut out: Vec<Name> = Vec::new();
+        self.any_subexpr(&mut |e| {
+            if let Expr::Var(n) = e {
                 if !out.contains(n) {
                     out.push(n.clone());
                 }
             }
-            Expr::Unary(_, e) => e.collect_vars(out),
-            Expr::Binary(_, a, b) | Expr::Cons(a, b) | Expr::Index(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            Expr::Ternary(a, b, c) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-                c.collect_vars(out);
-            }
-        }
+            false
+        });
+        out
     }
 
     /// Whether `name` occurs free in the expression.
     pub fn mentions(&self, name: &Name) -> bool {
-        match self {
-            Expr::Num(_) | Expr::Bool(_) | Expr::Nil => false,
-            Expr::Var(n) => n == name,
-            Expr::Unary(_, e) => e.mentions(name),
-            Expr::Binary(_, a, b) | Expr::Cons(a, b) | Expr::Index(a, b) => {
-                a.mentions(name) || b.mentions(name)
-            }
-            Expr::Ternary(a, b, c) => a.mentions(name) || b.mentions(name) || c.mentions(name),
-        }
+        self.any_subexpr(&mut |e| matches!(e, Expr::Var(n) if n == name))
     }
 
     /// Capture-free substitution of `replacement` for every occurrence of
@@ -363,33 +393,8 @@ impl Expr {
     /// structural replacement.
     pub fn subst(&self, name: &Name, replacement: &Expr) -> Expr {
         match self {
-            Expr::Num(_) | Expr::Bool(_) | Expr::Nil => self.clone(),
-            Expr::Var(n) => {
-                if n == name {
-                    replacement.clone()
-                } else {
-                    self.clone()
-                }
-            }
-            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(e.subst(name, replacement))),
-            Expr::Binary(op, a, b) => Expr::Binary(
-                *op,
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-            ),
-            Expr::Ternary(a, b, c) => Expr::Ternary(
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-                Box::new(c.subst(name, replacement)),
-            ),
-            Expr::Cons(a, b) => Expr::Cons(
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-            ),
-            Expr::Index(a, b) => Expr::Index(
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-            ),
+            Expr::Var(n) if n == name => replacement.clone(),
+            _ => self.map_children(|e| e.subst(name, replacement)),
         }
     }
 }
@@ -486,6 +491,21 @@ impl Selector {
             Selector::Shadow => true,
             Selector::Cond(_, s1, s2) => s1.uses_shadow() || s2.uses_shadow(),
         }
+    }
+
+    /// The conditions of this selector in pre-order: a condition before
+    /// those of its two arms.
+    pub fn guards(&self) -> Vec<&Expr> {
+        fn push<'a>(s: &'a Selector, out: &mut Vec<&'a Expr>) {
+            if let Selector::Cond(c, a, b) = s {
+                out.push(c);
+                push(a, out);
+                push(b, out);
+            }
+        }
+        let mut out = Vec::new();
+        push(self, &mut out);
+        out
     }
 
     /// The paper's select function `S(⟨e1, e2⟩)`: project a pair of
@@ -677,7 +697,7 @@ impl Function {
     /// description of it.
     pub fn validate_source(&self) -> Result<(), (Span, String)> {
         const HATS: &str = "hat variables are not allowed in source programs";
-        let has_hat = |e: &Expr| e.vars().iter().any(Name::is_hat);
+        let has_hat = |e: &Expr| e.any_subexpr(&mut |x| matches!(x, Expr::Var(n) if n.is_hat()));
         for c in preorder(&self.body) {
             let message = match &c.kind {
                 CmdKind::Assert(_) => "assert is not allowed in source programs".to_string(),
@@ -925,6 +945,80 @@ mod tests {
         assert_eq!(
             crate::parse_function(src).unwrap().validate_source(),
             Ok(())
+        );
+    }
+
+    #[test]
+    fn any_subexpr_visits_in_preorder_and_stops_early() {
+        let e = crate::parse_expr("c ? x :: nil : q[r[i]]").unwrap();
+        let mut seen = Vec::new();
+        let stopped = e.any_subexpr(&mut |x| {
+            seen.push(crate::pretty_expr(x));
+            false
+        });
+        assert!(!stopped);
+        let expected = [
+            "c ? x :: nil : q[r[i]]",
+            "c",
+            "x :: nil",
+            "x",
+            "nil",
+            "q[r[i]]",
+            "q",
+            "r[i]",
+            "r",
+            "i",
+        ];
+        assert_eq!(seen, expected);
+
+        // Stops at the first list read: the outer one, before its index.
+        seen.clear();
+        let stopped = e.any_subexpr(&mut |x| {
+            seen.push(crate::pretty_expr(x));
+            matches!(x, Expr::Index(..))
+        });
+        assert!(stopped);
+        assert_eq!(seen, expected[..6]);
+    }
+
+    #[test]
+    fn conjuncts_flatten_nested_ands_left_to_right() {
+        let e = crate::parse_expr("a < 1 && (b && c || d) && (e && f)").unwrap();
+        let got: Vec<String> = e.conjuncts().into_iter().map(crate::pretty_expr).collect();
+        assert_eq!(got, ["a < 1", "b && c || d", "e", "f"]);
+        let e = crate::parse_expr("a || b && c").unwrap();
+        assert_eq!(e.conjuncts(), [&e]);
+    }
+
+    #[test]
+    fn guards_lists_selector_conditions_in_preorder() {
+        let cond = |c: &str, s1, s2| Selector::Cond(Expr::var(c), Box::new(s1), Box::new(s2));
+        let s = cond(
+            "a",
+            cond("b", Selector::Shadow, Selector::Aligned),
+            cond("c", Selector::Aligned, Selector::Shadow),
+        );
+        assert_eq!(
+            s.guards(),
+            [&Expr::var("a"), &Expr::var("b"), &Expr::var("c")]
+        );
+        assert!(Selector::Shadow.guards().is_empty());
+    }
+
+    #[test]
+    fn map_children_does_not_fold() {
+        let zero_plus_x =
+            Expr::Binary(BinOp::Add, Box::new(Expr::int(0)), Box::new(Expr::var("x")));
+        assert_eq!(zero_plus_x.map_children(Expr::clone), zero_plus_x);
+        // `add` would fold `0 + 0` to `0`; the rebuilt node stays a sum.
+        let zeroed = zero_plus_x.map_children(|_| Expr::int(0));
+        assert_eq!(
+            zeroed,
+            Expr::Binary(BinOp::Add, Box::new(Expr::int(0)), Box::new(Expr::int(0)))
+        );
+        assert_eq!(
+            Expr::var("x").map_children(|_| Expr::int(1)),
+            Expr::var("x")
         );
     }
 

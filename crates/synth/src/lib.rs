@@ -271,43 +271,30 @@ fn candidates_for(f: &Function, site: &Site) -> Vec<Candidate> {
     out
 }
 
-/// Lists indexed in the body, with the index expression (deduplicated).
+/// Lists indexed in the body, with the index expression (deduplicated),
+/// in pre-order. This order is the search order of list-read alignments.
 fn indexed_lists(cmds: &[Cmd]) -> Vec<(String, Expr)> {
     let mut out: Vec<(String, Expr)> = Vec::new();
-    fn scan_expr(e: &Expr, out: &mut Vec<(String, Expr)>) {
-        match e {
-            Expr::Index(base, idx) => {
-                if let Expr::Var(n) = &**base {
-                    if n.kind == NameKind::Plain
-                        && !out
-                            .iter()
-                            .any(|(l, i)| *l == n.base && pretty_expr(i) == pretty_expr(idx))
-                    {
-                        out.push((n.base.clone(), (**idx).clone()));
-                    }
-                }
-                scan_expr(idx, out);
-            }
-            Expr::Unary(_, a) => scan_expr(a, out),
-            Expr::Binary(_, a, b) | Expr::Cons(a, b) => {
-                scan_expr(a, out);
-                scan_expr(b, out);
-            }
-            Expr::Ternary(a, b, c) => {
-                scan_expr(a, out);
-                scan_expr(b, out);
-                scan_expr(c, out);
-            }
-            _ => {}
-        }
-    }
     for c in preorder(cmds) {
         if let CmdKind::Assign(_, e)
         | CmdKind::Return(e)
         | CmdKind::If(e, ..)
         | CmdKind::While { cond: e, .. } = &c.kind
         {
-            scan_expr(e, &mut out);
+            e.any_subexpr(&mut |x| {
+                let Expr::Index(base, idx) = x else {
+                    return false;
+                };
+                let Expr::Var(n) = &**base else { return false };
+                if n.kind == NameKind::Plain
+                    && !out
+                        .iter()
+                        .any(|(l, i)| *l == n.base && pretty_expr(i) == pretty_expr(idx))
+                {
+                    out.push((n.base.clone(), (**idx).clone()));
+                }
+                false
+            });
         }
     }
     out

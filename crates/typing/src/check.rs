@@ -172,50 +172,28 @@ fn annotation_hats(
     f: &Function,
     list_params: &BTreeSet<String>,
 ) -> (BTreeSet<String>, BTreeSet<String>) {
-    use shadowdp_syntax::{NameKind, Selector};
+    use shadowdp_syntax::NameKind;
     let mut aligned = BTreeSet::new();
     let mut shadow = BTreeSet::new();
-    fn scan_expr(
-        e: &Expr,
-        lists: &BTreeSet<String>,
-        aligned: &mut BTreeSet<String>,
-        shadow: &mut BTreeSet<String>,
-    ) {
-        for v in e.vars() {
-            if lists.contains(&v.base) {
-                continue;
-            }
-            match v.kind {
-                NameKind::HatAligned => {
-                    aligned.insert(v.base.clone());
-                }
-                NameKind::HatShadow => {
-                    shadow.insert(v.base.clone());
-                }
-                NameKind::Plain => {}
-            }
-        }
-    }
-    fn scan_selector(
-        s: &Selector,
-        lists: &BTreeSet<String>,
-        aligned: &mut BTreeSet<String>,
-        shadow: &mut BTreeSet<String>,
-    ) {
-        if let Selector::Cond(c, a, b) = s {
-            scan_expr(c, lists, aligned, shadow);
-            scan_selector(a, lists, aligned, shadow);
-            scan_selector(b, lists, aligned, shadow);
-        }
-    }
     // Laplace scales need no scan: `validate_source` rejects hats there.
     for c in preorder(&f.body) {
-        if let CmdKind::Sample {
+        let CmdKind::Sample {
             selector, align, ..
         } = &c.kind
-        {
-            scan_expr(align, list_params, &mut aligned, &mut shadow);
-            scan_selector(selector, list_params, &mut aligned, &mut shadow);
+        else {
+            continue;
+        };
+        for e in std::iter::once(align).chain(selector.guards()) {
+            for v in e.vars() {
+                let hats = match v.kind {
+                    NameKind::HatAligned => &mut aligned,
+                    NameKind::HatShadow => &mut shadow,
+                    NameKind::Plain => continue,
+                };
+                if !list_params.contains(&v.base) {
+                    hats.insert(v.base);
+                }
+            }
         }
     }
     (aligned, shadow)

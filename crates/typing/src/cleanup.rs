@@ -10,21 +10,13 @@
 
 use std::collections::BTreeSet;
 
-use shadowdp_syntax::{preorder, Cmd, CmdKind, Expr, Name, NameKind, Selector};
+use shadowdp_syntax::{preorder, Cmd, CmdKind, Expr, Name, NameKind};
 
 fn hat_reads(e: &Expr, out: &mut BTreeSet<Name>) {
     for v in e.vars() {
         if v.kind != NameKind::Plain {
             out.insert(v);
         }
-    }
-}
-
-fn selector_hat_reads(s: &Selector, out: &mut BTreeSet<Name>) {
-    if let Selector::Cond(c, a, b) = s {
-        hat_reads(c, out);
-        selector_hat_reads(a, out);
-        selector_hat_reads(b, out);
     }
 }
 
@@ -51,7 +43,9 @@ fn collect(cmds: &[Cmd], roots: &mut BTreeSet<Name>, edges: &mut Vec<(Name, BTre
                 // Annotations flow into the verifier's cost updates.
                 hat_reads(dist.scale(), roots);
                 hat_reads(align, roots);
-                selector_hat_reads(selector, roots);
+                for g in selector.guards() {
+                    hat_reads(g, roots);
+                }
             }
             CmdKind::If(cond, ..) => hat_reads(cond, roots),
             CmdKind::While {
@@ -115,7 +109,7 @@ pub fn eliminate_dead_hats(cmds: &mut Vec<Cmd>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadowdp_syntax::parse_expr;
+    use shadowdp_syntax::{parse_expr, Selector};
 
     fn assign(lhs: Name, rhs: &str) -> Cmd {
         Cmd::synth(CmdKind::Assign(lhs, parse_expr(rhs).unwrap()))

@@ -91,40 +91,22 @@ impl fmt::Display for Dist {
 /// Rewrites `cond ? a : b` subterms to `a` (polarity true) or `b` under the
 /// syntactic assumption that `cond` holds / fails.
 pub fn simplify_expr_under(e: &Expr, cond: &Expr, polarity: bool) -> Expr {
-    let neg = cond.clone().not();
-    match e {
-        Expr::Ternary(g, a, b) => {
-            if **g == *cond {
-                let chosen = if polarity { a } else { b };
-                simplify_expr_under(chosen, cond, polarity)
-            } else if **g == neg {
-                let chosen = if polarity { b } else { a };
-                simplify_expr_under(chosen, cond, polarity)
-            } else {
-                Expr::ite(
-                    simplify_expr_under(g, cond, polarity),
-                    simplify_expr_under(a, cond, polarity),
-                    simplify_expr_under(b, cond, polarity),
-                )
-            }
+    if let Expr::Ternary(g, a, b) = e {
+        // A guard that is `cond` or its negation decides the ternary.
+        let g_holds = if **g == *cond {
+            Some(polarity)
+        } else if **g == cond.clone().not() {
+            Some(!polarity)
+        } else {
+            None
+        };
+        if let Some(g_holds) = g_holds {
+            return simplify_expr_under(if g_holds { a } else { b }, cond, polarity);
         }
-        Expr::Num(_) | Expr::Bool(_) | Expr::Var(_) | Expr::Nil => e.clone(),
-        Expr::Unary(op, inner) => {
-            Expr::Unary(*op, Box::new(simplify_expr_under(inner, cond, polarity)))
-        }
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(simplify_expr_under(a, cond, polarity)),
-            Box::new(simplify_expr_under(b, cond, polarity)),
-        ),
-        Expr::Cons(a, b) => Expr::Cons(
-            Box::new(simplify_expr_under(a, cond, polarity)),
-            Box::new(simplify_expr_under(b, cond, polarity)),
-        ),
-        Expr::Index(a, b) => Expr::Index(
-            Box::new(simplify_expr_under(a, cond, polarity)),
-            Box::new(simplify_expr_under(b, cond, polarity)),
-        ),
+    }
+    match e.map_children(|x| simplify_expr_under(x, cond, polarity)) {
+        Expr::Ternary(g, a, b) => Expr::ite(*g, *a, *b),
+        other => other,
     }
 }
 

@@ -173,32 +173,21 @@ pub fn lower_bool(e: &Expr, ctx: &LowerCtx) -> Result<Term, LowerError> {
 }
 
 /// Collects every `base[idx]` occurrence (plain or hatted base) in an
-/// expression, de-duplicated by `(base-name, pretty(idx))`.
+/// expression, in pre-order, de-duplicated by `(base-name, pretty(idx))`.
 pub fn collect_index_occurrences(e: &Expr, out: &mut Vec<(Name, Expr)>) {
-    match e {
-        Expr::Num(_) | Expr::Bool(_) | Expr::Var(_) | Expr::Nil => {}
-        Expr::Unary(_, inner) => collect_index_occurrences(inner, out),
-        Expr::Binary(_, a, b) | Expr::Cons(a, b) => {
-            collect_index_occurrences(a, out);
-            collect_index_occurrences(b, out);
+    e.any_subexpr(&mut |x| {
+        let Expr::Index(base, idx) = x else {
+            return false;
+        };
+        let Expr::Var(n) = &**base else { return false };
+        if !out
+            .iter()
+            .any(|(b, i)| b == n && pretty_expr(i) == pretty_expr(idx))
+        {
+            out.push((n.clone(), (**idx).clone()));
         }
-        Expr::Ternary(a, b, c) => {
-            collect_index_occurrences(a, out);
-            collect_index_occurrences(b, out);
-            collect_index_occurrences(c, out);
-        }
-        Expr::Index(base, idx) => {
-            collect_index_occurrences(idx, out);
-            if let Expr::Var(n) = &**base {
-                let dup = out
-                    .iter()
-                    .any(|(b, i)| b == n && pretty_expr(i) == pretty_expr(idx));
-                if !dup {
-                    out.push((n.clone(), (**idx).clone()));
-                }
-            }
-        }
-    }
+        false
+    });
 }
 
 #[cfg(test)]

@@ -101,34 +101,21 @@ impl Psi {
 /// Looks for a conjunct `~q[i] == ^q[i]` (either orientation) in a forall
 /// body.
 fn clause_contains_shadow_eq(body: &Expr, list: &str, var: &str) -> bool {
-    use shadowdp_syntax::BinOp;
-    match body {
-        Expr::Binary(BinOp::And, a, b) => {
-            clause_contains_shadow_eq(a, list, var) || clause_contains_shadow_eq(b, list, var)
-        }
-        Expr::Binary(BinOp::Eq, a, b) => {
-            let is_hat = |e: &Expr, shadow: bool| -> bool {
-                match e {
-                    Expr::Index(base, idx) => match (&**base, &**idx) {
-                        (Expr::Var(n), Expr::Var(i)) => {
-                            n.base == list
-                                && i.base == var
-                                && n.kind
-                                    == if shadow {
-                                        shadowdp_syntax::NameKind::HatShadow
-                                    } else {
-                                        shadowdp_syntax::NameKind::HatAligned
-                                    }
-                        }
-                        _ => false,
-                    },
-                    _ => false,
-                }
-            };
-            (is_hat(a, true) && is_hat(b, false)) || (is_hat(a, false) && is_hat(b, true))
-        }
+    use shadowdp_syntax::{BinOp, NameKind};
+    let is_hat = |e: &Expr, kind: NameKind| match e {
+        Expr::Index(base, idx) => matches!(
+            (&**base, &**idx),
+            (Expr::Var(n), Expr::Var(i)) if n.base == list && i.base == var && n.kind == kind
+        ),
         _ => false,
-    }
+    };
+    body.conjuncts().into_iter().any(|c| {
+        let Expr::Binary(BinOp::Eq, a, b) = c else {
+            return false;
+        };
+        (is_hat(a, NameKind::HatShadow) && is_hat(b, NameKind::HatAligned))
+            || (is_hat(a, NameKind::HatAligned) && is_hat(b, NameKind::HatShadow))
+    })
 }
 
 #[cfg(test)]

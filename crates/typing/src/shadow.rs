@@ -36,7 +36,6 @@ impl Version {
 /// all versions.
 pub fn transform_expr(e: &Expr, env: &TypeEnv, version: Version) -> Expr {
     match e {
-        Expr::Num(_) | Expr::Bool(_) | Expr::Nil => e.clone(),
         Expr::Var(n) => {
             if n.is_hat() {
                 return e.clone();
@@ -79,21 +78,7 @@ pub fn transform_expr(e: &Expr, env: &TypeEnv, version: Version) -> Expr {
                 _ => e.clone(),
             }
         }
-        Expr::Unary(op, inner) => Expr::Unary(*op, Box::new(transform_expr(inner, env, version))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(transform_expr(a, env, version)),
-            Box::new(transform_expr(b, env, version)),
-        ),
-        Expr::Ternary(c, t, f) => Expr::Ternary(
-            Box::new(transform_expr(c, env, version)),
-            Box::new(transform_expr(t, env, version)),
-            Box::new(transform_expr(f, env, version)),
-        ),
-        Expr::Cons(a, b) => Expr::Cons(
-            Box::new(transform_expr(a, env, version)),
-            Box::new(transform_expr(b, env, version)),
-        ),
+        _ => e.map_children(|x| transform_expr(x, env, version)),
     }
 }
 

@@ -475,27 +475,19 @@ fn assigned_in(body: &[Cmd], exec: &SymExec<'_>) -> BTreeSet<Name> {
 }
 
 fn body_reads_list(cmds: &[Cmd], list: &str) -> bool {
-    fn expr_reads(e: &Expr, list: &str) -> bool {
-        match e {
-            Expr::Index(base, idx) => {
-                let hit = matches!(&**base, Expr::Var(n) if n.base == list);
-                hit || expr_reads(idx, list)
-            }
-            Expr::Unary(_, a) => expr_reads(a, list),
-            Expr::Binary(_, a, b) | Expr::Cons(a, b) => expr_reads(a, list) || expr_reads(b, list),
-            Expr::Ternary(a, b, c) => {
-                expr_reads(a, list) || expr_reads(b, list) || expr_reads(c, list)
-            }
+    let reads = |e: &Expr| {
+        e.any_subexpr(&mut |x| match x {
+            Expr::Index(base, _) => matches!(&**base, Expr::Var(n) if n.base == list),
             _ => false,
-        }
-    }
+        })
+    };
     preorder(cmds).any(|c| match &c.kind {
         CmdKind::Assign(_, e)
         | CmdKind::Assert(e)
         | CmdKind::Assume(e)
         | CmdKind::Return(e)
         | CmdKind::If(e, ..)
-        | CmdKind::While { cond: e, .. } => expr_reads(e, list),
+        | CmdKind::While { cond: e, .. } => reads(e),
         _ => false,
     })
 }
@@ -686,25 +678,17 @@ fn const_entry(entry_states: &[SymState], name: &str) -> Option<Rat> {
 
 /// Upper-bound conjuncts `x < B` / `x <= B` in the guard.
 fn guard_upper_bounds(guard: &Expr) -> Vec<(String, Expr)> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<(String, Expr)>) {
-        match e {
-            Expr::Binary(BinOp::And, a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Expr::Binary(BinOp::Lt | BinOp::Le, a, b) => {
-                if let Expr::Var(n) = &**a {
-                    if !n.is_hat() {
-                        out.push((n.base.clone(), (**b).clone()));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    walk(guard, &mut out);
-    out
+    guard
+        .conjuncts()
+        .into_iter()
+        .filter_map(|c| match c {
+            Expr::Binary(BinOp::Lt | BinOp::Le, a, b) => match &**a {
+                Expr::Var(n) if !n.is_hat() => Some((n.base.clone(), (**b).clone())),
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect()
 }
 
 /// Smallest constant `B` such that Ψ proves every in-loop increment `<= B`,
@@ -736,34 +720,25 @@ fn per_iteration_bound(sites: &[&CostSite], exec: &SymExec<'_>, solver: &Solver)
 /// Binds every free variable of an increment expression in a scratch state
 /// (scalars fresh, lists registered) so the bound query can evaluate.
 fn seed_probe_state(e: &Expr, exec: &mut SymExec<'_>, st: &mut SymState) {
-    fn walk(e: &Expr, exec: &mut SymExec<'_>, st: &mut SymState) {
-        match e {
-            Expr::Index(base, idx) => {
+    e.any_subexpr(&mut |x| {
+        match x {
+            // Registering a list binds its base and hat names, so the walk
+            // then passes over the base variable.
+            Expr::Index(base, _) => {
                 if let Expr::Var(n) = &**base {
                     if !st.vars.contains_key(&Name::plain(&n.base)) {
                         exec.register_input_list(&n.base, st);
                     }
                 }
-                walk(idx, exec, st);
             }
             Expr::Var(n) if !st.vars.contains_key(n) => {
                 let t = exec.fresh_symbol(&n.to_string());
                 st.set_scalar(n.clone(), t);
             }
-            Expr::Unary(_, a) => walk(a, exec, st),
-            Expr::Binary(_, a, b) | Expr::Cons(a, b) => {
-                walk(a, exec, st);
-                walk(b, exec, st);
-            }
-            Expr::Ternary(a, b, c) => {
-                walk(a, exec, st);
-                walk(b, exec, st);
-                walk(c, exec, st);
-            }
             _ => {}
         }
-    }
-    walk(e, exec, st);
+        false
+    });
 }
 
 #[cfg(test)]

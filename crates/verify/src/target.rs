@@ -330,14 +330,13 @@ fn declares_positive(e: &Expr, v: &str) -> bool {
     let is_v = |x: &Expr| matches!(x, Expr::Var(n) if n.base == v && !n.is_hat());
     let pos_const = |x: &Expr| matches!(x, Expr::Num(r) if r.is_positive());
     let nonneg_const = |x: &Expr| matches!(x, Expr::Num(r) if !r.is_negative());
-    match e {
+    e.conjuncts().into_iter().any(|c| match c {
         Expr::Binary(BinOp::Gt, a, b) => is_v(a) && nonneg_const(b),
         Expr::Binary(BinOp::Ge, a, b) => is_v(a) && pos_const(b),
         Expr::Binary(BinOp::Lt, a, b) => nonneg_const(a) && is_v(b),
         Expr::Binary(BinOp::Le, a, b) => pos_const(a) && is_v(b),
-        Expr::Binary(BinOp::And, a, b) => declares_positive(a, v) || declares_positive(b, v),
         _ => false,
-    }
+    })
 }
 
 fn lower_cmds(

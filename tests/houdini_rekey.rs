@@ -37,6 +37,23 @@ const PRE_REKEYING_DIGESTS: [&str; 18] = [
     "56c1a446c8de6de47488b50b56481372", // Smart Sum (fix ε)
 ];
 
+/// The verifier epoch the digests above belong to, and the wire digest of
+/// their concatenation. A stored verdict is served only under the epoch
+/// that wrote it, so a change that moves a digest must also bump
+/// [`shadowdp::VERIFIER_EPOCH`]; editing the table alone fails
+/// `digest_table_is_pinned_to_the_verifier_epoch`.
+const DIGESTS_EPOCH: (u8, &str) = (1, "a0c7cb659ac50dd9110b879fab3c3551");
+
+#[test]
+fn digest_table_is_pinned_to_the_verifier_epoch() {
+    let table = wire_digest(&PRE_REKEYING_DIGESTS.concat());
+    assert_eq!(
+        (shadowdp::VERIFIER_EPOCH, table.as_str()),
+        DIGESTS_EPOCH,
+        "the digest table changed: bump shadowdp::VERIFIER_EPOCH and re-pin both"
+    );
+}
+
 #[test]
 fn corpus_digests_are_byte_identical_to_the_pre_rekeying_driver() {
     let jobs = table1::corpus_jobs();

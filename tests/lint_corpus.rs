@@ -108,6 +108,13 @@ fn golden_noisy_max_unused_noise() {
     golden("noisy_max_unused_noise", &[(9, 9), (10, 9)]);
 }
 
+/// A hat in `return` breaks the source-stage rule: lint flags it where the
+/// typechecker would reject it.
+#[test]
+fn golden_laplace_hat_return() {
+    golden("laplace_hat_return", &[(7, 5)]);
+}
+
 /// Linting the same program twice renders byte-identical JSON — the
 /// report digest contract extended to the lint tier.
 #[test]
