@@ -525,7 +525,7 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
             }
         };
         let path = crate::sibling_path(store, ".journal");
-        RecordLog::open(path, JOURNAL_MAGIC, "journal", accept).0
+        RecordLog::open(path, JOURNAL_MAGIC, "journal", |_| None, accept).0
     });
     let started = Instant::now();
     for spec in replayed {

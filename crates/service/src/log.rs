@@ -170,11 +170,14 @@ impl RecordLog {
     /// Opens the log at `path`, replaying it through `accept` (see
     /// [`replay`]). Returns a note when the header was rejected or bytes
     /// after the valid prefix were dropped; a missing file is a quiet
-    /// empty log. Never fails and never panics on file contents.
+    /// empty log. A rejected header that `known` recognises is noted with
+    /// the reason `known` gives instead of `bad magic`. Never fails and
+    /// never panics on file contents.
     pub(crate) fn open(
         path: PathBuf,
         magic: &'static [u8; 8],
         owner: &'static str,
+        known: fn(&[u8]) -> Option<String>,
         accept: impl FnMut(&[u8]) -> bool,
     ) -> (RecordLog, Option<String>) {
         let mut log = RecordLog {
@@ -191,6 +194,10 @@ impl RecordLog {
         let note = match replay(&bytes, magic, accept) {
             Err(why) => {
                 log.valid_len = None;
+                let why = bytes
+                    .get(..magic.len())
+                    .and_then(known)
+                    .unwrap_or_else(|| why.to_string());
                 Some(format!("{owner} {shown} unusable ({why}); starting empty"))
             }
             Ok(kept) => {
@@ -402,10 +409,16 @@ mod tests {
     /// Opens `path`, with the records a replay accepts.
     fn open(path: &Path) -> (RecordLog, Vec<Vec<u8>>) {
         let mut records = Vec::new();
-        let (log, _) = RecordLog::open(path.to_path_buf(), MAGIC, "journal", |payload| {
-            records.push(payload.to_vec());
-            true
-        });
+        let (log, _) = RecordLog::open(
+            path.to_path_buf(),
+            MAGIC,
+            "journal",
+            |_| None,
+            |payload| {
+                records.push(payload.to_vec());
+                true
+            },
+        );
         (log, records)
     }
 

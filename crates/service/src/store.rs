@@ -77,6 +77,24 @@ const MAGIC_V2: &[u8; 8] = &{
     magic
 };
 
+/// Which verifier wrote a store whose header is not [`MAGIC_V2`], when the
+/// header tells: `SDPVERD2` predates verifier epochs, and `SDPV2E` with
+/// other digits names the epoch. After an upgrade this is the expected
+/// one-time cold start; any other header is damage (`bad magic`).
+fn other_verifier(header: &[u8]) -> Option<String> {
+    if header == b"SDPVERD2" {
+        return Some("written before verifier epochs".into());
+    }
+    let epoch = header
+        .strip_prefix(b"SDPV2E")
+        .filter(|digits| digits.iter().all(u8::is_ascii_digit))?;
+    Some(format!(
+        "written under verifier epoch {}, this build is epoch {:02}",
+        String::from_utf8_lossy(epoch),
+        shadowdp::VERIFIER_EPOCH
+    ))
+}
+
 /// Record kinds. A base record resets replay state; a delta merges.
 const KIND_BASE: u8 = 0;
 const KIND_DELTA: u8 = 1;
@@ -186,15 +204,17 @@ impl VerdictStore {
     }
 
     /// Opens the store at `path`, replaying any previous log. A missing
-    /// file is a normal cold start; a damaged or unknown header is a cold
-    /// start and a torn tail is truncated to the last valid record — both with
-    /// [`VerdictStore::load_note`] explaining what happened. This
-    /// constructor never fails and never panics on file contents.
+    /// file is a normal cold start; a damaged header, or one of another
+    /// verifier epoch, is a cold start and a torn tail is truncated to the
+    /// last valid record — each with [`VerdictStore::load_note`] explaining
+    /// what happened (the note names the epoch a store was written under).
+    /// This constructor never fails and never panics on file contents.
     pub fn load(path: impl Into<PathBuf>) -> VerdictStore {
         let mut store = VerdictStore::in_memory();
-        let (log, note) = RecordLog::open(path.into(), MAGIC_V2, "store", |payload| {
-            store.merge_record(payload).is_some()
-        });
+        let (log, note) =
+            RecordLog::open(path.into(), MAGIC_V2, "store", other_verifier, |payload| {
+                store.merge_record(payload).is_some()
+            });
         store.log = Some(log);
         store.load_note = note;
         store

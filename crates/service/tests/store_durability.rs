@@ -409,7 +409,8 @@ fn corrupted_store_degrades_cleanly() {
 /// A store written under another verifier epoch, or before the store
 /// carried one (`SDPVERD2`), is a noted cold start: its verdicts may be
 /// ones this verifier would not give. Only the magic differs; the records
-/// behind it are intact.
+/// behind it are intact. The note names the epoch, so an upgrade's
+/// expected cold start reads differently from a damaged header.
 #[test]
 fn store_of_another_verifier_epoch_is_a_noted_cold_start() {
     let path = temp_path("epoch");
@@ -420,13 +421,24 @@ fn store_of_another_verifier_epoch_is_a_noted_cold_start() {
     assert!(warm.load_note().is_none());
     assert_eq!(warm.pipeline_len(), 1);
     let next = format!("SDPV2E{:02}", epoch + 1);
-    for magic in [b"SDPVERD2".as_slice(), next.as_bytes()] {
+    let under_next = format!(
+        "written under verifier epoch {:02}, this build is epoch {epoch:02}",
+        epoch + 1
+    );
+    for (magic, why) in [
+        (b"SDPVERD2".as_slice(), "written before verifier epochs"),
+        (next.as_bytes(), under_next.as_str()),
+        (b"SDPV2Ex1".as_slice(), "bad magic"),
+    ] {
         let mut other = bytes.clone();
         other[..8].copy_from_slice(magic);
         std::fs::write(&path, &other).unwrap();
         let store = VerdictStore::load(&path);
         assert_eq!((store.solver_len(), store.pipeline_len()), (0, 0));
-        assert!(store.load_note().is_some(), "a cross-epoch load is noted");
+        assert_eq!(
+            store.load_note(),
+            Some(format!("store {} unusable ({why}); starting empty", path.display()).as_str())
+        );
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -7,6 +7,14 @@
 //! nodes, and the `ite`/`abs` case splits intern their rewritten terms back
 //! into the same arena (where hash-consing dedups the shared structure).
 //!
+//! Finding a split needs only the term layer's node shape: the search
+//! descends into the first child (`TermNode::children`) of an arithmetic
+//! node that holds an `ite` or `abs`, and rebuilds that node around each
+//! branch (`TermNode::map_children`). Where the variants mean different
+//! things, the code here still matches on them: NNF treats each connective
+//! by its own law, and linearization each arithmetic operator by its own
+//! rule.
+//!
 //! # Shard-discipline audit
 //!
 //! The solver calls [`Normalizer::normalize`] while holding this thread's
@@ -88,10 +96,10 @@ impl Normalizer {
         // the `clone()` below is an allocation-free copy of a few words.
         if let TermNode::And(_) | TermNode::Or(_) = arena.node(t) {
             let conjunctive = matches!(arena.node(t), TermNode::And(_));
-            let len = nary_len(arena, t);
+            let len = arena.node(t).children().len();
             let mut parts = Vec::with_capacity(len);
             for i in 0..len {
-                let child = nary_child(arena, t, i);
+                let child = arena.node(t).children()[i];
                 parts.push(self.normalize(arena, child, polarity));
             }
             return if conjunctive == polarity {
@@ -238,111 +246,46 @@ impl Normalizer {
     }
 }
 
-/// Length of an n-ary node's child list.
-fn nary_len(arena: &TermArena, t: TermId) -> usize {
-    match arena.node(t) {
-        TermNode::Add(ts) | TermNode::And(ts) | TermNode::Or(ts) => ts.len(),
-        _ => unreachable!("nary_len on a non-n-ary node"),
-    }
-}
-
-/// The `i`th child of an n-ary node.
-fn nary_child(arena: &TermArena, t: TermId, i: usize) -> TermId {
-    match arena.node(t) {
-        TermNode::Add(ts) | TermNode::And(ts) | TermNode::Or(ts) => ts[i],
-        _ => unreachable!("nary_child on a non-n-ary node"),
-    }
-}
-
 /// Finds the leftmost `ite`/`abs` inside `t`; if found, returns the guard
 /// and the two copies of `t` with that subterm replaced by its branches.
-/// Rewritten terms are interned back into the arena (raw interning — the
-/// surrounding structure was already built by the smart constructors).
+///
+/// An `ite` splits where it stands, without looking into its branches. An
+/// arithmetic node (`+`, `-`, `*`, `/`, `mod`, `abs`) descends into its
+/// first child that holds a split and is rebuilt around each branch (raw
+/// interning — the surrounding structure was already built by the smart
+/// constructors). An `abs` whose argument holds no split splits itself as
+/// `|x| = ite(x >= 0, x, -x)`. Comparisons and connectives are not
+/// entered: they do not occur in numeric position, and their `ite`s are
+/// split at the boolean level.
 fn find_ite(arena: &mut TermArena, t: TermId) -> Option<(TermId, TermId, TermId)> {
-    // `Add` is scanned by index (no vector clone unless a split is actually
-    // found); the remaining variants carry only `Copy` data, so the
-    // `clone()` below allocates nothing.
-    if matches!(arena.node(t), TermNode::Add(_)) {
-        let len = nary_len(arena, t);
-        for i in 0..len {
-            let sub = nary_child(arena, t, i);
-            if let Some((c, a, b)) = find_ite(arena, sub) {
-                let ts = match arena.node(t) {
-                    TermNode::Add(ts) => ts.clone(),
-                    _ => unreachable!(),
-                };
-                let mut with_a = ts.clone();
-                with_a[i] = a;
-                let mut with_b = ts;
-                with_b[i] = b;
-                let wa = arena.intern(TermNode::Add(with_a));
-                let wb = arena.intern(TermNode::Add(with_b));
-                return Some((c, wa, wb));
-            }
+    match *arena.node(t) {
+        TermNode::Ite(c, x, y) => return Some((c, x, y)),
+        TermNode::Add(_)
+        | TermNode::Neg(_)
+        | TermNode::Mul(..)
+        | TermNode::Div(..)
+        | TermNode::Mod(..)
+        | TermNode::Abs(_) => {}
+        _ => return None,
+    }
+    // Children are read by index, so nothing is cloned unless a split is
+    // found.
+    for i in 0..arena.node(t).children().len() {
+        let child = arena.node(t).children()[i];
+        if let Some((c, a, b)) = find_ite(arena, child) {
+            let node = arena.node(t);
+            let with_a = node.map_children(|j, x| if j == i { a } else { x });
+            let with_b = node.map_children(|j, x| if j == i { b } else { x });
+            return Some((c, arena.intern(with_a), arena.intern(with_b)));
         }
+    }
+    let TermNode::Abs(inner) = *arena.node(t) else {
         return None;
-    }
-    match arena.node(t).clone() {
-        TermNode::RConst(_) | TermNode::RVar(_) | TermNode::BConst(_) | TermNode::BVar(_) => None,
-        TermNode::Abs(inner) => {
-            // |x| = ite(x >= 0, x, -x); try to split inner first so nested
-            // constructs unwind outside-in deterministically.
-            if let Some((c, a, b)) = find_ite(arena, inner) {
-                let wa = arena.intern(TermNode::Abs(a));
-                let wb = arena.intern(TermNode::Abs(b));
-                return Some((c, wa, wb));
-            }
-            let zero = arena.int(0);
-            let cond = arena.ge(inner, zero);
-            let neg = arena.neg(inner);
-            Some((cond, inner, neg))
-        }
-        TermNode::Ite(c, x, y) => Some((c, x, y)),
-        TermNode::Neg(inner) => find_ite(arena, inner).map(|(c, a, b)| {
-            let wa = arena.intern(TermNode::Neg(a));
-            let wb = arena.intern(TermNode::Neg(b));
-            (c, wa, wb)
-        }),
-        TermNode::Mul(x, y) => {
-            if let Some((c, a, b)) = find_ite(arena, x) {
-                let wa = arena.intern(TermNode::Mul(a, y));
-                let wb = arena.intern(TermNode::Mul(b, y));
-                return Some((c, wa, wb));
-            }
-            find_ite(arena, y).map(|(c, a, b)| {
-                let wa = arena.intern(TermNode::Mul(x, a));
-                let wb = arena.intern(TermNode::Mul(x, b));
-                (c, wa, wb)
-            })
-        }
-        TermNode::Div(x, y) => {
-            if let Some((c, a, b)) = find_ite(arena, x) {
-                let wa = arena.intern(TermNode::Div(a, y));
-                let wb = arena.intern(TermNode::Div(b, y));
-                return Some((c, wa, wb));
-            }
-            find_ite(arena, y).map(|(c, a, b)| {
-                let wa = arena.intern(TermNode::Div(x, a));
-                let wb = arena.intern(TermNode::Div(x, b));
-                (c, wa, wb)
-            })
-        }
-        TermNode::Mod(x, y) => {
-            if let Some((c, a, b)) = find_ite(arena, x) {
-                let wa = arena.intern(TermNode::Mod(a, y));
-                let wb = arena.intern(TermNode::Mod(b, y));
-                return Some((c, wa, wb));
-            }
-            find_ite(arena, y).map(|(c, a, b)| {
-                let wa = arena.intern(TermNode::Mod(x, a));
-                let wb = arena.intern(TermNode::Mod(x, b));
-                (c, wa, wb)
-            })
-        }
-        // Comparisons and connectives inside numeric position do not occur;
-        // their ites are handled at the boolean level.
-        _ => None,
-    }
+    };
+    let zero = arena.int(0);
+    let cond = arena.ge(inner, zero);
+    let neg = arena.neg(inner);
+    Some((cond, inner, neg))
 }
 
 /// Attempts to put an (ite-free) numeric term into linear normal form.

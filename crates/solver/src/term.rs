@@ -38,6 +38,15 @@
 //! Construction helpers implement the same smart-constructor folding as the
 //! original deep-tree representation (constant folding, identity/annihilator
 //! elimination, n-ary flattening), so verification conditions stay small.
+//!
+//! Every node has one shape: a per-variant table gives its fingerprint tag
+//! and s-expression operator, and the crate-private `TermNode::children`
+//! lends its children, left to right, as a slice without allocating
+//! (`map_children` rebuilds a node around new ones). Fingerprinting,
+//! rendering and [`TermArena::vars`] walk that slice, so none of them
+//! lists the variants. Per-variant code remains only where the variants
+//! mean different things: the smart constructors' folding here, and
+//! normalization and linearization in [`crate::normalize`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -193,6 +202,110 @@ pub enum TermNode {
     Iff(TermId, TermId),
 }
 
+/// A node's children, left to right, as a slice: the n-ary and unary
+/// variants lend their own storage and the rest copy their ids inline, so
+/// a walk over them never allocates.
+pub(crate) enum Children<'a> {
+    Lent(&'a [TermId]),
+    Two([TermId; 2]),
+    Three([TermId; 3]),
+}
+
+impl std::ops::Deref for Children<'_> {
+    type Target = [TermId];
+
+    fn deref(&self) -> &[TermId] {
+        match self {
+            Children::Lent(ids) => ids,
+            Children::Two(ids) => ids,
+            Children::Three(ids) => ids,
+        }
+    }
+}
+
+impl TermNode {
+    /// The variant's fingerprint tag (1–19 in declaration order; persisted
+    /// memo keys hash it, so it never changes) and its s-expression
+    /// operator (leaves print their data instead).
+    fn shape(&self) -> (u128, &'static str) {
+        match self {
+            TermNode::RConst(_) => (1, ""),
+            TermNode::BConst(_) => (2, ""),
+            TermNode::RVar(_) => (3, ""),
+            TermNode::BVar(_) => (4, ""),
+            TermNode::Add(_) => (5, "+"),
+            TermNode::Mul(..) => (6, "*"),
+            TermNode::Neg(_) => (7, "-"),
+            TermNode::Div(..) => (8, "/"),
+            TermNode::Mod(..) => (9, "mod"),
+            TermNode::Abs(_) => (10, "abs"),
+            TermNode::Ite(..) => (11, "ite"),
+            TermNode::Le(..) => (12, "<="),
+            TermNode::Lt(..) => (13, "<"),
+            TermNode::EqNum(..) => (14, "="),
+            TermNode::Not(_) => (15, "not"),
+            TermNode::And(_) => (16, "and"),
+            TermNode::Or(_) => (17, "or"),
+            TermNode::Implies(..) => (18, "=>"),
+            TermNode::Iff(..) => (19, "iff"),
+        }
+    }
+
+    /// The children, left to right; a leaf has none.
+    pub(crate) fn children(&self) -> Children<'_> {
+        match self {
+            TermNode::RConst(_) | TermNode::BConst(_) | TermNode::RVar(_) | TermNode::BVar(_) => {
+                Children::Lent(&[])
+            }
+            TermNode::Add(ts) | TermNode::And(ts) | TermNode::Or(ts) => Children::Lent(ts),
+            TermNode::Neg(a) | TermNode::Abs(a) | TermNode::Not(a) => {
+                Children::Lent(std::slice::from_ref(a))
+            }
+            TermNode::Mul(a, b)
+            | TermNode::Div(a, b)
+            | TermNode::Mod(a, b)
+            | TermNode::Le(a, b)
+            | TermNode::Lt(a, b)
+            | TermNode::EqNum(a, b)
+            | TermNode::Implies(a, b)
+            | TermNode::Iff(a, b) => Children::Two([*a, *b]),
+            TermNode::Ite(c, a, b) => Children::Three([*c, *a, *b]),
+        }
+    }
+
+    /// The same variant with child `i` replaced by `f(i, child)`. The
+    /// result is a raw node: nothing folds, whatever the new children are.
+    pub(crate) fn map_children(&self, mut f: impl FnMut(usize, TermId) -> TermId) -> TermNode {
+        let mut node = self.clone();
+        match &mut node {
+            TermNode::RConst(_) | TermNode::BConst(_) | TermNode::RVar(_) | TermNode::BVar(_) => {}
+            TermNode::Add(ts) | TermNode::And(ts) | TermNode::Or(ts) => {
+                for (i, t) in ts.iter_mut().enumerate() {
+                    *t = f(i, *t);
+                }
+            }
+            TermNode::Neg(a) | TermNode::Abs(a) | TermNode::Not(a) => *a = f(0, *a),
+            TermNode::Mul(a, b)
+            | TermNode::Div(a, b)
+            | TermNode::Mod(a, b)
+            | TermNode::Le(a, b)
+            | TermNode::Lt(a, b)
+            | TermNode::EqNum(a, b)
+            | TermNode::Implies(a, b)
+            | TermNode::Iff(a, b) => {
+                *a = f(0, *a);
+                *b = f(1, *b);
+            }
+            TermNode::Ite(c, a, b) => {
+                *c = f(0, *c);
+                *a = f(1, *a);
+                *b = f(2, *b);
+            }
+        }
+        node
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Structural fingerprints
 // ---------------------------------------------------------------------------
@@ -286,110 +399,26 @@ impl TermArena {
         Fingerprint(self.fps[id.0 as usize])
     }
 
-    /// Computes a fresh node's fingerprint from its tag, leaf data, and the
-    /// cached fingerprints of its (already interned) children.
+    /// Computes a fresh node's fingerprint: its tag, then its leaf data or
+    /// (n-ary variants) its child count, then the cached fingerprints of
+    /// its (already interned) children.
     fn node_fingerprint(&self, node: &TermNode) -> u128 {
-        let child = |id: &TermId| self.fps[id.0 as usize];
-        let mut h = FNV128_OFFSET;
+        let mut h = mix(FNV128_OFFSET, node.shape().0);
         match node {
             TermNode::RConst(r) => {
-                h = mix(h, 1);
                 h = mix(h, r.numer() as u128);
                 h = mix(h, r.denom() as u128);
             }
-            TermNode::BConst(b) => {
-                h = mix(h, 2);
-                h = mix(h, *b as u128);
-            }
-            TermNode::RVar(v) => {
-                h = mix(h, 3);
-                h = mix_str(h, v.as_str());
-            }
-            TermNode::BVar(v) => {
-                h = mix(h, 4);
-                h = mix_str(h, v.as_str());
-            }
-            TermNode::Add(ts) => {
-                h = mix(h, 5);
+            TermNode::BConst(b) => h = mix(h, *b as u128),
+            TermNode::RVar(v) | TermNode::BVar(v) => h = mix_str(h, v.as_str()),
+            TermNode::Add(ts) | TermNode::And(ts) | TermNode::Or(ts) => {
                 h = mix(h, ts.len() as u128);
-                for t in ts {
-                    h = mix(h, child(t));
-                }
             }
-            TermNode::Mul(a, b) => {
-                h = mix(h, 6);
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
-            TermNode::Neg(t) => {
-                h = mix(h, 7);
-                h = mix(h, child(t));
-            }
-            TermNode::Div(a, b) => {
-                h = mix(h, 8);
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
-            TermNode::Mod(a, b) => {
-                h = mix(h, 9);
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
-            TermNode::Abs(t) => {
-                h = mix(h, 10);
-                h = mix(h, child(t));
-            }
-            TermNode::Ite(c, a, b) => {
-                h = mix(h, 11);
-                h = mix(h, child(c));
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
-            TermNode::Le(a, b) => {
-                h = mix(h, 12);
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
-            TermNode::Lt(a, b) => {
-                h = mix(h, 13);
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
-            TermNode::EqNum(a, b) => {
-                h = mix(h, 14);
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
-            TermNode::Not(t) => {
-                h = mix(h, 15);
-                h = mix(h, child(t));
-            }
-            TermNode::And(ts) => {
-                h = mix(h, 16);
-                h = mix(h, ts.len() as u128);
-                for t in ts {
-                    h = mix(h, child(t));
-                }
-            }
-            TermNode::Or(ts) => {
-                h = mix(h, 17);
-                h = mix(h, ts.len() as u128);
-                for t in ts {
-                    h = mix(h, child(t));
-                }
-            }
-            TermNode::Implies(a, b) => {
-                h = mix(h, 18);
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
-            TermNode::Iff(a, b) => {
-                h = mix(h, 19);
-                h = mix(h, child(a));
-                h = mix(h, child(b));
-            }
+            _ => {}
         }
-        h
+        node.children()
+            .iter()
+            .fold(h, |h, c| mix(h, self.fps[c.0 as usize]))
     }
 
     /// The node behind an id.
@@ -590,60 +619,12 @@ impl TermArena {
 
     /// Conjunction with folding and flattening.
     pub fn and(&mut self, a: TermId, b: TermId) -> TermId {
-        match (self.node(a), self.node(b)) {
-            (TermNode::BConst(true), _) => return b,
-            (_, TermNode::BConst(true)) => return a,
-            (TermNode::BConst(false), _) | (_, TermNode::BConst(false)) => {
-                return self.bool_const(false)
-            }
-            (TermNode::And(xs), TermNode::And(ys)) => {
-                let mut v = xs.clone();
-                v.extend(ys.iter().copied());
-                return self.intern(TermNode::And(v));
-            }
-            (TermNode::And(xs), _) => {
-                let mut v = xs.clone();
-                v.push(b);
-                return self.intern(TermNode::And(v));
-            }
-            (_, TermNode::And(ys)) => {
-                let mut v = Vec::with_capacity(ys.len() + 1);
-                v.push(a);
-                v.extend(ys.iter().copied());
-                return self.intern(TermNode::And(v));
-            }
-            _ => {}
-        }
-        self.intern(TermNode::And(vec![a, b]))
+        self.conj([a, b])
     }
 
     /// Disjunction with folding and flattening.
     pub fn or(&mut self, a: TermId, b: TermId) -> TermId {
-        match (self.node(a), self.node(b)) {
-            (TermNode::BConst(false), _) => return b,
-            (_, TermNode::BConst(false)) => return a,
-            (TermNode::BConst(true), _) | (_, TermNode::BConst(true)) => {
-                return self.bool_const(true)
-            }
-            (TermNode::Or(xs), TermNode::Or(ys)) => {
-                let mut v = xs.clone();
-                v.extend(ys.iter().copied());
-                return self.intern(TermNode::Or(v));
-            }
-            (TermNode::Or(xs), _) => {
-                let mut v = xs.clone();
-                v.push(b);
-                return self.intern(TermNode::Or(v));
-            }
-            (_, TermNode::Or(ys)) => {
-                let mut v = Vec::with_capacity(ys.len() + 1);
-                v.push(a);
-                v.extend(ys.iter().copied());
-                return self.intern(TermNode::Or(v));
-            }
-            _ => {}
-        }
-        self.intern(TermNode::Or(vec![a, b]))
+        self.disj([a, b])
     }
 
     /// Implication.
@@ -665,40 +646,37 @@ impl TermArena {
     /// Conjunction of a sequence of terms.
     ///
     /// Single pass (flatten one level of nested `And`s, drop `true`,
-    /// short-circuit on `false`) producing the same result as folding
-    /// [`TermArena::and`], without the fold's per-step vector clones or its
-    /// n−1 intermediate prefix nodes.
+    /// short-circuit on `false`); [`TermArena::and`] is this over two
+    /// terms, so folding `and` over the sequence gives the same id, without
+    /// the fold's n−1 intermediate prefix nodes.
     pub fn conj(&mut self, terms: impl IntoIterator<Item = TermId>) -> TermId {
-        let mut out: Vec<TermId> = Vec::new();
-        for t in terms {
-            match self.node(t) {
-                TermNode::BConst(true) => {}
-                TermNode::BConst(false) => return self.bool_const(false),
-                TermNode::And(xs) => out.extend(xs.iter().copied()),
-                _ => out.push(t),
-            }
-        }
-        match out.len() {
-            0 => self.bool_const(true),
-            1 => out[0],
-            _ => self.intern(TermNode::And(out)),
-        }
+        self.connective(true, terms)
     }
 
     /// Disjunction of a sequence of terms (see [`TermArena::conj`]).
     pub fn disj(&mut self, terms: impl IntoIterator<Item = TermId>) -> TermId {
+        self.connective(false, terms)
+    }
+
+    /// The n-ary flattener behind [`TermArena::conj`] (`and`) and
+    /// [`TermArena::disj`] (`!and`): the connective's unit (`true` for a
+    /// conjunction) drops out, the other constant short-circuits, and
+    /// nested nodes of the same connective flatten one level.
+    fn connective(&mut self, and: bool, terms: impl IntoIterator<Item = TermId>) -> TermId {
         let mut out: Vec<TermId> = Vec::new();
         for t in terms {
             match self.node(t) {
-                TermNode::BConst(false) => {}
-                TermNode::BConst(true) => return self.bool_const(true),
-                TermNode::Or(xs) => out.extend(xs.iter().copied()),
+                TermNode::BConst(b) if *b == and => {}
+                TermNode::BConst(_) => return self.bool_const(!and),
+                TermNode::And(xs) if and => out.extend(xs.iter().copied()),
+                TermNode::Or(xs) if !and => out.extend(xs.iter().copied()),
                 _ => out.push(t),
             }
         }
         match out.len() {
-            0 => self.bool_const(false),
+            0 => self.bool_const(and),
             1 => out[0],
+            _ if and => self.intern(TermNode::And(out)),
             _ => self.intern(TermNode::Or(out)),
         }
     }
@@ -715,99 +693,37 @@ impl TermArena {
 
     fn collect_vars(&self, id: TermId, out: &mut Vec<Symbol>) {
         match self.node(id) {
-            TermNode::RConst(_) | TermNode::BConst(_) => {}
             TermNode::RVar(v) | TermNode::BVar(v) => {
                 if !out.contains(v) {
                     out.push(*v);
                 }
             }
-            TermNode::Add(ts) | TermNode::And(ts) | TermNode::Or(ts) => {
-                for t in ts.clone() {
-                    self.collect_vars(t, out);
+            node => {
+                for &c in node.children().iter() {
+                    self.collect_vars(c, out);
                 }
-            }
-            TermNode::Neg(t) | TermNode::Abs(t) | TermNode::Not(t) => self.collect_vars(*t, out),
-            TermNode::Mul(a, b)
-            | TermNode::Div(a, b)
-            | TermNode::Mod(a, b)
-            | TermNode::Le(a, b)
-            | TermNode::Lt(a, b)
-            | TermNode::EqNum(a, b)
-            | TermNode::Implies(a, b)
-            | TermNode::Iff(a, b) => {
-                let (a, b) = (*a, *b);
-                self.collect_vars(a, out);
-                self.collect_vars(b, out);
-            }
-            TermNode::Ite(a, b, c) => {
-                let (a, b, c) = (*a, *b, *c);
-                self.collect_vars(a, out);
-                self.collect_vars(b, out);
-                self.collect_vars(c, out);
             }
         }
     }
 
     /// Renders a term in the s-expression form of the original tree
-    /// representation.
+    /// representation: a leaf prints its data, any other node
+    /// `(op c1 … cn)`.
     pub fn display(&self, id: TermId, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.node(id) {
+        let node = self.node(id);
+        match node {
             TermNode::RConst(r) => write!(f, "{r}"),
             TermNode::BConst(b) => write!(f, "{b}"),
             TermNode::RVar(v) | TermNode::BVar(v) => write!(f, "{v}"),
-            TermNode::Add(ts) => self.display_nary(f, "+", ts),
-            TermNode::Mul(a, b) => self.display_binary(f, "*", *a, *b),
-            TermNode::Neg(t) => self.display_unary(f, "-", *t),
-            TermNode::Div(a, b) => self.display_binary(f, "/", *a, *b),
-            TermNode::Mod(a, b) => self.display_binary(f, "mod", *a, *b),
-            TermNode::Abs(t) => self.display_unary(f, "abs", *t),
-            TermNode::Ite(c, a, b) => {
-                write!(f, "(ite ")?;
-                self.display(*c, f)?;
-                write!(f, " ")?;
-                self.display(*a, f)?;
-                write!(f, " ")?;
-                self.display(*b, f)?;
+            _ => {
+                write!(f, "({}", node.shape().1)?;
+                for &c in node.children().iter() {
+                    write!(f, " ")?;
+                    self.display(c, f)?;
+                }
                 write!(f, ")")
             }
-            TermNode::Le(a, b) => self.display_binary(f, "<=", *a, *b),
-            TermNode::Lt(a, b) => self.display_binary(f, "<", *a, *b),
-            TermNode::EqNum(a, b) => self.display_binary(f, "=", *a, *b),
-            TermNode::Not(t) => self.display_unary(f, "not", *t),
-            TermNode::And(ts) => self.display_nary(f, "and", ts),
-            TermNode::Or(ts) => self.display_nary(f, "or", ts),
-            TermNode::Implies(a, b) => self.display_binary(f, "=>", *a, *b),
-            TermNode::Iff(a, b) => self.display_binary(f, "iff", *a, *b),
         }
-    }
-
-    fn display_unary(&self, f: &mut fmt::Formatter<'_>, op: &str, t: TermId) -> fmt::Result {
-        write!(f, "({op} ")?;
-        self.display(t, f)?;
-        write!(f, ")")
-    }
-
-    fn display_binary(
-        &self,
-        f: &mut fmt::Formatter<'_>,
-        op: &str,
-        a: TermId,
-        b: TermId,
-    ) -> fmt::Result {
-        write!(f, "({op} ")?;
-        self.display(a, f)?;
-        write!(f, " ")?;
-        self.display(b, f)?;
-        write!(f, ")")
-    }
-
-    fn display_nary(&self, f: &mut fmt::Formatter<'_>, op: &str, ts: &[TermId]) -> fmt::Result {
-        write!(f, "({op}")?;
-        for t in ts {
-            write!(f, " ")?;
-            self.display(*t, f)?;
-        }
-        write!(f, ")")
     }
 }
 
@@ -996,11 +912,6 @@ impl TermId {
             .into_iter()
             .map(|s| s.as_str().to_string())
             .collect()
-    }
-
-    /// All variable symbols occurring in the term (thread shard).
-    pub fn var_symbols(self) -> Vec<Symbol> {
-        with_shard(|a| a.vars(self))
     }
 }
 

@@ -268,21 +268,8 @@ impl Engine {
             let stats_before = solver.stats();
             let mut failed: BTreeSet<usize> = BTreeSet::new();
             for entry in &entry_states {
-                let mut head = havoc_state(entry, &assigned, exec);
-                // Assume all current candidates (recording each assumption
-                // term's path position) and the guard.
-                let mut cand_pos: Vec<usize> = Vec::with_capacity(candidates.len());
-                for c in &candidates {
-                    let t = exec
-                        .eval_bool(c, &mut head)
-                        .map_err(|e| format!("candidate eval: {e}"))?;
-                    head.path.push(t);
-                    cand_pos.push(head.path.len() - 1);
-                }
-                let g = exec
-                    .eval_bool(guard, &mut head)
-                    .map_err(|e| format!("guard eval: {e}"))?;
-                head.path.push(g);
+                let (head, cand_pos) =
+                    loop_head(entry, &assigned, &candidates, guard, false, exec)?;
 
                 // One body iteration; obligations from this exploratory run
                 // are discarded (re-collected after stabilization).
@@ -414,17 +401,7 @@ impl Engine {
         }
         exec.reset_fresh(fresh_mark);
         for entry in &entry_states {
-            let mut head = havoc_state(entry, &assigned, exec);
-            for c in &candidates {
-                let t = exec
-                    .eval_bool(c, &mut head)
-                    .map_err(|e| format!("candidate eval: {e}"))?;
-                head.path.push(t);
-            }
-            let g = exec
-                .eval_bool(guard, &mut head)
-                .map_err(|e| format!("guard eval: {e}"))?;
-            head.path.push(g);
+            let (head, _) = loop_head(entry, &assigned, &candidates, guard, false, exec)?;
             let _ = exec
                 .exec_cmds(vec![head], body)
                 .map_err(|e| e.to_string())?;
@@ -434,18 +411,7 @@ impl Engine {
         exec.reset_fresh(fresh_mark);
         let mut exits = Vec::new();
         for entry in &entry_states {
-            let mut out = havoc_state(entry, &assigned, exec);
-            for c in &candidates {
-                let t = exec
-                    .eval_bool(c, &mut out)
-                    .map_err(|e| format!("candidate eval: {e}"))?;
-                out.path.push(t);
-            }
-            let g = exec
-                .eval_bool(guard, &mut out)
-                .map_err(|e| format!("guard eval: {e}"))?;
-            out.path.push(g.not());
-            exits.push(out);
+            exits.push(loop_head(entry, &assigned, &candidates, guard, true, exec)?.0);
         }
         // End the replay episode: downstream symbols must never collide
         // with names minted during the discarded round states.
@@ -492,23 +458,45 @@ fn body_reads_list(cmds: &[Cmd], list: &str) -> bool {
     })
 }
 
-/// Builds a loop-head state: every assigned variable becomes a fresh
-/// symbol (lists become opaque); everything else keeps its entry value and
-/// the entry path is retained (facts about loop-invariant data).
-fn havoc_state(entry: &SymState, assigned: &BTreeSet<Name>, exec: &mut SymExec<'_>) -> SymState {
-    let mut st = entry.clone();
+/// Builds the loop head from `entry`: every assigned variable becomes a
+/// fresh symbol (lists become opaque) while everything else keeps its entry
+/// value and the entry path is retained (facts about loop-invariant data);
+/// then every candidate is assumed, then the guard (its negation for an
+/// `exit` state). Returns the state and each candidate term's path
+/// position.
+fn loop_head(
+    entry: &SymState,
+    assigned: &BTreeSet<Name>,
+    candidates: &[Expr],
+    guard: &Expr,
+    exit: bool,
+    exec: &mut SymExec<'_>,
+) -> Result<(SymState, Vec<usize>), String> {
+    let mut head = entry.clone();
     for name in assigned {
         let fresh = exec.fresh_symbol(&name.to_string());
-        match st.vars.get(name) {
+        match head.vars.get(name) {
             Some(SymVal::Concrete(_) | SymVal::Opaque) => {
-                st.vars.insert(name.clone(), SymVal::Opaque);
+                head.vars.insert(name.clone(), SymVal::Opaque);
             }
             _ => {
-                st.vars.insert(name.clone(), SymVal::Scalar(fresh));
+                head.vars.insert(name.clone(), SymVal::Scalar(fresh));
             }
         }
     }
-    st
+    let mut cand_pos = Vec::with_capacity(candidates.len());
+    for c in candidates {
+        let t = exec
+            .eval_bool(c, &mut head)
+            .map_err(|e| format!("candidate eval: {e}"))?;
+        head.path.push(t);
+        cand_pos.push(head.path.len() - 1);
+    }
+    let g = exec
+        .eval_bool(guard, &mut head)
+        .map_err(|e| format!("guard eval: {e}"))?;
+    head.path.push(if exit { g.not() } else { g });
+    Ok((head, cand_pos))
 }
 
 /// Builds the candidate invariant pool.
