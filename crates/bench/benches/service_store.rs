@@ -155,7 +155,7 @@ fn bench_flush_incremental(c: &mut Criterion) {
                 let value = if round.is_multiple_of(2) {
                     CheckResult::Unsat
                 } else {
-                    CheckResult::Sat(Model::default())
+                    CheckResult::Sat(Model::default().into())
                 };
                 for i in 0..DELTA as u128 {
                     store.solver_put(Fingerprint((delta_base + i) | (1 << 127)), value.clone());

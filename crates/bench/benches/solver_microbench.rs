@@ -9,7 +9,11 @@
 //! - `repeated-query/*` — the same `prove` asked again and again, with the
 //!   memo table off vs. on. The memoized path must be ≥ 2× the uncached
 //!   throughput (it is orders of magnitude in practice — a `u32`-keyed hash
-//!   lookup vs. a full solve);
+//!   lookup vs. a full solve). `memoized` proves its goal, so its entry
+//!   carries no model; `memoized-refuted` asks a refutable variant whose
+//!   countermodel binds six variables, so each hit hands out a
+//!   model — shared with the memo entry, not copied (reported, not
+//!   gated);
 //! - `trail/*` — the incremental search core: a fresh solve over a
 //!   64-level disjunction chain (pure decision-level open/conflict/flip
 //!   mechanics) and the Houdini-shaped push/query/pop assumption-frame
@@ -109,6 +113,16 @@ fn bench_repeated_query(c: &mut Criterion) {
         // Warm the single entry, then measure steady-state hits.
         assert!(solver.prove(&hyps, &goal).is_proved());
         b.iter(|| assert!(solver.prove(&hyps, &goal).is_proved()));
+    });
+
+    // The hypotheses entail `goal`, so they refute its negation; the
+    // entry is a countermodel binding six of the eight variables.
+    let refutable = goal.not();
+    group.bench_function("memoized-refuted", |b| {
+        let solver = Solver::new();
+        let refuted = solver.prove(&hyps, &refutable);
+        assert_eq!(refuted.counterexample().map(|m| m.reals.len()), Some(6));
+        b.iter(|| assert!(!solver.prove(&hyps, &refutable).is_proved()));
     });
 
     group.finish();

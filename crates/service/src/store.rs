@@ -7,7 +7,9 @@
 //!   Fingerprints are arena-independent structural hashes (see
 //!   `shadowdp_solver::term`), so an entry written by one daemon process
 //!   answers the structurally identical validity query in any later
-//!   process — this tier is what makes a daemon restart *warm*.
+//!   process — this tier is what makes a daemon restart *warm*. A `Sat`
+//!   entry's model is an `Arc` shared with the live memo, so the daemon
+//!   holds each model once.
 //! - **Pipeline tier** — `fnv128(JobSpec::canonical()) → (verdict, digest,
 //!   deps)`: whole-verification results keyed by source text plus options.
 //!   A resubmitted program is answered without running the pipeline at all,
@@ -274,7 +276,8 @@ impl VerdictStore {
     }
 
     /// Imports the solver tier into a live memo ([`QueryMemo::absorb`];
-    /// live entries win on key collisions).
+    /// live entries win on key collisions). The memo and the tier then
+    /// share each decoded model: warming copies no model.
     pub fn warm_memo(&self, memo: &QueryMemo) {
         memo.absorb(self.solver.iter().map(|(k, v)| (*k, v.clone())));
     }
@@ -756,7 +759,7 @@ fn decode_check_result(cur: &mut Cursor<'_>) -> Option<CheckResult> {
                 let value = cur.u8()? != 0;
                 model.bools.insert(name, value);
             }
-            Some(CheckResult::Sat(model))
+            Some(CheckResult::Sat(model.into()))
         }
         _ => None,
     }
@@ -765,9 +768,11 @@ fn decode_check_result(cur: &mut Cursor<'_>) -> Option<CheckResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shadowdp_solver::{Solver, Term};
     use std::collections::BTreeMap;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn temp_path(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -801,7 +806,7 @@ mod tests {
 
     fn sample_store() -> VerdictStore {
         let mut store = VerdictStore::in_memory();
-        store.solver_put(Fingerprint(1), CheckResult::Sat(sample_model()));
+        store.solver_put(Fingerprint(1), CheckResult::Sat(sample_model().into()));
         store.solver_put(Fingerprint(u128::MAX), CheckResult::Unsat);
         store.pipeline.insert(
             42,
@@ -813,6 +818,47 @@ mod tests {
             },
         );
         store
+    }
+
+    /// How many `Sat` entries the solver tier holds, asserting that each
+    /// is the memo's own model allocation, not a copy of it.
+    fn sat_entries_shared_with(store: &VerdictStore, memo: &QueryMemo) -> usize {
+        let mut shared = 0;
+        for (fp, result) in &store.solver {
+            if let CheckResult::Sat(model) = result {
+                let Some(CheckResult::Sat(live)) = memo.get(*fp) else {
+                    panic!("{fp:?}: the memo lacks the stored model");
+                };
+                assert!(Arc::ptr_eq(model, &live), "{fp:?}: model copied");
+                shared += 1;
+            }
+        }
+        shared
+    }
+
+    #[test]
+    fn store_and_memo_share_every_model() {
+        let memo = Arc::new(QueryMemo::default());
+        let solver = Solver::with_memo(memo.clone());
+        let x = Term::real_var("x");
+        let y = Term::real_var("y");
+        for k in 1..=4 {
+            // Refuted (a model each), then proved (Unsat).
+            let _ = solver.prove(&[x.ge(Term::int(0))], &x.add(y).ge(Term::int(k)));
+            let _ = solver.prove(&[x.ge(Term::int(k))], &x.ge(Term::int(0)));
+        }
+        let path = temp_path("shared-models");
+        let mut store = VerdictStore::load(&path);
+        assert_eq!(store.absorb_dirty(&memo), 8);
+        assert_eq!(sat_entries_shared_with(&store, &memo), 4);
+        store.flush().unwrap();
+
+        let reloaded = VerdictStore::load(&path);
+        let warm = QueryMemo::default();
+        reloaded.warm_memo(&warm);
+        assert_eq!(warm.len(), 8);
+        assert_eq!(sat_entries_shared_with(&reloaded, &warm), 4);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

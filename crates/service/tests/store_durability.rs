@@ -79,7 +79,7 @@ fn arb_model() -> impl Strategy<Value = Model> {
 fn arb_check_result() -> impl Strategy<Value = CheckResult> {
     prop_oneof![
         Just(CheckResult::Unsat),
-        arb_model().prop_map(CheckResult::Sat),
+        arb_model().prop_map(|m| CheckResult::Sat(m.into())),
     ]
 }
 

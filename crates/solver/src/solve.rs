@@ -76,7 +76,8 @@ fn query_hist(hit: bool) -> &'static shadowdp_obs::Histogram {
 ///
 /// Keys are rendered strings (the public, solver-independent surface);
 /// internally the search runs entirely over interned [`Symbol`]s and
-/// converts once on the way out.
+/// converts once on the way out. Results carry it as an `Arc<Model>`,
+/// shared rather than copied (see [`CheckResult`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Model {
     /// Values of real-sorted variables.
@@ -127,10 +128,16 @@ impl fmt::Display for Model {
 }
 
 /// Result of a satisfiability check.
+///
+/// A model is allocated once, by the search that found it or by the
+/// decoder that read it from disk, and shared from then on: cloning a
+/// result — a memo hit, the memo's insert, [`QueryMemo::snapshot`] and
+/// [`QueryMemo::drain_dirty`] — bumps a reference count instead of
+/// copying the model's maps.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CheckResult {
     /// A model was found.
-    Sat(Model),
+    Sat(Arc<Model>),
     /// No model exists (sound even when abstraction occurred).
     Unsat,
 }
@@ -142,7 +149,8 @@ impl CheckResult {
     }
 }
 
-/// Result of a validity check (`prove`).
+/// Result of a validity check (`prove`). A refutation shares its model
+/// with the memo entry it came from (see [`CheckResult`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProveResult {
     /// The implication is valid.
@@ -151,7 +159,7 @@ pub enum ProveResult {
     /// [`Model::possibly_spurious`] is set, the goal may still be valid
     /// (abstraction lost precision) — callers must treat this as "unknown",
     /// never as "proved".
-    Refuted(Model),
+    Refuted(Arc<Model>),
 }
 
 impl ProveResult {
@@ -163,7 +171,7 @@ impl ProveResult {
     /// A definite counterexample, if the refutation is trustworthy.
     pub fn counterexample(&self) -> Option<&Model> {
         match self {
-            ProveResult::Refuted(m) if !m.possibly_spurious => Some(m),
+            ProveResult::Refuted(m) if !m.possibly_spurious => Some(m.as_ref()),
             _ => None,
         }
     }
@@ -405,7 +413,9 @@ impl QueryMemo {
     /// the whole table, so flush cost tracks the batch, not the table.
     ///
     /// Entries merged in with [`QueryMemo::absorb`] are never dirty (they
-    /// came *from* persistence); only fresh solves are.
+    /// came *from* persistence); only fresh solves are. Each exported
+    /// model is the memo's own allocation, so a store that keeps the
+    /// delta holds no second copy.
     pub fn drain_dirty(&self) -> Vec<(Fingerprint, CheckResult)> {
         let mut out: Vec<(Fingerprint, CheckResult)> = Vec::new();
         for shard in &self.shards {
@@ -438,7 +448,9 @@ impl QueryMemo {
     /// Looks up one memoized verdict. Public for the persistence layer:
     /// a verdict store healing a dangling dependency (an entry a
     /// compaction dropped but a later job turned out to need) re-reads it
-    /// from the live memo by fingerprint.
+    /// from the live memo by fingerprint. A `Sat` hit hands out the
+    /// entry's model allocation, so the shard lock is held for a
+    /// reference-count bump, not a copy of the model.
     pub fn get(&self, key: Fingerprint) -> Option<CheckResult> {
         self.shard(key).entries.get(&key).cloned()
     }
@@ -869,7 +881,7 @@ impl Solver {
                 self.mark_exhausted(reason);
                 exhausted_placeholder()
             }
-            SearchOutcome::Sat(reals, bools) => CheckResult::Sat(Model {
+            SearchOutcome::Sat(reals, bools) => CheckResult::Sat(Arc::new(Model {
                 reals: reals
                     .into_iter()
                     .map(|(k, v)| (k.as_str().to_string(), v))
@@ -879,7 +891,7 @@ impl Solver {
                     .map(|(k, v)| (k.as_str().to_string(), v))
                     .collect(),
                 possibly_spurious: abstracted,
-            }),
+            })),
             SearchOutcome::Unsat => CheckResult::Unsat,
         }
     }
@@ -1135,11 +1147,11 @@ fn assumption_set_key(arena: &TermArena, assumptions: &[Term], goal: Term) -> Fi
 /// treat spurious `Sat` as "unknown, never proved", so the degradation is
 /// sound by construction.
 fn exhausted_placeholder() -> CheckResult {
-    CheckResult::Sat(Model {
+    CheckResult::Sat(Arc::new(Model {
         reals: BTreeMap::new(),
         bools: BTreeMap::new(),
         possibly_spurious: true,
-    })
+    }))
 }
 
 type RealModel = BTreeMap<Symbol, Rat>;
@@ -1763,6 +1775,41 @@ mod tests {
         s.memo().absorb(snap);
         let delta = s.memo().drain_dirty();
         assert_eq!(delta.len(), 1, "{delta:?}");
+    }
+
+    #[test]
+    fn memo_hits_and_exports_share_one_model_allocation() {
+        let s = Solver::new();
+        // x, y >= 0 ⊬ x + y >= 3: refuted, with a model over both.
+        let hyps = [x().ge(Term::int(0)), y().ge(Term::int(0))];
+        let goal = x().add(y()).ge(Term::int(3));
+        let ProveResult::Refuted(model) = s.prove(&hyps, &goal) else {
+            panic!("x + y >= 3 does not follow");
+        };
+        assert_eq!(model.reals.len(), 2, "{model}");
+        let ProveResult::Refuted(hit) = s.prove(&hyps, &goal) else {
+            panic!("a hit answers like the solve");
+        };
+        assert_eq!(s.stats().cache_hits, 1);
+        assert!(
+            Arc::ptr_eq(&hit, &model),
+            "a hit hands out the memo's model"
+        );
+
+        let snapshot = s.memo().snapshot();
+        let drained = s.memo().drain_dirty();
+        assert_eq!((snapshot.len(), drained.len()), (1, 1));
+        let fp = snapshot[0].0;
+        for (how, result) in [
+            ("get", s.memo().get(fp).unwrap()),
+            ("snapshot", snapshot[0].1.clone()),
+            ("drain_dirty", drained[0].1.clone()),
+        ] {
+            let CheckResult::Sat(shared) = result else {
+                panic!("{how}: the entry is the refutation's model");
+            };
+            assert!(Arc::ptr_eq(&shared, &model), "{how} copied the model");
+        }
     }
 
     /// `assumptions ⊢ goal` as one pushed frame: push, `prove_pushed`, pop.
