@@ -27,12 +27,17 @@
 //! batches must append byte-identical record sizes (exact and
 //! hardware-free); in `bench_compare`, `late` must stay within 3× of
 //! `early` on the fresh dump.
+//!
+//! `service/store-load` times a daemon's start-up path: `VerdictStore::load`
+//! of a store holding the Table 1 and buggy-corpus memos (`Sat` models
+//! included), then `warm_memo` into a fresh memo. Each iteration also
+//! frees what the one before it loaded. The row is not gated.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shadowdp::{table1, Pipeline};
+use shadowdp::{corpus, table1, CorpusJob, Pipeline};
 use shadowdp_service::VerdictStore;
 use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo};
 
@@ -170,5 +175,44 @@ fn bench_flush_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_warm_vs_cold, bench_flush_incremental);
+fn bench_store_load(c: &mut Criterion) {
+    let pipeline = Pipeline::new();
+    let memo = Arc::new(QueryMemo::default());
+    let buggy: Vec<CorpusJob> = corpus::buggy_algorithms()
+        .iter()
+        .map(|alg| CorpusJob::new(alg.source))
+        .collect();
+    pipeline.verify_corpus_parallel_with_memo(&table1::service_jobs(), None, &memo);
+    pipeline.verify_corpus_parallel_with_memo(&buggy, None, &memo);
+    let path = bench_store_path("load");
+    let mut store = VerdictStore::load(&path);
+    store.update_from_memo(&memo);
+    store.flush().expect("store flush succeeds");
+    let models = memo
+        .snapshot()
+        .iter()
+        .filter(|(_, result)| result.is_sat())
+        .count();
+    assert!(models > 0, "the corpus memos hold models");
+
+    let mut group = c.benchmark_group("service");
+    group.bench_function("store-load", |b| {
+        b.iter(|| {
+            let store = VerdictStore::load(&path);
+            let warm = QueryMemo::default();
+            store.warm_memo(&warm);
+            assert_eq!(warm.len(), memo.len());
+            (store, warm)
+        });
+    });
+    group.finish();
+    let _ = std::fs::remove_file(&path);
+}
+
+criterion_group!(
+    benches,
+    bench_warm_vs_cold,
+    bench_flush_incremental,
+    bench_store_load
+);
 criterion_main!(benches);

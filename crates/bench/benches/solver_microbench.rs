@@ -121,7 +121,7 @@ fn bench_repeated_query(c: &mut Criterion) {
     group.bench_function("memoized-refuted", |b| {
         let solver = Solver::new();
         let refuted = solver.prove(&hyps, &refutable);
-        assert_eq!(refuted.counterexample().map(|m| m.reals.len()), Some(6));
+        assert_eq!(refuted.counterexample().map(|m| m.reals().len()), Some(6));
         b.iter(|| assert!(!solver.prove(&hyps, &refutable).is_proved()));
     });
 

@@ -17,7 +17,9 @@
 //!   asserting zero fresh solver queries inside the warm run; plus the
 //!   `service/flush-incremental` group pinning the O(delta) append-only
 //!   store flush (same dirty delta into a small vs. a ~128× larger store,
-//!   with per-batch appended bytes asserted flat inside the bench);
+//!   with per-batch appended bytes asserted flat inside the bench); plus
+//!   the ungated `service/store-load` row timing a daemon's start-up
+//!   store load and memo warm-up;
 //! - `baseline_synthesis` — the "Verification by \[2\] (s)" comparison
 //!   column: proof *search* over the §6.4 annotation space;
 //! - `substrates` — microbenchmarks of the home-grown substrates (QF-LRA

@@ -490,7 +490,8 @@ impl Pipeline {
                 acc.checks += r.solver_stats.checks;
                 acc.proves += r.solver_stats.proves;
                 acc.theory_calls += r.solver_stats.theory_calls;
-                acc.micros += r.solver_stats.micros;
+                acc.nanos += r.solver_stats.nanos;
+                acc.micros = acc.nanos / 1000;
                 acc.cache_hits += r.solver_stats.cache_hits;
                 acc.assumption_queries += r.solver_stats.assumption_queries;
                 acc.assumption_hits += r.solver_stats.assumption_hits;

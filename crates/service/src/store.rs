@@ -34,6 +34,7 @@
 //!                 u32 reals count, per real: u32 name len, name bytes,
 //!                                            i128 numer, i128 denom,
 //!                 u32 bools count, per bool: u32 name len, name bytes, u8 value
+//!                 (each list's names UTF-8 and strictly increasing bytewise)
 //!           u64 pipeline entry count
 //!               per entry: u128 key, u8 ok, u32 verdict len, verdict bytes,
 //!                          u32 digest len, digest bytes,
@@ -61,7 +62,7 @@ use std::path::PathBuf;
 
 use shadowdp::JobSpec;
 use shadowdp_num::Rat;
-use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo};
+use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo, Symbol};
 
 use crate::log::{self, RecordLog};
 
@@ -213,9 +214,10 @@ impl VerdictStore {
     /// This constructor never fails and never panics on file contents.
     pub fn load(path: impl Into<PathBuf>) -> VerdictStore {
         let mut store = VerdictStore::in_memory();
+        let mut names = Names::default();
         let (log, note) =
             RecordLog::open(path.into(), MAGIC_V2, "store", other_verifier, |payload| {
-                store.merge_record(payload).is_some()
+                store.merge_record(payload, &mut names).is_some()
             });
         store.log = Some(log);
         store.load_note = note;
@@ -550,8 +552,9 @@ impl VerdictStore {
     /// record first resets them. `None` (nothing merged) for a payload
     /// that does not decode: the checksum matched, so only a buggy or
     /// hostile writer seals one, but it is still bounds-checked and
-    /// rejected, never half-loaded.
-    fn merge_record(&mut self, payload: &[u8]) -> Option<()> {
+    /// rejected, never half-loaded. Model names are interned through
+    /// `names`, the load's own table.
+    fn merge_record(&mut self, payload: &[u8], names: &mut Names) -> Option<()> {
         let mut cur = Cursor {
             bytes: payload,
             at: 0,
@@ -561,16 +564,16 @@ impl VerdictStore {
             return None;
         }
 
-        let mut solver = Vec::new();
         let solver_count = cur.u64()?;
+        let mut solver = Vec::with_capacity(cur.capacity(solver_count, MIN_SOLVER_ENTRY));
         for _ in 0..solver_count {
             let fp = Fingerprint(cur.u128()?);
-            let result = decode_check_result(&mut cur)?;
+            let result = decode_check_result(&mut cur, names)?;
             solver.push((fp, result));
         }
 
-        let mut pipeline = Vec::new();
         let pipeline_count = cur.u64()?;
+        let mut pipeline = Vec::with_capacity(cur.capacity(pipeline_count, MIN_PIPELINE_ENTRY));
         for _ in 0..pipeline_count {
             let key = cur.u128()?;
             let ok = match cur.u8()? {
@@ -584,7 +587,7 @@ impl VerdictStore {
                 0 => None,
                 1 => {
                     let n = cur.u64()?;
-                    let mut deps = Vec::new();
+                    let mut deps = Vec::with_capacity(cur.capacity(n, size_of::<u128>()));
                     for _ in 0..n {
                         deps.push(Fingerprint(cur.u128()?));
                     }
@@ -612,7 +615,9 @@ impl VerdictStore {
             self.logged_entries = 0;
         }
         self.logged_entries += (solver.len() + pipeline.len()) as u64;
+        self.solver.reserve(solver.len());
         self.solver.extend(solver);
+        self.pipeline.reserve(pipeline.len());
         self.pipeline.extend(pipeline);
         Some(())
     }
@@ -633,14 +638,14 @@ fn encode_check_result(out: &mut Vec<u8>, result: &CheckResult) {
         CheckResult::Sat(model) => {
             out.push(1);
             out.push(model.possibly_spurious as u8);
-            out.extend_from_slice(&(model.reals.len() as u32).to_le_bytes());
-            for (name, value) in &model.reals {
+            out.extend_from_slice(&(model.reals().len() as u32).to_le_bytes());
+            for (name, value) in model.reals() {
                 encode_bytes(out, name.as_bytes());
                 out.extend_from_slice(&value.numer().to_le_bytes());
                 out.extend_from_slice(&value.denom().to_le_bytes());
             }
-            out.extend_from_slice(&(model.bools.len() as u32).to_le_bytes());
-            for (name, value) in &model.bools {
+            out.extend_from_slice(&(model.bools().len() as u32).to_le_bytes());
+            for (name, value) in model.bools() {
                 encode_bytes(out, name.as_bytes());
                 out.push(*value as u8);
             }
@@ -689,6 +694,36 @@ fn encode_record(
 // Decoding (bounds-checked; a record that does not decode ends the replay)
 // ---------------------------------------------------------------------------
 
+/// The fewest bytes one solver entry encodes in (fingerprint, tag).
+const MIN_SOLVER_ENTRY: usize = 16 + 1;
+/// The fewest bytes one pipeline entry encodes in (key, ok, two empty
+/// strings, deps tag).
+const MIN_PIPELINE_ENTRY: usize = 16 + 1 + 4 + 4 + 1;
+/// The fewest bytes one model real encodes in (empty name, numerator,
+/// denominator).
+const MIN_REAL: usize = 4 + 16 + 16;
+/// The fewest bytes one model bool encodes in (empty name, value).
+const MIN_BOOL: usize = 4 + 1;
+
+/// The model names one load has interned, keyed by their bytes. Each
+/// distinct name takes one trip through the solver's global interner per
+/// load, however many models mention it; every later mention is a local
+/// lookup, and every model naming it shares the interned copy.
+#[derive(Default)]
+struct Names(HashMap<&'static [u8], &'static str>);
+
+impl Names {
+    /// The interned copy of `bytes`; `None` if they are not UTF-8.
+    fn intern(&mut self, bytes: &[u8]) -> Option<&'static str> {
+        if let Some(name) = self.0.get(bytes) {
+            return Some(name);
+        }
+        let name = Symbol::interned(std::str::from_utf8(bytes).ok()?);
+        self.0.insert(name.as_bytes(), name);
+        Some(name)
+    }
+}
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -721,24 +756,31 @@ impl<'a> Cursor<'a> {
         Some(i128::from_le_bytes(self.take(16)?.try_into().ok()?))
     }
 
-    fn string(&mut self) -> Option<String> {
+    /// A `u32`-length-prefixed byte string.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
+        self.take(len)
+    }
+
+    fn string(&mut self) -> Option<String> {
+        String::from_utf8(self.bytes()?.to_vec()).ok()
+    }
+
+    /// A capacity for `count` entries of at least `min_len` bytes each,
+    /// clamped to how many fit in the bytes left: a corrupt count cannot
+    /// make the decoder allocate more than the record could hold.
+    fn capacity(&self, count: u64, min_len: usize) -> usize {
+        let fit = (self.bytes.len() - self.at) / min_len;
+        usize::try_from(count).map_or(fit, |count| count.min(fit))
     }
 }
 
-fn decode_check_result(cur: &mut Cursor<'_>) -> Option<CheckResult> {
+fn decode_check_result(cur: &mut Cursor<'_>, names: &mut Names) -> Option<CheckResult> {
     match cur.u8()? {
         0 => Some(CheckResult::Unsat),
         1 => {
             let possibly_spurious = cur.u8()? != 0;
-            let mut model = Model {
-                possibly_spurious,
-                ..Model::default()
-            };
-            let reals = cur.u32()?;
-            for _ in 0..reals {
-                let name = cur.string()?;
+            let reals = decode_named(cur, names, MIN_REAL, |cur| {
                 let numer = cur.i128()?;
                 let denom = cur.i128()?;
                 // Encoded rationals come from `Rat`, which keeps the
@@ -751,25 +793,47 @@ fn decode_check_result(cur: &mut Cursor<'_>) -> Option<CheckResult> {
                 if denom <= 0 || numer == i128::MIN || denom == i128::MIN {
                     return None;
                 }
-                model.reals.insert(name, Rat::new(numer, denom));
-            }
-            let bools = cur.u32()?;
-            for _ in 0..bools {
-                let name = cur.string()?;
-                let value = cur.u8()? != 0;
-                model.bools.insert(name, value);
-            }
-            Some(CheckResult::Sat(model.into()))
+                Some(Rat::new(numer, denom))
+            })?;
+            let bools = decode_named(cur, names, MIN_BOOL, |cur| Some(cur.u8()? != 0))?;
+            Some(CheckResult::Sat(
+                Model::new(reals, bools, possibly_spurious).into(),
+            ))
         }
         _ => None,
     }
+}
+
+/// One of a model's name-sorted lists: a `u32` count, then per entry a
+/// name and a value read by `value`, into a vector sized once, which
+/// [`Model::new`] keeps as is. `None` unless every name is UTF-8 and
+/// greater than the one before — the encoder writes names in strictly
+/// increasing order, so anything else is a corrupt record (and would
+/// make `Model::new` panic).
+fn decode_named<T>(
+    cur: &mut Cursor<'_>,
+    names: &mut Names,
+    min_len: usize,
+    mut value: impl FnMut(&mut Cursor<'_>) -> Option<T>,
+) -> Option<Vec<(&'static str, T)>> {
+    let count = cur.u32()?;
+    let mut out = Vec::with_capacity(cur.capacity(count.into(), min_len));
+    let mut last: Option<&[u8]> = None;
+    for _ in 0..count {
+        let name = cur.bytes()?;
+        if last.is_some_and(|last| last >= name) {
+            return None;
+        }
+        last = Some(name);
+        out.push((names.intern(name)?, value(cur)?));
+    }
+    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use shadowdp_solver::{Solver, Term};
-    use std::collections::BTreeMap;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -784,23 +848,21 @@ mod tests {
     }
 
     fn sample_model() -> Model {
-        let mut reals = BTreeMap::new();
-        reals.insert("x".to_string(), Rat::new(-7, 3));
-        reals.insert("v_eps".to_string(), Rat::ZERO);
-        let mut bools = BTreeMap::new();
-        bools.insert("p".to_string(), true);
-        Model {
-            reals,
-            bools,
-            possibly_spurious: false,
-        }
+        Model::new(
+            vec![("x", Rat::new(-7, 3)), ("v_eps", Rat::ZERO)],
+            vec![("p", true)],
+            false,
+        )
     }
 
     /// Replays an in-memory image the way [`VerdictStore::load`] replays
     /// a file: the store it rebuilds, and what the replay kept.
     fn replay_v2(bytes: &[u8]) -> Result<(VerdictStore, log::Replay), &'static str> {
         let mut store = VerdictStore::in_memory();
-        let kept = log::replay(bytes, MAGIC_V2, |p| store.merge_record(p).is_some())?;
+        let mut names = Names::default();
+        let kept = log::replay(bytes, MAGIC_V2, |p| {
+            store.merge_record(p, &mut names).is_some()
+        })?;
         Ok((store, kept))
     }
 
@@ -972,6 +1034,95 @@ mod tests {
                 replayed.solver.is_empty(),
                 "numer={numer} denom={denom} must drop the record"
             );
+        }
+    }
+
+    /// A delta record holding `Unsat` at fingerprint 8, then at 9 a model
+    /// with one real per name in `reals` and one bool per name in
+    /// `bools`, in the order given.
+    fn delta_with_model(reals: &[&[u8]], bools: &[&[u8]]) -> Vec<u8> {
+        let mut payload = vec![KIND_DELTA];
+        payload.extend_from_slice(&2u64.to_le_bytes()); // two solver entries
+        payload.extend_from_slice(&8u128.to_le_bytes());
+        payload.push(0); // Unsat
+        payload.extend_from_slice(&9u128.to_le_bytes());
+        payload.push(1); // Sat
+        payload.push(0); // not spurious
+        payload.extend_from_slice(&(reals.len() as u32).to_le_bytes());
+        for name in reals {
+            encode_bytes(&mut payload, name);
+            payload.extend_from_slice(&1i128.to_le_bytes());
+            payload.extend_from_slice(&2i128.to_le_bytes());
+        }
+        payload.extend_from_slice(&(bools.len() as u32).to_le_bytes());
+        for name in bools {
+            encode_bytes(&mut payload, name);
+            payload.push(1);
+        }
+        payload.extend_from_slice(&0u64.to_le_bytes()); // no pipeline entries
+        payload
+    }
+
+    /// A model record whose names are out of order, repeated or not UTF-8
+    /// was sealed by a broken writer: replay ends there like at a torn
+    /// record, keeping the records before it and nothing of it.
+    #[test]
+    fn checksum_valid_but_misordered_model_names_end_the_replay() {
+        let base = sample_store();
+        let base_payload = encode_record(
+            KIND_BASE,
+            base.solver.iter().collect(),
+            base.pipeline.iter().collect(),
+        );
+        let base_len = base.encode().len() as u64;
+        let ordered = delta_with_model(&[b"a", b"b"], &[b"p", b"q"]);
+        let (replayed, kept) =
+            replay_v2(&log::image(MAGIC_V2, &[&base_payload, &ordered]).unwrap()).unwrap();
+        assert_eq!(kept.records, 2, "the well-formed delta is merged");
+        let Some(CheckResult::Sat(model)) = replayed.solver.get(&Fingerprint(9)) else {
+            panic!("the delta's model is loaded");
+        };
+        assert_eq!(model.to_string(), "a = 1/2, b = 1/2, p = true, q = true");
+
+        for (why, reals, bools) in [
+            ("reals out of order", &[&b"b"[..], b"a"][..], &[][..]),
+            ("a real repeated", &[b"a", b"a"], &[]),
+            ("a real not UTF-8", &[b"a", b"\xff"], &[]),
+            ("bools out of order", &[b"a"], &[&b"q"[..], b"p"]),
+            ("a bool repeated", &[], &[b"p", b"p"]),
+        ] {
+            let bad = delta_with_model(reals, bools);
+            let image = log::image(MAGIC_V2, &[&base_payload, &bad]).unwrap();
+            let (replayed, kept) = replay_v2(&image).unwrap();
+            assert_eq!((kept.records, kept.valid_len), (1, base_len), "{why}");
+            assert_eq!(replayed.solver, base.solver, "{why}: half-merged");
+            assert_eq!(replayed.pipeline, base.pipeline, "{why}");
+        }
+    }
+
+    /// Decoded models hold the interner's copy of each name: two models
+    /// naming `x`, in one load or in two, share one `x`.
+    #[test]
+    fn decoded_models_share_each_name() {
+        let mut store = VerdictStore::in_memory();
+        let x = String::from("x"); // not the interned copy
+        for (fp, value) in [(1, Rat::ONE), (2, Rat::ZERO)] {
+            let x: &'static str = Box::leak(x.clone().into_boxed_str());
+            let model = Model::new(vec![(x, value)], vec![(x, true)], false);
+            store.solver_put(Fingerprint(fp), CheckResult::Sat(model.into()));
+        }
+        let image = store.encode();
+        let (first, _) = replay_v2(&image).unwrap();
+        let (second, _) = replay_v2(&image).unwrap();
+        let interned = Symbol::interned("x");
+        for replayed in [&first, &second] {
+            for fp in [1, 2] {
+                let Some(CheckResult::Sat(model)) = replayed.solver.get(&Fingerprint(fp)) else {
+                    panic!("model {fp} is loaded");
+                };
+                assert!(std::ptr::eq(model.reals()[0].0, interned));
+                assert!(std::ptr::eq(model.bools()[0].0, interned));
+            }
         }
     }
 

@@ -1,0 +1,139 @@
+//! What one solver model costs on the heap, pinned in requested bytes:
+//! the `Layout` sizes the program asks the allocator for, which are the
+//! same on every machine of one pointer width, unlike RSS.
+//!
+//! A model of k reals and no booleans costs exactly two allocations —
+//! its name-sorted slice and its `Arc` — and at most 64 + 48·k bytes,
+//! whether `Model::new` builds it or the store decoder reads it back.
+//! Names are pointers into the solver's interner, so a model that copied
+//! each name into its own allocation would fail both bounds.
+//!
+//! A counting global allocator wraps the system one. Only the thread
+//! inside [`live`] counts, so the harness's own threads cannot skew a
+//! reading.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use shadowdp_num::Rat;
+use shadowdp_service::VerdictStore;
+use shadowdp_solver::{CheckResult, Fingerprint, Model, Symbol};
+
+struct Counting;
+
+thread_local! {
+    /// Net live allocations and requested bytes since this thread
+    /// started counting; `None` while it is not counting.
+    static LIVE: Cell<Option<(i64, i64)>> = const { Cell::new(None) };
+}
+
+/// Adds `allocs` allocations and `bytes` bytes to this thread's count,
+/// if it is counting.
+fn tally(allocs: i64, bytes: i64) {
+    LIVE.with(|live| {
+        if let Some((a, b)) = live.get() {
+            live.set(Some((a + allocs, b + bytes)));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(1, layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        tally(-1, -(layout.size() as i64));
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(0, new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns what it made together with the allocations and
+/// bytes still live from it: what holding that result costs.
+fn live<T>(f: impl FnOnce() -> T) -> (T, i64, i64) {
+    LIVE.with(|live| live.set(Some((0, 0))));
+    let out = f();
+    let (allocs, bytes) = LIVE.with(Cell::take).expect("counting");
+    (out, allocs, bytes)
+}
+
+/// `k` reals over the interned names `v0`…, with values that differ per
+/// `seed`.
+fn reals(k: usize, seed: usize) -> Vec<(&'static str, Rat)> {
+    (0..k)
+        .map(|i| {
+            let name = Symbol::interned(&format!("v{i}"));
+            (name, Rat::new((seed * 31 + i) as i128 - 50, 7))
+        })
+        .collect()
+}
+
+/// A store file holding `MODELS` solver entries: a model of `k` reals
+/// each, or `Unsat` for `k == None`. The two kinds of file have paths of
+/// one length, so the loaded stores differ in their models only.
+fn store_file(k: Option<usize>) -> PathBuf {
+    let tag = k.map_or("unsat".to_string(), |k| format!("sat{k:02}"));
+    let path = std::env::temp_dir().join(format!(
+        "shadowdp-footprint-{}-{tag}.bin",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut store = VerdictStore::load(&path);
+    for seed in 0..MODELS {
+        let value = match k {
+            None => CheckResult::Unsat,
+            Some(k) => CheckResult::Sat(Arc::new(Model::new(reals(k, seed), Vec::new(), false))),
+        };
+        store.solver_put(Fingerprint(seed as u128 + 1), value);
+    }
+    store.flush().expect("store written");
+    path
+}
+
+const MODELS: usize = 100;
+
+#[test]
+fn a_model_costs_its_slice_and_its_arc() {
+    for k in [1usize, 3, 8] {
+        let bound = 64 + 48 * k as i64;
+
+        // Built by the constructor, from names interned beforehand.
+        let input = reals(k, 0);
+        let (model, allocs, bytes) =
+            live(|| Arc::new(Model::new(input.to_vec(), Vec::new(), false)));
+        assert_eq!(model.reals().len(), k);
+        assert_eq!(allocs, 2, "k={k}: {allocs} allocations");
+        assert!(bytes <= bound, "k={k}: {bytes} B > {bound} B");
+        drop(model);
+
+        // Decoded, averaged over a store of MODELS models: the load's
+        // live heap minus that of a store of as many `Unsat` entries.
+        let (sat, unsat) = (store_file(Some(k)), store_file(None));
+        drop(VerdictStore::load(&sat)); // interns the names, warms statics
+        let (with_models, sat_allocs, sat_bytes) = live(|| VerdictStore::load(&sat));
+        let (without, unsat_allocs, unsat_bytes) = live(|| VerdictStore::load(&unsat));
+        assert_eq!(with_models.solver_len(), MODELS);
+        assert_eq!(without.solver_len(), MODELS);
+        let n = MODELS as i64;
+        let (allocs, bytes) = (sat_allocs - unsat_allocs, sat_bytes - unsat_bytes);
+        assert_eq!(allocs, 2 * n, "k={k}: {allocs} allocations for {n} models");
+        assert!(
+            bytes <= bound * n,
+            "k={k}: {} B per decoded model > {bound} B",
+            bytes / n
+        );
+        let _ = std::fs::remove_file(&sat);
+        let _ = std::fs::remove_file(&unsat);
+    }
+}

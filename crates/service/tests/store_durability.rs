@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use shadowdp::{corpus, CorpusJob, JobSpec, Pipeline};
 use shadowdp_num::Rat;
 use shadowdp_service::{PipelineEntry, VerdictStore};
-use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo};
+use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo, Symbol};
 
 /// A fresh path under the system temp dir, unique per test invocation.
 fn temp_path(tag: &str) -> PathBuf {
@@ -66,13 +66,22 @@ fn arb_model() -> impl Strategy<Value = Model> {
         proptest::collection::vec((arb_name(), 0u8..2), 0..4),
         0u8..2,
     )
-        .prop_map(|(reals, bools, spurious)| Model {
-            reals: reals.into_iter().collect::<BTreeMap<_, _>>(),
-            bools: bools
-                .into_iter()
-                .map(|(k, v)| (k, v == 1))
-                .collect::<BTreeMap<_, _>>(),
-            possibly_spurious: spurious == 1,
+        .prop_map(|(reals, bools, spurious)| {
+            // A repeated name keeps its last value, as a map insert would.
+            let reals: BTreeMap<String, Rat> = reals.into_iter().collect();
+            let bools: BTreeMap<String, bool> =
+                bools.into_iter().map(|(k, v)| (k, v == 1)).collect();
+            Model::new(
+                reals
+                    .iter()
+                    .map(|(k, v)| (Symbol::interned(k), *v))
+                    .collect(),
+                bools
+                    .iter()
+                    .map(|(k, v)| (Symbol::interned(k), *v))
+                    .collect(),
+                spurious == 1,
+            )
         })
 }
 

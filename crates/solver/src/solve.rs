@@ -74,16 +74,35 @@ fn query_hist(hit: bool) -> &'static shadowdp_obs::Histogram {
 
 /// A satisfying assignment.
 ///
-/// Keys are rendered strings (the public, solver-independent surface);
-/// internally the search runs entirely over interned [`Symbol`]s and
-/// converts once on the way out. Results carry it as an `Arc<Model>`,
-/// shared rather than copied (see [`CheckResult`]).
+/// # Layout
+///
+/// Two boxed slices of `(name, value)` pairs — the reals and the
+/// booleans — each sorted by name in byte-lexicographic order, plus the
+/// spurious flag. [`Model::reals`] and [`Model::bools`] iterate in that
+/// order, [`fmt::Display`] renders in it, and the service's verdict store
+/// encodes in it, so witnesses, report digests and store bytes depend on
+/// a model's contents only, never on the order its names were interned.
+/// Lookups ([`Model::real`], [`Model::bool`]) are binary searches.
+///
+/// On 64-bit targets a model of k reals and no booleans is one
+/// allocation of 48·k bytes (an empty slice allocates nothing); inside
+/// its `Arc` it costs one more, of 56 bytes.
+///
+/// # Names
+///
+/// Names are `&'static str`s from the solver's process-wide [`Symbol`]
+/// interner, which already holds every name a query can mention, so a
+/// model stores a pointer per name instead of its own copy: every model
+/// that names `x` shares one `x`. The search converts its symbols once on
+/// the way out; a decoder reading models back looks each distinct name up
+/// once ([`Symbol::interned`]), which gives it no symbol id, so reading
+/// models back leaves the symbol order the solver breaks ties by as it
+/// was. Results carry a model as an `Arc<Model>`, shared rather than
+/// copied (see [`CheckResult`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Model {
-    /// Values of real-sorted variables.
-    pub reals: BTreeMap<String, Rat>,
-    /// Values of bool-sorted variables.
-    pub bools: BTreeMap<String, bool>,
+    reals: Box<[(&'static str, Rat)]>,
+    bools: Box<[(&'static str, bool)]>,
     /// Whether a non-linear atom was abstracted during normalization; if
     /// so, this model may not satisfy the original (pre-abstraction)
     /// formula.
@@ -91,16 +110,66 @@ pub struct Model {
 }
 
 impl Model {
+    /// A model assigning `reals` and `bools`, each sorted by name here.
+    /// The vectors become the model's slices, so one sized exactly (as
+    /// `collect` from an exact-size iterator or `Vec::with_capacity`
+    /// makes it) is kept without a copy. Names should come from the
+    /// [`Symbol`] interner; any `&'static str` is correct, but only
+    /// interned names are shared.
+    ///
+    /// # Panics
+    ///
+    /// If a name occurs twice among the reals or twice among the
+    /// booleans.
+    pub fn new(
+        mut reals: Vec<(&'static str, Rat)>,
+        mut bools: Vec<(&'static str, bool)>,
+        possibly_spurious: bool,
+    ) -> Model {
+        reals.sort_unstable_by_key(|(name, _)| *name);
+        bools.sort_unstable_by_key(|(name, _)| *name);
+        assert!(
+            names_increase(&reals) && names_increase(&bools),
+            "a model assigns each name once"
+        );
+        Model {
+            reals: reals.into_boxed_slice(),
+            bools: bools.into_boxed_slice(),
+            possibly_spurious,
+        }
+    }
+
     /// Value of a real variable, defaulting to zero (solver models are
     /// partial on variables that ended up unconstrained).
     pub fn real(&self, name: &str) -> Rat {
-        self.reals.get(name).copied().unwrap_or(Rat::ZERO)
+        lookup(&self.reals, name).unwrap_or(Rat::ZERO)
     }
 
     /// Value of a boolean variable, defaulting to `false`.
     pub fn bool(&self, name: &str) -> bool {
-        self.bools.get(name).copied().unwrap_or(false)
+        lookup(&self.bools, name).unwrap_or(false)
     }
+
+    /// The real variables this model assigns, in name order.
+    pub fn reals(&self) -> &[(&'static str, Rat)] {
+        &self.reals
+    }
+
+    /// The boolean variables this model assigns, in name order.
+    pub fn bools(&self) -> &[(&'static str, bool)] {
+        &self.bools
+    }
+}
+
+/// Whether each name in `pairs` is greater than the one before it.
+fn names_increase<T>(pairs: &[(&'static str, T)]) -> bool {
+    pairs.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
+/// The value `name` has in a name-sorted slice.
+fn lookup<T: Copy>(pairs: &[(&'static str, T)], name: &str) -> Option<T> {
+    let at = pairs.binary_search_by(|(k, _)| (*k).cmp(name)).ok()?;
+    Some(pairs[at].1)
 }
 
 impl fmt::Display for Model {
@@ -186,7 +255,10 @@ pub struct SolverStats {
     pub proves: u64,
     /// Number of theory (Fourier–Motzkin) calls.
     pub theory_calls: u64,
-    /// Total solver time in microseconds.
+    /// Total solver time in nanoseconds, each query's time added whole,
+    /// so a memo hit (well under a microsecond) still counts.
+    pub nanos: u64,
+    /// Total solver time in microseconds: `nanos / 1000`.
     pub micros: u64,
     /// Queries answered from the memo table without a search.
     pub cache_hits: u64,
@@ -369,9 +441,14 @@ fn lock(shard: &Mutex<MemoShard>) -> MutexGuard<'_, MemoShard> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The shard a key lives in.
+fn shard_index(key: Fingerprint) -> usize {
+    (key.0 as usize) & (MEMO_SHARDS - 1)
+}
+
 impl QueryMemo {
     fn shard(&self, key: Fingerprint) -> MutexGuard<'_, MemoShard> {
-        lock(&self.shards[(key.0 as usize) & (MEMO_SHARDS - 1)])
+        lock(&self.shards[shard_index(key)])
     }
 
     /// Number of memoized queries, summed across shards. Consistent when
@@ -439,9 +516,23 @@ impl QueryMemo {
     /// computed by this process and never need overwriting — and results
     /// are structural, so a disagreement is impossible short of a corrupted
     /// snapshot, which must not clobber good entries.
+    ///
+    /// The entries are grouped by shard first, so a start-up warm-up takes
+    /// each shard's lock once and grows its map once, not per entry.
     pub fn absorb(&self, entries: impl IntoIterator<Item = (Fingerprint, CheckResult)>) {
+        let mut batches: Vec<Vec<(Fingerprint, CheckResult)>> = vec![Vec::new(); MEMO_SHARDS];
         for (key, value) in entries {
-            self.shard(key).entries.entry(key).or_insert(value);
+            batches[shard_index(key)].push((key, value));
+        }
+        for (shard, batch) in self.shards.iter().zip(batches) {
+            if batch.is_empty() {
+                continue;
+            }
+            let mut shard = lock(shard);
+            shard.entries.reserve(batch.len());
+            for (key, value) in batch {
+                shard.entries.entry(key).or_insert(value);
+            }
         }
     }
 
@@ -782,7 +873,8 @@ impl Solver {
     /// ([`Solver::degraded`]) or `solve`'s verdict, and only a verdict —
     /// never an exhaustion placeholder — is memoized. Counts the query in
     /// `checks`/`cache_hits` (and `assumption_*` for the assumption-set
-    /// family) and its latency in `micros` and the armed histogram.
+    /// family) and its latency in `nanos` (and so `micros`) and the armed
+    /// histogram.
     fn memoized(
         &self,
         key: Option<Fingerprint>,
@@ -807,18 +899,19 @@ impl Solver {
             }
             out
         });
-        let us = start.elapsed().as_micros() as u64;
+        let elapsed = start.elapsed();
         self.bump(|s| {
             s.checks += 1;
             s.cache_hits += u64::from(is_hit);
-            s.micros += us;
+            s.nanos += elapsed.as_nanos() as u64;
+            s.micros = s.nanos / 1000;
             if assumption_set {
                 s.assumption_queries += 1;
                 s.assumption_hits += u64::from(is_hit);
             }
         });
         if shadowdp_obs::armed() {
-            query_hist(is_hit).observe(us);
+            query_hist(is_hit).observe(elapsed.as_micros() as u64);
         }
         out
     }
@@ -881,17 +974,11 @@ impl Solver {
                 self.mark_exhausted(reason);
                 exhausted_placeholder()
             }
-            SearchOutcome::Sat(reals, bools) => CheckResult::Sat(Arc::new(Model {
-                reals: reals
-                    .into_iter()
-                    .map(|(k, v)| (k.as_str().to_string(), v))
-                    .collect(),
-                bools: bools
-                    .into_iter()
-                    .map(|(k, v)| (k.as_str().to_string(), v))
-                    .collect(),
-                possibly_spurious: abstracted,
-            })),
+            SearchOutcome::Sat(reals, bools) => CheckResult::Sat(Arc::new(Model::new(
+                reals.into_iter().map(|(k, v)| (k.as_str(), v)).collect(),
+                bools.into_iter().map(|(k, v)| (k.as_str(), v)).collect(),
+                abstracted,
+            ))),
             SearchOutcome::Unsat => CheckResult::Unsat,
         }
     }
@@ -1147,11 +1234,7 @@ fn assumption_set_key(arena: &TermArena, assumptions: &[Term], goal: Term) -> Fi
 /// treat spurious `Sat` as "unknown, never proved", so the degradation is
 /// sound by construction.
 fn exhausted_placeholder() -> CheckResult {
-    CheckResult::Sat(Arc::new(Model {
-        reals: BTreeMap::new(),
-        bools: BTreeMap::new(),
-        possibly_spurious: true,
-    }))
+    CheckResult::Sat(Arc::new(Model::new(Vec::new(), Vec::new(), true)))
 }
 
 type RealModel = BTreeMap<Symbol, Rat>;
@@ -1786,7 +1869,7 @@ mod tests {
         let ProveResult::Refuted(model) = s.prove(&hyps, &goal) else {
             panic!("x + y >= 3 does not follow");
         };
-        assert_eq!(model.reals.len(), 2, "{model}");
+        assert_eq!(model.reals().len(), 2, "{model}");
         let ProveResult::Refuted(hit) = s.prove(&hyps, &goal) else {
             panic!("a hit answers like the solve");
         };
@@ -1810,6 +1893,43 @@ mod tests {
             };
             assert!(Arc::ptr_eq(&shared, &model), "{how} copied the model");
         }
+    }
+
+    #[test]
+    fn memo_hits_add_up_in_nanoseconds() {
+        let s = Solver::new();
+        let hyps = [x().ge(Term::int(1))];
+        let goal = x().ge(Term::int(0));
+        assert!(s.prove(&hyps, &goal).is_proved());
+        let before = s.stats();
+        for _ in 0..1000 {
+            assert!(s.prove(&hyps, &goal).is_proved());
+        }
+        let after = s.stats();
+        assert_eq!(after.cache_hits - before.cache_hits, 1000);
+        assert!(after.nanos > before.nanos, "{before:?} -> {after:?}");
+        assert_eq!(after.micros, after.nanos / 1000);
+    }
+
+    #[test]
+    fn model_slices_are_name_sorted_and_searched() {
+        let m = Model::new(
+            vec![("y", Rat::ONE), ("b", Rat::int(2)), ("x", Rat::int(-3))],
+            vec![("q", true), ("p", false)],
+            false,
+        );
+        let names: Vec<&str> = m.reals().iter().map(|(k, _)| *k).collect();
+        assert_eq!(names, ["b", "x", "y"]);
+        assert_eq!(m.bools(), [("p", false), ("q", true)]);
+        assert_eq!((m.real("x"), m.real("absent")), (Rat::int(-3), Rat::ZERO));
+        assert!(m.bool("q") && !m.bool("p") && !m.bool("absent"));
+        assert_eq!(m.to_string(), "b = 2, x = -3, y = 1, p = false, q = true");
+    }
+
+    #[test]
+    #[should_panic(expected = "each name once")]
+    fn model_rejects_a_repeated_name() {
+        let _ = Model::new(vec![("x", Rat::ONE), ("x", Rat::ZERO)], Vec::new(), false);
     }
 
     /// `assumptions ⊢ goal` as one pushed frame: push, `prove_pushed`, pop.
@@ -2086,7 +2206,7 @@ mod tests {
         match s.check(&q) {
             CheckResult::Sat(m) => {
                 assert!(m.possibly_spurious, "exhausted placeholder is spurious");
-                assert!(m.reals.is_empty() && m.bools.is_empty());
+                assert!(m.reals().is_empty() && m.bools().is_empty());
             }
             CheckResult::Unsat => panic!("a mid-disjunction trip must never claim Unsat"),
         }

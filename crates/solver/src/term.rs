@@ -51,7 +51,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use shadowdp_num::Rat;
 
@@ -67,47 +67,73 @@ use shadowdp_num::Rat;
 ///
 /// Ordering is by interning order (first intern wins the smaller id), not
 /// lexicographic — deterministic within a process, which is all the solver
-/// needs.
+/// needs. Only [`Symbol::intern`] hands out ids: [`Symbol::interned`]
+/// shares the table's strings without taking one, so reading names back
+/// (a store load) does not reorder the symbols the solver's tie-breaks see.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
 struct Interner {
+    /// Name of each symbol id.
     names: Vec<&'static str>,
-    ids: HashMap<&'static str, u32>,
+    /// Every name in the table, with its symbol id once it has one.
+    ids: HashMap<&'static str, Option<u32>>,
 }
 
-fn interner() -> &'static Mutex<Interner> {
+impl Interner {
+    /// The table's copy of `name`, added without an id if it is new.
+    fn copy(&mut self, name: &str) -> &'static str {
+        if let Some((&copy, _)) = self.ids.get_key_value(name) {
+            return copy;
+        }
+        let copy: &'static str = Box::leak(name.to_string().into_boxed_str());
+        self.ids.insert(copy, None);
+        copy
+    }
+
+    /// The symbol id of `name`, giving it the next one if it has none.
+    fn id(&mut self, name: &str) -> u32 {
+        if let Some(&Some(id)) = self.ids.get(name) {
+            return id;
+        }
+        let copy = self.copy(name);
+        let id = self.names.len() as u32;
+        self.names.push(copy);
+        self.ids.insert(copy, Some(id));
+        id
+    }
+}
+
+fn interner() -> MutexGuard<'static, Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            names: Vec::new(),
-            ids: HashMap::new(),
+    INTERNER
+        .get_or_init(|| {
+            Mutex::new(Interner {
+                names: Vec::new(),
+                ids: HashMap::new(),
+            })
         })
-    })
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Symbol {
     /// Interns a name.
     pub fn intern(name: &str) -> Symbol {
-        let mut t = interner()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(&id) = t.ids.get(name) {
-            return Symbol(id);
-        }
-        let id = t.names.len() as u32;
-        let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-        t.names.push(leaked);
-        t.ids.insert(leaked, id);
-        Symbol(id)
+        Symbol(interner().id(name))
+    }
+
+    /// The table's copy of `name`, added if it is new, in one lock round
+    /// trip: the string `Symbol::intern(name).as_str()` returns, without
+    /// giving `name` a symbol id. Every call with equal names returns
+    /// the same pointer.
+    pub fn interned(name: &str) -> &'static str {
+        interner().copy(name)
     }
 
     /// The interned string.
     pub fn as_str(self) -> &'static str {
-        let t = interner()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        t.names[self.0 as usize]
+        interner().names[self.0 as usize]
     }
 }
 
@@ -1073,6 +1099,19 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.as_str(), "some_var");
         assert_ne!(Symbol::intern("other_var"), a);
+    }
+
+    /// `Symbol::interned` shares the table's copy of a name but gives it
+    /// no id: the id comes from the first `Symbol::intern`, so ids keep
+    /// the order names were first interned as symbols.
+    #[test]
+    fn interned_names_take_no_symbol_id() {
+        let copy = Symbol::interned("name_read_back_first");
+        assert!(std::ptr::eq(copy, Symbol::interned("name_read_back_first")));
+        let earlier = Symbol::intern("name_interned_first");
+        let later = Symbol::intern("name_read_back_first");
+        assert!(earlier < later);
+        assert!(std::ptr::eq(later.as_str(), copy));
     }
 
     /// Interning the same structure into two independent arenas — in any

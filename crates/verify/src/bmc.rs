@@ -164,10 +164,10 @@ pub fn check(info: &TargetInfo, opts: &BmcOptions, solver: &Solver) -> BmcOutcom
                     continue;
                 }
                 let witness = model
-                    .reals
+                    .reals()
                     .iter()
                     .filter(|(k, _)| !k.starts_with('$'))
-                    .map(|(k, v)| (k.clone(), v.to_string()))
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
                     .collect();
                 return BmcOutcome::Refuted(Counterexample {
                     violated: ob.description.clone(),
