@@ -493,4 +493,34 @@ mod tests {
     fn zero_denominator_panics() {
         let _ = Rat::new(1, 0);
     }
+
+    #[test]
+    #[should_panic(expected = "rational arithmetic overflowed i128")]
+    fn integer_add_overflow_panics() {
+        let _ = Rat::int(i128::MAX) + Rat::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational arithmetic overflowed i128")]
+    fn integer_sub_overflow_panics() {
+        let _ = Rat::int(i128::MIN + 1) - Rat::TWO;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational arithmetic overflowed i128")]
+    fn integer_mul_overflow_panics() {
+        let _ = Rat::int(1 << 64) * Rat::int(1 << 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational arithmetic overflowed i128")]
+    fn fraction_add_overflow_panics() {
+        let _ = Rat::new(i128::MAX, 2) + Rat::new(1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational arithmetic overflowed i128")]
+    fn fraction_mul_overflow_panics() {
+        let _ = Rat::new(1 << 100, 3) * Rat::new(1 << 30, 7);
+    }
 }

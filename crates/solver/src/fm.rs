@@ -678,6 +678,48 @@ mod tests {
     }
 
     #[test]
+    fn models_pin_the_elimination_order_and_the_equality_pivot() {
+        // The names are this test's own, interned in the order listed, so
+        // each first name has the smaller symbol id. Every system below
+        // yields another model when the choice it pins goes the other way.
+        let model = |cs: &[Constraint], names: [&str; 2]| match check_sat(cs) {
+            FmResult::Sat(m) => names.map(|n| val(&m, n)),
+            FmResult::Unsat => panic!("should be sat"),
+        };
+        let [a, b] = ["fm_pin_a", "fm_pin_b"].map(LinExpr::var);
+        // a + b <= 4, a >= 0, b >= 0: both occur twice and the tie goes to
+        // the smaller id, so `a` is eliminated first. The model is built
+        // backwards: b takes the midpoint 2 of [0, 4], then a the midpoint
+        // 1 of [0, 2] ({a: 2, b: 1} the other way).
+        let cs = [
+            le(a.clone() + b.clone() - k(4)),
+            le(-a.clone()),
+            le(-b.clone()),
+        ];
+        assert_eq!(model(&cs, ["fm_pin_a", "fm_pin_b"]), [Rat::ONE, Rat::TWO]);
+        // Add a <= 3: `a` now occurs three times and `b` twice, so `b` goes
+        // first despite its larger id ({a: 1, b: 2} the other way).
+        let cs = [
+            le(a.clone() + b.clone() - k(4)),
+            le(-a.clone()),
+            le(-b.clone()),
+            le(a.clone() - k(3)),
+        ];
+        assert_eq!(
+            model(&cs, ["fm_pin_a", "fm_pin_b"]),
+            [Rat::new(3, 2), Rat::new(5, 4)]
+        );
+        // a + 2b == 4, a > 0: the equality is solved for its first term,
+        // `a := 4 - 2b`, leaving b < 2, so b = 1 ({a: 1, b: 3/2} had it
+        // been solved for `b`).
+        let cs = [
+            Constraint::eq0(a.clone() + b.scale(Rat::TWO) - k(4)),
+            Constraint::lt0(-a),
+        ];
+        assert_eq!(model(&cs, ["fm_pin_a", "fm_pin_b"]), [Rat::TWO, Rat::ONE]);
+    }
+
+    #[test]
     fn saturation_tracks_batch_fm_verdicts_incrementally() {
         // Pushing one constraint at a time must agree with batch FM over
         // every prefix — the completeness invariant the trail core rests on.
