@@ -16,9 +16,20 @@ use std::str::FromStr;
 ///
 /// # Panics
 ///
-/// Arithmetic panics on `i128` overflow and on division by zero. ShadowDP
-/// verification conditions only involve small constants, so overflow
-/// indicates a logic error rather than a data-size limitation.
+/// Arithmetic (`+`, `-`, `*`, `/` and negation) panics with "rational
+/// arithmetic overflowed i128" when a numerator or denominator would leave
+/// `i128`, in release builds as in debug ones; division panics on a zero
+/// divisor. ShadowDP verification conditions only involve small constants,
+/// so overflow indicates a logic error rather than a data-size limitation.
+///
+/// # Cost
+///
+/// The sum and the product of two integers are one checked `i128`
+/// operation each, with no gcd. Otherwise cross terms are reduced by gcds,
+/// which run in `u64` when both operands fit there (one machine division
+/// per remainder instead of a 128-bit library call). A product and a
+/// reciprocal of reduced fractions come out reduced, so they take no
+/// final gcd; a sum does.
 ///
 /// # Examples
 ///
@@ -34,19 +45,24 @@ pub struct Rat {
     den: i128,
 }
 
-const fn gcd(mut a: i128, mut b: i128) -> i128 {
+const OVERFLOW: &str = "rational arithmetic overflowed i128";
+
+fn gcd(a: i128, b: i128) -> i128 {
     // Euclid on absolute values; gcd(0, 0) = 1 so that 0/1 stays canonical.
-    a = a.abs();
-    b = b.abs();
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        // A 64-bit remainder is one machine division, a 128-bit one a
+        // library call.
+        let r = match (u64::try_from(a), u64::try_from(b)) {
+            (Ok(x), Ok(y)) => u128::from(x % y),
+            _ => a % b,
+        };
+        (a, b) = (b, r);
     }
     if a == 0 {
         1
     } else {
-        a
+        a as i128
     }
 }
 
@@ -135,7 +151,12 @@ impl Rat {
     /// Panics if `self` is zero.
     pub fn recip(self) -> Rat {
         assert!(self.num != 0, "cannot invert zero");
-        Rat::new(self.den, self.num)
+        // Already coprime: only the sign moves to the numerator.
+        let sign = self.num.signum();
+        Rat {
+            num: sign * self.den,
+            den: sign * self.num,
+        }
     }
 
     /// Sign as `-1`, `0` or `1`.
@@ -181,12 +202,6 @@ impl Rat {
     pub fn ceil(self) -> i128 {
         -((-self.num).div_euclid(self.den))
     }
-
-    fn checked_new(num: Option<i128>, den: Option<i128>) -> Rat {
-        let num = num.expect("rational arithmetic overflowed i128");
-        let den = den.expect("rational arithmetic overflowed i128");
-        Rat::new(num, den)
-    }
 }
 
 impl Default for Rat {
@@ -222,6 +237,9 @@ impl From<u32> for Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::int(self.num.checked_add(rhs.num).expect(OVERFLOW));
+        }
         // Reduce cross terms first to delay overflow.
         let g = gcd(self.den, rhs.den);
         let lhs_scale = rhs.den / g;
@@ -232,7 +250,7 @@ impl Add for Rat {
                 .and_then(|b| a.checked_add(b))
         });
         let den = self.den.checked_mul(lhs_scale);
-        Rat::checked_new(num, den)
+        Rat::new(num.expect(OVERFLOW), den.expect(OVERFLOW))
     }
 }
 
@@ -246,12 +264,18 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::int(self.num.checked_mul(rhs.num).expect(OVERFLOW));
+        }
         // Cross-reduce before multiplying to keep intermediates small.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
-        let num = (self.num / g1).checked_mul(rhs.num / g2);
-        let den = (self.den / g2).checked_mul(rhs.den / g1);
-        Rat::checked_new(num, den)
+        // Both operands are reduced, so the cross-reduced factors are
+        // coprime and the product needs no further gcd.
+        Rat {
+            num: (self.num / g1).checked_mul(rhs.num / g2).expect(OVERFLOW),
+            den: (self.den / g2).checked_mul(rhs.den / g1).expect(OVERFLOW),
+        }
     }
 }
 
@@ -267,7 +291,7 @@ impl Neg for Rat {
     type Output = Rat;
     fn neg(self) -> Rat {
         Rat {
-            num: -self.num,
+            num: self.num.checked_neg().expect(OVERFLOW),
             den: self.den,
         }
     }

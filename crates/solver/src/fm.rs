@@ -6,7 +6,7 @@
 //! rationals and, if satisfiable, produce a satisfying assignment. All
 //! variables are interned [`Symbol`]s.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use shadowdp_num::Rat;
 
@@ -166,11 +166,13 @@ pub fn check_sat(constraints: &[Constraint]) -> FmResult {
             return FmResult::Unsat;
         };
         // var == -(lin - k*var)/k
-        let mut rest = eq.lin.clone();
+        let mut rest = eq.lin;
         rest.add_term(var, -k);
         let def = rest.scale(-Rat::ONE / k);
         for c in &mut work {
-            c.lin = c.lin.subst(var, &def);
+            if !c.lin.coeff(var).is_zero() {
+                c.lin = c.lin.subst(var, &def);
+            }
         }
         // Re-check ground constraints created by the substitution.
         let mut next = Vec::with_capacity(work.len());
@@ -187,16 +189,19 @@ pub fn check_sat(constraints: &[Constraint]) -> FmResult {
     }
 
     // Phase 2: Fourier–Motzkin on the inequalities.
+    let mut counts: Vec<(Symbol, usize)> = Vec::new();
     loop {
         // Pick the variable occurring in the fewest constraints (greedy
-        // heuristic to limit blowup).
-        let mut counts: BTreeMap<Symbol, usize> = BTreeMap::new();
-        for c in &work {
-            for v in c.lin.vars() {
-                *counts.entry(v).or_insert(0) += 1;
+        // heuristic to limit blowup); `counts` is in symbol order, so ties
+        // go to the smallest symbol.
+        counts.clear();
+        for v in work.iter().flat_map(|c| c.lin.vars()) {
+            match counts.binary_search_by_key(&v, |&(s, _)| s) {
+                Ok(i) => counts[i].1 += 1,
+                Err(i) => counts.insert(i, (v, 1)),
             }
         }
-        let Some((var, _)) = counts.into_iter().min_by_key(|(_, n)| *n) else {
+        let Some(&(var, _)) = counts.iter().min_by_key(|&&(_, n)| n) else {
             break; // no variables left
         };
 
@@ -210,7 +215,7 @@ pub fn check_sat(constraints: &[Constraint]) -> FmResult {
                 continue;
             }
             // k*var + r ⊙ 0  with ⊙ ∈ {<=, <}
-            let mut r = c.lin.clone();
+            let mut r = c.lin;
             r.add_term(var, -k);
             let strict = c.rel == Rel::Lt;
             let bound = r.scale(-Rat::ONE / k);
@@ -225,7 +230,7 @@ pub fn check_sat(constraints: &[Constraint]) -> FmResult {
         // Combine lower and upper bounds: lower ⊙ upper.
         for (lo, lo_strict) in &lowers {
             for (hi, hi_strict) in &uppers {
-                let lin = lo.clone() - hi.clone();
+                let lin = lo - hi;
                 let strict = *lo_strict || *hi_strict;
                 let c = if strict {
                     Constraint::lt0(lin)
@@ -341,10 +346,13 @@ fn choose_value(lo: Option<(Rat, bool)>, hi: Option<(Rat, bool)>) -> Rat {
     }
 }
 
-/// Removes duplicate constraints (syntactic, after normal forms).
+/// Removes duplicate constraints (syntactic, after normal forms), keeping
+/// the first of each in place.
 fn dedupe(cs: &mut Vec<Constraint>) {
-    let mut seen = std::collections::HashSet::new();
-    cs.retain(|c| seen.insert(c.clone()));
+    let mut seen = HashSet::with_capacity(cs.len());
+    let first: Vec<bool> = cs.iter().map(|c| seen.insert(c)).collect();
+    let mut first = first.into_iter();
+    cs.retain(|_| first.next() == Some(true));
 }
 
 /// Incremental Fourier–Motzkin saturation with undo.
@@ -500,7 +508,7 @@ impl Saturation {
             // The new step's index is past `steps_mark`, so undo handles it
             // by truncation alone.
             let (var, k) = lin.terms().next().expect("non-ground expression");
-            let mut r = lin.clone();
+            let mut r = lin;
             r.add_term(var, -k);
             let bound = r.scale(-Rat::ONE / k);
             let (lowers, uppers) = if k.is_positive() {
@@ -538,7 +546,7 @@ impl Saturation {
             } else {
                 (other, &bound)
             };
-            queue.push((lo.clone() - hi.clone(), strict || *other_strict, i + 1));
+            queue.push((lo - hi, strict || *other_strict, i + 1));
         }
         let step = &mut self.steps[i];
         let side = if is_lower {

@@ -1,8 +1,13 @@
 //! Linear normal form for numeric terms: `c + Σ aᵢ·xᵢ`.
 //!
-//! Variables are interned [`Symbol`]s, so map operations hash and compare
-//! `u32` ids instead of strings.
+//! A [`LinExpr`] holds its terms in one vector sorted by [`Symbol`] id,
+//! each symbol once and no coefficient zero. Lookups are binary searches
+//! over `u32` ids, a sum or difference of two borrowed expressions is one
+//! linear merge into one allocation, and every caller sees the terms in
+//! symbol-id order: `terms`, `Display`, and the choices Fourier–Motzkin
+//! makes from them (`crate::fm`).
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -25,8 +30,9 @@ use crate::term::Symbol;
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct LinExpr {
     constant: Rat,
-    /// Invariant: no zero coefficients are stored.
-    coeffs: BTreeMap<Symbol, Rat>,
+    /// Invariant: sorted by symbol, each symbol at most once, no zero
+    /// coefficient.
+    coeffs: Vec<(Symbol, Rat)>,
 }
 
 impl LinExpr {
@@ -39,17 +45,15 @@ impl LinExpr {
     pub fn constant(c: Rat) -> LinExpr {
         LinExpr {
             constant: c,
-            coeffs: BTreeMap::new(),
+            coeffs: Vec::new(),
         }
     }
 
     /// A single variable with coefficient 1.
     pub fn var(name: impl Into<Symbol>) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(name.into(), Rat::ONE);
         LinExpr {
             constant: Rat::ZERO,
-            coeffs,
+            coeffs: vec![(name.into(), Rat::ONE)],
         }
     }
 
@@ -58,15 +62,23 @@ impl LinExpr {
         self.constant
     }
 
+    /// Where `name`'s term is, or where it would go.
+    fn position(&self, name: Symbol) -> Result<usize, usize> {
+        self.coeffs.binary_search_by_key(&name, |&(v, _)| v)
+    }
+
     /// The coefficient of `name` (zero if absent).
     pub fn coeff(&self, name: impl Into<Symbol>) -> Rat {
-        self.coeffs.get(&name.into()).copied().unwrap_or(Rat::ZERO)
+        match self.position(name.into()) {
+            Ok(i) => self.coeffs[i].1,
+            Err(_) => Rat::ZERO,
+        }
     }
 
     /// Iterates over `(variable, coefficient)` pairs with nonzero
     /// coefficients, in symbol order.
     pub fn terms(&self) -> impl Iterator<Item = (Symbol, Rat)> + '_ {
-        self.coeffs.iter().map(|(k, v)| (*k, *v))
+        self.coeffs.iter().copied()
     }
 
     /// Whether the expression is a constant (mentions no variables).
@@ -74,9 +86,9 @@ impl LinExpr {
         self.coeffs.is_empty()
     }
 
-    /// The variables mentioned.
+    /// The variables mentioned, in symbol order.
     pub fn vars(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.coeffs.keys().copied()
+        self.coeffs.iter().map(|&(v, _)| v)
     }
 
     /// Scales by a rational.
@@ -85,8 +97,8 @@ impl LinExpr {
             return LinExpr::zero();
         }
         self.constant *= k;
-        for v in self.coeffs.values_mut() {
-            *v *= k;
+        for (_, c) in &mut self.coeffs {
+            *c *= k;
         }
         self
     }
@@ -96,16 +108,17 @@ impl LinExpr {
         if k.is_zero() {
             return;
         }
-        let entry = self.coeffs.entry(name).or_insert(Rat::ZERO);
-        *entry += k;
-        if entry.is_zero() {
-            self.coeffs.remove(&name);
+        match self.position(name) {
+            Ok(i) => {
+                let c = self.coeffs[i].1 + k;
+                if c.is_zero() {
+                    self.coeffs.remove(i);
+                } else {
+                    self.coeffs[i].1 = c;
+                }
+            }
+            Err(i) => self.coeffs.insert(i, (name, k)),
         }
-    }
-
-    /// Adds a constant in place.
-    pub fn add_constant(&mut self, k: Rat) {
-        self.constant += k;
     }
 
     /// Substitutes `replacement` for `name`, i.e. `self[name := replacement]`.
@@ -114,9 +127,14 @@ impl LinExpr {
         if k.is_zero() {
             return self.clone();
         }
-        let mut out = self.clone();
-        out.coeffs.remove(&name);
-        out + replacement.clone().scale(k)
+        LinExpr {
+            constant: self.constant + replacement.constant * k,
+            coeffs: merge(
+                self.terms().filter(|&(v, _)| v != name),
+                replacement.terms().map(|(v, c)| (v, c * k)),
+                self.coeffs.len() + replacement.coeffs.len(),
+            ),
+        }
     }
 
     /// Evaluates under a variable assignment.
@@ -133,16 +151,46 @@ impl LinExpr {
     }
 }
 
+/// Merges two symbol-sorted term lists into one, adding the coefficients
+/// of a symbol both hold and dropping the sums that cancel.
+fn merge(
+    lhs: impl Iterator<Item = (Symbol, Rat)>,
+    rhs: impl Iterator<Item = (Symbol, Rat)>,
+    capacity: usize,
+) -> Vec<(Symbol, Rat)> {
+    let mut out = Vec::with_capacity(capacity);
+    let (mut lhs, mut rhs) = (lhs.peekable(), rhs.peekable());
+    while let (Some(&(a, x)), Some(&(b, y))) = (lhs.peek(), rhs.peek()) {
+        match a.cmp(&b) {
+            Ordering::Less => {
+                out.push((a, x));
+                lhs.next();
+            }
+            Ordering::Greater => {
+                out.push((b, y));
+                rhs.next();
+            }
+            Ordering::Equal => {
+                let sum = x + y;
+                if !sum.is_zero() {
+                    out.push((a, sum));
+                }
+                lhs.next();
+                rhs.next();
+            }
+        }
+    }
+    out.extend(lhs);
+    out.extend(rhs);
+    out
+}
+
 impl std::ops::Add for LinExpr {
     type Output = LinExpr;
     fn add(mut self, rhs: LinExpr) -> LinExpr {
         self.constant += rhs.constant;
         for (v, k) in rhs.coeffs {
-            let entry = self.coeffs.entry(v).or_insert(Rat::ZERO);
-            *entry += k;
-            if entry.is_zero() {
-                self.coeffs.remove(&v);
-            }
+            self.add_term(v, k);
         }
         self
     }
@@ -151,14 +199,34 @@ impl std::ops::Add for LinExpr {
 impl std::ops::Sub for LinExpr {
     type Output = LinExpr;
     fn sub(self, rhs: LinExpr) -> LinExpr {
-        self + rhs.scale(-Rat::ONE)
+        self + -rhs
+    }
+}
+
+/// `lhs - rhs` from borrowed operands, built in one allocation
+/// (Fourier–Motzkin's `lower - upper`).
+impl std::ops::Sub for &LinExpr {
+    type Output = LinExpr;
+    fn sub(self, rhs: &LinExpr) -> LinExpr {
+        LinExpr {
+            constant: self.constant - rhs.constant,
+            coeffs: merge(
+                self.terms(),
+                rhs.terms().map(|(v, k)| (v, -k)),
+                self.coeffs.len() + rhs.coeffs.len(),
+            ),
+        }
     }
 }
 
 impl std::ops::Neg for LinExpr {
     type Output = LinExpr;
-    fn neg(self) -> LinExpr {
-        self.scale(-Rat::ONE)
+    fn neg(mut self) -> LinExpr {
+        self.constant = -self.constant;
+        for (_, k) in &mut self.coeffs {
+            *k = -*k;
+        }
+        self
     }
 }
 

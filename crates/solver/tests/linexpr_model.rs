@@ -1,7 +1,7 @@
 //! Differential test for `LinExpr` against a reference model: a constant
 //! plus a `BTreeMap<Symbol, Rat>` of nonzero coefficients, with the map
 //! operations written out plainly. Random programs of additions,
-//! subtractions, negations, scalings (by zero too), `add_term`s (half of
+//! subtractions (of owned and of borrowed operands), negations, scalings (by zero too), `add_term`s (half of
 //! them cancelling a coefficient exactly) and substitutions run on a few
 //! slots of both, and after every step each slot must agree on the term
 //! order, every coefficient, `is_constant`, equality with every other slot
@@ -111,7 +111,7 @@ proptest! {
     #[test]
     fn linexpr_matches_btreemap_model(
         program in proptest::collection::vec(
-            (0u8..9, 0usize..SLOTS, 0usize..SLOTS, 0usize..NAMES.len(), (-3i128..=3, 1i128..=3)),
+            (0u8..10, 0usize..SLOTS, 0usize..SLOTS, 0usize..NAMES.len(), (-3i128..=3, 1i128..=3)),
             1..48,
         )
     ) {
@@ -159,9 +159,13 @@ proptest! {
                         ..Model::var(x)
                     };
                 }
-                _ => {
+                8 => {
                     exprs[i] = exprs[i].clone() + LinExpr::constant(k);
                     models[i].constant += k;
+                }
+                _ => {
+                    exprs[i] = &exprs[i] - &rhs;
+                    models[i] = models[i].plus_scaled(&rhs_model, -Rat::ONE);
                 }
             }
             for s in 0..SLOTS {

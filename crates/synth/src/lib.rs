@@ -41,7 +41,7 @@
 use std::time::{Duration, Instant};
 
 use shadowdp_syntax::{
-    preorder, pretty_expr, Cmd, CmdKind, Expr, Function, Name, NameKind, Selector, Ty,
+    preorder, pretty_expr, Cmd, CmdKind, Expr, Function, Name, NameKind, Selector,
 };
 use shadowdp_typing::check_function;
 use shadowdp_verify::{verify, Engine, Options, Verdict};
@@ -370,12 +370,6 @@ fn pretty_selector(s: &Selector) -> String {
             pretty_selector(b)
         ),
     }
-}
-
-/// Convenience: whether the function's declared parameter list contains a
-/// list (used by harnesses to decide on BMC assumptions).
-pub fn has_list_param(f: &Function) -> bool {
-    f.params.iter().any(|p| matches!(p.ty, Ty::List(_)))
 }
 
 #[cfg(test)]

@@ -143,11 +143,6 @@ impl VarTy {
         }
     }
 
-    /// Whether this is any numeric (scalar) type.
-    pub fn is_num(&self) -> bool {
-        matches!(self, VarTy::Num { .. })
-    }
-
     /// Join per the two-level lattice, pointwise on distances.
     ///
     /// Returns `None` when base types clash (a program that assigns a bool
