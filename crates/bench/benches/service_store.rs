@@ -29,8 +29,9 @@
 //! `early` on the fresh dump.
 //!
 //! `service/store-load` times a daemon's start-up path: `VerdictStore::load`
-//! of a store holding the Table 1 and buggy-corpus memos (`Sat` models
-//! included), then `warm_memo` into a fresh memo. Each iteration also
+//! of a store holding the Table 1 and buggy-corpus memos (the buggy
+//! corpus's BMC countermodels included), then `warm_memo` into a fresh
+//! memo. Each iteration also
 //! frees what the one before it loaded. The row is not gated.
 
 use std::path::PathBuf;
@@ -39,7 +40,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use shadowdp::{corpus, table1, CorpusJob, Pipeline};
 use shadowdp_service::VerdictStore;
-use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo};
+use shadowdp_solver::{Fingerprint, MemoEntry, Model, QueryMemo};
 
 fn bench_warm_vs_cold(c: &mut Criterion) {
     let jobs = table1::service_jobs();
@@ -92,7 +93,7 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
 /// never collide with real structural hashes used elsewhere in the run).
 fn push_fresh_entries(store: &mut VerdictStore, next: &mut u128, n: usize) {
     for _ in 0..n {
-        store.solver_put(Fingerprint(*next | (1 << 127)), CheckResult::Unsat);
+        store.solver_put(Fingerprint(*next | (1 << 127)), MemoEntry::Unsat);
         *next += 1;
     }
 }
@@ -158,9 +159,9 @@ fn bench_flush_incremental(c: &mut Criterion) {
             b.iter(|| {
                 round += 1;
                 let value = if round.is_multiple_of(2) {
-                    CheckResult::Unsat
+                    MemoEntry::Unsat
                 } else {
-                    CheckResult::Sat(Model::default().into())
+                    MemoEntry::Model(Model::default().into())
                 };
                 for i in 0..DELTA as u128 {
                     store.solver_put(Fingerprint((delta_base + i) | (1 << 127)), value.clone());
@@ -191,7 +192,7 @@ fn bench_store_load(c: &mut Criterion) {
     let models = memo
         .snapshot()
         .iter()
-        .filter(|(_, result)| result.is_sat())
+        .filter(|(_, entry)| entry.model().is_some())
         .count();
     assert!(models > 0, "the corpus memos hold models");
 

@@ -13,7 +13,9 @@
 //!   carries no model; `memoized-refuted` asks a refutable variant whose
 //!   countermodel binds six variables, so each hit hands out a
 //!   model — shared with the memo entry, not copied (reported, not
-//!   gated);
+//!   gated); `uncached-sat-verdict` asks that refutable variant through
+//!   `entails` with the memo off, so each solve answers `Sat` from its
+//!   live saturation and builds no model (reported, not gated);
 //! - `trail/*` — the incremental search core: a fresh solve over a
 //!   64-level disjunction chain (pure decision-level open/conflict/flip
 //!   mechanics) and the Houdini-shaped push/query/pop assumption-frame
@@ -108,6 +110,17 @@ fn bench_repeated_query(c: &mut Criterion) {
         b.iter(|| assert!(solver.prove(&hyps, &goal).is_proved()));
     });
 
+    // The hypotheses entail `goal`, so they refute its negation; its
+    // countermodel binds six of the eight variables.
+    let refutable = goal.not();
+    // Solved afresh each time for its verdict alone: no final
+    // elimination, no model.
+    group.bench_function("uncached-sat-verdict", |b| {
+        let solver = Solver::without_memo();
+        b.iter(|| assert!(!solver.entails(&hyps, &refutable)));
+        assert_eq!(solver.stats().resaturations, 0);
+    });
+
     group.bench_function("memoized", |b| {
         let solver = Solver::new();
         // Warm the single entry, then measure steady-state hits.
@@ -115,9 +128,7 @@ fn bench_repeated_query(c: &mut Criterion) {
         b.iter(|| assert!(solver.prove(&hyps, &goal).is_proved()));
     });
 
-    // The hypotheses entail `goal`, so they refute its negation; the
-    // entry is a countermodel binding six of the eight variables.
-    let refutable = goal.not();
+    // Each hit hands out the memo entry's countermodel.
     group.bench_function("memoized-refuted", |b| {
         let solver = Solver::new();
         let refuted = solver.prove(&hyps, &refutable);

@@ -4,7 +4,7 @@
 //! payloads and decides which ones replay.
 //!
 //! ```text
-//! magic   8 bytes per owner (store: b"SDPV2E" + two-digit verifier
+//! magic   8 bytes per owner (store: b"SDPV3E" + two-digit verifier
 //!         epoch; journal: b"SDPJRNL1")
 //! record* u32 LE payload length | payload | u128 LE fnv128(payload)
 //! ```

@@ -1,13 +1,14 @@
 //! The persistent verdict store: a disk-backed cache with two tiers,
 //! persisted as an **append-only record log with periodic compaction**.
 //!
-//! - **Solver tier** — `Fingerprint → CheckResult`, the contents of a
+//! - **Solver tier** — `Fingerprint → MemoEntry`, the contents of a
 //!   [`QueryMemo`] exported with [`QueryMemo::snapshot`] (or, incrementally,
 //!   [`QueryMemo::drain_dirty`]) and re-imported with [`QueryMemo::absorb`].
 //!   Fingerprints are arena-independent structural hashes (see
 //!   `shadowdp_solver::term`), so an entry written by one daemon process
 //!   answers the structurally identical validity query in any later
-//!   process — this tier is what makes a daemon restart *warm*. A `Sat`
+//!   process — this tier is what makes a daemon restart *warm*. Most `Sat`
+//!   entries hold no model (only a query that reads one builds it); an
 //!   entry's model is an `Arc` shared with the live memo, so the daemon
 //!   holds each model once.
 //! - **Pipeline tier** — `fnv128(JobSpec::canonical()) → (verdict, digest,
@@ -18,19 +19,21 @@
 //!   is what lets compaction prove which solver verdicts are still
 //!   reachable.
 //!
-//! # On-disk format (v2)
+//! # On-disk format (v3)
 //!
 //! A record log (`log.rs` owns the framing and the disk discipline) with
-//! magic `b"SDPV2E"` plus the two-digit [`shadowdp::VERIFIER_EPOCH`]
-//! (`b"SDPV2E01"` at epoch 1), and hand-rolled little-endian payloads
+//! magic `b"SDPV3E"` plus the two-digit [`shadowdp::VERIFIER_EPOCH`]
+//! (`b"SDPV3E01"` at epoch 1), and hand-rolled little-endian payloads
 //! (the format is simple enough that a schema language would cost more
 //! than it buys):
 //!
 //! ```text
 //! payload   u8  kind (0 = base, 1 = delta)
 //!           u64 solver entry count
-//!               per entry: u128 fingerprint, u8 tag (0 = Unsat, 1 = Sat);
-//!               Sat carries a Model: u8 possibly_spurious,
+//!               per entry: u128 fingerprint,
+//!                          u8 tag (0 = Unsat, 1 = Sat with a model,
+//!                                  2 = Sat without one);
+//!               tag 1 carries a Model: u8 possibly_spurious,
 //!                 u32 reals count, per real: u32 name len, name bytes,
 //!                                            i128 numer, i128 denom,
 //!                 u32 bools count, per bool: u32 name len, name bytes, u8 value
@@ -44,7 +47,9 @@
 //!
 //! Replay starts from empty state; a **base** record resets it (compaction
 //! and first-flush write exactly one) and a **delta** record merges on top
-//! (each incremental flush appends one). Every record carries its own
+//! (each incremental flush appends one), a later entry replacing an
+//! earlier one of the same key — which is how a model that upgrades a
+//! tag-2 entry wins on reload. Every record carries its own
 //! checksum, so a torn tail — a crash mid-append — **truncates the log to
 //! the last valid record** instead of cold-starting the whole store; only
 //! a damaged or unknown header falls back to a cold (empty) cache. The
@@ -62,35 +67,42 @@ use std::path::PathBuf;
 
 use shadowdp::JobSpec;
 use shadowdp_num::Rat;
-use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo, Symbol};
+use shadowdp_solver::{Fingerprint, MemoEntry, Model, QueryMemo, Symbol};
 
 use crate::log::{self, RecordLog};
 
-/// The v2 file magic: `SDPV2E` (format name and layout version), then
+/// The v3 file magic: `SDPV3E` (format name and layout version), then
 /// [`shadowdp::VERIFIER_EPOCH`] as two decimal digits. Bump the layout
 /// digit on any layout change. A file of another layout or another
 /// verifier epoch fails the header check, so it is a noted cold start
 /// instead of being misread or serving verdicts of another verifier.
-const MAGIC_V2: &[u8; 8] = &{
+const MAGIC: &[u8; 8] = &{
     let epoch = shadowdp::VERIFIER_EPOCH;
     assert!(epoch < 100, "the store magic holds a two-digit epoch");
-    let mut magic = *b"SDPV2E00";
+    let mut magic = *b"SDPV3E00";
     magic[6] += epoch / 10;
     magic[7] += epoch % 10;
     magic
 };
 
-/// Which verifier wrote a store whose header is not [`MAGIC_V2`], when the
-/// header tells: `SDPVERD2` predates verifier epochs, and `SDPV2E` with
-/// other digits names the epoch. After an upgrade this is the expected
-/// one-time cold start; any other header is damage (`bad magic`).
+/// Which verifier wrote a store whose header is not [`MAGIC`], when the
+/// header tells: `SDPVERD2` predates verifier epochs, `SDPV2E` is the
+/// layout before bare `Sat` entries, and `SDPV3E` with other digits names
+/// the epoch. After an upgrade this is the expected one-time cold start;
+/// any other header is damage (`bad magic`).
 fn other_verifier(header: &[u8]) -> Option<String> {
+    let digits = |prefix: &[u8]| {
+        header
+            .strip_prefix(prefix)
+            .filter(|digits| digits.iter().all(u8::is_ascii_digit))
+    };
     if header == b"SDPVERD2" {
         return Some("written before verifier epochs".into());
     }
-    let epoch = header
-        .strip_prefix(b"SDPV2E")
-        .filter(|digits| digits.iter().all(u8::is_ascii_digit))?;
+    if digits(b"SDPV2E").is_some() {
+        return Some("written in store layout v2, this build writes v3".into());
+    }
+    let epoch = digits(b"SDPV3E")?;
     Some(format!(
         "written under verifier epoch {}, this build is epoch {:02}",
         String::from_utf8_lossy(epoch),
@@ -101,6 +113,11 @@ fn other_verifier(header: &[u8]) -> Option<String> {
 /// Record kinds. A base record resets replay state; a delta merges.
 const KIND_BASE: u8 = 0;
 const KIND_DELTA: u8 = 1;
+
+/// Solver-entry tags, one per [`MemoEntry`] variant.
+const TAG_UNSAT: u8 = 0;
+const TAG_MODEL: u8 = 1;
+const TAG_SAT: u8 = 2;
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013B;
@@ -164,7 +181,7 @@ pub struct CompactStats {
 pub struct VerdictStore {
     /// The backing log; `None` for an in-memory store.
     log: Option<RecordLog>,
-    solver: HashMap<Fingerprint, CheckResult>,
+    solver: HashMap<Fingerprint, MemoEntry>,
     pipeline: HashMap<u128, PipelineEntry>,
     /// Solver keys added (or re-solved) since the last successful flush;
     /// their current values live in `solver`.
@@ -215,10 +232,9 @@ impl VerdictStore {
     pub fn load(path: impl Into<PathBuf>) -> VerdictStore {
         let mut store = VerdictStore::in_memory();
         let mut names = Names::default();
-        let (log, note) =
-            RecordLog::open(path.into(), MAGIC_V2, "store", other_verifier, |payload| {
-                store.merge_record(payload, &mut names).is_some()
-            });
+        let (log, note) = RecordLog::open(path.into(), MAGIC, "store", other_verifier, |payload| {
+            store.merge_record(payload, &mut names).is_some()
+        });
         store.log = Some(log);
         store.load_note = note;
         store
@@ -306,13 +322,14 @@ impl VerdictStore {
         n
     }
 
-    /// Records one solver-tier verdict directly, marking it dirty if it is
-    /// new or changed. (Building block of the memo import paths; public
-    /// for benches and tests that construct stores without running a
-    /// solver.)
-    pub fn solver_put(&mut self, key: Fingerprint, value: CheckResult) {
+    /// Records one solver-tier entry directly, marking it dirty if it is
+    /// new or changed — except that an entry holding a model is never
+    /// replaced by a bare `Sat` (it [upgrades](MemoEntry::upgrades) that
+    /// one). (Building block of the memo import paths; public for benches
+    /// and tests that construct stores without running a solver.)
+    pub fn solver_put(&mut self, key: Fingerprint, value: MemoEntry) {
         match self.solver.get(&key) {
-            Some(existing) if *existing == value => {}
+            Some(existing) if *existing == value || existing.upgrades(&value) => {}
             _ => {
                 self.solver.insert(key, value);
                 self.dirty_solver.push(key);
@@ -478,7 +495,7 @@ impl VerdictStore {
     /// reclaimed) and resets its dirty tracking.
     fn rewrite(&mut self, keep: Option<&HashSet<Fingerprint>>) -> io::Result<()> {
         if let Some(log) = &mut self.log {
-            let solver: Vec<(&Fingerprint, &CheckResult)> = self
+            let solver: Vec<(&Fingerprint, &MemoEntry)> = self
                 .solver
                 .iter()
                 .filter(|(k, _)| keep.is_none_or(|keep| keep.contains(*k)))
@@ -509,7 +526,7 @@ impl VerdictStore {
         self.dirty_solver.dedup();
         self.dirty_pipeline.sort();
         self.dirty_pipeline.dedup();
-        let solver: Vec<(&Fingerprint, &CheckResult)> = self
+        let solver: Vec<(&Fingerprint, &MemoEntry)> = self
             .dirty_solver
             .iter()
             .filter_map(|k| self.solver.get_key_value(k))
@@ -531,7 +548,7 @@ impl VerdictStore {
         Ok(())
     }
 
-    /// Serializes the current contents as a complete v2 image (magic + one
+    /// Serializes the current contents as a complete v3 image (magic + one
     /// base record) — the bytes a compaction would write. Deterministic:
     /// entries are sorted by key, so equal stores encode to equal bytes.
     ///
@@ -545,7 +562,7 @@ impl VerdictStore {
             self.solver.iter().collect(),
             self.pipeline.iter().collect(),
         );
-        log::image(MAGIC_V2, &[record]).expect("store fits in one record frame")
+        log::image(MAGIC, &[record]).expect("store fits in one record frame")
     }
 
     /// Decodes one record payload and merges it into the tiers — a base
@@ -568,8 +585,8 @@ impl VerdictStore {
         let mut solver = Vec::with_capacity(cur.capacity(solver_count, MIN_SOLVER_ENTRY));
         for _ in 0..solver_count {
             let fp = Fingerprint(cur.u128()?);
-            let result = decode_check_result(&mut cur, names)?;
-            solver.push((fp, result));
+            let entry = decode_entry(&mut cur, names)?;
+            solver.push((fp, entry));
         }
 
         let pipeline_count = cur.u64()?;
@@ -632,11 +649,12 @@ fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn encode_check_result(out: &mut Vec<u8>, result: &CheckResult) {
-    match result {
-        CheckResult::Unsat => out.push(0),
-        CheckResult::Sat(model) => {
-            out.push(1);
+fn encode_entry(out: &mut Vec<u8>, entry: &MemoEntry) {
+    match entry {
+        MemoEntry::Unsat => out.push(TAG_UNSAT),
+        MemoEntry::Sat => out.push(TAG_SAT),
+        MemoEntry::Model(model) => {
+            out.push(TAG_MODEL);
             out.push(model.possibly_spurious as u8);
             out.extend_from_slice(&(model.reals().len() as u32).to_le_bytes());
             for (name, value) in model.reals() {
@@ -657,16 +675,16 @@ fn encode_check_result(out: &mut Vec<u8>, result: &CheckResult) {
 /// contents encode identically.
 fn encode_record(
     kind: u8,
-    mut solver: Vec<(&Fingerprint, &CheckResult)>,
+    mut solver: Vec<(&Fingerprint, &MemoEntry)>,
     mut pipeline: Vec<(&u128, &PipelineEntry)>,
 ) -> Vec<u8> {
     let mut payload = vec![kind];
 
     solver.sort_by_key(|(k, _)| **k);
     payload.extend_from_slice(&(solver.len() as u64).to_le_bytes());
-    for (fp, result) in solver {
+    for (fp, entry) in solver {
         payload.extend_from_slice(&fp.0.to_le_bytes());
-        encode_check_result(&mut payload, result);
+        encode_entry(&mut payload, entry);
     }
 
     pipeline.sort_by_key(|(k, _)| **k);
@@ -775,10 +793,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_check_result(cur: &mut Cursor<'_>, names: &mut Names) -> Option<CheckResult> {
+fn decode_entry(cur: &mut Cursor<'_>, names: &mut Names) -> Option<MemoEntry> {
     match cur.u8()? {
-        0 => Some(CheckResult::Unsat),
-        1 => {
+        TAG_UNSAT => Some(MemoEntry::Unsat),
+        TAG_SAT => Some(MemoEntry::Sat),
+        TAG_MODEL => {
             let possibly_spurious = cur.u8()? != 0;
             let reals = decode_named(cur, names, MIN_REAL, |cur| {
                 let numer = cur.i128()?;
@@ -796,7 +815,7 @@ fn decode_check_result(cur: &mut Cursor<'_>, names: &mut Names) -> Option<CheckR
                 Some(Rat::new(numer, denom))
             })?;
             let bools = decode_named(cur, names, MIN_BOOL, |cur| Some(cur.u8()? != 0))?;
-            Some(CheckResult::Sat(
+            Some(MemoEntry::Model(
                 Model::new(reals, bools, possibly_spurious).into(),
             ))
         }
@@ -857,10 +876,10 @@ mod tests {
 
     /// Replays an in-memory image the way [`VerdictStore::load`] replays
     /// a file: the store it rebuilds, and what the replay kept.
-    fn replay_v2(bytes: &[u8]) -> Result<(VerdictStore, log::Replay), &'static str> {
+    fn replay(bytes: &[u8]) -> Result<(VerdictStore, log::Replay), &'static str> {
         let mut store = VerdictStore::in_memory();
         let mut names = Names::default();
-        let kept = log::replay(bytes, MAGIC_V2, |p| {
+        let kept = log::replay(bytes, MAGIC, |p| {
             store.merge_record(p, &mut names).is_some()
         })?;
         Ok((store, kept))
@@ -868,27 +887,28 @@ mod tests {
 
     fn sample_store() -> VerdictStore {
         let mut store = VerdictStore::in_memory();
-        store.solver_put(Fingerprint(1), CheckResult::Sat(sample_model().into()));
-        store.solver_put(Fingerprint(u128::MAX), CheckResult::Unsat);
+        store.solver_put(Fingerprint(1), MemoEntry::Model(sample_model().into()));
+        store.solver_put(Fingerprint(2), MemoEntry::Sat);
+        store.solver_put(Fingerprint(u128::MAX), MemoEntry::Unsat);
         store.pipeline.insert(
             42,
             PipelineEntry {
                 ok: true,
                 verdict: "proved".into(),
                 digest: "Laplace Proved\n  target:\n…\n".into(),
-                deps: Some(vec![Fingerprint(1), Fingerprint(u128::MAX)]),
+                deps: Some(vec![Fingerprint(1), Fingerprint(2), Fingerprint(u128::MAX)]),
             },
         );
         store
     }
 
-    /// How many `Sat` entries the solver tier holds, asserting that each
-    /// is the memo's own model allocation, not a copy of it.
+    /// How many entries with a model the solver tier holds, asserting
+    /// that each is the memo's own model allocation, not a copy of it.
     fn sat_entries_shared_with(store: &VerdictStore, memo: &QueryMemo) -> usize {
         let mut shared = 0;
         for (fp, result) in &store.solver {
-            if let CheckResult::Sat(model) = result {
-                let Some(CheckResult::Sat(live)) = memo.get(*fp) else {
+            if let MemoEntry::Model(model) = result {
+                let Some(MemoEntry::Model(live)) = memo.get(*fp) else {
                     panic!("{fp:?}: the memo lacks the stored model");
                 };
                 assert!(Arc::ptr_eq(model, &live), "{fp:?}: model copied");
@@ -924,13 +944,71 @@ mod tests {
     }
 
     #[test]
-    fn v2_image_round_trips() {
+    fn image_round_trips() {
         let store = sample_store();
-        let (replayed, kept) = replay_v2(&store.encode()).unwrap();
+        let (replayed, kept) = replay(&store.encode()).unwrap();
         assert_eq!(replayed.solver, store.solver);
         assert_eq!(replayed.pipeline, store.pipeline);
         assert_eq!(kept.valid_len, store.encode().len() as u64);
         assert_eq!(kept.records, 1);
+    }
+
+    /// Every kind of solver entry survives an append, a reload and a
+    /// compaction; a model appended in a later delta record upgrades the
+    /// bare `Sat` an earlier record holds for its key, and a bare `Sat`
+    /// put over a model is never appended.
+    #[test]
+    fn v3_entries_round_trip_through_append_reload_and_compaction() {
+        // A bare `Sat` is the tag byte 2 and nothing after it.
+        let mut bare = vec![KIND_BASE];
+        bare.extend_from_slice(&1u64.to_le_bytes());
+        bare.extend_from_slice(&5u128.to_le_bytes());
+        bare.push(2);
+        bare.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            encode_record(KIND_BASE, vec![(&Fingerprint(5), &MemoEntry::Sat)], vec![]),
+            bare
+        );
+
+        let path = temp_path("v3-kinds");
+        let model = MemoEntry::Model(sample_model().into());
+        let mut store = VerdictStore::load(&path);
+        store.solver_put(Fingerprint(1), MemoEntry::Unsat);
+        store.solver_put(Fingerprint(2), MemoEntry::Sat);
+        store.solver_put(Fingerprint(3), model.clone());
+        store.solver_put(Fingerprint(4), MemoEntry::Sat);
+        store.pipeline_put(
+            &JobSpec::new("function F() returns o: num(0,0) { o := 0; }"),
+            PipelineEntry {
+                ok: true,
+                verdict: "proved".into(),
+                digest: "F Proved\n".into(),
+                deps: Some((1..=4).map(Fingerprint).collect()),
+            },
+        );
+        store.flush().unwrap(); // base record: 5 entries
+        store.solver_put(Fingerprint(4), model.clone());
+        store.solver_put(Fingerprint(3), MemoEntry::Sat);
+        store.flush().unwrap(); // delta record: key 4's model alone
+        let want = HashMap::from([
+            (Fingerprint(1), MemoEntry::Unsat),
+            (Fingerprint(2), MemoEntry::Sat),
+            (Fingerprint(3), model.clone()),
+            (Fingerprint(4), model),
+        ]);
+        assert_eq!(store.solver, want);
+
+        let mut reloaded = VerdictStore::load(&path);
+        assert!(reloaded.load_note().is_none());
+        assert_eq!(reloaded.solver, want, "the later delta wins");
+        assert_eq!(reloaded.logged_entries(), 6);
+        let stats = reloaded.compact().unwrap();
+        assert_eq!((stats.dropped_solver, stats.logged_after), (0, 5));
+        let compacted = VerdictStore::load(&path);
+        assert!(compacted.load_note().is_none());
+        assert_eq!(compacted.solver, want);
+        assert_eq!(compacted.logged_entries(), 5);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -942,9 +1020,9 @@ mod tests {
     fn every_truncation_keeps_a_valid_prefix_or_rejects() {
         let bytes = sample_store().encode();
         for len in 0..bytes.len() {
-            match replay_v2(&bytes[..len]) {
+            match replay(&bytes[..len]) {
                 Err(e) => assert!(
-                    len < MAGIC_V2.len(),
+                    len < MAGIC.len(),
                     "only header damage may reject (len {len}: {e})"
                 ),
                 Ok((replayed, kept)) => {
@@ -962,10 +1040,10 @@ mod tests {
     #[test]
     fn every_single_byte_flip_drops_the_record_not_the_process() {
         let bytes = sample_store().encode();
-        for i in MAGIC_V2.len()..bytes.len() {
+        for i in MAGIC.len()..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x40;
-            match replay_v2(&corrupt) {
+            match replay(&corrupt) {
                 Err(_) => panic!("flip at byte {i} must not reject the whole log"),
                 Ok((replayed, _)) => assert!(
                     replayed.solver.is_empty() && replayed.pipeline.is_empty(),
@@ -976,29 +1054,29 @@ mod tests {
         // A flip in the magic is a whole-file rejection.
         let mut corrupt = bytes.clone();
         corrupt[0] ^= 0x40;
-        assert!(replay_v2(&corrupt).is_err());
+        assert!(replay(&corrupt).is_err());
     }
 
     #[test]
     fn flip_in_one_record_keeps_earlier_records() {
         let path = temp_path("midflip");
         let mut store = VerdictStore::load(&path);
-        store.solver_put(Fingerprint(7), CheckResult::Unsat);
+        store.solver_put(Fingerprint(7), MemoEntry::Unsat);
         store.flush().unwrap(); // base record
         let keep_len = std::fs::read(&path).unwrap().len();
-        store.solver_put(Fingerprint(8), CheckResult::Unsat);
+        store.solver_put(Fingerprint(8), MemoEntry::Unsat);
         store.flush().unwrap(); // delta record
 
         let bytes = std::fs::read(&path).unwrap();
         for i in keep_len..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x11;
-            let (replayed, kept) = replay_v2(&corrupt).unwrap();
+            let (replayed, kept) = replay(&corrupt).unwrap();
             assert_eq!(kept.valid_len as usize, keep_len, "flip at {i}");
             assert_eq!(replayed.solver.len(), 1);
         }
         // And the file as written replays both.
-        let (replayed, _) = replay_v2(&bytes).unwrap();
+        let (replayed, _) = replay(&bytes).unwrap();
         assert_eq!(replayed.solver.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -1013,7 +1091,7 @@ mod tests {
             payload.push(KIND_BASE);
             payload.extend_from_slice(&1u64.to_le_bytes()); // one solver entry
             payload.extend_from_slice(&7u128.to_le_bytes()); // fingerprint
-            payload.push(1); // Sat
+            payload.push(1); // Sat with a model
             payload.push(0); // not spurious
             payload.extend_from_slice(&1u32.to_le_bytes()); // one real
             encode_bytes(&mut payload, b"x");
@@ -1023,13 +1101,13 @@ mod tests {
             payload.extend_from_slice(&0u64.to_le_bytes()); // no pipeline entries
 
             let mut bytes = Vec::new();
-            bytes.extend_from_slice(MAGIC_V2);
+            bytes.extend_from_slice(MAGIC);
             bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             let sum = fnv128(&payload);
             bytes.extend_from_slice(&payload);
             bytes.extend_from_slice(&sum.to_le_bytes());
 
-            let (replayed, _) = replay_v2(&bytes).unwrap();
+            let (replayed, _) = replay(&bytes).unwrap();
             assert!(
                 replayed.solver.is_empty(),
                 "numer={numer} denom={denom} must drop the record"
@@ -1046,7 +1124,7 @@ mod tests {
         payload.extend_from_slice(&8u128.to_le_bytes());
         payload.push(0); // Unsat
         payload.extend_from_slice(&9u128.to_le_bytes());
-        payload.push(1); // Sat
+        payload.push(1); // Sat with a model
         payload.push(0); // not spurious
         payload.extend_from_slice(&(reals.len() as u32).to_le_bytes());
         for name in reals {
@@ -1077,9 +1155,9 @@ mod tests {
         let base_len = base.encode().len() as u64;
         let ordered = delta_with_model(&[b"a", b"b"], &[b"p", b"q"]);
         let (replayed, kept) =
-            replay_v2(&log::image(MAGIC_V2, &[&base_payload, &ordered]).unwrap()).unwrap();
+            replay(&log::image(MAGIC, &[&base_payload, &ordered]).unwrap()).unwrap();
         assert_eq!(kept.records, 2, "the well-formed delta is merged");
-        let Some(CheckResult::Sat(model)) = replayed.solver.get(&Fingerprint(9)) else {
+        let Some(MemoEntry::Model(model)) = replayed.solver.get(&Fingerprint(9)) else {
             panic!("the delta's model is loaded");
         };
         assert_eq!(model.to_string(), "a = 1/2, b = 1/2, p = true, q = true");
@@ -1092,8 +1170,8 @@ mod tests {
             ("a bool repeated", &[], &[b"p", b"p"]),
         ] {
             let bad = delta_with_model(reals, bools);
-            let image = log::image(MAGIC_V2, &[&base_payload, &bad]).unwrap();
-            let (replayed, kept) = replay_v2(&image).unwrap();
+            let image = log::image(MAGIC, &[&base_payload, &bad]).unwrap();
+            let (replayed, kept) = replay(&image).unwrap();
             assert_eq!((kept.records, kept.valid_len), (1, base_len), "{why}");
             assert_eq!(replayed.solver, base.solver, "{why}: half-merged");
             assert_eq!(replayed.pipeline, base.pipeline, "{why}");
@@ -1109,15 +1187,15 @@ mod tests {
         for (fp, value) in [(1, Rat::ONE), (2, Rat::ZERO)] {
             let x: &'static str = Box::leak(x.clone().into_boxed_str());
             let model = Model::new(vec![(x, value)], vec![(x, true)], false);
-            store.solver_put(Fingerprint(fp), CheckResult::Sat(model.into()));
+            store.solver_put(Fingerprint(fp), MemoEntry::Model(model.into()));
         }
         let image = store.encode();
-        let (first, _) = replay_v2(&image).unwrap();
-        let (second, _) = replay_v2(&image).unwrap();
+        let (first, _) = replay(&image).unwrap();
+        let (second, _) = replay(&image).unwrap();
         let interned = Symbol::interned("x");
         for replayed in [&first, &second] {
             for fp in [1, 2] {
-                let Some(CheckResult::Sat(model)) = replayed.solver.get(&Fingerprint(fp)) else {
+                let Some(MemoEntry::Model(model)) = replayed.solver.get(&Fingerprint(fp)) else {
                     panic!("model {fp} is loaded");
                 };
                 assert!(std::ptr::eq(model.reals()[0].0, interned));
@@ -1166,7 +1244,7 @@ mod tests {
             .map(|i| JobSpec::new(format!("function F{i}() returns o: num(0,0) {{ o := 0; }}")))
             .collect();
         for (i, spec) in specs.iter().enumerate() {
-            store.solver_put(Fingerprint(i as u128), CheckResult::Unsat);
+            store.solver_put(Fingerprint(i as u128), MemoEntry::Unsat);
             store.pipeline_put(
                 spec,
                 PipelineEntry {
@@ -1249,7 +1327,7 @@ mod tests {
         let path = temp_path("delta");
         let mut store = VerdictStore::load(&path);
         for i in 0..50u128 {
-            store.solver_put(Fingerprint(i), CheckResult::Unsat);
+            store.solver_put(Fingerprint(i), MemoEntry::Unsat);
         }
         store.flush().unwrap(); // first flush: full rewrite (base)
         let base_len = store.log_bytes();
@@ -1257,7 +1335,7 @@ mod tests {
 
         // A one-entry delta costs one small record regardless of the 50
         // entries already in the log.
-        store.solver_put(Fingerprint(1000), CheckResult::Unsat);
+        store.solver_put(Fingerprint(1000), MemoEntry::Unsat);
         store.flush().unwrap();
         let delta_cost = store.log_bytes() - base_len;
         assert!(
@@ -1284,7 +1362,7 @@ mod tests {
         let dir = temp_path("missing-dir");
         let path = dir.join("store.bin");
         let mut store = VerdictStore::load(&path);
-        store.solver_put(Fingerprint(5), CheckResult::Unsat);
+        store.solver_put(Fingerprint(5), MemoEntry::Unsat);
         store.pipeline_put(
             &JobSpec::new("function F() returns o: num(0,0) { o := 0; }"),
             PipelineEntry {
@@ -1314,14 +1392,14 @@ mod tests {
     fn failed_append_rolls_back_and_retries() {
         let path = temp_path("rollback");
         let mut store = VerdictStore::load(&path);
-        store.solver_put(Fingerprint(1), CheckResult::Unsat);
+        store.solver_put(Fingerprint(1), MemoEntry::Unsat);
         store.flush().unwrap();
 
         // Injected append failure: replace the backing file with a
         // directory, so opening for write fails.
         std::fs::remove_file(&path).unwrap();
         std::fs::create_dir(&path).unwrap();
-        store.solver_put(Fingerprint(2), CheckResult::Unsat);
+        store.solver_put(Fingerprint(2), MemoEntry::Unsat);
         assert!(store.flush().is_err());
         assert!(store.dirty_len() > 0);
 
@@ -1341,9 +1419,9 @@ mod tests {
         // Two reachable entries, one orphan (no pipeline entry lists it —
         // e.g. solver work from a job that failed before producing a
         // verdict).
-        store.solver_put(Fingerprint(1), CheckResult::Unsat);
-        store.solver_put(Fingerprint(2), CheckResult::Unsat);
-        store.solver_put(Fingerprint(99), CheckResult::Unsat);
+        store.solver_put(Fingerprint(1), MemoEntry::Unsat);
+        store.solver_put(Fingerprint(2), MemoEntry::Unsat);
+        store.solver_put(Fingerprint(99), MemoEntry::Unsat);
         let spec = JobSpec::new("function F() returns o: num(0,0) { o := 0; }");
         store.pipeline_put(
             &spec,
@@ -1395,8 +1473,8 @@ mod tests {
     fn unknown_deps_pin_every_solver_entry_through_compaction() {
         let path = temp_path("pin");
         let mut store = VerdictStore::load(&path);
-        store.solver_put(Fingerprint(1), CheckResult::Unsat);
-        store.solver_put(Fingerprint(2), CheckResult::Unsat);
+        store.solver_put(Fingerprint(1), MemoEntry::Unsat);
+        store.solver_put(Fingerprint(2), MemoEntry::Unsat);
         store.pipeline_put(
             &JobSpec::new("function F() returns o: num(0,0) { o := 0; }"),
             PipelineEntry {

@@ -6,7 +6,9 @@
 //! its name-sorted slice and its `Arc` — and at most 64 + 48·k bytes,
 //! whether `Model::new` builds it or the store decoder reads it back.
 //! Names are pointers into the solver's interner, so a model that copied
-//! each name into its own allocation would fail both bounds.
+//! each name into its own allocation would fail both bounds. A `Sat`
+//! entry with no model, which is what a verdict-only query leaves in the
+//! memo, costs no model allocation at all.
 //!
 //! A counting global allocator wraps the system one. Only the thread
 //! inside [`live`] counts, so the harness's own threads cannot skew a
@@ -19,7 +21,7 @@ use std::sync::Arc;
 
 use shadowdp_num::Rat;
 use shadowdp_service::VerdictStore;
-use shadowdp_solver::{CheckResult, Fingerprint, Model, Symbol};
+use shadowdp_solver::{Fingerprint, MemoEntry, Model, QueryMemo, Solver, Symbol, Term};
 
 struct Counting;
 
@@ -79,23 +81,20 @@ fn reals(k: usize, seed: usize) -> Vec<(&'static str, Rat)> {
         .collect()
 }
 
-/// A store file holding `MODELS` solver entries: a model of `k` reals
-/// each, or `Unsat` for `k == None`. The two kinds of file have paths of
-/// one length, so the loaded stores differ in their models only.
-fn store_file(k: Option<usize>) -> PathBuf {
-    let tag = k.map_or("unsat".to_string(), |k| format!("sat{k:02}"));
+/// A store file of `test`'s holding `MODELS` solver entries,
+/// `entry(seed)` each. Every `tag` is five characters, so one test's files
+/// have paths of one length and the loaded stores differ in their entries
+/// only.
+fn store_file(test: &str, tag: &str, entry: impl Fn(usize) -> MemoEntry) -> PathBuf {
+    assert_eq!(tag.len(), 5);
     let path = std::env::temp_dir().join(format!(
-        "shadowdp-footprint-{}-{tag}.bin",
+        "shadowdp-footprint-{}-{test}-{tag}.bin",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
     let mut store = VerdictStore::load(&path);
     for seed in 0..MODELS {
-        let value = match k {
-            None => CheckResult::Unsat,
-            Some(k) => CheckResult::Sat(Arc::new(Model::new(reals(k, seed), Vec::new(), false))),
-        };
-        store.solver_put(Fingerprint(seed as u128 + 1), value);
+        store.solver_put(Fingerprint(seed as u128 + 1), entry(seed));
     }
     store.flush().expect("store written");
     path
@@ -119,7 +118,10 @@ fn a_model_costs_its_slice_and_its_arc() {
 
         // Decoded, averaged over a store of MODELS models: the load's
         // live heap minus that of a store of as many `Unsat` entries.
-        let (sat, unsat) = (store_file(Some(k)), store_file(None));
+        let sat = store_file("model", &format!("sat{k:02}"), |seed| {
+            MemoEntry::Model(Arc::new(Model::new(reals(k, seed), Vec::new(), false)))
+        });
+        let unsat = store_file("model", "unsat", |_| MemoEntry::Unsat);
         drop(VerdictStore::load(&sat)); // interns the names, warms statics
         let (with_models, sat_allocs, sat_bytes) = live(|| VerdictStore::load(&sat));
         let (without, unsat_allocs, unsat_bytes) = live(|| VerdictStore::load(&unsat));
@@ -136,4 +138,59 @@ fn a_model_costs_its_slice_and_its_arc() {
         let _ = std::fs::remove_file(&sat);
         let _ = std::fs::remove_file(&unsat);
     }
+}
+
+#[test]
+fn a_sat_entry_without_a_model_costs_no_model_allocation() {
+    // Through `entails`: the same satisfiable queries asked by `entails`
+    // and by `prove`, each into a memo of its own, leave the same map and
+    // dependency list; `prove`'s holds one model (two allocations) per
+    // query more, so `entails`' holds none.
+    let x = Term::real_var("x");
+    let queries: Vec<([Term; 1], Term)> = (0..MODELS as i128)
+        .map(|k| ([x.ge(Term::int(k))], x.le(Term::int(k))))
+        .collect();
+    let ask = |prove: bool| {
+        let solver = Solver::with_memo(Arc::new(QueryMemo::default()));
+        for (hyps, goal) in &queries {
+            if prove {
+                assert!(solver.prove(hyps, goal).counterexample().is_some());
+            } else {
+                assert!(!solver.entails(hyps, goal));
+            }
+        }
+        solver
+    };
+    drop((ask(false), ask(true))); // interns every term and name first
+    let (verdicts, verdict_allocs, _) = live(|| ask(false));
+    let (models, model_allocs, _) = live(|| ask(true));
+    for (solver, model) in [(&verdicts, false), (&models, true)] {
+        let entries = solver.memo().snapshot();
+        assert_eq!(entries.len(), MODELS);
+        assert!(entries.iter().all(|(_, e)| e.model().is_some() == model));
+    }
+    let n = MODELS as i64;
+    assert_eq!(
+        model_allocs - verdict_allocs,
+        2 * n,
+        "{verdict_allocs} allocations for {n} verdicts, {model_allocs} for {n} models"
+    );
+
+    // Through the store decoder and warm-up: a bare `Sat` costs exactly
+    // what an `Unsat` costs.
+    let bare = store_file("bare", "sat--", |_| MemoEntry::Sat);
+    let unsat = store_file("bare", "unsat", |_| MemoEntry::Unsat);
+    let warm = |path: &PathBuf| {
+        let store = VerdictStore::load(path);
+        let memo = QueryMemo::default();
+        store.warm_memo(&memo);
+        assert_eq!(memo.len(), MODELS);
+        (store, memo)
+    };
+    drop((warm(&bare), warm(&unsat)));
+    let (_, bare_allocs, bare_bytes) = live(|| warm(&bare));
+    let (_, unsat_allocs, unsat_bytes) = live(|| warm(&unsat));
+    assert_eq!((bare_allocs, bare_bytes), (unsat_allocs, unsat_bytes));
+    let _ = std::fs::remove_file(&bare);
+    let _ = std::fs::remove_file(&unsat);
 }

@@ -1,5 +1,5 @@
 //! Durability contract of the persistent verdict store (append-only log
-//! format, v2).
+//! format, v3).
 //!
 //! Four properties, each pinned independently:
 //!
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use shadowdp::{corpus, CorpusJob, JobSpec, Pipeline};
 use shadowdp_num::Rat;
 use shadowdp_service::{PipelineEntry, VerdictStore};
-use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo, Symbol};
+use shadowdp_solver::{Fingerprint, MemoEntry, Model, QueryMemo, Symbol};
 
 /// A fresh path under the system temp dir, unique per test invocation.
 fn temp_path(tag: &str) -> PathBuf {
@@ -85,10 +85,11 @@ fn arb_model() -> impl Strategy<Value = Model> {
         })
 }
 
-fn arb_check_result() -> impl Strategy<Value = CheckResult> {
+fn arb_entry() -> impl Strategy<Value = MemoEntry> {
     prop_oneof![
-        Just(CheckResult::Unsat),
-        arb_model().prop_map(|m| CheckResult::Sat(m.into())),
+        Just(MemoEntry::Unsat),
+        Just(MemoEntry::Sat),
+        arb_model().prop_map(|m| MemoEntry::Model(m.into())),
     ]
 }
 
@@ -111,7 +112,7 @@ proptest! {
     /// verdict, including randomized dependency sets.
     #[test]
     fn snapshot_flush_load_absorb_recovers_every_verdict(
-        entries in proptest::collection::vec((arb_fingerprint(), arb_check_result()), 0..24),
+        entries in proptest::collection::vec((arb_fingerprint(), arb_entry()), 0..24),
         pipeline in proptest::collection::vec((arb_name(), arb_name(), arb_name(), arb_deps()), 0..6),
     ) {
         let memo = QueryMemo::default();
@@ -156,7 +157,7 @@ proptest! {
     /// one delta record per step) replay to the same state as one flush.
     #[test]
     fn incremental_flushes_replay_like_one_flush(
-        entries in proptest::collection::vec((arb_fingerprint(), arb_check_result()), 1..24),
+        entries in proptest::collection::vec((arb_fingerprint(), arb_entry()), 1..24),
         chunk in 1usize..6,
     ) {
         let path = temp_path("chunks");
@@ -294,8 +295,8 @@ fn memo_served_deps_survive_an_earlier_compaction_drop() {
     let orphan_spec = JobSpec::new("function Broken() returns o: num(0,0) { o := x; }");
     let mut store = VerdictStore::load(&path);
     for fp in [Fingerprint(1), Fingerprint(2)] {
-        memo.absorb([(fp, CheckResult::Unsat)]);
-        store.solver_put(fp, CheckResult::Unsat);
+        memo.absorb([(fp, MemoEntry::Unsat)]);
+        store.solver_put(fp, MemoEntry::Unsat);
     }
     store.pipeline_put(
         &orphan_spec,
@@ -362,7 +363,7 @@ fn truncated_store_recovers_the_valid_prefix() {
     let path = temp_path("trunc");
     let bytes = flushed_store_bytes(&path);
     assert!(bytes.len() > 32);
-    const HEADER: usize = 8; // b"SDPV2E" and the two-digit verifier epoch
+    const HEADER: usize = 8; // b"SDPV3E" and the two-digit verifier epoch
     for len in [0, 1, 7, 8, HEADER + 1, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..len]).unwrap();
         let store = VerdictStore::load(&path);
@@ -402,7 +403,7 @@ fn corrupted_store_degrades_cleanly() {
         assert_eq!(store.pipeline_len(), 0);
         assert!(store.load_note().is_some(), "flip at {i} must be noted");
     }
-    // And files that are not a v2 store: one that is not a store at all,
+    // And files that are not a v3 store: one that is not a store at all,
     // and an image in the retired v1 format (empty tiers, checksum).
     let mut v1 = b"SDPVERD1".to_vec();
     v1.extend_from_slice(&[0; 32]);
@@ -415,29 +416,35 @@ fn corrupted_store_degrades_cleanly() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A store written under another verifier epoch, or before the store
-/// carried one (`SDPVERD2`), is a noted cold start: its verdicts may be
-/// ones this verifier would not give. Only the magic differs; the records
-/// behind it are intact. The note names the epoch, so an upgrade's
-/// expected cold start reads differently from a damaged header.
+/// A store written under another verifier epoch, before the store
+/// carried one (`SDPVERD2`), or in the v2 layout (`SDPV2E..`, which had no
+/// bare `Sat` entry) is a noted cold start: its verdicts may be ones this
+/// verifier would not give, or its records ones this build does not
+/// write. Only the magic differs; the records behind it are intact. The
+/// note names the case, so an upgrade's expected cold start reads
+/// differently from a damaged header.
 #[test]
 fn store_of_another_verifier_epoch_is_a_noted_cold_start() {
     let path = temp_path("epoch");
     let bytes = flushed_store_bytes(&path);
     let epoch = shadowdp::VERIFIER_EPOCH;
-    assert_eq!(&bytes[..8], format!("SDPV2E{epoch:02}").as_bytes());
+    assert_eq!(&bytes[..8], format!("SDPV3E{epoch:02}").as_bytes());
     let warm = VerdictStore::load(&path);
     assert!(warm.load_note().is_none());
     assert_eq!(warm.pipeline_len(), 1);
-    let next = format!("SDPV2E{:02}", epoch + 1);
+    let next = format!("SDPV3E{:02}", epoch + 1);
     let under_next = format!(
         "written under verifier epoch {:02}, this build is epoch {epoch:02}",
         epoch + 1
     );
     for (magic, why) in [
         (b"SDPVERD2".as_slice(), "written before verifier epochs"),
+        (
+            b"SDPV2E01".as_slice(),
+            "written in store layout v2, this build writes v3",
+        ),
         (next.as_bytes(), under_next.as_str()),
-        (b"SDPV2Ex1".as_slice(), "bad magic"),
+        (b"SDPV3Ex1".as_slice(), "bad magic"),
     ] {
         let mut other = bytes.clone();
         other[..8].copy_from_slice(magic);
@@ -458,10 +465,10 @@ fn store_of_another_verifier_epoch_is_a_noted_cold_start() {
 fn torn_tail_truncates_to_the_last_valid_record() {
     let path = temp_path("tail");
     let mut store = VerdictStore::load(&path);
-    store.solver_put(Fingerprint(1), CheckResult::Unsat);
+    store.solver_put(Fingerprint(1), MemoEntry::Unsat);
     store.flush().unwrap(); // base record
     let base = std::fs::read(&path).unwrap();
-    store.solver_put(Fingerprint(2), CheckResult::Unsat);
+    store.solver_put(Fingerprint(2), MemoEntry::Unsat);
     store.pipeline_put(
         &JobSpec::new("function F() returns o: num(0,0) { o := 0; }"),
         entry("proved", "F Proved\n", Some(vec![Fingerprint(2)])),
@@ -482,7 +489,7 @@ fn torn_tail_truncates_to_the_last_valid_record() {
         // …and the recovered store keeps working: the next flush drops
         // the torn tail and appends cleanly.
         let mut recovered = VerdictStore::load(&path);
-        recovered.solver_put(Fingerprint(3), CheckResult::Unsat);
+        recovered.solver_put(Fingerprint(3), MemoEntry::Unsat);
         recovered.flush().unwrap();
         let healed = VerdictStore::load(&path);
         assert!(healed.load_note().is_none(), "truncation to {len} healed");
@@ -504,7 +511,7 @@ fn missing_store_is_a_quiet_cold_start() {
 // ---------------------------------------------------------------------------
 
 /// Compact comparable view of a store's contents.
-fn view(store: &VerdictStore) -> (Vec<(Fingerprint, CheckResult)>, usize) {
+fn view(store: &VerdictStore) -> (Vec<(Fingerprint, MemoEntry)>, usize) {
     let memo = QueryMemo::default();
     store.warm_memo(&memo);
     (memo.snapshot(), store.pipeline_len())
@@ -515,13 +522,13 @@ fn killed_append_recovers_pre_or_post_view_at_every_byte() {
     let path = temp_path("kill-append");
     let mut store = VerdictStore::load(&path);
     for i in 0..6u128 {
-        store.solver_put(Fingerprint(i), CheckResult::Unsat);
+        store.solver_put(Fingerprint(i), MemoEntry::Unsat);
     }
     store.flush().unwrap();
     let pre_bytes = std::fs::read(&path).unwrap();
     let pre_view = view(&VerdictStore::load(&path));
 
-    store.solver_put(Fingerprint(100), CheckResult::Unsat);
+    store.solver_put(Fingerprint(100), MemoEntry::Unsat);
     store.pipeline_put(
         &JobSpec::new("function F() returns o: num(0,0) { o := 0; }"),
         entry("proved", "F Proved\n", Some(vec![Fingerprint(100)])),
@@ -566,8 +573,8 @@ fn killed_compaction_recovers_pre_or_post_view_at_every_byte() {
     let spec = JobSpec::new("function F() returns o: num(0,0) { o := 0; }");
     let mut store = VerdictStore::load(&path);
     for i in 0..4u128 {
-        store.solver_put(Fingerprint(i), CheckResult::Unsat);
-        store.solver_put(Fingerprint(1000 + i), CheckResult::Unsat); // orphans
+        store.solver_put(Fingerprint(i), MemoEntry::Unsat);
+        store.solver_put(Fingerprint(1000 + i), MemoEntry::Unsat); // orphans
         store.pipeline_put(
             &spec,
             entry(
@@ -644,11 +651,11 @@ fn faultplan_torn_append_recovers_the_valid_prefix_at_any_tear() {
         let path = temp_path("fault-torn-append");
         let mut store = VerdictStore::load(&path);
         for i in 0..6u128 {
-            store.solver_put(Fingerprint(i), CheckResult::Unsat);
+            store.solver_put(Fingerprint(i), MemoEntry::Unsat);
         }
         store.flush().unwrap();
         let pre_view = view(&VerdictStore::load(&path));
-        store.solver_put(Fingerprint(100), CheckResult::Unsat);
+        store.solver_put(Fingerprint(100), MemoEntry::Unsat);
 
         let guard = FaultPlan::new()
             .once("store.append.write", FaultKind::TornWrite { keep })
@@ -676,7 +683,7 @@ fn faultplan_torn_compaction_is_atomic() {
         // drops no solver entries and the live view is invariant across
         // the collapse — one expected view serves fault and retry alike.
         for i in 0..4u128 {
-            store.solver_put(Fingerprint(i), CheckResult::Unsat);
+            store.solver_put(Fingerprint(i), MemoEntry::Unsat);
             store.pipeline_put(
                 &spec,
                 entry(

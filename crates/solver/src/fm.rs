@@ -377,9 +377,10 @@ fn dedupe(cs: &mut Vec<Constraint>) {
 /// Equalities are split into two weak inequalities (`lin == 0` becomes
 /// `lin <= 0 ∧ -lin <= 0`), which is exact over ℚ; the Gaussian
 /// substitution phase of [`check_sat`] exists only to speed up model
-/// reconstruction, which a saturation never performs (the solver runs one
-/// final [`check_sat`] to extract a model once the boolean search
-/// succeeds).
+/// reconstruction, which a saturation never performs. Once the boolean
+/// search succeeds, a consistent saturation is itself the `Sat` verdict;
+/// the solver runs one final [`check_sat`] only for a caller that reads
+/// the model, to build it.
 #[derive(Debug, Default)]
 pub struct Saturation {
     steps: Vec<SatStep>,

@@ -90,7 +90,9 @@ pub mod trail;
 
 pub use fm::{Constraint, Rel};
 pub use linear::LinExpr;
-pub use solve::{Budget, CheckResult, Model, ProveResult, QueryMemo, Solver, SolverStats};
+pub use solve::{
+    Budget, CheckResult, MemoEntry, Model, ProveResult, QueryMemo, Solver, SolverStats,
+};
 pub use term::{
     with_fresh_shard, with_shard, Fingerprint, Symbol, Term, TermArena, TermId, TermNode,
 };

@@ -8,15 +8,23 @@
 //! search. The two query families differ only in their memo key and in
 //! the state the search starts from:
 //!
-//! - `check`/`prove`/`entails` fold the input conjunction into a single
-//!   hash-consed term and key the cache on that term's [`Fingerprint`] — a
-//!   128-bit structural hash that is identical for identical structure in
-//!   *any* arena on *any* thread (see [`crate::term`]). A miss searches a
-//!   fresh state; `prove` rides the same key through its refutation
-//!   encoding.
+//! - `check`/`satisfiable`/`prove`/`entails` fold the input conjunction
+//!   into a single hash-consed term and key the cache on that term's
+//!   [`Fingerprint`] — a 128-bit structural hash that is identical for
+//!   identical structure in *any* arena on *any* thread (see
+//!   [`crate::term`]). A miss searches a fresh state; `prove` rides the
+//!   same key through its refutation encoding.
 //! - `prove_pushed`/`entails_pushed` key on the multiset of the open
 //!   assumption frames' fingerprints plus the goal's, and a miss searches
 //!   only the negated goal against the frames' shared saturated base.
+//!
+//! Queries also differ in what their caller reads of a `Sat` answer.
+//! `satisfiable`, `entails` and `entails_pushed` read only the verdict:
+//! their search answers `Sat` off its live incremental saturation, and
+//! their entry holds no model ([`MemoEntry::Sat`]). `check`, `prove` and
+//! `prove_pushed` read the model: their search runs one final
+//! Fourier–Motzkin elimination to build it, and an entry without one is a
+//! miss for them, solved again and upgraded to [`MemoEntry::Model`].
 //!
 //! Since the result of a query depends only on the formula's structure, a
 //! repeated query — Houdini consecution rounds re-proving the surviving
@@ -29,6 +37,7 @@
 //! out (used by the microbenchmarks to pin the speedup).
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -87,6 +96,12 @@ fn query_hist(hit: bool) -> &'static shadowdp_obs::Histogram {
 /// On 64-bit targets a model of k reals and no booleans is one
 /// allocation of 48·k bytes (an empty slice allocates nothing); inside
 /// its `Arc` it costs one more, of 56 bytes.
+///
+/// # When one is built
+///
+/// Only for a caller that reads it: [`Solver::check`], [`Solver::prove`]
+/// and [`Solver::prove_pushed`]. A verdict-only query answers `Sat`
+/// without one (see [`MemoEntry`]), so most memo entries hold none.
 ///
 /// # Names
 ///
@@ -196,13 +211,14 @@ impl fmt::Display for Model {
     }
 }
 
-/// Result of a satisfiability check.
+/// Result of a satisfiability check that reads the model.
 ///
 /// A model is allocated once, by the search that found it or by the
 /// decoder that read it from disk, and shared from then on: cloning a
 /// result — a memo hit, the memo's insert, [`QueryMemo::snapshot`] and
 /// [`QueryMemo::drain_dirty`] — bumps a reference count instead of
-/// copying the model's maps.
+/// copying the model's maps. (The memo itself holds [`MemoEntry`]s,
+/// which may lack a model.)
 #[derive(Clone, Debug, PartialEq)]
 pub enum CheckResult {
     /// A model was found.
@@ -216,6 +232,74 @@ impl CheckResult {
     pub fn is_sat(&self) -> bool {
         matches!(self, CheckResult::Sat(_))
     }
+}
+
+/// What a [`QueryMemo`] holds for one query: its verdict, and its model
+/// once some caller has read one.
+///
+/// Most queries want only the verdict — [`Solver::entails`],
+/// [`Solver::entails_pushed`] and [`Solver::satisfiable`] — and their
+/// search answers `Sat` from its live incremental saturation without
+/// building a model, so their entry is a bare [`MemoEntry::Sat`]. A query
+/// that reads the model ([`Solver::check`], [`Solver::prove`],
+/// [`Solver::prove_pushed`]) treats a bare `Sat` as a miss: it solves the
+/// query again, building the same model a fresh solve would, and upgrades
+/// the entry to [`MemoEntry::Model`]. An entry is never downgraded.
+#[derive(Clone, Debug, PartialEq)]
+pub enum MemoEntry {
+    /// No model exists.
+    Unsat,
+    /// A model exists, but none was built.
+    Sat,
+    /// A model exists, and this is the one a model-reading query built
+    /// (shared, as in [`CheckResult`]).
+    Model(Arc<Model>),
+}
+
+impl MemoEntry {
+    /// Whether the query is satisfiable, with or without a model.
+    pub fn is_sat(&self) -> bool {
+        !matches!(self, MemoEntry::Unsat)
+    }
+
+    /// The model, if the entry holds one.
+    pub fn model(&self) -> Option<&Arc<Model>> {
+        match self {
+            MemoEntry::Model(model) => Some(model),
+            _ => None,
+        }
+    }
+
+    /// Whether this entry should replace `old` under the same key: only a
+    /// model replacing a bare `Sat`. Any other pair holds the same verdict
+    /// (a query's answer depends on its structure alone), so the entry
+    /// already there stays, and a model is never dropped for a bare
+    /// verdict.
+    pub fn upgrades(&self, old: &MemoEntry) -> bool {
+        matches!((old, self), (MemoEntry::Sat, MemoEntry::Model(_)))
+    }
+
+    /// The answer of a query that reads the model, which always gets one.
+    fn into_check_result(self) -> CheckResult {
+        match self {
+            MemoEntry::Unsat => CheckResult::Unsat,
+            MemoEntry::Model(model) => CheckResult::Sat(model),
+            MemoEntry::Sat => unreachable!("a model-reading query builds its model"),
+        }
+    }
+}
+
+/// What a query's caller reads of a satisfiable answer. Threaded from the
+/// public entry points through [`Solver::memoized`], [`Solver::search`]
+/// and [`TrailSearch::run`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Want {
+    /// Only the verdict: a `Sat` answer is read off the live saturation,
+    /// with no final elimination and no model.
+    Verdict,
+    /// The model too: a `Sat` answer runs one final [`check_sat`] over the
+    /// branch's constraints and builds a [`Model`] from it.
+    Model,
 }
 
 /// Result of a validity check (`prove`). A refutation shares its model
@@ -253,7 +337,10 @@ pub struct SolverStats {
     pub checks: u64,
     /// Number of `prove` queries answered.
     pub proves: u64,
-    /// Number of theory (Fourier–Motzkin) calls.
+    /// Number of theory (Fourier–Motzkin) calls: one per atom cascaded
+    /// into a saturation, plus one per model-building final [`check_sat`].
+    /// A verdict-only `Sat`, read off the live saturation, runs no
+    /// elimination and adds none.
     pub theory_calls: u64,
     /// Total solver time in nanoseconds, each query's time added whole,
     /// so a memo hit (well under a microsecond) still counts.
@@ -280,8 +367,9 @@ pub struct SolverStats {
     /// Theory steps served by *extending* an already-populated incremental
     /// saturation — the re-saturation work the trail core avoids.
     pub saturation_reuses: u64,
-    /// Full from-scratch Fourier–Motzkin saturations (one per successful
-    /// search, for model extraction).
+    /// Full from-scratch Fourier–Motzkin saturations: one per `Sat`
+    /// search whose caller reads the model, to build it. A verdict-only
+    /// `Sat` runs none.
     pub resaturations: u64,
 }
 
@@ -420,7 +508,7 @@ pub struct QueryMemo {
 /// disk and must not be re-flushed.
 #[derive(Debug, Default)]
 struct MemoShard {
-    entries: HashMap<Fingerprint, CheckResult>,
+    entries: HashMap<Fingerprint, MemoEntry>,
     dirty: Vec<Fingerprint>,
 }
 
@@ -466,8 +554,8 @@ impl QueryMemo {
     /// Exports every memoized entry, sorted by fingerprint so the result
     /// is deterministic regardless of shard layout or insertion order —
     /// the persistence tier hashes serialized snapshots, so order matters.
-    pub fn snapshot(&self) -> Vec<(Fingerprint, CheckResult)> {
-        let mut out: Vec<(Fingerprint, CheckResult)> = self
+    pub fn snapshot(&self) -> Vec<(Fingerprint, MemoEntry)> {
+        let mut out: Vec<(Fingerprint, MemoEntry)> = self
             .shards
             .iter()
             .flat_map(|s| {
@@ -493,8 +581,8 @@ impl QueryMemo {
     /// came *from* persistence); only fresh solves are. Each exported
     /// model is the memo's own allocation, so a store that keeps the
     /// delta holds no second copy.
-    pub fn drain_dirty(&self) -> Vec<(Fingerprint, CheckResult)> {
-        let mut out: Vec<(Fingerprint, CheckResult)> = Vec::new();
+    pub fn drain_dirty(&self) -> Vec<(Fingerprint, MemoEntry)> {
+        let mut out: Vec<(Fingerprint, MemoEntry)> = Vec::new();
         for shard in &self.shards {
             let mut shard = lock(shard);
             let dirty = std::mem::take(&mut shard.dirty);
@@ -505,22 +593,24 @@ impl QueryMemo {
             }
         }
         out.sort_by_key(|(k, _)| *k);
-        // Two threads racing the same query both insert (and both mark);
-        // one export is enough.
+        // A key marked twice since the last drain (a bare `Sat`, then its
+        // upgrade) exports once, with its current entry.
         out.dedup_by_key(|(k, _)| *k);
         out
     }
 
     /// Merges entries (e.g. a [`QueryMemo::snapshot`] loaded from disk)
-    /// into the table. Existing entries win: a live table's verdicts were
-    /// computed by this process and never need overwriting — and results
-    /// are structural, so a disagreement is impossible short of a corrupted
-    /// snapshot, which must not clobber good entries.
+    /// into the table. Existing entries win, unless the incoming one
+    /// [upgrades](MemoEntry::upgrades) a bare `Sat` with its model: a live
+    /// table's verdicts were computed by this process and never need
+    /// overwriting — and results are structural, so a disagreement is
+    /// impossible short of a corrupted snapshot, which must not clobber
+    /// good entries.
     ///
     /// The entries are grouped by shard first, so a start-up warm-up takes
     /// each shard's lock once and grows its map once, not per entry.
-    pub fn absorb(&self, entries: impl IntoIterator<Item = (Fingerprint, CheckResult)>) {
-        let mut batches: Vec<Vec<(Fingerprint, CheckResult)>> = vec![Vec::new(); MEMO_SHARDS];
+    pub fn absorb(&self, entries: impl IntoIterator<Item = (Fingerprint, MemoEntry)>) {
+        let mut batches: Vec<Vec<(Fingerprint, MemoEntry)>> = vec![Vec::new(); MEMO_SHARDS];
         for (key, value) in entries {
             batches[shard_index(key)].push((key, value));
         }
@@ -531,25 +621,48 @@ impl QueryMemo {
             let mut shard = lock(shard);
             shard.entries.reserve(batch.len());
             for (key, value) in batch {
-                shard.entries.entry(key).or_insert(value);
+                shard.put(key, value);
             }
         }
     }
 
-    /// Looks up one memoized verdict. Public for the persistence layer:
+    /// Looks up one memoized entry. Public for the persistence layer:
     /// a verdict store healing a dangling dependency (an entry a
     /// compaction dropped but a later job turned out to need) re-reads it
-    /// from the live memo by fingerprint. A `Sat` hit hands out the
-    /// entry's model allocation, so the shard lock is held for a
+    /// from the live memo by fingerprint. A hit on a model hands out the
+    /// entry's allocation, so the shard lock is held for a
     /// reference-count bump, not a copy of the model.
-    pub fn get(&self, key: Fingerprint) -> Option<CheckResult> {
+    pub fn get(&self, key: Fingerprint) -> Option<MemoEntry> {
         self.shard(key).entries.get(&key).cloned()
     }
 
-    fn insert(&self, key: Fingerprint, value: CheckResult) {
+    /// Records a fresh solve, marking the key dirty if the entry changed:
+    /// a new key, or a bare `Sat` upgraded with its model. A verdict-only
+    /// insert racing a model-reading one on another thread never drops
+    /// the model, whichever lands last.
+    fn insert(&self, key: Fingerprint, value: MemoEntry) {
         let mut shard = self.shard(key);
-        shard.entries.insert(key, value);
-        shard.dirty.push(key);
+        if shard.put(key, value) {
+            shard.dirty.push(key);
+        }
+    }
+}
+
+impl MemoShard {
+    /// Stores `value` under `key` if the key is new or `value`
+    /// [upgrades](MemoEntry::upgrades) its entry; whether it did.
+    fn put(&mut self, key: Fingerprint, value: MemoEntry) -> bool {
+        match self.entries.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                true
+            }
+            Entry::Occupied(mut slot) if value.upgrades(slot.get()) => {
+                slot.insert(value);
+                true
+            }
+            Entry::Occupied(_) => false,
+        }
     }
 }
 
@@ -702,7 +815,8 @@ impl Solver {
         out
     }
 
-    /// Checks satisfiability of the conjunction of `terms` (thread shard).
+    /// Checks satisfiability of the conjunction of `terms` (thread shard),
+    /// with a model when it is satisfiable.
     pub fn check(&self, terms: &[Term]) -> CheckResult {
         with_shard(|arena| self.check_in(arena, terms))
     }
@@ -713,6 +827,20 @@ impl Solver {
     /// structure shares entries — and arenas with different contents can
     /// never alias.
     pub fn check_in(&self, arena: &mut TermArena, terms: &[Term]) -> CheckResult {
+        self.query_in(arena, terms, Want::Model).into_check_result()
+    }
+
+    /// Whether the conjunction of `terms` is satisfiable (thread shard):
+    /// [`Solver::check`] for a caller that reads only the verdict, so no
+    /// model is built. An exhausted budget answers `true`, as `check`'s
+    /// possibly-spurious `Sat` does.
+    pub fn satisfiable(&self, terms: &[Term]) -> bool {
+        with_shard(|arena| self.query_in(arena, terms, Want::Verdict)).is_sat()
+    }
+
+    /// The one monolithic-key query: the memo entry for the conjunction of
+    /// `terms`, solved on a miss for what `want` reads.
+    fn query_in(&self, arena: &mut TermArena, terms: &[Term], want: Want) -> MemoEntry {
         let start = Instant::now();
         // The cache key is the fingerprint of a *raw* n-ary And intern —
         // one O(n) hash of the child ids, not the O(n²) smart-constructor
@@ -729,7 +857,7 @@ impl Solver {
             _ => arena.intern(TermNode::And(terms.to_vec())),
         });
         let key = folded.map(|t| arena.fingerprint(t));
-        self.memoized(key, false, start, || {
+        self.memoized(key, false, want, start, || {
             // A fresh state over the normalized conjunction: the key's
             // folded And normalizes as one formula; without a key the terms
             // normalize one by one.
@@ -741,24 +869,31 @@ impl Solver {
                     .map(|t| norm.normalize(arena, *t, true))
                     .collect(),
             };
-            self.search(formulas.iter().collect(), None, norm.abstracted)
+            self.search(formulas.iter().collect(), None, norm.abstracted, want)
         })
     }
 
     /// Attempts to prove `assumptions ⊢ goal` by refutation: checks
-    /// `assumptions ∧ ¬goal` for unsatisfiability.
+    /// `assumptions ∧ ¬goal` for unsatisfiability, with a countermodel
+    /// when it is satisfiable.
     pub fn prove(&self, assumptions: &[Term], goal: &Term) -> ProveResult {
-        let r = with_shard(|arena| {
-            let mut terms: Vec<Term> = assumptions.to_vec();
-            terms.push(arena.not(*goal));
-            self.check_in(arena, &terms)
-        });
-        self.refutation(r)
+        refutation(self.refute(assumptions, goal, Want::Model))
     }
 
-    /// Convenience: whether `assumptions ⊢ goal` holds.
+    /// Whether `assumptions ⊢ goal` holds: [`Solver::prove`] for a caller
+    /// that reads only the verdict, so no countermodel is built.
     pub fn entails(&self, assumptions: &[Term], goal: &Term) -> bool {
-        self.prove(assumptions, goal).is_proved()
+        self.refute(assumptions, goal, Want::Verdict) == MemoEntry::Unsat
+    }
+
+    /// Counts one `prove`-family query and checks `assumptions ∧ ¬goal`.
+    fn refute(&self, assumptions: &[Term], goal: &Term, want: Want) -> MemoEntry {
+        self.bump(|s| s.proves += 1);
+        with_shard(|arena| {
+            let mut terms: Vec<Term> = assumptions.to_vec();
+            terms.push(arena.not(*goal));
+            self.query_in(arena, &terms, want)
+        })
     }
 
     /// Opens an assumption frame: every subsequent [`Solver::prove_pushed`]
@@ -837,8 +972,22 @@ impl Solver {
     /// assumption residue) is searched per query, and the trail unwinds the
     /// shared state back to the base afterwards.
     pub fn prove_pushed(&self, goal: &Term) -> ProveResult {
+        refutation(self.refute_pushed(goal, Want::Model))
+    }
+
+    /// Whether the pushed assumption frames entail `goal`:
+    /// [`Solver::prove_pushed`] for a caller that reads only the verdict,
+    /// so no countermodel is built.
+    pub fn entails_pushed(&self, goal: &Term) -> bool {
+        self.refute_pushed(goal, Want::Verdict) == MemoEntry::Unsat
+    }
+
+    /// Counts one `prove`-family query and checks `frames ∧ ¬goal` under
+    /// its assumption-set key.
+    fn refute_pushed(&self, goal: &Term, want: Want) -> MemoEntry {
         let start = Instant::now();
-        let r = with_shard(|arena| {
+        self.bump(|s| s.proves += 1);
+        with_shard(|arena| {
             let key = self.memo_enabled.then(|| {
                 let frames = self.frames.borrow();
                 let flat: Vec<Term> = frames
@@ -847,31 +996,19 @@ impl Solver {
                     .collect();
                 assumption_set_key(arena, &flat, *goal)
             });
-            self.memoized(key, true, start, || self.refute_pushed(arena, goal))
-        });
-        self.refutation(r)
-    }
-
-    /// Convenience: whether the pushed assumption frames entail `goal`.
-    pub fn entails_pushed(&self, goal: &Term) -> bool {
-        self.prove_pushed(goal).is_proved()
-    }
-
-    /// Counts one `prove`-family query and reads its refutation check:
-    /// `Unsat` proves the goal, a model refutes it.
-    fn refutation(&self, r: CheckResult) -> ProveResult {
-        self.bump(|s| s.proves += 1);
-        match r {
-            CheckResult::Unsat => ProveResult::Proved,
-            CheckResult::Sat(m) => ProveResult::Refuted(m),
-        }
+            self.memoized(key, true, want, start, || {
+                self.search_pushed(arena, goal, want)
+            })
+        })
     }
 
     /// The one memoized query path, shared by both key families. Records
     /// `key` as a dependency and answers from the memo when it can;
     /// otherwise the answer is the degraded placeholder
     /// ([`Solver::degraded`]) or `solve`'s verdict, and only a verdict —
-    /// never an exhaustion placeholder — is memoized. Counts the query in
+    /// never an exhaustion placeholder — is memoized. An entry with no
+    /// model cannot answer a caller that reads one: that is a miss, and
+    /// the fresh solve's model upgrades the entry. Counts the query in
     /// `checks`/`cache_hits` (and `assumption_*` for the assumption-set
     /// family) and its latency in `nanos` (and so `micros`) and the armed
     /// histogram.
@@ -879,13 +1016,16 @@ impl Solver {
         &self,
         key: Option<Fingerprint>,
         assumption_set: bool,
+        want: Want,
         start: Instant,
-        solve: impl FnOnce() -> CheckResult,
-    ) -> CheckResult {
-        let hit = key.and_then(|fp| {
-            self.touched.borrow_mut().push(fp);
-            self.memo.get(fp)
-        });
+        solve: impl FnOnce() -> MemoEntry,
+    ) -> MemoEntry {
+        let hit = key
+            .and_then(|fp| {
+                self.touched.borrow_mut().push(fp);
+                self.memo.get(fp)
+            })
+            .filter(|entry| want == Want::Verdict || *entry != MemoEntry::Sat);
         let is_hit = hit.is_some();
         let out = hit.unwrap_or_else(|| {
             let out = self.degraded().unwrap_or_else(solve);
@@ -924,7 +1064,7 @@ impl Solver {
     /// driver's isolation must contain it), `Delay` a pathological query,
     /// and `Error`/torn faults degrade to budget exhaustion — bounded,
     /// reportable, never a wrong verdict.
-    fn degraded(&self) -> Option<CheckResult> {
+    fn degraded(&self) -> Option<MemoEntry> {
         if self.exhausted.borrow().is_some() {
             return Some(exhausted_placeholder());
         }
@@ -944,21 +1084,23 @@ impl Solver {
 
     /// The one search path: a trail search for `pending` over the `shared`
     /// frame base, or over a fresh state when there is none, under the
-    /// budget window as it stands. Charges the search's theory work and
-    /// folds its trail counters into the stats. A shared base is unwound
-    /// back to exactly what it was, so it survives for the next pushed
-    /// query; a fresh one is simply dropped.
+    /// budget window as it stands, building a model only if `want` reads
+    /// one. Charges the search's theory work and folds its trail counters
+    /// into the stats. A shared base is unwound back to exactly what it
+    /// was, so it survives for the next pushed query; a fresh one is
+    /// simply dropped.
     fn search(
         &self,
         pending: Vec<&Formula>,
         shared: Option<&mut SearchBase>,
         abstracted: bool,
-    ) -> CheckResult {
+        want: Want,
+    ) -> MemoEntry {
         let unwind = shared.is_some();
         let mut fresh = SearchBase::default();
         let base = shared.unwrap_or(&mut fresh);
         let mut search = TrailSearch::new(pending, base, self.budget.get());
-        let outcome = search.run();
+        let outcome = search.run(want);
         if unwind {
             search.unwind_all();
         }
@@ -974,12 +1116,13 @@ impl Solver {
                 self.mark_exhausted(reason);
                 exhausted_placeholder()
             }
-            SearchOutcome::Sat(reals, bools) => CheckResult::Sat(Arc::new(Model::new(
+            SearchOutcome::Model(reals, bools) => MemoEntry::Model(Arc::new(Model::new(
                 reals.into_iter().map(|(k, v)| (k.as_str(), v)).collect(),
                 bools.into_iter().map(|(k, v)| (k.as_str(), v)).collect(),
                 abstracted,
             ))),
-            SearchOutcome::Unsat => CheckResult::Unsat,
+            SearchOutcome::Sat => MemoEntry::Sat,
+            SearchOutcome::Unsat => MemoEntry::Unsat,
         }
     }
 
@@ -996,7 +1139,7 @@ impl Solver {
     /// The miss path of [`Solver::prove_pushed`]: brings every open frame
     /// into the shared base, then searches the negated goal (and the
     /// frames' disjunctive residue) against it.
-    fn refute_pushed(&self, arena: &mut TermArena, goal: &Term) -> CheckResult {
+    fn search_pushed(&self, arena: &mut TermArena, goal: &Term, want: Want) -> MemoEntry {
         if let Err(reason) = self.materialize_frames(arena) {
             self.mark_exhausted(reason);
             return exhausted_placeholder();
@@ -1012,7 +1155,7 @@ impl Solver {
         if inconsistent {
             // Contradictory assumptions entail everything: the conjunction
             // `frames ∧ ¬goal` is unsat before the goal is even looked at.
-            return CheckResult::Unsat;
+            return MemoEntry::Unsat;
         }
         let mut actx = self.actx.borrow_mut();
         let ctx = actx
@@ -1027,7 +1170,7 @@ impl Solver {
         // `prove` processes `[assumptions…, ¬goal]`.
         let mut pending: Vec<&Formula> = ctx.or_seeds.iter().collect();
         pending.push(&goal_f);
-        self.search(pending, Some(&mut ctx.base), abstracted)
+        self.search(pending, Some(&mut ctx.base), abstracted, want)
     }
 
     /// Ensures every open frame is materialized into the shared context,
@@ -1233,8 +1376,17 @@ fn assumption_set_key(arena: &TermArena, assumptions: &[Term], goal: Term) -> Fi
 /// returns: an empty model flagged possibly-spurious. Callers already
 /// treat spurious `Sat` as "unknown, never proved", so the degradation is
 /// sound by construction.
-fn exhausted_placeholder() -> CheckResult {
-    CheckResult::Sat(Arc::new(Model::new(Vec::new(), Vec::new(), true)))
+fn exhausted_placeholder() -> MemoEntry {
+    MemoEntry::Model(Arc::new(Model::new(Vec::new(), Vec::new(), true)))
+}
+
+/// Reads a model-reading refutation check: `Unsat` proves the goal, a
+/// model refutes it.
+fn refutation(entry: MemoEntry) -> ProveResult {
+    match entry.into_check_result() {
+        CheckResult::Unsat => ProveResult::Proved,
+        CheckResult::Sat(m) => ProveResult::Refuted(m),
+    }
 }
 
 type RealModel = BTreeMap<Symbol, Rat>;
@@ -1243,9 +1395,12 @@ type BoolModel = BTreeMap<Symbol, bool>;
 /// Outcome of one iterative tableau search.
 #[derive(Debug)]
 enum SearchOutcome {
-    /// A model: the final full saturation's real assignment plus the bound
-    /// booleans.
-    Sat(RealModel, BoolModel),
+    /// A model, for a caller that reads one ([`Want::Model`]): the final
+    /// full saturation's real assignment plus the bound booleans.
+    Model(RealModel, BoolModel),
+    /// A branch satisfies the formula; no model was built, because the
+    /// caller reads only the verdict ([`Want::Verdict`]).
+    Sat,
     /// No branch satisfies the formula.
     Unsat,
     /// The budget tripped mid-search. A first-class outcome, never
@@ -1271,7 +1426,10 @@ enum SearchOutcome {
 /// byte-identical to the recursive engine: atoms run one incremental
 /// cascade each (where the old engine re-saturated the whole constraint
 /// stack), and the single full saturation at the end reconstructs the
-/// model from the same constraint vector in the same order.
+/// model from the same constraint vector in the same order. A search
+/// that is asked for the verdict only ([`Want::Verdict`]) skips that
+/// final saturation: the live one already shows the branch consistent,
+/// so it answers `Sat` with one theory call fewer and no model.
 ///
 /// The mutable state is borrowed, not owned, so one engine serves both the
 /// one-shot path (a fresh [`SearchBase`] per query) and the
@@ -1324,23 +1482,34 @@ impl<'f, 'a> TrailSearch<'f, 'a> {
         }
     }
 
-    /// Runs the search to completion.
-    fn run(&mut self) -> SearchOutcome {
+    /// Runs the search to completion, building a model at the end only if
+    /// `want` reads one.
+    fn run(&mut self, want: Want) -> SearchOutcome {
         loop {
             let Some(f) = self.pending.pop() else {
-                // All boolean structure satisfied. The incremental cascade
-                // already proved the conjunction consistent; one full
-                // saturation over the (order-preserved) constraint stack
-                // reconstructs the model exactly as the recursive engine's
-                // final check did.
+                // All boolean structure satisfied, and the incremental
+                // cascade already proved the conjunction consistent. The
+                // final step keeps its budget checkpoint either way.
                 if let Some(reason) = self.budget.tripped(self.theory_calls) {
                     return SearchOutcome::Exhausted(reason);
                 }
+                if want == Want::Verdict {
+                    // The live saturation is the verdict; no elimination
+                    // runs, so none is charged.
+                    debug_assert!(
+                        check_sat(self.constraints).is_sat(),
+                        "the live saturation is consistent but check_sat is not"
+                    );
+                    return SearchOutcome::Sat;
+                }
+                // One full saturation over the (order-preserved)
+                // constraint stack reconstructs the model exactly as the
+                // recursive engine's final check did.
                 self.theory_calls += 1;
                 self.resaturations += 1;
                 match check_sat(self.constraints) {
                     FmResult::Sat(reals) => {
-                        return SearchOutcome::Sat(reals, self.bools.clone());
+                        return SearchOutcome::Model(reals, self.bools.clone());
                     }
                     // Unreachable while the incremental cascade is
                     // complete; treated as a conflict defensively rather
@@ -1796,7 +1965,7 @@ mod tests {
         let (fp, live) = (snap[0].0, snap[0].1.clone());
         // A (hypothetically corrupt) snapshot entry for the same key must
         // not clobber the live verdict.
-        s.memo().absorb([(fp, CheckResult::Unsat)]);
+        s.memo().absorb([(fp, MemoEntry::Unsat)]);
         assert_eq!(s.memo().get(fp), Some(live));
     }
 
@@ -1888,11 +2057,136 @@ mod tests {
             ("snapshot", snapshot[0].1.clone()),
             ("drain_dirty", drained[0].1.clone()),
         ] {
-            let CheckResult::Sat(shared) = result else {
+            let MemoEntry::Model(shared) = result else {
                 panic!("{how}: the entry is the refutation's model");
             };
             assert!(Arc::ptr_eq(&shared, &model), "{how} copied the model");
         }
+    }
+
+    /// `x, y >= 0 ⊬ x + y >= 3`: refuted, with a countermodel over both.
+    fn refutable() -> ([Term; 2], Term) {
+        (
+            [x().ge(Term::int(0)), y().ge(Term::int(0))],
+            x().add(y()).ge(Term::int(3)),
+        )
+    }
+
+    #[test]
+    fn entails_memoizes_a_sat_verdict_without_a_model() {
+        let s = Solver::new();
+        let (hyps, goal) = refutable();
+        assert!(!s.entails(&hyps, &goal));
+        let snapshot = s.memo().snapshot();
+        assert_eq!(snapshot.len(), 1);
+        assert_eq!(snapshot[0].1, MemoEntry::Sat, "no model is built");
+        let st = s.stats();
+        assert_eq!(
+            (st.proves, st.checks, st.resaturations),
+            (1, 1, 0),
+            "{st:?}"
+        );
+        // Three atoms cascaded; the verdict-only final step charges none.
+        assert_eq!(st.theory_calls, 3, "{st:?}");
+        assert!(!s.entails(&hyps, &goal));
+        assert_eq!(s.stats().cache_hits, 1, "a verdict entry answers a verdict");
+    }
+
+    #[test]
+    fn a_model_reading_query_upgrades_a_verdict_entry_once() {
+        let s = Solver::new();
+        let (hyps, goal) = refutable();
+        assert!(!s.entails(&hyps, &goal));
+        let drained = s.memo().drain_dirty();
+        assert_eq!(drained.len(), 1);
+        let fp = drained[0].0;
+
+        // A bare verdict cannot answer a caller that reads the model: the
+        // query is a miss, solved again into the model a memo-less solver
+        // builds.
+        let before = s.stats();
+        let ProveResult::Refuted(model) = s.prove(&hyps, &goal) else {
+            panic!("x + y >= 3 does not follow");
+        };
+        let fresh = Solver::without_memo().prove(&hyps, &goal);
+        assert_eq!(fresh, ProveResult::Refuted(model.clone()));
+        let st = s.stats();
+        assert_eq!(st.cache_hits, before.cache_hits, "a miss: {st:?}");
+        assert_eq!(st.resaturations - before.resaturations, 1, "{st:?}");
+        // The entry is upgraded in place and dirty once.
+        assert_eq!(s.memo().get(fp), Some(MemoEntry::Model(model.clone())));
+        let drained = s.memo().drain_dirty();
+        assert_eq!(drained, vec![(fp, MemoEntry::Model(model.clone()))]);
+
+        // From then on the query is a hit with no theory work.
+        let before = s.stats();
+        let ProveResult::Refuted(hit) = s.prove(&hyps, &goal) else {
+            panic!("a hit answers like the solve");
+        };
+        assert!(Arc::ptr_eq(&hit, &model));
+        let st = s.stats();
+        assert_eq!(st.cache_hits - before.cache_hits, 1, "{st:?}");
+        assert_eq!(st.theory_calls, before.theory_calls, "{st:?}");
+        assert!(s.memo().drain_dirty().is_empty());
+    }
+
+    #[test]
+    fn a_verdict_never_replaces_a_model() {
+        let s = Solver::new();
+        let (hyps, goal) = refutable();
+        let ProveResult::Refuted(model) = s.prove(&hyps, &goal) else {
+            panic!("x + y >= 3 does not follow");
+        };
+        let fp = s.memo().drain_dirty()[0].0;
+        let held = Some(MemoEntry::Model(model.clone()));
+        // A model entry answers a verdict-only query.
+        assert!(!s.entails(&hyps, &goal));
+        assert_eq!(s.stats().cache_hits, 1);
+        // A verdict-only insert landing after the model (two workers racing
+        // on one key) keeps the model and dirties nothing; so does merging
+        // a persisted bare verdict.
+        s.memo().insert(fp, MemoEntry::Sat);
+        s.memo().absorb([(fp, MemoEntry::Sat)]);
+        assert_eq!(s.memo().get(fp), held);
+        assert!(s.memo().drain_dirty().is_empty());
+        // The other way round, the model upgrades the bare verdict.
+        let memo = QueryMemo::default();
+        memo.absorb([(fp, MemoEntry::Sat)]);
+        memo.absorb([(fp, MemoEntry::Model(model.clone()))]);
+        assert_eq!(memo.get(fp), held);
+        memo.insert(fp, MemoEntry::Sat);
+        assert_eq!(memo.get(fp), held);
+        assert!(memo.drain_dirty().is_empty());
+    }
+
+    #[test]
+    fn every_verdict_only_entry_point_skips_the_model() {
+        let s = Solver::new();
+        let bound = [x().le(Term::int(1))];
+        let goal = x().ge(Term::int(5));
+        assert!(s.satisfiable(&bound));
+        s.push_assumptions(&[x().ge(Term::int(0))]);
+        assert!(!s.entails_pushed(&goal));
+        let entries = s.memo().snapshot();
+        assert_eq!(entries.len(), 2);
+        assert!(
+            entries.iter().all(|(_, e)| *e == MemoEntry::Sat),
+            "{entries:?}"
+        );
+        assert_eq!(s.stats().resaturations, 0);
+        // Their model-reading twins upgrade the same two keys.
+        let refuted = s.prove_pushed(&goal);
+        s.pop_assumptions();
+        assert!(refuted.counterexample().is_some());
+        assert!(s.check(&bound).is_sat());
+        let entries = s.memo().snapshot();
+        assert_eq!(entries.len(), 2);
+        assert!(
+            entries.iter().all(|(_, e)| e.model().is_some()),
+            "{entries:?}"
+        );
+        let st = s.stats();
+        assert_eq!((st.cache_hits, st.resaturations), (0, 2), "{st:?}");
     }
 
     #[test]
@@ -2377,7 +2671,7 @@ mod tests {
     mod differential {
         use proptest::prelude::*;
 
-        use super::super::{reference, BudgetState, SearchBase, SearchOutcome, TrailSearch};
+        use super::super::{reference, BudgetState, SearchBase, SearchOutcome, TrailSearch, Want};
         use crate::fm::Constraint;
         use crate::linear::LinExpr;
         use crate::normalize::Formula;
@@ -2421,14 +2715,17 @@ mod tests {
             ) {
                 let (want, ref_calls) = reference::solve_formulas(fs.clone());
 
-                let mut base = SearchBase::default();
-                let mut search =
-                    TrailSearch::new(fs.iter().collect(), &mut base, BudgetState::default());
-                let outcome = search.run();
-                let trail_calls = search.theory_calls;
+                let run = |want: Want| {
+                    let mut base = SearchBase::default();
+                    let mut search =
+                        TrailSearch::new(fs.iter().collect(), &mut base, BudgetState::default());
+                    let outcome = search.run(want);
+                    (outcome, search.theory_calls)
+                };
+                let (outcome, trail_calls) = run(Want::Model);
 
                 match (&outcome, &want) {
-                    (SearchOutcome::Sat(reals, bs), Some((ref_reals, ref_bools))) => {
+                    (SearchOutcome::Model(reals, bs), Some((ref_reals, ref_bools))) => {
                         prop_assert_eq!(reals, ref_reals, "models diverge on {:?}", fs);
                         prop_assert_eq!(bs, ref_bools, "bool models diverge on {:?}", fs);
                     }
@@ -2442,6 +2739,23 @@ mod tests {
                     trail_calls <= ref_calls,
                     "trail engine did more theory work on {:?}: {} vs {}",
                     fs, trail_calls, ref_calls
+                );
+
+                // The verdict-only search: the reference's verdict, no
+                // model, and never more theory work than building one.
+                let (verdict, verdict_calls) = run(Want::Verdict);
+                prop_assert!(
+                    matches!(
+                        (&verdict, &want),
+                        (SearchOutcome::Sat, Some(_)) | (SearchOutcome::Unsat, None)
+                    ),
+                    "verdict-only search diverges on {:?}: {:?} vs reference {:?}",
+                    fs, verdict, want
+                );
+                prop_assert!(
+                    verdict_calls <= trail_calls,
+                    "verdict-only search did more theory work on {:?}: {} vs {}",
+                    fs, verdict_calls, trail_calls
                 );
             }
         }

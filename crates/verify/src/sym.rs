@@ -267,7 +267,7 @@ impl<'a> SymExec<'a> {
 
     /// Drops states whose path condition is unsatisfiable.
     fn feasible(&self, state: &SymState) -> bool {
-        self.solver.check(&state.path).is_sat()
+        self.solver.satisfiable(&state.path)
     }
 
     /// Executes a command sequence from each input state; returns the
