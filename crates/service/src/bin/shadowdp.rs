@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! shadowdp check <file>... [--fixeps <n>/<d>] [--trace-out <path>]
-//!                [--socket <path> [--spawn]]
+//!                [--threads <n>] [--socket <path> [--spawn]]
 //! shadowdp lint (<file>... | --table1) [--json]
 //! shadowdp table1 [--trace-out <path>] [--socket <path> [--spawn]]
 //!                 [--store <path>] [--threads <n>]
@@ -71,7 +71,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: shadowdp check <file>... [--fixeps <n>/<d>] [--trace-out <path>] \
-         [--socket <path> [--spawn]]\n\
+         [--threads <n>] [--socket <path> [--spawn]]\n\
          \x20      shadowdp lint (<file>... | --table1) [--json]\n\
          \x20      shadowdp table1 [--trace-out <path>] [--socket <path> [--spawn]] \
          [--store <path>] [--threads <n>]\n\

@@ -736,7 +736,7 @@ impl Names {
         if let Some(name) = self.0.get(bytes) {
             return Some(name);
         }
-        let name = Symbol::interned(std::str::from_utf8(bytes).ok()?);
+        let name = Symbol::intern(std::str::from_utf8(bytes).ok()?).as_str();
         self.0.insert(name.as_bytes(), name);
         Some(name)
     }
@@ -1192,7 +1192,7 @@ mod tests {
         let image = store.encode();
         let (first, _) = replay(&image).unwrap();
         let (second, _) = replay(&image).unwrap();
-        let interned = Symbol::interned("x");
+        let interned = Symbol::intern("x").as_str();
         for replayed in [&first, &second] {
             for fp in [1, 2] {
                 let Some(MemoEntry::Model(model)) = replayed.solver.get(&Fingerprint(fp)) else {

@@ -75,7 +75,7 @@ fn live<T>(f: impl FnOnce() -> T) -> (T, i64, i64) {
 fn reals(k: usize, seed: usize) -> Vec<(&'static str, Rat)> {
     (0..k)
         .map(|i| {
-            let name = Symbol::interned(&format!("v{i}"));
+            let name = Symbol::intern(&format!("v{i}")).as_str();
             (name, Rat::new((seed * 31 + i) as i128 - 50, 7))
         })
         .collect()

@@ -74,11 +74,11 @@ fn arb_model() -> impl Strategy<Value = Model> {
             Model::new(
                 reals
                     .iter()
-                    .map(|(k, v)| (Symbol::interned(k), *v))
+                    .map(|(k, v)| (Symbol::intern(k).as_str(), *v))
                     .collect(),
                 bools
                     .iter()
-                    .map(|(k, v)| (Symbol::interned(k), *v))
+                    .map(|(k, v)| (Symbol::intern(k).as_str(), *v))
                     .collect(),
                 spurious == 1,
             )
@@ -432,17 +432,19 @@ fn store_of_another_verifier_epoch_is_a_noted_cold_start() {
     let warm = VerdictStore::load(&path);
     assert!(warm.load_note().is_none());
     assert_eq!(warm.pipeline_len(), 1);
-    let next = format!("SDPV3E{:02}", epoch + 1);
-    let under_next = format!(
-        "written under verifier epoch {:02}, this build is epoch {epoch:02}",
-        epoch + 1
-    );
+    let [(previous, under_previous), (next, under_next)] = [epoch - 1, epoch + 1].map(|other| {
+        (
+            format!("SDPV3E{other:02}"),
+            format!("written under verifier epoch {other:02}, this build is epoch {epoch:02}"),
+        )
+    });
     for (magic, why) in [
         (b"SDPVERD2".as_slice(), "written before verifier epochs"),
         (
             b"SDPV2E01".as_slice(),
             "written in store layout v2, this build writes v3",
         ),
+        (previous.as_bytes(), under_previous.as_str()),
         (next.as_bytes(), under_next.as_str()),
         (b"SDPV3Ex1".as_slice(), "bad magic"),
     ] {

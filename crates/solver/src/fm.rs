@@ -192,8 +192,8 @@ pub fn check_sat(constraints: &[Constraint]) -> FmResult {
     let mut counts: Vec<(Symbol, usize)> = Vec::new();
     loop {
         // Pick the variable occurring in the fewest constraints (greedy
-        // heuristic to limit blowup); `counts` is in symbol order, so ties
-        // go to the smallest symbol.
+        // heuristic to limit blowup); `counts` is in name order, so ties
+        // go to the smallest name.
         counts.clear();
         for v in work.iter().flat_map(|c| c.lin.vars()) {
             match counts.binary_search_by_key(&v, |&(s, _)| s) {
@@ -688,18 +688,19 @@ mod tests {
 
     #[test]
     fn models_pin_the_elimination_order_and_the_equality_pivot() {
-        // The names are this test's own, interned in the order listed, so
-        // each first name has the smaller symbol id. Every system below
-        // yields another model when the choice it pins goes the other way.
+        // The names are this test's own, interned against their byte
+        // order, so a choice that followed interning order would go to `b`.
+        // Every system below yields another model when the choice it pins
+        // goes the other way.
+        let [b, a] = ["fm_pin_b", "fm_pin_a"].map(LinExpr::var);
         let model = |cs: &[Constraint], names: [&str; 2]| match check_sat(cs) {
             FmResult::Sat(m) => names.map(|n| val(&m, n)),
             FmResult::Unsat => panic!("should be sat"),
         };
-        let [a, b] = ["fm_pin_a", "fm_pin_b"].map(LinExpr::var);
         // a + b <= 4, a >= 0, b >= 0: both occur twice and the tie goes to
-        // the smaller id, so `a` is eliminated first. The model is built
-        // backwards: b takes the midpoint 2 of [0, 4], then a the midpoint
-        // 1 of [0, 2] ({a: 2, b: 1} the other way).
+        // the byte-smaller name, so `a` is eliminated first. The model is
+        // built backwards: b takes the midpoint 2 of [0, 4], then a the
+        // midpoint 1 of [0, 2] ({a: 2, b: 1} the other way).
         let cs = [
             le(a.clone() + b.clone() - k(4)),
             le(-a.clone()),
@@ -707,7 +708,7 @@ mod tests {
         ];
         assert_eq!(model(&cs, ["fm_pin_a", "fm_pin_b"]), [Rat::ONE, Rat::TWO]);
         // Add a <= 3: `a` now occurs three times and `b` twice, so `b` goes
-        // first despite its larger id ({a: 1, b: 2} the other way).
+        // first despite its larger name ({a: 1, b: 2} the other way).
         let cs = [
             le(a.clone() + b.clone() - k(4)),
             le(-a.clone()),

@@ -1,11 +1,11 @@
 //! Linear normal form for numeric terms: `c + Σ aᵢ·xᵢ`.
 //!
-//! A [`LinExpr`] holds its terms in one vector sorted by [`Symbol`] id,
-//! each symbol once and no coefficient zero. Lookups are binary searches
-//! over `u32` ids, a sum or difference of two borrowed expressions is one
+//! A [`LinExpr`] holds its terms in one vector sorted by [`Symbol`] (name
+//! order), each symbol once and no coefficient zero. Lookups are binary
+//! searches, a sum or difference of two borrowed expressions is one
 //! linear merge into one allocation, and every caller sees the terms in
-//! symbol-id order: `terms`, `Display`, and the choices Fourier–Motzkin
-//! makes from them (`crate::fm`).
+//! name order: `terms`, `Display`, and the choices Fourier–Motzkin makes
+//! from them (`crate::fm`).
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;

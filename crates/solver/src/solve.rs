@@ -109,11 +109,9 @@ fn query_hist(hit: bool) -> &'static shadowdp_obs::Histogram {
 /// interner, which already holds every name a query can mention, so a
 /// model stores a pointer per name instead of its own copy: every model
 /// that names `x` shares one `x`. The search converts its symbols once on
-/// the way out; a decoder reading models back looks each distinct name up
-/// once ([`Symbol::interned`]), which gives it no symbol id, so reading
-/// models back leaves the symbol order the solver breaks ties by as it
-/// was. Results carry a model as an `Arc<Model>`, shared rather than
-/// copied (see [`CheckResult`]).
+/// the way out, and a decoder reading models back interns each distinct
+/// name once. Results carry a model as an `Arc<Model>`, shared rather
+/// than copied (see [`CheckResult`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Model {
     reals: Box<[(&'static str, Rat)]>,

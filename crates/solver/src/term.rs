@@ -15,10 +15,9 @@
 //! structure produce the same fingerprint, which is what lets the solver's
 //! validity-query memo survive across threads without sharing an arena.
 //!
-//! Variable names are interned too: [`Symbol`] is a `u32` handle into a
-//! process-wide string table, so environment and model lookups compare ids
-//! instead of hashing strings. (Fingerprints hash the *name*, not the
-//! symbol id, so they do not depend on interning order.)
+//! Variable names are interned too: a [`Symbol`] is the process-wide
+//! interner's one copy of its name, so environment and model lookups
+//! compare pointers instead of hashing strings, and symbols order by name.
 //!
 //! Two ways to build terms:
 //!
@@ -49,9 +48,11 @@
 //! normalization and linearization in [`crate::normalize`].
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::hash::{Hash, Hasher};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use shadowdp_num::Rat;
 
@@ -59,81 +60,63 @@ use shadowdp_num::Rat;
 // Symbols
 // ---------------------------------------------------------------------------
 
-/// An interned variable name.
+/// An interned variable name: the process-wide interner's one copy of it.
 ///
-/// `Symbol` is a `u32` into a process-wide, append-only string table;
-/// comparisons and hashing are integer operations, and [`Symbol::as_str`]
-/// is a table load returning a `'static` string.
-///
-/// Ordering is by interning order (first intern wins the smaller id), not
-/// lexicographic — deterministic within a process, which is all the solver
-/// needs. Only [`Symbol::intern`] hands out ids: [`Symbol::interned`]
-/// shares the table's strings without taking one, so reading names back
-/// (a store load) does not reorder the symbols the solver's tie-breaks see.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(u32);
-
-struct Interner {
-    /// Name of each symbol id.
-    names: Vec<&'static str>,
-    /// Every name in the table, with its symbol id once it has one.
-    ids: HashMap<&'static str, Option<u32>>,
-}
-
-impl Interner {
-    /// The table's copy of `name`, added without an id if it is new.
-    fn copy(&mut self, name: &str) -> &'static str {
-        if let Some((&copy, _)) = self.ids.get_key_value(name) {
-            return copy;
-        }
-        let copy: &'static str = Box::leak(name.to_string().into_boxed_str());
-        self.ids.insert(copy, None);
-        copy
-    }
-
-    /// The symbol id of `name`, giving it the next one if it has none.
-    fn id(&mut self, name: &str) -> u32 {
-        if let Some(&Some(id)) = self.ids.get(name) {
-            return id;
-        }
-        let copy = self.copy(name);
-        let id = self.names.len() as u32;
-        self.names.push(copy);
-        self.ids.insert(copy, Some(id));
-        id
-    }
-}
-
-fn interner() -> MutexGuard<'static, Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER
-        .get_or_init(|| {
-            Mutex::new(Interner {
-                names: Vec::new(),
-                ids: HashMap::new(),
-            })
-        })
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// Equality and hashing compare the pointer; ordering compares the name's
+/// bytes, so it does not depend on the order names were interned.
+/// [`Symbol::as_str`] is a field read.
+#[derive(Clone, Copy)]
+pub struct Symbol(&'static str);
 
 impl Symbol {
-    /// Interns a name.
+    /// Interns a name: every call with equal names returns the same copy.
     pub fn intern(name: &str) -> Symbol {
-        Symbol(interner().id(name))
-    }
-
-    /// The table's copy of `name`, added if it is new, in one lock round
-    /// trip: the string `Symbol::intern(name).as_str()` returns, without
-    /// giving `name` a symbol id. Every call with equal names returns
-    /// the same pointer.
-    pub fn interned(name: &str) -> &'static str {
-        interner().copy(name)
+        static NAMES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+        let mut names = NAMES
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(&copy) = names.get(name) {
+            return Symbol(copy);
+        }
+        let copy: &'static str = Box::leak(name.into());
+        names.insert(copy);
+        Symbol(copy)
     }
 
     /// The interned string.
     pub fn as_str(self) -> &'static str {
-        interner().names[self.0 as usize]
+        self.0
+    }
+}
+
+impl PartialEq for Symbol {
+    fn eq(&self, other: &Symbol) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Symbol {}
+
+impl Hash for Symbol {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.as_ptr().hash(state);
+    }
+}
+
+impl Ord for Symbol {
+    fn cmp(&self, other: &Symbol) -> Ordering {
+        if self == other {
+            Ordering::Equal
+        } else {
+            self.0.cmp(other.0)
+        }
+    }
+}
+
+impl PartialOrd for Symbol {
+    fn partial_cmp(&self, other: &Symbol) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -341,11 +324,11 @@ impl TermNode {
 /// Computed once per interned node (children are always interned first, so
 /// the computation is O(node) from the children's cached fingerprints).
 /// Equal structure ⇒ equal fingerprint, in *any* arena on *any* thread —
-/// variable names are hashed by their string contents, not their interner
-/// ids, so the value does not depend on interning order. The converse holds
-/// up to 128-bit hash collisions, which the solver treats as negligible
-/// (the memo-key property tests in `tests/shard_memo.rs` pin collision
-/// freedom over randomized term programs).
+/// variable names are hashed by their string contents, so the value does
+/// not depend on interning order. The converse holds up to 128-bit hash
+/// collisions, which the solver treats as negligible (the memo-key
+/// property tests in `tests/shard_memo.rs` pin collision freedom over
+/// randomized term programs).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Fingerprint(pub u128);
 
@@ -1092,26 +1075,20 @@ mod tests {
         assert_eq!(t, t2);
     }
 
+    /// Equal names share one interned copy, and symbols order by their
+    /// names' bytes whatever order the names were interned in.
     #[test]
     fn symbols_intern_to_stable_ids() {
         let a = Symbol::intern("some_var");
-        let b = Symbol::intern("some_var");
+        let b = Symbol::intern(&String::from("some_var"));
         assert_eq!(a, b);
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
         assert_eq!(a.as_str(), "some_var");
         assert_ne!(Symbol::intern("other_var"), a);
-    }
-
-    /// `Symbol::interned` shares the table's copy of a name but gives it
-    /// no id: the id comes from the first `Symbol::intern`, so ids keep
-    /// the order names were first interned as symbols.
-    #[test]
-    fn interned_names_take_no_symbol_id() {
-        let copy = Symbol::interned("name_read_back_first");
-        assert!(std::ptr::eq(copy, Symbol::interned("name_read_back_first")));
-        let earlier = Symbol::intern("name_interned_first");
-        let later = Symbol::intern("name_read_back_first");
+        let later = Symbol::intern("sym_order_b");
+        let earlier = Symbol::intern("sym_order_a");
         assert!(earlier < later);
-        assert!(std::ptr::eq(later.as_str(), copy));
+        assert!(Symbol::intern("sym_order_") < earlier);
     }
 
     /// Interning the same structure into two independent arenas — in any

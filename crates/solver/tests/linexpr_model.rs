@@ -8,7 +8,7 @@
 //! and the rendered text.
 //!
 //! The variables are interned in an order unlike their names' order, so
-//! that a representation ordering terms by name rather than by symbol
+//! that a representation ordering terms by interning rather than by name
 //! would show.
 
 use std::collections::BTreeMap;
@@ -179,11 +179,11 @@ proptest! {
 }
 
 #[test]
-fn render_follows_symbol_order_not_name_order() {
+fn render_follows_name_order_not_interning_order() {
     let v = vars();
-    // `lm_e` was interned before `lm_a`, so it prints first.
+    // `lm_e` was interned before `lm_a`, yet `lm_a` prints first.
     let e = LinExpr::var(v[3]).scale(Rat::int(-2))
         + LinExpr::var(v[0])
         + LinExpr::constant(Rat::new(1, 2));
-    assert_eq!(e.to_string(), "1/2 + lm_e - 2*lm_a");
+    assert_eq!(e.to_string(), "1/2 - 2*lm_a + lm_e");
 }

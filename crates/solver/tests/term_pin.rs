@@ -7,8 +7,8 @@
 //! three queries build; this term reaches all 19, so a change to how any
 //! variant hashes, prints, collects or splits fails here.
 //!
-//! The variable names are interned by no other test: `Symbol` order is
-//! interning order, and `LinExpr` prints its variables in that order.
+//! `LinExpr` prints its variables in name order, so the normalized
+//! formulas pinned here do not depend on which test interned a name first.
 
 use shadowdp_num::Rat;
 use shadowdp_solver::normalize::{Formula, Normalizer};

@@ -1,11 +1,11 @@
 //! Typing environments Γ and the distance lattice.
 //!
-//! Γ is keyed by interned [`Symbol`]s: every lookup and insertion compares
-//! `u32` ids, and iterating hands out `Copy` keys — no string hashing or
-//! cloning on the type-checking path. Symbols are interned process-wide
-//! (unlike solver terms, which live in per-thread arena shards), so
-//! environments and distances are thread-agnostic; only lowered solver
-//! terms pin a verification to its worker thread.
+//! Γ is keyed by interned [`Symbol`]s: iterating hands out `Copy` keys in
+//! name order — no string hashing or cloning on the type-checking path.
+//! Symbols are interned process-wide (unlike solver terms, which live in
+//! per-thread arena shards), so environments and distances are
+//! thread-agnostic; only lowered solver terms pin a verification to its
+//! worker thread.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -220,7 +220,7 @@ impl TypeEnv {
         self.vars.insert(name.into(), ty);
     }
 
-    /// Iterates bindings in symbol order (deterministic per process).
+    /// Iterates bindings in name order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &VarTy)> {
         self.vars.iter().map(|(k, v)| (*k, v))
     }

@@ -42,7 +42,7 @@ const PRE_REKEYING_DIGESTS: [&str; 18] = [
 /// that wrote it, so a change that moves a digest must also bump
 /// [`shadowdp::VERIFIER_EPOCH`]; editing the table alone fails
 /// `digest_table_is_pinned_to_the_verifier_epoch`.
-const DIGESTS_EPOCH: (u8, &str) = (1, "a0c7cb659ac50dd9110b879fab3c3551");
+const DIGESTS_EPOCH: (u8, &str) = (2, "a0c7cb659ac50dd9110b879fab3c3551");
 
 #[test]
 fn digest_table_is_pinned_to_the_verifier_epoch() {
