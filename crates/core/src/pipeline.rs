@@ -19,7 +19,7 @@ use shadowdp_verify::{verify_with, Options, Report, Verdict};
 /// Per-phase wall-clock histogram. Shares its name with the `lower`
 /// member observed inside `shadowdp-verify` — the obs registry dedupes
 /// by name, so both crates feed one family.
-static PHASE_US: shadowdp_obs::LazyHistogramFamily = shadowdp_obs::LazyHistogramFamily::new(
+static PHASE_US: shadowdp_obs::LazyFamily<shadowdp_obs::Histogram> = shadowdp_obs::LazyFamily::new(
     "shadowdp_phase_us",
     "Wall-clock latency per pipeline phase (microseconds)",
     "phase",
@@ -28,11 +28,12 @@ static PHASE_US: shadowdp_obs::LazyHistogramFamily = shadowdp_obs::LazyHistogram
 /// Per-algorithm verification latency — what `shadowdp top`'s
 /// per-algorithm rows are built from. One observation per verified job,
 /// so the dynamic label set stays bounded by the corpus.
-static ALGO_VERIFY_US: shadowdp_obs::LazyHistogramFamily = shadowdp_obs::LazyHistogramFamily::new(
-    "shadowdp_verify_algorithm_us",
-    "Wall-clock verification latency per algorithm (microseconds)",
-    "algorithm",
-);
+static ALGO_VERIFY_US: shadowdp_obs::LazyFamily<shadowdp_obs::Histogram> =
+    shadowdp_obs::LazyFamily::new(
+        "shadowdp_verify_algorithm_us",
+        "Wall-clock verification latency per algorithm (microseconds)",
+        "algorithm",
+    );
 
 static SOLVER_QUERIES: shadowdp_obs::LazyCounter = shadowdp_obs::LazyCounter::new(
     "shadowdp_solver_queries_total",
@@ -70,7 +71,7 @@ static RESATURATIONS: shadowdp_obs::LazyCounter = shadowdp_obs::LazyCounter::new
     "shadowdp_saturation_recompute_total",
     "Full from-scratch constraint-set saturations",
 );
-static LINT_DIAGS: shadowdp_obs::LazyCounterFamily = shadowdp_obs::LazyCounterFamily::new(
+static LINT_DIAGS: shadowdp_obs::LazyFamily<shadowdp_obs::Counter> = shadowdp_obs::LazyFamily::new(
     "shadowdp_lint_diagnostics_total",
     "Static-analysis diagnostics emitted, by stable SD code",
     "code",

@@ -18,6 +18,10 @@
 //! - [`FaultKind::Panic`] — the site panics (what a logic bug does).
 //! - [`FaultKind::Delay`] — the site stalls for a fixed duration (what a
 //!   wedged disk or peer does).
+//! - [`FaultKind::Hold`] — the site blocks until the test opens its
+//!   [`Gate`], so a test can order events across threads without racing
+//!   the clock. Only programmatic plans hold; `SHADOWDP_FAULTS` has no
+//!   syntax for it.
 //!
 //! # Determinism and cost
 //!
@@ -55,7 +59,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, Once, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// What an injected fault does at its site.
@@ -75,7 +79,70 @@ pub enum FaultKind {
         /// Stall duration in milliseconds.
         millis: u64,
     },
+    /// The site blocks until the gate opens, then proceeds normally.
+    Hold(Gate),
 }
+
+/// A latch a [`FaultKind::Hold`] site waits at. Clones share one gate:
+/// the test keeps a clone, [`Gate::wait_held`] tells it when a thread has
+/// reached the site, and [`Gate::open`] lets every held thread, and every
+/// later one, through.
+#[derive(Clone, Debug, Default)]
+pub struct Gate(Arc<(Mutex<Latch>, Condvar)>);
+
+#[derive(Debug, Default)]
+struct Latch {
+    open: bool,
+    /// Whether a thread has reached the gate (released ones included).
+    held: bool,
+}
+
+impl Gate {
+    /// A closed gate.
+    pub fn new() -> Gate {
+        Gate::default()
+    }
+
+    /// Opens the gate for good, releasing every held thread.
+    pub fn open(&self) {
+        let (latch, changed) = &*self.0;
+        latch.lock().unwrap_or_else(PoisonError::into_inner).open = true;
+        changed.notify_all();
+    }
+
+    /// Waits until a thread has been held at the gate, or `timeout`
+    /// passes; returns whether one was.
+    pub fn wait_held(&self, timeout: Duration) -> bool {
+        let (latch, changed) = &*self.0;
+        let latch = latch.lock().unwrap_or_else(PoisonError::into_inner);
+        let (latch, _) = changed
+            .wait_timeout_while(latch, timeout, |l| !l.held)
+            .unwrap_or_else(PoisonError::into_inner);
+        latch.held
+    }
+
+    /// What a `Hold` site does: marks the gate held and blocks the
+    /// calling thread until the gate opens.
+    pub fn hold(&self) {
+        let (latch, changed) = &*self.0;
+        let mut latch = latch.lock().unwrap_or_else(PoisonError::into_inner);
+        latch.held = true;
+        changed.notify_all();
+        let _open = changed
+            .wait_while(latch, |l| !l.open)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+/// Gates compare by identity: two kinds are equal when they hold at the
+/// same gate.
+impl PartialEq for Gate {
+    fn eq(&self, other: &Gate) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Gate {}
 
 /// One scheduled fault: a site, a kind, and when it fires.
 #[derive(Clone, Debug)]
@@ -357,7 +424,7 @@ fn injected(site: &str, what: &str) -> std::io::Error {
 /// reads, solver steps): applies the scheduled fault, if any.
 ///
 /// `Error` and `TornWrite` (meaningless without a buffer) report an
-/// injected error; `Panic` panics; `Delay` stalls, then succeeds.
+/// injected error; `Panic` panics; `Delay` and `Hold` stall, then succeed.
 ///
 /// # Errors
 ///
@@ -367,6 +434,10 @@ pub fn fail_point(site: &str) -> std::io::Result<()> {
         None => Ok(()),
         Some(FaultKind::Delay { millis }) => {
             std::thread::sleep(Duration::from_millis(millis));
+            Ok(())
+        }
+        Some(FaultKind::Hold(gate)) => {
+            gate.hold();
             Ok(())
         }
         Some(FaultKind::Panic) => panic!("injected panic at {site}"),
@@ -387,6 +458,10 @@ pub fn write_all(site: &str, writer: &mut impl std::io::Write, buf: &[u8]) -> st
         None => writer.write_all(buf),
         Some(FaultKind::Delay { millis }) => {
             std::thread::sleep(Duration::from_millis(millis));
+            writer.write_all(buf)
+        }
+        Some(FaultKind::Hold(gate)) => {
+            gate.hold();
             writer.write_all(buf)
         }
         Some(FaultKind::Panic) => panic!("injected panic at {site}"),
@@ -466,6 +541,7 @@ mod tests {
             "x=torn:abc",
             "=error",
             "x=delay:",
+            "x=hold",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must not parse");
         }
@@ -505,6 +581,52 @@ mod tests {
         });
         assert_eq!(late.join().unwrap(), None);
         assert_eq!(check("scoped"), None);
+    }
+
+    #[test]
+    fn a_held_site_proceeds_only_after_the_gate_opens() {
+        let gate = Gate::new();
+        let _guard = FaultPlan::new()
+            .once("h", FaultKind::Hold(gate.clone()))
+            .install();
+        assert!(
+            !gate.wait_held(Duration::from_millis(1)),
+            "nothing held yet"
+        );
+        let (passed, passes) = std::sync::mpsc::channel();
+        let plan = PlanHandle::current();
+        let held = std::thread::spawn(move || {
+            let _bound = plan.bind();
+            let result = fail_point("h");
+            passed.send(()).expect("the test is waiting");
+            result
+        });
+        assert!(gate.wait_held(Duration::from_secs(60)), "the site holds");
+        assert!(passes.try_recv().is_err(), "a held site waits for open");
+        gate.open();
+        held.join().unwrap().expect("a released site succeeds");
+        passes.recv().expect("the site passed");
+    }
+
+    #[test]
+    fn a_once_gate_holds_only_the_first_hit() {
+        let gate = Gate::new();
+        let _guard = FaultPlan::new()
+            .once("w", FaultKind::Hold(gate.clone()))
+            .install();
+        let plan = PlanHandle::current();
+        let first = std::thread::spawn(move || {
+            let _bound = plan.bind();
+            let mut out = Vec::new();
+            write_all("w", &mut out, b"held").map(|()| out)
+        });
+        assert!(gate.wait_held(Duration::from_secs(60)), "hit 1 holds");
+        assert_eq!(check("w"), None, "hit 2 passes while hit 1 is held");
+        gate.open();
+        assert_eq!(
+            first.join().unwrap().expect("the held write goes through"),
+            b"held"
+        );
     }
 
     #[test]

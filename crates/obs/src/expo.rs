@@ -48,10 +48,11 @@ fn render_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
 pub fn render_prometheus() -> String {
     let mut out = String::new();
     for entry in registry().iter() {
-        let (type_name, name) = match entry.handle {
-            Handle::Counter(_) | Handle::CounterFamily(_) => ("counter", entry.name),
-            Handle::Gauge(_) | Handle::FloatGauge(_) => ("gauge", entry.name),
-            Handle::Histogram(_) | Handle::Family(_) => ("histogram", entry.name),
+        let name = entry.name;
+        let type_name = match entry.handle {
+            Handle::Counter(_) | Handle::CounterFamily(_) => "counter",
+            Handle::Gauge(_) | Handle::FloatGauge(_) => "gauge",
+            Handle::Histogram(_) | Handle::HistogramFamily(_) => "histogram",
         };
         out.push_str(&format!("# HELP {name} {}\n", entry.help));
         out.push_str(&format!("# TYPE {name} {type_name}\n"));
@@ -60,9 +61,9 @@ pub fn render_prometheus() -> String {
             Handle::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
             Handle::FloatGauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
             Handle::Histogram(h) => render_histogram(&mut out, name, "", h),
-            Handle::Family(f) => {
+            Handle::HistogramFamily(f) => {
                 for (label, h) in f.members() {
-                    let labels = format!("{}=\"{}\"", f.label_key(), escape_label(&label));
+                    let labels = format!("{}=\"{}\"", f.label_key, escape_label(&label));
                     render_histogram(&mut out, name, &labels, h);
                 }
             }
@@ -70,7 +71,7 @@ pub fn render_prometheus() -> String {
                 for (label, c) in f.members() {
                     out.push_str(&format!(
                         "{name}{{{}=\"{}\"}} {}\n",
-                        f.label_key(),
+                        f.label_key,
                         escape_label(&label),
                         c.get()
                     ));
@@ -379,20 +380,22 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics;
+    use crate::metrics::{
+        Counter, LazyCounter, LazyFamily, LazyFloatGauge, LazyGauge, LazyHistogram,
+    };
 
     #[test]
     fn render_validates_and_round_trips() {
-        metrics::counter("expo_test_total", "a counter").add(5);
-        metrics::gauge("expo_test_depth", "a gauge").set(3);
-        metrics::float_gauge("expo_test_ratio", "a ratio").set(1.5);
-        let h = metrics::histogram("expo_test_us", "a histogram");
+        LazyCounter::new("expo_test_total", "a counter").add(5);
+        LazyGauge::new("expo_test_depth", "a gauge").set(3);
+        LazyFloatGauge::new("expo_test_ratio", "a ratio").set(1.5);
+        let h = LazyHistogram::new("expo_test_us", "a histogram");
         h.observe(1);
         h.observe(300);
-        metrics::histogram_family("expo_test_phase_us", "per-phase", "phase")
+        LazyFamily::<Histogram>::new("expo_test_phase_us", "per-phase", "phase")
             .with("verify")
             .observe(1000);
-        metrics::counter_family("expo_test_diags_total", "per-code", "code")
+        LazyFamily::<Counter>::new("expo_test_diags_total", "per-code", "code")
             .with("SD01")
             .add(4);
         let text = render_prometheus();

@@ -38,14 +38,18 @@
 //! # Metrics
 //!
 //! Call-sites declare `static` lazy handles ([`LazyCounter`],
-//! [`LazyGauge`], [`LazyHistogram`], [`LazyHistogramFamily`]) that
-//! register themselves in the process-global registry on first touch;
-//! [`render_prometheus`] renders every registered metric in Prometheus
-//! text exposition format (validated by [`validate_exposition`], parsed
-//! back by [`parse_exposition`] — the `shadowdp top` data path).
-//! Histograms use fixed log2 buckets (upper bounds 1, 2, 4, …, 2^26,
-//! +Inf — microseconds by convention), so they merge across threads and
-//! processes by bucket-wise addition and yield cheap p50/p99 estimates.
+//! [`LazyGauge`], [`LazyFloatGauge`], [`LazyHistogram`], and
+//! [`LazyFamily`] for a counter or histogram family split by one label)
+//! that register themselves in the process-global registry on first
+//! touch; the registry has no other way in. [`render_prometheus`]
+//! renders every registered metric in Prometheus text exposition format,
+//! and that exposition is the registry's one read path: `METRICS` serves
+//! it, [`validate_exposition`] checks it, and [`parse_exposition`] reads
+//! it back — for `shadowdp top`, the end-to-end benchmark and the metric
+//! tests alike. Histograms use fixed log2 buckets (upper bounds 1, 2, 4,
+//! …, 2^26, +Inf — microseconds by convention), so they merge across
+//! threads and processes by bucket-wise addition and yield cheap p50/p99
+//! estimates.
 
 pub mod expo;
 pub mod metrics;
@@ -53,9 +57,8 @@ pub mod spans;
 
 pub use expo::{parse_exposition, render_prometheus, validate_exposition, Sample};
 pub use metrics::{
-    snapshot, Counter, CounterFamily, FloatGauge, Gauge, Histogram, HistogramFamily, LazyCounter,
-    LazyCounterFamily, LazyFloatGauge, LazyGauge, LazyHistogram, LazyHistogramFamily, SnapValue,
-    HIST_BUCKETS,
+    Counter, Family, FloatGauge, Gauge, Histogram, LazyCounter, LazyFamily, LazyFloatGauge,
+    LazyGauge, LazyHistogram, HIST_BUCKETS,
 };
 pub use spans::{
     arm, arm_from_env, armed, chrome_trace_json, disarm, span, span_labeled, spans_overwritten,

@@ -1,11 +1,15 @@
-//! The metrics registry: counters, gauges, and fixed-bucket log2
-//! histograms behind process-global lazily-registered handles.
+//! The metrics registry: counters, gauges, fixed-bucket log2 histograms,
+//! and families of counters or histograms split by one label, behind
+//! process-global lazily-registered handles.
 //!
 //! Metric updates are always on (no arming): each is one atomic RMW on a
 //! `&'static` handle that call-sites cache in a `Lazy*` static, so the
 //! registry lock is only taken on the *first* touch of each site and
 //! when rendering. Histograms are arrays of atomics, so they merge
-//! across threads for free and render deterministically.
+//! across threads for free and render deterministically. The registry
+//! is read in one way only: the exposition
+//! [`render_prometheus`](crate::render_prometheus) renders, which is
+//! what `METRICS` serves.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -165,69 +169,44 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
-
-    /// Upper bound of the bucket containing the `q`-quantile (0 when
-    /// empty; the last finite bound for observations past the finite
-    /// range). Coarse by construction — within a 2× bucket — which is
-    /// plenty for a p50/p99 live view.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let counts = self.counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, c) in counts.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= rank {
-                return Histogram::bucket_upper(i).unwrap_or(1 << (HIST_BUCKETS - 2));
-            }
-        }
-        1 << (HIST_BUCKETS - 2)
-    }
 }
 
-/// A histogram family keyed by one label dimension (e.g. `phase` or
-/// `algorithm`). Members are created on first use and render as
-/// `name_bucket{<key>="<value>",le="…"}` series.
+/// A family of counters or histograms split by one label dimension
+/// (e.g. `phase` or `code`). Members are created on first use and render
+/// as `name{<key>="<value>"}` series (histogram members with their `le`
+/// buckets).
 #[derive(Debug)]
-pub struct HistogramFamily {
-    label_key: &'static str,
-    members: Mutex<BTreeMap<String, &'static Histogram>>,
+pub struct Family<M: 'static> {
+    pub(crate) label_key: &'static str,
+    members: Mutex<BTreeMap<String, &'static M>>,
 }
 
-impl HistogramFamily {
-    fn new(label_key: &'static str) -> HistogramFamily {
-        HistogramFamily {
+impl<M: Member> Family<M> {
+    fn new(label_key: &'static str) -> Family<M> {
+        Family {
             label_key,
             members: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The label key this family is split by.
-    pub fn label_key(&self) -> &'static str {
-        self.label_key
-    }
-
-    /// The member histogram for `label_value` (created empty on first
-    /// use). Takes the family lock — cache the returned handle when
-    /// observing in a loop.
-    pub fn with(&self, label_value: &str) -> &'static Histogram {
+    /// The member for `label_value` (created empty on first use). Takes
+    /// the family lock — cache the returned handle when updating it in a
+    /// loop.
+    pub fn with(&self, label_value: &str) -> &'static M {
         let mut members = self
             .members
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(h) = members.get(label_value) {
-            return h;
+        if let Some(m) = members.get(label_value) {
+            return m;
         }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-        members.insert(label_value.to_string(), h);
-        h
+        let m: &'static M = Box::leak(Box::default());
+        members.insert(label_value.to_string(), m);
+        m
     }
 
-    /// Snapshot of `(label_value, histogram)` members, sorted by label.
-    pub fn members(&self) -> Vec<(String, &'static Histogram)> {
+    /// The `(label_value, member)` pairs, sorted by label.
+    pub(crate) fn members(&self) -> Vec<(String, &'static M)> {
         self.members
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -237,54 +216,28 @@ impl HistogramFamily {
     }
 }
 
-/// A counter family keyed by one label dimension (e.g. `code` or
-/// `verb`). Members are created on first use and render as
-/// `name{<key>="<value>"}` series.
-#[derive(Debug)]
-pub struct CounterFamily {
-    label_key: &'static str,
-    members: Mutex<BTreeMap<String, &'static Counter>>,
-}
+mod sealed {
+    use super::Family;
 
-impl CounterFamily {
-    fn new(label_key: &'static str) -> CounterFamily {
-        CounterFamily {
-            label_key,
-            members: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The label key this family is split by.
-    pub fn label_key(&self) -> &'static str {
-        self.label_key
-    }
-
-    /// The member counter for `label_value` (created zeroed on first
-    /// use). Takes the family lock — cache the returned handle when
-    /// bumping in a loop.
-    pub fn with(&self, label_value: &str) -> &'static Counter {
-        let mut members = self
-            .members
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(c) = members.get(label_value) {
-            return c;
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        members.insert(label_value.to_string(), c);
-        c
-    }
-
-    /// Snapshot of `(label_value, counter)` members, sorted by label.
-    pub fn members(&self) -> Vec<(String, &'static Counter)> {
-        self.members
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
+    /// What a [`Family`] holds: a [`Counter`](super::Counter) or a
+    /// [`Histogram`](super::Histogram). The trait cannot be named outside
+    /// this crate, so families are registered only through
+    /// [`LazyFamily`](super::LazyFamily).
+    pub trait Member: Default + Sync + 'static {
+        /// Registers (or fetches) the family `name` of this member type,
+        /// split by `label_key`.
+        ///
+        /// # Panics
+        ///
+        /// If `name` was already registered as a different metric type.
+        fn family(
+            name: &'static str,
+            help: &'static str,
+            label_key: &'static str,
+        ) -> &'static Family<Self>;
     }
 }
+use sealed::Member;
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -296,8 +249,8 @@ pub(crate) enum Handle {
     Gauge(&'static Gauge),
     FloatGauge(&'static FloatGauge),
     Histogram(&'static Histogram),
-    Family(&'static HistogramFamily),
-    CounterFamily(&'static CounterFamily),
+    HistogramFamily(&'static Family<Histogram>),
+    CounterFamily(&'static Family<Counter>),
 }
 
 pub(crate) struct Entry {
@@ -329,7 +282,7 @@ fn register(name: &'static str, help: &'static str, make: impl FnOnce() -> Handl
 /// # Panics
 ///
 /// If `name` was already registered as a different metric type.
-pub fn counter(name: &'static str, help: &'static str) -> &'static Counter {
+fn counter(name: &'static str, help: &'static str) -> &'static Counter {
     match register(name, help, || {
         Handle::Counter(Box::leak(Box::new(Counter::new())))
     }) {
@@ -343,7 +296,7 @@ pub fn counter(name: &'static str, help: &'static str) -> &'static Counter {
 /// # Panics
 ///
 /// If `name` was already registered as a different metric type.
-pub fn gauge(name: &'static str, help: &'static str) -> &'static Gauge {
+fn gauge(name: &'static str, help: &'static str) -> &'static Gauge {
     match register(name, help, || {
         Handle::Gauge(Box::leak(Box::new(Gauge::new())))
     }) {
@@ -357,7 +310,7 @@ pub fn gauge(name: &'static str, help: &'static str) -> &'static Gauge {
 /// # Panics
 ///
 /// If `name` was already registered as a different metric type.
-pub fn float_gauge(name: &'static str, help: &'static str) -> &'static FloatGauge {
+fn float_gauge(name: &'static str, help: &'static str) -> &'static FloatGauge {
     match register(name, help, || {
         Handle::FloatGauge(Box::leak(Box::new(FloatGauge::new())))
     }) {
@@ -371,7 +324,7 @@ pub fn float_gauge(name: &'static str, help: &'static str) -> &'static FloatGaug
 /// # Panics
 ///
 /// If `name` was already registered as a different metric type.
-pub fn histogram(name: &'static str, help: &'static str) -> &'static Histogram {
+fn histogram(name: &'static str, help: &'static str) -> &'static Histogram {
     match register(name, help, || {
         Handle::Histogram(Box::leak(Box::new(Histogram::new())))
     }) {
@@ -380,41 +333,33 @@ pub fn histogram(name: &'static str, help: &'static str) -> &'static Histogram {
     }
 }
 
-/// Registers (or fetches) the histogram family `name` split by
-/// `label_key`.
-///
-/// # Panics
-///
-/// If `name` was already registered as a different metric type.
-pub fn histogram_family(
-    name: &'static str,
-    help: &'static str,
-    label_key: &'static str,
-) -> &'static HistogramFamily {
-    match register(name, help, || {
-        Handle::Family(Box::leak(Box::new(HistogramFamily::new(label_key))))
-    }) {
-        Handle::Family(f) => f,
-        _ => panic!("metric `{name}` already registered with a different type"),
+impl Member for Histogram {
+    fn family(
+        name: &'static str,
+        help: &'static str,
+        label_key: &'static str,
+    ) -> &'static Family<Histogram> {
+        match register(name, help, || {
+            Handle::HistogramFamily(Box::leak(Box::new(Family::new(label_key))))
+        }) {
+            Handle::HistogramFamily(f) => f,
+            _ => panic!("metric `{name}` already registered with a different type"),
+        }
     }
 }
 
-/// Registers (or fetches) the counter family `name` split by
-/// `label_key`.
-///
-/// # Panics
-///
-/// If `name` was already registered as a different metric type.
-pub fn counter_family(
-    name: &'static str,
-    help: &'static str,
-    label_key: &'static str,
-) -> &'static CounterFamily {
-    match register(name, help, || {
-        Handle::CounterFamily(Box::leak(Box::new(CounterFamily::new(label_key))))
-    }) {
-        Handle::CounterFamily(f) => f,
-        _ => panic!("metric `{name}` already registered with a different type"),
+impl Member for Counter {
+    fn family(
+        name: &'static str,
+        help: &'static str,
+        label_key: &'static str,
+    ) -> &'static Family<Counter> {
+        match register(name, help, || {
+            Handle::CounterFamily(Box::leak(Box::new(Family::new(label_key))))
+        }) {
+            Handle::CounterFamily(f) => f,
+            _ => panic!("metric `{name}` already registered with a different type"),
+        }
     }
 }
 
@@ -509,22 +454,24 @@ impl LazyHistogram {
     }
 }
 
-/// A lazily registered [`HistogramFamily`].
-pub struct LazyHistogramFamily {
+/// A lazily registered [`Family`] of counters or histograms. Declared
+/// `static` at the call-site; registers on first touch, after which
+/// every access is one `OnceLock` load.
+pub struct LazyFamily<M: 'static> {
     name: &'static str,
     help: &'static str,
     label_key: &'static str,
-    cell: OnceLock<&'static HistogramFamily>,
+    cell: OnceLock<&'static Family<M>>,
 }
 
-impl LazyHistogramFamily {
+impl<M: Member> LazyFamily<M> {
     /// Const constructor for `static` declarations.
     pub const fn new(
         name: &'static str,
         help: &'static str,
         label_key: &'static str,
-    ) -> LazyHistogramFamily {
-        LazyHistogramFamily {
+    ) -> LazyFamily<M> {
+        LazyFamily {
             name,
             help,
             label_key,
@@ -533,126 +480,22 @@ impl LazyHistogramFamily {
     }
 
     /// The registered family handle.
-    pub fn get(&self) -> &'static HistogramFamily {
+    pub fn get(&self) -> &'static Family<M> {
         self.cell
-            .get_or_init(|| histogram_family(self.name, self.help, self.label_key))
+            .get_or_init(|| M::family(self.name, self.help, self.label_key))
     }
 
-    /// The member histogram for `label_value`.
+    /// The member for `label_value`.
     #[inline]
-    pub fn with(&self, label_value: &str) -> &'static Histogram {
+    pub fn with(&self, label_value: &str) -> &'static M {
         self.get().with(label_value)
     }
-}
-
-/// A lazily registered [`CounterFamily`].
-pub struct LazyCounterFamily {
-    name: &'static str,
-    help: &'static str,
-    label_key: &'static str,
-    cell: OnceLock<&'static CounterFamily>,
-}
-
-impl LazyCounterFamily {
-    /// Const constructor for `static` declarations.
-    pub const fn new(
-        name: &'static str,
-        help: &'static str,
-        label_key: &'static str,
-    ) -> LazyCounterFamily {
-        LazyCounterFamily {
-            name,
-            help,
-            label_key,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The registered family handle.
-    pub fn get(&self) -> &'static CounterFamily {
-        self.cell
-            .get_or_init(|| counter_family(self.name, self.help, self.label_key))
-    }
-
-    /// The member counter for `label_value`.
-    #[inline]
-    pub fn with(&self, label_value: &str) -> &'static Counter {
-        self.get().with(label_value)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshots (determinism tests, deltas)
-// ---------------------------------------------------------------------------
-
-/// One metric's state in a [`snapshot`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum SnapValue {
-    /// Counter value.
-    Counter(u64),
-    /// Gauge value.
-    Gauge(u64),
-    /// Float gauge value.
-    Float(f64),
-    /// Histogram buckets (non-cumulative), total count, and sum.
-    Histogram {
-        /// Per-bucket counts.
-        buckets: Vec<u64>,
-        /// Total observations.
-        count: u64,
-        /// Sum of observations.
-        sum: u64,
-    },
-}
-
-/// A point-in-time snapshot of every registered metric, keyed by
-/// `name` (family members as `name{key="value"}`), sorted. Counters are
-/// monotone, so two snapshots diff into exact per-interval deltas —
-/// the substrate of the metrics-determinism test.
-pub fn snapshot() -> Vec<(String, SnapValue)> {
-    let mut out = Vec::new();
-    for entry in registry().iter() {
-        match entry.handle {
-            Handle::Counter(c) => out.push((entry.name.to_string(), SnapValue::Counter(c.get()))),
-            Handle::Gauge(g) => out.push((entry.name.to_string(), SnapValue::Gauge(g.get()))),
-            Handle::FloatGauge(g) => out.push((entry.name.to_string(), SnapValue::Float(g.get()))),
-            Handle::Histogram(h) => out.push((
-                entry.name.to_string(),
-                SnapValue::Histogram {
-                    buckets: h.counts().to_vec(),
-                    count: h.count(),
-                    sum: h.sum(),
-                },
-            )),
-            Handle::Family(f) => {
-                for (label, h) in f.members() {
-                    out.push((
-                        format!("{}{{{}=\"{}\"}}", entry.name, f.label_key(), label),
-                        SnapValue::Histogram {
-                            buckets: h.counts().to_vec(),
-                            count: h.count(),
-                            sum: h.sum(),
-                        },
-                    ));
-                }
-            }
-            Handle::CounterFamily(f) => {
-                for (label, c) in f.members() {
-                    out.push((
-                        format!("{}{{{}=\"{}\"}}", entry.name, f.label_key(), label),
-                        SnapValue::Counter(c.get()),
-                    ));
-                }
-            }
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expo::{parse_exposition, render_prometheus};
 
     #[test]
     fn bucket_indexing_is_log2() {
@@ -672,10 +515,25 @@ mod tests {
         assert_eq!(Histogram::bucket_upper(HIST_BUCKETS - 1), None);
     }
 
+    /// The value a scrape shows for the sample `name` with exactly
+    /// `labels` (0 when the series is not registered yet).
+    fn scraped(name: &str, labels: &[(&str, &str)]) -> f64 {
+        parse_exposition(&render_prometheus())
+            .expect("the registry renders a parsable exposition")
+            .into_iter()
+            .find(|s| {
+                s.name == name
+                    && s.labels
+                        .iter()
+                        .map(|(k, v)| (k.as_str(), v.as_str()))
+                        .eq(labels.iter().copied())
+            })
+            .map_or(0.0, |s| s.value)
+    }
+
     #[test]
-    fn histogram_observe_and_quantiles() {
+    fn histogram_observe_fills_log2_buckets() {
         let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0);
         for v in [1, 1, 2, 4, 100] {
             h.observe(v);
         }
@@ -686,33 +544,20 @@ mod tests {
         assert_eq!(counts[1], 1); // the 2
         assert_eq!(counts[2], 1); // the 4
         assert_eq!(counts[7], 1); // 100 ≤ 128
-                                  // p50 of {1,1,2,4,100} sits in the le=2 bucket (rank 3 of 5).
-        assert_eq!(h.quantile(0.5), 2);
-        assert_eq!(h.quantile(1.0), 128);
-        // Past-the-end observations saturate into +Inf and quantiles
-        // report the largest finite bound.
+                                  // Past-the-end observations saturate into +Inf.
         h.observe(u64::MAX);
-        assert_eq!(h.quantile(1.0), 1 << (HIST_BUCKETS - 2));
+        assert_eq!(h.counts()[HIST_BUCKETS - 1], 1);
     }
 
     #[test]
-    fn registry_dedupes_and_snapshot_diffs() {
+    fn registry_dedupes_and_scrapes_diff() {
         let c1 = counter("obs_test_requests_total", "test counter");
         let c2 = counter("obs_test_requests_total", "test counter");
         assert!(std::ptr::eq(c1, c2));
-        let before = snapshot();
+        let before = scraped("obs_test_requests_total", &[]);
         c1.inc();
         c1.add(2);
-        let after = snapshot();
-        let find = |snap: &[(String, SnapValue)]| match snap
-            .iter()
-            .find(|(n, _)| n == "obs_test_requests_total")
-            .map(|(_, v)| v.clone())
-        {
-            Some(SnapValue::Counter(v)) => v,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(find(&after) - find(&before), 3);
+        assert_eq!(scraped("obs_test_requests_total", &[]) - before, 3.0);
     }
 
     #[test]
@@ -723,36 +568,34 @@ mod tests {
     }
 
     #[test]
-    fn counter_family_members_render_into_snapshot() {
-        let fam = counter_family("obs_test_diags_total", "per-code", "code");
-        fam.with("SD01").add(3);
-        fam.with("SD02").inc();
-        let snap = snapshot();
-        let get = |name: &str| match snap.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()) {
-            Some(SnapValue::Counter(v)) => v,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(get("obs_test_diags_total{code=\"SD01\"}"), 3);
-        assert_eq!(get("obs_test_diags_total{code=\"SD02\"}"), 1);
+    fn family_members_render_under_their_label() {
+        let codes = Counter::family("obs_test_diags_total", "per-code", "code");
+        codes.with("SD01").add(3);
+        codes.with("SD02").inc();
+        let phases = Histogram::family("obs_test_phase_us", "per-phase", "phase");
+        phases.with("verify").observe(1000);
+        phases.with("parse").observe(2);
+        assert_eq!(scraped("obs_test_diags_total", &[("code", "SD01")]), 3.0);
+        assert_eq!(scraped("obs_test_diags_total", &[("code", "SD02")]), 1.0);
+        assert_eq!(
+            scraped("obs_test_phase_us_sum", &[("phase", "verify")]),
+            1000.0
+        );
+        assert_eq!(
+            scraped("obs_test_phase_us_count", &[("phase", "parse")]),
+            1.0
+        );
+        assert_eq!(
+            scraped(
+                "obs_test_phase_us_bucket",
+                &[("phase", "parse"), ("le", "2")]
+            ),
+            1.0
+        );
         // Repeated `with` returns the same member.
-        assert!(std::ptr::eq(fam.with("SD01"), fam.with("SD01")));
-        assert_eq!(fam.members().len(), 2);
-    }
-
-    #[test]
-    fn family_members_render_into_snapshot() {
-        let fam = histogram_family("obs_test_phase_us", "per-phase", "phase");
-        fam.with("verify").observe(1000);
-        fam.with("parse").observe(2);
-        let snap = snapshot();
-        assert!(snap
-            .iter()
-            .any(|(n, _)| n == "obs_test_phase_us{phase=\"verify\"}"));
-        assert!(snap
-            .iter()
-            .any(|(n, _)| n == "obs_test_phase_us{phase=\"parse\"}"));
-        // Repeated `with` returns the same member.
-        assert!(std::ptr::eq(fam.with("verify"), fam.with("verify")));
-        assert_eq!(fam.members().len(), 2);
+        assert!(std::ptr::eq(codes.with("SD01"), codes.with("SD01")));
+        assert!(std::ptr::eq(phases.with("verify"), phases.with("verify")));
+        assert_eq!(codes.members().len(), 2);
+        assert_eq!(phases.members().len(), 2);
     }
 }

@@ -106,7 +106,7 @@ pub const BUSY_RETRY_MS: u64 = 100;
 // Metrics (always-on; exposed over the METRICS verb)
 // ---------------------------------------------------------------------------
 
-use shadowdp_obs::{LazyCounter, LazyFloatGauge, LazyGauge, LazyHistogram, LazyHistogramFamily};
+use shadowdp_obs::{Histogram, LazyCounter, LazyFamily, LazyFloatGauge, LazyGauge, LazyHistogram};
 
 static JOBS_DONE: LazyCounter = LazyCounter::new(
     "shadowdp_jobs_done_total",
@@ -179,7 +179,7 @@ static FLUSH_US: LazyHistogram = LazyHistogram::new(
     "shadowdp_store_flush_us",
     "Store flush latency in microseconds (delta appends and rewrites)",
 );
-static JOB_STAGE_US: LazyHistogramFamily = LazyHistogramFamily::new(
+static JOB_STAGE_US: LazyFamily<Histogram> = LazyFamily::new(
     "shadowdp_job_stage_us",
     "Microseconds per stage of each freshly verified job: queue_wait (SUBMIT \
      accepted to taken by a worker), verify (the corpus call), flush (verify \

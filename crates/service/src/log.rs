@@ -39,14 +39,14 @@ use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use shadowdp_fault::{fail_point, write_all};
-use shadowdp_obs::LazyCounterFamily;
+use shadowdp_obs::{Counter, LazyFamily};
 
 use crate::store::fnv128;
 
 /// Length field plus checksum: a record's bytes beyond its payload.
 const FRAME_OVERHEAD: usize = 4 + 16;
 
-static LOG_SYNCS: LazyCounterFamily = LazyCounterFamily::new(
+static LOG_SYNCS: LazyFamily<Counter> = LazyFamily::new(
     "shadowdp_log_syncs_total",
     "Successful fsyncs of the store and journal logs, by the fault site of \
      the sync step (file syncs and directory syncs)",

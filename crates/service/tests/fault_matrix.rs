@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use shadowdp::jobspec::OptionsSpec;
 use shadowdp::{corpus, table1, JobSpec};
-use shadowdp_fault::{FaultKind, FaultPlan};
+use shadowdp_fault::{FaultKind, FaultPlan, Gate};
 use shadowdp_service::daemon::DaemonConfig;
 use shadowdp_service::{
     proto, Client, OutcomeKind, PipelineEntry, Request, StatusInfo, VerdictStore,
@@ -179,6 +179,7 @@ fn injected_append_faults_never_corrupt_the_store() {
                     fresh.flush().expect("post-crash flush heals");
                     assert_eq!(disk_view(&path), post, "recovery after panic at {site}");
                 }
+                FaultKind::Hold(_) => unreachable!("kinds() holds nowhere"),
                 FaultKind::Error | FaultKind::TornWrite { .. } => {
                     let err = result
                         .expect("injected errors do not panic")
@@ -240,6 +241,7 @@ fn injected_compaction_faults_keep_the_live_view() {
                     fresh.compact().expect("post-crash compaction heals");
                     assert_eq!(disk_view(&path), live, "recovery after panic at {site}");
                 }
+                FaultKind::Hold(_) => unreachable!("kinds() holds nowhere"),
                 FaultKind::Error | FaultKind::TornWrite { .. } => {
                     let err = result
                         .expect("injected errors do not panic")
@@ -413,11 +415,11 @@ fn accepted_submissions_stay_journaled_until_flushed() {
 /// daemon idle, cuts it back to its magic.
 #[test]
 fn a_slow_job_does_not_hold_a_fast_one() {
-    // Every uncached solver query sleeps, so a job's wall time follows
-    // its count of them: Smart Sum asks about a hundred, the Laplace
-    // mechanism a handful.
+    // The slow job's first uncached solver query holds until the gate
+    // opens, so it runs until the test has checked the fast job.
+    let gate = Gate::new();
     let guard = FaultPlan::new()
-        .sticky("solver.step", FaultKind::Delay { millis: 5 }, 1)
+        .once("solver.step", FaultKind::Hold(gate.clone()))
         .install();
     let (socket, store) = temp_paths("slow-fast");
     let journal = journal_path(&store);
@@ -431,14 +433,17 @@ fn a_slow_job_does_not_hold_a_fast_one() {
 
     let mut slow_client = Client::connect(&socket).expect("connect");
     let slow_id = slow_client.submit(&slow).expect("submit slow");
+    assert!(gate.wait_held(Duration::from_secs(30)), "slow job start");
+    let mut fast_client = Client::connect(&socket).expect("connect");
+    let fast_id = fast_client.submit(&fast).expect("submit fast");
+    // Bounded, so a fast job that waits for the held one fails the test
+    // instead of hanging it.
     wait_status(
         &mut control,
         Duration::from_secs(30),
-        "slow job start",
-        |s| s.running == 1,
+        "fast job done",
+        |s| s.done == 1,
     );
-    let mut fast_client = Client::connect(&socket).expect("connect");
-    let fast_id = fast_client.submit(&fast).expect("submit fast");
     let out_fast = fast_client.result(fast_id).expect("fast result");
     assert_eq!(out_fast.verdict, "proved");
 
@@ -456,6 +461,7 @@ fn a_slow_job_does_not_hold_a_fast_one() {
         "the journal holds exactly the slow and the fast job's SUBMIT"
     );
 
+    gate.open();
     let out_slow = slow_client.result(slow_id).expect("slow result");
     drop(guard);
     assert_eq!(out_slow.verdict, "proved");
@@ -479,10 +485,11 @@ fn a_slow_job_does_not_hold_a_fast_one() {
 /// and its verdict stored.
 #[test]
 fn outcomes_follow_their_connection() {
-    // The delay plan of `a_slow_job_does_not_hold_a_fast_one`: Smart Sum
-    // runs far longer than the Laplace mechanism.
+    // The gate of `a_slow_job_does_not_hold_a_fast_one`: the slow job
+    // holds at its first uncached query until the fast one is done.
+    let gate = Gate::new();
     let guard = FaultPlan::new()
-        .sticky("solver.step", FaultKind::Delay { millis: 5 }, 1)
+        .once("solver.step", FaultKind::Hold(gate.clone()))
         .install();
     let (socket, store) = temp_paths("follow");
     let (handle, mut control) = start_daemon(DaemonConfig {
@@ -496,12 +503,7 @@ fn outcomes_follow_their_connection() {
     let slow_id = client
         .submit(&JobSpec::new(corpus::smart_sum().source))
         .expect("submit slow");
-    wait_status(
-        &mut control,
-        Duration::from_secs(30),
-        "slow job start",
-        |s| s.running == 1,
-    );
+    assert!(gate.wait_held(Duration::from_secs(30)), "slow job start");
     let fast_id = client.submit(&JobSpec::new(laplace)).expect("submit fast");
     wait_status(
         &mut control,
@@ -509,6 +511,7 @@ fn outcomes_follow_their_connection() {
         "fast job done",
         |s| s.done == 1 && s.running == 1,
     );
+    gate.open();
     let slow = client.result(slow_id).expect("slow result");
     assert_eq!((slow.id, slow.verdict.as_str()), (slow_id, "proved"));
     let fast = client.result(fast_id).expect("held fast result");
@@ -543,12 +546,12 @@ fn outcomes_follow_their_connection() {
 fn a_busy_daemon_rewrites_the_journal_before_the_floor() {
     let floor = shadowdp_service::daemon::JOURNAL_REWRITE_FLOOR;
     let jobs = floor + 16;
-    // The first job's flush (the store's first, a rewrite) stalls for two
-    // seconds, long enough to queue every submission behind it, so the
-    // queue only drains from then on; later flushes are slowed so that
-    // polls see it drain.
+    // The first job's flush (the store's first, a rewrite) holds until
+    // every submission is queued behind it, so the queue only drains from
+    // then on; later flushes are slowed so that polls see it drain.
+    let gate = Gate::new();
     let guard = FaultPlan::new()
-        .once("store.rewrite.sync", FaultKind::Delay { millis: 2000 })
+        .once("store.rewrite.sync", FaultKind::Hold(gate.clone()))
         .sticky("store.append.sync", FaultKind::Delay { millis: 3 }, 1)
         .install();
     let (socket, store) = temp_paths("journal-floor");
@@ -562,19 +565,16 @@ fn a_busy_daemon_rewrites_the_journal_before_the_floor() {
     // after the first) and flushes.
     let laplace = corpus::laplace_mechanism().source;
     let mut client = Client::connect(&socket).expect("connect");
-    let started = Instant::now();
     let ids: Vec<u64> = (0..jobs as usize)
         .map(|i| {
             let spec = JobSpec::new(format!("{laplace}{}", " ".repeat(i)));
             client.submit(&spec).expect("submit")
         })
         .collect();
-    // `STATUS` would wait for the stalled flush (it reads the store), so
-    // time the submissions instead: the first job cannot finish sooner.
-    assert!(
-        started.elapsed() < Duration::from_millis(2000),
-        "every submission is queued before the first job finishes"
-    );
+    // `STATUS` would wait for the held flush (it reads the store), so
+    // the gate opens first; every submission is queued by now.
+    assert!(gate.wait_held(Duration::from_secs(30)), "first flush");
+    gate.open();
 
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut past_floor = 0;

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use shadowdp::jobspec::OptionsSpec;
 use shadowdp::{corpus, JobSpec};
 use shadowdp_fault::{FaultKind, FaultPlan};
-use shadowdp_obs::{parse_exposition, validate_exposition, Sample, SnapValue};
+use shadowdp_obs::{parse_exposition, validate_exposition, Sample};
 use shadowdp_service::daemon::DaemonConfig;
 use shadowdp_service::{proto, Client, OutcomeKind, Request};
 use support::{journal_frame, journal_path, start_daemon, temp_paths};
@@ -67,16 +67,15 @@ fn syncs(samples: &[Sample], site: &str) -> f64 {
         .value
 }
 
-/// A counter's current in-process value (for baselines taken while no
-/// daemon is up yet, e.g. before a journal replay at startup).
-fn counter_now(name: &str) -> u64 {
-    shadowdp_obs::snapshot()
-        .into_iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| match v {
-            SnapValue::Counter(c) => c,
-            other => panic!("`{name}` is not a counter: {other:?}"),
-        })
+/// A counter's current in-process value, read from the exposition
+/// `METRICS` serves (for baselines taken while no daemon is up yet, e.g.
+/// before a journal replay at startup); 0 before it is registered.
+fn counter_now(name: &str) -> f64 {
+    parse_exposition(&shadowdp_obs::render_prometheus())
+        .expect("exposition parses")
+        .iter()
+        .find(|s| s.name == name && s.labels.is_empty())
+        .map_or(0.0, |s| s.value)
 }
 
 /// Counters move with daemon activity and the gauges agree with
@@ -321,7 +320,7 @@ fn journal_replay_is_counted() {
     let samples = scrape(&mut client);
     assert_eq!(
         value(&samples, "shadowdp_journal_replayed_total"),
-        replayed_before as f64 + 1.0,
+        replayed_before + 1.0,
         "exactly the one whole journal record replays"
     );
 

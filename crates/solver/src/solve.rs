@@ -57,7 +57,7 @@ use crate::trail::{Trail, TrailOp};
 /// ([`shadowdp_obs::armed`]); the member handles are cached so the
 /// armed path is two clock reads plus three atomic adds, never a map
 /// lookup.
-static QUERY_LATENCY_US: shadowdp_obs::LazyHistogramFamily = shadowdp_obs::LazyHistogramFamily::new(
+static QUERY_LATENCY_US: shadowdp_obs::LazyFamily<shadowdp_obs::Histogram> = shadowdp_obs::LazyFamily::new(
     "shadowdp_solver_query_us",
     "Latency of solver validity queries by memo outcome (microseconds; collected while tracing is armed)",
     "path",
@@ -1060,8 +1060,9 @@ impl Solver {
     /// placeholder at once. The `solver.step` fault-injection site also
     /// lives here: `Panic` models a logic bug inside the solver (the corpus
     /// driver's isolation must contain it), `Delay` a pathological query,
-    /// and `Error`/torn faults degrade to budget exhaustion — bounded,
-    /// reportable, never a wrong verdict.
+    /// `Hold` a query a test releases when it chooses, and `Error`/torn
+    /// faults degrade to budget exhaustion — bounded, reportable, never a
+    /// wrong verdict.
     fn degraded(&self) -> Option<MemoEntry> {
         if self.exhausted.borrow().is_some() {
             return Some(exhausted_placeholder());
@@ -1071,6 +1072,10 @@ impl Solver {
             Some(shadowdp_fault::FaultKind::Panic) => panic!("injected panic at solver.step"),
             Some(shadowdp_fault::FaultKind::Delay { millis }) => {
                 std::thread::sleep(Duration::from_millis(millis));
+                None
+            }
+            Some(shadowdp_fault::FaultKind::Hold(gate)) => {
+                gate.hold();
                 None
             }
             Some(_) => {

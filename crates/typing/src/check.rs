@@ -13,7 +13,7 @@ use shadowdp_syntax::{
 use crate::cleanup::eliminate_dead_hats;
 use crate::env::{Dist, TypeEnv, VarTy};
 use crate::exprs::{ETy, ExprTyper};
-use crate::lower::{lower_bool, lower_num, LowerCtx};
+use crate::lower::lower_num;
 use crate::psi::Psi;
 use crate::shadow::{negate, shadow_cmds, transform_expr, Version};
 
@@ -600,7 +600,7 @@ impl<'a> Checker<'a> {
         let a1 = aligned.subst(var, &eta1);
         let a2 = aligned.subst(var, &eta2);
 
-        let ctx = self.lower_ctx(env);
+        let ctx = self.typer(env).lower_ctx();
         let mut hyps = self
             .psi
             .hypotheses_for(&[&a1, &a2], &ctx)
@@ -623,16 +623,6 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn lower_ctx(&self, env: &TypeEnv) -> LowerCtx {
-        let mut ctx = LowerCtx::new();
-        for (name, ty) in env.iter() {
-            if matches!(ty, VarTy::Bool) {
-                ctx.bool_vars.insert(name);
-            }
-        }
-        ctx
-    }
-
     // ----- updPC -----
 
     fn upd_pc(&self, pc: Pc, env: &TypeEnv, guard: &Expr, span: Span) -> Result<Pc, TypeError> {
@@ -651,17 +641,11 @@ impl<'a> Checker<'a> {
             .clone()
             .and(shadow_guard.clone())
             .or(guard.clone().not().and(shadow_guard.not()));
-        let ctx = self.lower_ctx(env);
-        let hyps = self
-            .psi
-            .hypotheses_for(&[&iff], &ctx)
-            .map_err(|m| TypeError::at(span, m.to_string()))?;
-        let goal = lower_bool(&iff, &ctx).map_err(|m| TypeError::at(span, m.to_string()))?;
-        Ok(if self.solver.entails(&hyps, &goal) {
-            Pc::Low
-        } else {
-            Pc::High
-        })
+        let proved = self
+            .typer(env)
+            .prove(&iff, &[])
+            .map_err(|m| TypeError::at(span, m))?;
+        Ok(if proved { Pc::Low } else { Pc::High })
     }
 
     // ----- the ⇛ instrumentation rule -----

@@ -61,7 +61,7 @@ pub struct ExprTyper<'a> {
 impl<'a> ExprTyper<'a> {
     /// Builds the lowering context (boolean variables) from the
     /// environment.
-    fn lower_ctx(&self) -> LowerCtx {
+    pub(crate) fn lower_ctx(&self) -> LowerCtx {
         let mut ctx = LowerCtx::new();
         for (name, ty) in self.env.iter() {
             if matches!(ty, VarTy::Bool) {

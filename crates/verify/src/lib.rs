@@ -173,7 +173,7 @@ pub fn verify_with(
 
 /// Per-phase latency histogram shared with the pipeline's parse /
 /// typecheck / verify observations (the registry dedupes by name).
-static PHASE_US: shadowdp_obs::LazyHistogramFamily = shadowdp_obs::LazyHistogramFamily::new(
+static PHASE_US: shadowdp_obs::LazyFamily<shadowdp_obs::Histogram> = shadowdp_obs::LazyFamily::new(
     "shadowdp_phase_us",
     "Wall-clock latency per pipeline phase (microseconds)",
     "phase",

@@ -1,11 +1,11 @@
 //! Observability acceptance tests: tracing spans account for the wall
 //! clock of a cold Table 1 run, the Chrome trace export is structurally
 //! sound, a daemon traces each job as one labelled span, and the metrics
-//! registry is deterministic across identical cold corpus runs.
+//! exposition is deterministic across identical cold corpus runs.
 //!
 //! The span ring and the metrics registry are process-global, so the
-//! tests in this binary serialize on one lock and work with snapshot
-//! *deltas*, never absolutes.
+//! tests in this binary serialize on one lock and work with scrape-to-
+//! scrape *deltas*, never absolutes.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -13,7 +13,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use shadowdp::{corpus, table1, JobSpec, Pipeline};
-use shadowdp_obs::{SnapValue, SpanRecord};
+use shadowdp_obs::{parse_exposition, render_prometheus, validate_exposition, SpanRecord};
 use shadowdp_service::daemon::{self, DaemonConfig};
 use shadowdp_service::Client;
 
@@ -163,53 +163,59 @@ fn each_daemon_job_is_one_labelled_span() {
     assert!(spans.iter().all(|s| s.name != "daemon.batch"));
 }
 
-/// Counter values and histogram observation counts from one snapshot,
-/// keyed by metric name (family members keep their `name{key="value"}`
-/// key). Gauges are point-in-time and excluded. For histograms only the
-/// *count* is required to be deterministic: the recorded values are
-/// latencies, so sums and per-bucket placement legitimately jitter
-/// across runs — how *often* each series is observed must not.
-fn deterministic_view(snap: &[(String, SnapValue)]) -> BTreeMap<String, Vec<u64>> {
+/// Counter values and histogram observation counts from one scrape of
+/// the exposition `METRICS` serves, keyed by series (`name` or
+/// `name{key="value"}`). Gauges are point-in-time and excluded. For
+/// histograms only the `_count` series is required to be deterministic:
+/// the recorded values are latencies, so sums and per-bucket placement
+/// legitimately jitter across runs — how *often* each series is
+/// observed must not.
+fn deterministic_view(exposition: &str) -> BTreeMap<String, u64> {
+    let types: BTreeMap<&str, &str> = exposition
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
     let mut view = BTreeMap::new();
-    for (name, value) in snap {
-        match value {
-            SnapValue::Counter(c) => {
-                view.insert(name.clone(), vec![*c]);
-            }
-            SnapValue::Histogram { count, .. } => {
-                view.insert(name.clone(), vec![*count]);
-            }
-            SnapValue::Gauge(_) | SnapValue::Float(_) => {}
+    for sample in parse_exposition(exposition).expect("exposition parses") {
+        let kept = match types.get(sample.name.as_str()) {
+            Some(ty) => *ty == "counter",
+            None => sample
+                .name
+                .strip_suffix("_count")
+                .is_some_and(|family| types.get(family) == Some(&"histogram")),
+        };
+        if !kept {
+            continue;
         }
+        let series = if sample.labels.is_empty() {
+            sample.name
+        } else {
+            let labels: Vec<String> = sample
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{v}\""))
+                .collect();
+            format!("{}{{{}}}", sample.name, labels.join(","))
+        };
+        view.insert(series, sample.value as u64);
     }
     view
 }
 
-/// Element-wise `after - before` (a series absent from `before` counts
+/// Series-wise `after - before` (a series absent from `before` counts
 /// from zero — it was registered mid-run).
-fn delta(
-    before: &BTreeMap<String, Vec<u64>>,
-    after: &BTreeMap<String, Vec<u64>>,
-) -> BTreeMap<String, Vec<u64>> {
-    let mut out = BTreeMap::new();
-    for (name, row) in after {
-        let zero = Vec::new();
-        let base = before.get(name).unwrap_or(&zero);
-        out.insert(
-            name.clone(),
-            row.iter()
-                .enumerate()
-                .map(|(i, v)| v - base.get(i).copied().unwrap_or(0))
-                .collect(),
-        );
-    }
-    out
+fn delta(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
+    after
+        .iter()
+        .map(|(series, v)| (series.clone(), v - before.get(series).copied().unwrap_or(0)))
+        .collect()
 }
 
 /// Two identical cold corpus runs must move every counter by the same
 /// amount and land the same number of observations in every histogram
-/// bucket — the metric *values* are timing-free, only the latencies
-/// (sums) may differ. The rendered exposition must also validate.
+/// series — the metric *values* are timing-free, only the latencies
+/// (sums and bucket placement) may differ. Both runs are read from the
+/// exposition `METRICS` serves, which must also validate.
 #[test]
 fn identical_cold_runs_produce_identical_metric_deltas() {
     let _guard = lock();
@@ -218,10 +224,10 @@ fn identical_cold_runs_produce_identical_metric_deltas() {
     let jobs = table1::service_jobs();
     let mut deltas = Vec::new();
     for _ in 0..2 {
-        let before = deterministic_view(&shadowdp_obs::snapshot());
+        let before = deterministic_view(&render_prometheus());
         let outcome = Pipeline::new().verify_corpus_parallel(&jobs, Some(1));
         assert_eq!(outcome.reports.len(), 18);
-        let after = deterministic_view(&shadowdp_obs::snapshot());
+        let after = deterministic_view(&render_prometheus());
         deltas.push(delta(&before, &after));
     }
 
@@ -231,23 +237,19 @@ fn identical_cold_runs_produce_identical_metric_deltas() {
         second.keys().collect::<Vec<_>>(),
         "both runs touch the same metric series"
     );
-    for (name, row) in first {
+    for (series, moved) in first {
         assert_eq!(
-            row, &second[name],
-            "metric `{name}` must move identically across identical cold runs"
+            moved, &second[series],
+            "series `{series}` must move identically across identical cold runs"
         );
     }
     // And the runs did real, observable work.
-    assert!(first["shadowdp_solver_queries_total"][0] > 0, "{first:?}");
-    let phase_count = |phase: &str| {
-        let key = format!("shadowdp_phase_us{{phase=\"{phase}\"}}");
-        *first[&key].last().expect("histogram count")
-    };
+    assert!(first["shadowdp_solver_queries_total"] > 0, "{first:?}");
+    let phase_count = |phase: &str| first[&format!("shadowdp_phase_us_count{{phase=\"{phase}\"}}")];
     assert_eq!(phase_count("parse"), 18);
     assert_eq!(phase_count("lint"), 18);
     assert_eq!(phase_count("typecheck"), 18);
     assert_eq!(phase_count("verify"), 18);
 
-    let exposition = shadowdp_obs::render_prometheus();
-    shadowdp_obs::validate_exposition(&exposition).expect("registry renders a valid exposition");
+    validate_exposition(&render_prometheus()).expect("registry renders a valid exposition");
 }
