@@ -568,15 +568,22 @@ mod tests {
     }
 
     #[test]
-    fn family_members_render_under_their_label() {
-        let codes = Counter::family("obs_test_diags_total", "per-code", "code");
-        codes.with("SD01").add(3);
-        codes.with("SD02").inc();
-        let phases = Histogram::family("obs_test_phase_us", "per-phase", "phase");
-        phases.with("verify").observe(1000);
-        phases.with("parse").observe(2);
+    fn counter_family_members_render_into_snapshot() {
+        let fam = Counter::family("obs_test_diags_total", "per-code", "code");
+        fam.with("SD01").add(3);
+        fam.with("SD02").inc();
         assert_eq!(scraped("obs_test_diags_total", &[("code", "SD01")]), 3.0);
         assert_eq!(scraped("obs_test_diags_total", &[("code", "SD02")]), 1.0);
+        // Repeated `with` returns the same member.
+        assert!(std::ptr::eq(fam.with("SD01"), fam.with("SD01")));
+        assert_eq!(fam.members().len(), 2);
+    }
+
+    #[test]
+    fn family_members_render_into_snapshot() {
+        let fam = Histogram::family("obs_test_phase_us", "per-phase", "phase");
+        fam.with("verify").observe(1000);
+        fam.with("parse").observe(2);
         assert_eq!(
             scraped("obs_test_phase_us_sum", &[("phase", "verify")]),
             1000.0
@@ -593,9 +600,7 @@ mod tests {
             1.0
         );
         // Repeated `with` returns the same member.
-        assert!(std::ptr::eq(codes.with("SD01"), codes.with("SD01")));
-        assert!(std::ptr::eq(phases.with("verify"), phases.with("verify")));
-        assert_eq!(codes.members().len(), 2);
-        assert_eq!(phases.members().len(), 2);
+        assert!(std::ptr::eq(fam.with("verify"), fam.with("verify")));
+        assert_eq!(fam.members().len(), 2);
     }
 }
