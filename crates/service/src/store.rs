@@ -1016,6 +1016,16 @@ mod tests {
         assert_eq!(sample_store().encode(), sample_store().encode());
     }
 
+    /// The bytes of one v3 image, pinned by their hash: a change to the
+    /// encoder, the layout or the verifier epoch moves them.
+    #[test]
+    fn the_v3_image_is_pinned() {
+        assert_eq!(
+            hex128(fnv128(&sample_store().encode())),
+            "3b87195826d00c9ef5f0949e6050c3bb"
+        );
+    }
+
     #[test]
     fn every_truncation_keeps_a_valid_prefix_or_rejects() {
         let bytes = sample_store().encode();
