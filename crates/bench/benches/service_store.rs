@@ -3,9 +3,9 @@
 //! the throughput configuration a daemon runs).
 //!
 //! `cold` verifies the 18-job corpus against an empty query memo — what
-//! the first daemon boot pays. `warm` replays the daemon-restart path
-//! byte for byte: the cold memo is snapshotted into a real on-disk
-//! [`VerdictStore`], loaded back, absorbed into a fresh memo, and the
+//! the first daemon boot pays. `warm` replays the daemon-restart path:
+//! the cold memo's entries are drained into a real on-disk
+//! [`VerdictStore`], loaded back, copied into a fresh memo, and the
 //! corpus is re-verified against it.
 //!
 //! Two invariants are **asserted inside the fresh run** (like the
@@ -23,24 +23,25 @@
 //! a small (`early`, ~256 live entries) and a large (`late`, ~32k live
 //! entries) store. With O(delta) appends the two coincide; the
 //! rewrite-everything flush this replaced would make `late` two orders of
-//! magnitude slower. Asserted two ways: in-bench, eight successive
+//! magnitude slower. Asserted three ways: in-bench, eight successive
 //! batches must append byte-identical record sizes (exact and
-//! hardware-free); in `bench_compare`, `late` must stay within 3× of
-//! `early` on the fresh dump.
+//! hardware-free), and every measured flush must append all 32 entries;
+//! in `bench_compare`, `late` must stay within 3× of `early` on the fresh
+//! dump.
 //!
-//! `service/store-load` times a daemon's start-up path: `VerdictStore::load`
-//! of a store holding the Table 1 and buggy-corpus memos (the buggy
-//! corpus's BMC countermodels included), then `warm_memo` into a fresh
-//! memo. Each iteration also
+//! `service/store-load` times a daemon's whole start-up path:
+//! `VerdictStore::load` of a store holding the Table 1 and buggy-corpus
+//! memos (the buggy corpus's BMC countermodels included), which decodes
+//! the solver tier straight into the store's memo. Each iteration also
 //! frees what the one before it loaded. The row is not gated.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shadowdp::{corpus, table1, CorpusJob, Pipeline};
-use shadowdp_service::VerdictStore;
-use shadowdp_solver::{Fingerprint, MemoEntry, Model, QueryMemo};
+use shadowdp::{corpus, table1, CorpusJob, JobSpec, Pipeline};
+use shadowdp_service::{PipelineEntry, VerdictStore};
+use shadowdp_solver::{Fingerprint, MemoEntry, QueryMemo};
 
 fn bench_warm_vs_cold(c: &mut Criterion) {
     let jobs = table1::service_jobs();
@@ -55,14 +56,14 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
         });
     });
 
-    // Build the warm store exactly the way a daemon restart does: cold
-    // run → snapshot to disk → load in a "new process" → absorb.
+    // Build the warm store the way a daemon restart does: cold run →
+    // drain to disk → load in a "new process" → copy into a fresh memo.
     let cold_memo = Arc::new(QueryMemo::default());
     let cold = pipeline.verify_corpus_parallel_with_memo(&jobs, None, &cold_memo);
     let path =
         std::env::temp_dir().join(format!("shadowdp-bench-store-{}.bin", std::process::id()));
     let mut store = VerdictStore::load(&path);
-    store.update_from_memo(&cold_memo);
+    store.absorb_dirty(&cold_memo);
     store.flush().expect("store flush succeeds");
     let reloaded = VerdictStore::load(&path);
     let _ = std::fs::remove_file(&path);
@@ -140,33 +141,45 @@ fn bench_flush_incremental(c: &mut Criterion) {
     // orders of magnitude larger — O(delta) appends keep the two equal
     // (bench_compare enforces late <= 3x early on the fresh dump).
     //
-    // The measured delta overwrites the same `DELTA` dedicated keys with
-    // a value that flips every iteration (an unchanged value would not
-    // re-dirty), so the store's live size stays pinned at `live + DELTA`
-    // for the whole measurement — the ~128x early/late size contrast the
-    // invariant discriminates on cannot erode as samples accumulate. An
-    // O(store) flush would still pay `live` per iteration; only the log
-    // file grows, append-only, as it should.
+    // The measured delta overwrites the same `DELTA` dedicated
+    // pipeline-tier entries, which every put re-dirties (a solver entry
+    // is never replaced, so re-putting one would flush nothing), so the
+    // store's live size stays pinned at `live + DELTA` for the whole
+    // measurement — the ~128x early/late size contrast the invariant
+    // discriminates on cannot erode as samples accumulate. An O(store)
+    // flush would still pay `live` per iteration; only the log file
+    // grows, append-only, as it should.
+    let delta: Vec<(JobSpec, PipelineEntry)> = (0..DELTA)
+        .map(|i| {
+            let spec = JobSpec::new(format!(
+                "function D{i}() returns o: num(0,0) {{ o := {i}; }}"
+            ));
+            let entry = PipelineEntry {
+                ok: true,
+                verdict: "proved".into(),
+                digest: format!("D{i} Proved\n"),
+                deps: Some(Vec::new()),
+            };
+            (spec, entry)
+        })
+        .collect();
     for (tag, live) in [("early", 256usize), ("late", 32_768usize)] {
         let path = bench_store_path(tag);
         let mut store = VerdictStore::load(&path);
         push_fresh_entries(&mut store, &mut next_fp, live);
         store.flush().expect("seed flush");
-        let delta_base = next_fp;
-        next_fp += DELTA as u128;
-        let mut round = 0u64;
         group.bench_function(tag, |b| {
             b.iter(|| {
-                round += 1;
-                let value = if round.is_multiple_of(2) {
-                    MemoEntry::Unsat
-                } else {
-                    MemoEntry::Model(Model::default().into())
-                };
-                for i in 0..DELTA as u128 {
-                    store.solver_put(Fingerprint((delta_base + i) | (1 << 127)), value.clone());
+                let logged = store.logged_entries();
+                for (spec, entry) in &delta {
+                    store.pipeline_put(spec, entry.clone());
                 }
                 store.flush().expect("delta flush");
+                assert_eq!(
+                    store.logged_entries() - logged,
+                    DELTA as u64,
+                    "a measured flush must append the whole delta"
+                );
                 store.log_bytes()
             });
         });
@@ -187,7 +200,7 @@ fn bench_store_load(c: &mut Criterion) {
     pipeline.verify_corpus_parallel_with_memo(&buggy, None, &memo);
     let path = bench_store_path("load");
     let mut store = VerdictStore::load(&path);
-    store.update_from_memo(&memo);
+    store.absorb_dirty(&memo);
     store.flush().expect("store flush succeeds");
     let models = memo
         .snapshot()
@@ -200,10 +213,8 @@ fn bench_store_load(c: &mut Criterion) {
     group.bench_function("store-load", |b| {
         b.iter(|| {
             let store = VerdictStore::load(&path);
-            let warm = QueryMemo::default();
-            store.warm_memo(&warm);
-            assert_eq!(warm.len(), memo.len());
-            (store, warm)
+            assert_eq!(store.memo().len(), memo.len());
+            store
         });
     });
     group.finish();

@@ -20,12 +20,13 @@
 //!   the store lock, for lookups and flushes).
 //!
 //! Persistence: on startup the daemon loads the [`VerdictStore`] (an
-//! append-only record log) and warms the memo from its solver tier; after
-//! every freshly verified job it drains the memo's dirty delta and
+//! append-only record log), whose solver tier lands in the memo the
+//! workers query ([`VerdictStore::memo`]); after every freshly verified
+//! job it drains the memo's dirty delta and
 //! **appends one framed delta record** — O(job), not O(store), so a long
 //! candidate loop pays constant flush cost per job instead of quadratic
 //! total. When the log holds more than twice as many entries as live
-//! ones (`COMPACT_RATIO`), and always on clean shutdown, a compaction pass
+//! ones ([`VerdictStore::wants_compaction`]), and always on clean shutdown, a compaction pass
 //! rewrites the log atomically and drops solver-tier entries unreachable
 //! from any pipeline-tier job. Jobs whose (source, options) pair is
 //! already in the pipeline tier are answered from disk without verifying
@@ -89,13 +90,6 @@ use shadowdp_verify::Verdict;
 use crate::log::RecordLog;
 use crate::proto::{self, JobOutcome, OutcomeKind, Request, Response, StatusInfo};
 use crate::store::{fnv128, hex128, PipelineEntry, VerdictStore};
-
-/// Live/dead compaction trigger: compact once the log holds more than
-/// twice as many record entries as there are live entries. Low enough
-/// that a long-lived candidate loop's log stays within a small constant
-/// factor of live state, high enough that compaction (an O(store)
-/// rewrite) stays rare next to O(job) appends.
-const COMPACT_RATIO: f64 = 2.0;
 
 /// What `BUSY` tells a rejected submitter to wait before retrying.
 /// Jobs normally turn around well within this; the client treats it
@@ -386,6 +380,8 @@ struct Shared {
     /// wait on it.
     queued: Condvar,
     store: Mutex<VerdictStore>,
+    /// The store's memo ([`VerdictStore::memo`]), which workers query
+    /// without taking the store lock.
     memo: Arc<QueryMemo>,
     config: DaemonConfig,
 }
@@ -494,8 +490,7 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
     if let Some(note) = store.load_note() {
         eprintln!("shadowdpd: {note}");
     }
-    let memo = Arc::new(QueryMemo::default());
-    store.warm_memo(&memo);
+    let memo = store.memo().clone();
 
     // Submissions journaled by a previous run that crashed before their
     // verdicts were flushed: requeue them without a reply channel. Nobody
@@ -776,9 +771,9 @@ fn work(shared: &Shared) {
     }
 }
 
-/// Persists one freshly verified job under the store lock: its pipeline
-/// entry (completed and error outcomes only), the memo's dirty delta, LRU
-/// eviction, one flush and a compaction check. Returns the job's wire
+/// Persists one freshly verified job under the store lock: the memo's
+/// dirty delta, its pipeline entry (completed and error outcomes only),
+/// LRU eviction, one flush and a compaction check. Returns the job's wire
 /// outcome.
 fn persist(
     shared: &Shared,
@@ -796,6 +791,11 @@ fn persist(
     // size, poisoned worker), not of the program: persisting them would
     // answer future re-submissions — possibly with a *larger* budget —
     // from a partial verdict. They stay out of the store entirely.
+    // O(job), not O(store): drain only what has been solved since the
+    // last drain and append it as one delta record. A failed flush keeps
+    // the delta dirty, so the next successful flush (or the shutdown
+    // compaction) persists it.
+    store.absorb_dirty(&shared.memo);
     if matches!(kind, OutcomeKind::Completed | OutcomeKind::Error) {
         // The job's solver-tier dependency set: compaction keeps a
         // persisted solver verdict alive iff some pipeline entry lists
@@ -822,11 +822,6 @@ fn persist(
         // Put-time stamp: the entry's first use.
         store.stamp_served(&job.spec, stamp);
     }
-    // O(job), not O(store): drain only what has been solved since the
-    // last drain and append it as one delta record. A failed flush keeps
-    // the delta dirty, so the next successful flush (or the shutdown
-    // compaction) persists it.
-    store.absorb_dirty(&shared.memo);
     // Enforce the pipeline-tier cap now, after this job's put and before
     // the flush: an eviction forces a full rewrite, and doing it here
     // folds that rewrite into the flush I/O below instead of paying for
@@ -847,7 +842,7 @@ fn persist(
     LAST_FLUSH_US.set(us);
     if let Err(e) = flushed {
         eprintln!("shadowdpd: store flush failed (delta retained, will retry): {e}");
-    } else if store.wants_compaction(COMPACT_RATIO) {
+    } else if store.wants_compaction() {
         match store.compact() {
             Ok(stats) => {
                 COMPACTIONS.inc();

@@ -1,16 +1,16 @@
 //! The persistent verdict store: a disk-backed cache with two tiers,
 //! persisted as an **append-only record log with periodic compaction**.
 //!
-//! - **Solver tier** — `Fingerprint → MemoEntry`, the contents of a
-//!   [`QueryMemo`] exported with [`QueryMemo::snapshot`] (or, incrementally,
-//!   [`QueryMemo::drain_dirty`]) and re-imported with [`QueryMemo::absorb`].
-//!   Fingerprints are arena-independent structural hashes (see
+//! - **Solver tier** — `Fingerprint → MemoEntry`, held once: the values
+//!   live in the [`QueryMemo`] the store owns ([`VerdictStore::memo`],
+//!   the one the daemon queries), which [`VerdictStore::load`] decodes
+//!   them into, and the store keeps only the keys its log holds or its
+//!   next flush writes, reading their values from the memo when it
+//!   writes. Fingerprints are arena-independent structural hashes (see
 //!   `shadowdp_solver::term`), so an entry written by one daemon process
 //!   answers the structurally identical validity query in any later
 //!   process — this tier is what makes a daemon restart *warm*. Most `Sat`
-//!   entries hold no model (only a query that reads one builds it); an
-//!   entry's model is an `Arc` shared with the live memo, so the daemon
-//!   holds each model once.
+//!   entries hold no model (only a query that reads one builds it).
 //! - **Pipeline tier** — `fnv128(JobSpec::canonical()) → (verdict, digest,
 //!   deps)`: whole-verification results keyed by source text plus options.
 //!   A resubmitted program is answered without running the pipeline at all,
@@ -23,7 +23,7 @@
 //!
 //! A record log (`log.rs` owns the framing and the disk discipline) with
 //! magic `b"SDPV3E"` plus the two-digit [`shadowdp::VERIFIER_EPOCH`]
-//! (`b"SDPV3E01"` at epoch 1), and hand-rolled little-endian payloads
+//! (`b"SDPV3E02"` at epoch 2), and hand-rolled little-endian payloads
 //! (the format is simple enough that a schema language would cost more
 //! than it buys):
 //!
@@ -47,9 +47,10 @@
 //!
 //! Replay starts from empty state; a **base** record resets it (compaction
 //! and first-flush write exactly one) and a **delta** record merges on top
-//! (each incremental flush appends one), a later entry replacing an
-//! earlier one of the same key — which is how a model that upgrades a
-//! tag-2 entry wins on reload. Every record carries its own
+//! (each incremental flush appends one). A later pipeline entry replaces
+//! an earlier one of the same key; a later solver entry goes through the
+//! memo's rule ([`QueryMemo::absorb`]), so a model that upgrades a tag-2
+//! entry wins on reload. Every record carries its own
 //! checksum, so a torn tail — a crash mid-append — **truncates the log to
 //! the last valid record** instead of cold-starting the whole store; only
 //! a damaged or unknown header falls back to a cold (empty) cache. The
@@ -64,6 +65,7 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use shadowdp::JobSpec;
 use shadowdp_num::Rat;
@@ -109,6 +111,13 @@ fn other_verifier(header: &[u8]) -> Option<String> {
         shadowdp::VERIFIER_EPOCH
     ))
 }
+
+/// Live/dead compaction trigger: [`VerdictStore::wants_compaction`] once
+/// the log holds more than twice as many record entries as there are live
+/// entries. Low enough that a long-lived candidate loop's log stays within
+/// a small constant factor of live state, high enough that compaction (an
+/// O(store) rewrite) stays rare next to O(job) appends.
+const COMPACT_RATIO: u64 = 2;
 
 /// Record kinds. A base record resets replay state; a delta merges.
 const KIND_BASE: u8 = 0;
@@ -181,10 +190,14 @@ pub struct CompactStats {
 pub struct VerdictStore {
     /// The backing log; `None` for an in-memory store.
     log: Option<RecordLog>,
-    solver: HashMap<Fingerprint, MemoEntry>,
+    /// The solver tier's values, and the memo the daemon queries.
+    memo: Arc<QueryMemo>,
+    /// The solver tier: the keys the log holds or the next flush writes.
+    /// The memo holds each one's value, and may hold more: a compaction
+    /// drops a key, not the verdict.
+    solver: HashSet<Fingerprint>,
     pipeline: HashMap<u128, PipelineEntry>,
-    /// Solver keys added (or re-solved) since the last successful flush;
-    /// their current values live in `solver`.
+    /// Solver keys added (or upgraded) since the last successful flush.
     dirty_solver: Vec<Fingerprint>,
     /// Pipeline keys added or overwritten since the last successful flush.
     dirty_pipeline: Vec<u128>,
@@ -212,7 +225,8 @@ impl VerdictStore {
     pub fn in_memory() -> VerdictStore {
         VerdictStore {
             log: None,
-            solver: HashMap::new(),
+            memo: Arc::default(),
+            solver: HashSet::new(),
             pipeline: HashMap::new(),
             dirty_solver: Vec::new(),
             dirty_pipeline: Vec::new(),
@@ -231,9 +245,8 @@ impl VerdictStore {
     /// This constructor never fails and never panics on file contents.
     pub fn load(path: impl Into<PathBuf>) -> VerdictStore {
         let mut store = VerdictStore::in_memory();
-        let mut names = Names::default();
         let (log, note) = RecordLog::open(path.into(), MAGIC, "store", other_verifier, |payload| {
-            store.merge_record(payload, &mut names).is_some()
+            store.merge_record(payload).is_some()
         });
         store.log = Some(log);
         store.load_note = note;
@@ -244,6 +257,13 @@ impl VerdictStore {
     /// dropped a torn tail, if it did.
     pub fn load_note(&self) -> Option<&str> {
         self.load_note.as_deref()
+    }
+
+    /// The memo holding the solver tier's values, which
+    /// [`VerdictStore::load`] filled from the log: the daemon answers its
+    /// queries from it.
+    pub fn memo(&self) -> &Arc<QueryMemo> {
+        &self.memo
     }
 
     /// Number of solver-tier entries.
@@ -282,59 +302,49 @@ impl VerdictStore {
     }
 
     /// Whether the log carries enough superseded weight to be worth
-    /// compacting: logged entries exceed `ratio` × live entries. `ratio`
-    /// is clamped below at 1.0 (a log can never be smaller than live
-    /// state); `f64::INFINITY` disables ratio-triggered compaction.
-    pub fn wants_compaction(&self, ratio: f64) -> bool {
-        if self.log.is_none() {
-            return false;
-        }
-        let live = self.live_entries().max(1) as f64;
-        self.logged_entries as f64 > ratio.max(1.0) * live
+    /// compacting: logged entries exceed `COMPACT_RATIO` × live entries.
+    pub fn wants_compaction(&self) -> bool {
+        self.log.is_some() && self.logged_entries > COMPACT_RATIO * self.live_entries().max(1)
     }
 
-    /// Imports the solver tier into a live memo ([`QueryMemo::absorb`];
-    /// live entries win on key collisions). The memo and the tier then
-    /// share each decoded model: warming copies no model.
+    /// Copies the solver tier into another memo ([`QueryMemo::absorb`];
+    /// that memo's entries win on key collisions), sharing each model.
+    /// The daemon queries [`VerdictStore::memo`] itself; this is for a
+    /// replay or a test that keeps a memo of its own.
     pub fn warm_memo(&self, memo: &QueryMemo) {
-        memo.absorb(self.solver.iter().map(|(k, v)| (*k, v.clone())));
-    }
-
-    /// Merges a memo's **full** snapshot into the solver tier, marking
-    /// anything new or changed dirty. O(memo) — the one-shot export path
-    /// (benches, tests, tools). A long-lived daemon uses
-    /// [`VerdictStore::absorb_dirty`] instead, which is O(delta).
-    pub fn update_from_memo(&mut self, memo: &QueryMemo) {
-        for (key, value) in memo.snapshot() {
-            self.solver_put(key, value);
-        }
+        memo.absorb(valued(&self.memo, &self.solver));
     }
 
     /// Drains a memo's dirty delta ([`QueryMemo::drain_dirty`]) into the
-    /// solver tier. O(job): only entries solved since the last drain
-    /// move. Returns how many entries were absorbed.
+    /// solver tier, for the next flush. O(job): only entries solved since
+    /// the last drain move. Returns how many entries were absorbed.
     pub fn absorb_dirty(&mut self, memo: &QueryMemo) -> usize {
         let delta = memo.drain_dirty();
-        let n = delta.len();
-        for (key, value) in delta {
-            self.solver_put(key, value);
+        for (key, _) in &delta {
+            self.mark(*key);
         }
+        let n = delta.len();
+        self.memo.absorb(delta);
         n
     }
 
-    /// Records one solver-tier entry directly, marking it dirty if it is
-    /// new or changed — except that an entry holding a model is never
-    /// replaced by a bare `Sat` (it [upgrades](MemoEntry::upgrades) that
-    /// one). (Building block of the memo import paths; public for benches
-    /// and tests that construct stores without running a solver.)
+    /// Records one solver-tier entry directly, by the memo's rule
+    /// ([`QueryMemo::absorb`]): a new key, or a model that
+    /// [upgrades](MemoEntry::upgrades) a bare `Sat`, is stored and
+    /// persisted by the next flush, and anything else changes nothing.
+    /// (For benches and tests that build stores without running a
+    /// solver.)
     pub fn solver_put(&mut self, key: Fingerprint, value: MemoEntry) {
-        match self.solver.get(&key) {
-            Some(existing) if *existing == value || existing.upgrades(&value) => {}
-            _ => {
-                self.solver.insert(key, value);
-                self.dirty_solver.push(key);
-            }
+        if self.memo.absorb([(key, value)]) > 0 {
+            self.mark(key);
         }
+    }
+
+    /// Puts `key`, whose value the memo holds, in the solver tier and in
+    /// the next flush.
+    fn mark(&mut self, key: Fingerprint) {
+        self.solver.insert(key);
+        self.dirty_solver.push(key);
     }
 
     /// The pipeline-tier cache key for a job spec.
@@ -397,19 +407,23 @@ impl VerdictStore {
     }
 
     /// Re-persists any of `deps` missing from the solver tier, pulling
-    /// their verdicts from the live memo. Closes a warmth leak in the
+    /// their verdicts from `memo`. Closes a warmth leak in the
     /// compaction design: a job answered entirely by memo *hits* inserts
     /// nothing into the memo's dirty delta, yet its pipeline entry lists
     /// those fingerprints as dependencies — if an earlier compaction
     /// dropped them as orphans (e.g. solver work stranded by a job that
     /// failed before producing a verdict), the entry's deps would dangle
-    /// and a daemon restart would quietly re-prove them. Call before
-    /// flushing the job that recorded the entry.
+    /// and a daemon restart would quietly re-prove them. A compaction
+    /// drops the key, not the verdict, so a missing key is persisted even
+    /// when the store's own memo holds it. Call after
+    /// [`VerdictStore::absorb_dirty`], before flushing the job that
+    /// recorded the entry.
     pub fn ensure_deps(&mut self, memo: &QueryMemo, deps: &[Fingerprint]) {
         for fp in deps {
-            if !self.solver.contains_key(fp) {
-                if let Some(result) = memo.get(*fp) {
-                    self.solver_put(*fp, result);
+            if !self.solver.contains(fp) {
+                if let Some(entry) = memo.get(*fp) {
+                    self.memo.absorb([(*fp, entry)]);
+                    self.mark(*fp);
                 }
             }
         }
@@ -476,7 +490,7 @@ impl VerdictStore {
             all_known.then_some(set)
         };
         let dropped_solver = reachable.as_ref().map_or(0, |keep| {
-            self.solver.keys().filter(|k| !keep.contains(k)).count()
+            self.solver.iter().filter(|k| !keep.contains(k)).count()
         });
         self.rewrite(reachable.as_ref())?;
         Ok(CompactStats {
@@ -487,19 +501,18 @@ impl VerdictStore {
     }
 
     /// Atomically rewrites the whole log as one base record, keeping only
-    /// the solver entries in `keep` (`None` = all). The in-memory solver
-    /// tier is pruned only *after* the write succeeds, so a failed
-    /// compaction forgets nothing — and the filter works on borrowed
-    /// entries, so no value is cloned either way. An in-memory store only
-    /// prunes (so its compaction stats stay truthful and the memory is
-    /// reclaimed) and resets its dirty tracking.
+    /// the solver keys in `keep` (`None` = all). The solver tier's keys
+    /// are pruned only *after* the write succeeds, so a failed compaction
+    /// forgets nothing; the memo keeps every verdict either way. An
+    /// in-memory store only prunes (so its compaction stats stay
+    /// truthful) and resets its dirty tracking.
     fn rewrite(&mut self, keep: Option<&HashSet<Fingerprint>>) -> io::Result<()> {
         if let Some(log) = &mut self.log {
-            let solver: Vec<(&Fingerprint, &MemoEntry)> = self
+            let kept = self
                 .solver
                 .iter()
-                .filter(|(k, _)| keep.is_none_or(|keep| keep.contains(*k)))
-                .collect();
+                .filter(|k| keep.is_none_or(|keep| keep.contains(*k)));
+            let solver = valued(&self.memo, kept);
             let entries = (solver.len() + self.pipeline.len()) as u64;
             log.rewrite(&[encode_record(
                 KIND_BASE,
@@ -509,7 +522,7 @@ impl VerdictStore {
             self.logged_entries = entries;
         }
         if let Some(keep) = keep {
-            self.solver.retain(|k, _| keep.contains(k));
+            self.solver.retain(|k| keep.contains(k));
         }
         self.needs_rewrite = false;
         self.dirty_solver.clear();
@@ -520,17 +533,13 @@ impl VerdictStore {
     /// Appends one delta record holding the dirty entries. On failure the
     /// dirty delta is kept for the next flush.
     fn append_delta(&mut self) -> io::Result<()> {
-        // Dedup against the live maps: the last value for a key wins, and
-        // a key dirtied twice encodes once.
+        // Values come from the memo and the pipeline map as they are now,
+        // and a key dirtied twice encodes once.
         self.dirty_solver.sort();
         self.dirty_solver.dedup();
         self.dirty_pipeline.sort();
         self.dirty_pipeline.dedup();
-        let solver: Vec<(&Fingerprint, &MemoEntry)> = self
-            .dirty_solver
-            .iter()
-            .filter_map(|k| self.solver.get_key_value(k))
-            .collect();
+        let solver = valued(&self.memo, &self.dirty_solver);
         let pipeline: Vec<(&u128, &PipelineEntry)> = self
             .dirty_pipeline
             .iter()
@@ -559,19 +568,19 @@ impl VerdictStore {
     pub fn encode(&self) -> Vec<u8> {
         let record = encode_record(
             KIND_BASE,
-            self.solver.iter().collect(),
+            valued(&self.memo, &self.solver),
             self.pipeline.iter().collect(),
         );
         log::image(MAGIC, &[record]).expect("store fits in one record frame")
     }
 
     /// Decodes one record payload and merges it into the tiers — a base
-    /// record first resets them. `None` (nothing merged) for a payload
-    /// that does not decode: the checksum matched, so only a buggy or
-    /// hostile writer seals one, but it is still bounds-checked and
-    /// rejected, never half-loaded. Model names are interned through
-    /// `names`, the load's own table.
-    fn merge_record(&mut self, payload: &[u8], names: &mut Names) -> Option<()> {
+    /// record first resets them (the memo keeps what it holds; only the
+    /// keys reset). `None` (nothing merged) for a payload that does not
+    /// decode: the checksum matched, so only a buggy or hostile writer
+    /// seals one, but it is still bounds-checked and rejected, never
+    /// half-loaded.
+    fn merge_record(&mut self, payload: &[u8]) -> Option<()> {
         let mut cur = Cursor {
             bytes: payload,
             at: 0,
@@ -585,7 +594,7 @@ impl VerdictStore {
         let mut solver = Vec::with_capacity(cur.capacity(solver_count, MIN_SOLVER_ENTRY));
         for _ in 0..solver_count {
             let fp = Fingerprint(cur.u128()?);
-            let entry = decode_entry(&mut cur, names)?;
+            let entry = decode_entry(&mut cur)?;
             solver.push((fp, entry));
         }
 
@@ -632,8 +641,8 @@ impl VerdictStore {
             self.logged_entries = 0;
         }
         self.logged_entries += (solver.len() + pipeline.len()) as u64;
-        self.solver.reserve(solver.len());
-        self.solver.extend(solver);
+        self.solver.extend(solver.iter().map(|(k, _)| *k));
+        self.memo.absorb(solver);
         self.pipeline.reserve(pipeline.len());
         self.pipeline.extend(pipeline);
         Some(())
@@ -643,6 +652,16 @@ impl VerdictStore {
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
+
+/// The entries of `keys`, each valued from `memo`.
+fn valued<'a>(
+    memo: &QueryMemo,
+    keys: impl IntoIterator<Item = &'a Fingerprint>,
+) -> Vec<(Fingerprint, MemoEntry)> {
+    keys.into_iter()
+        .filter_map(|k| Some((*k, memo.get(*k)?)))
+        .collect()
+}
 
 fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -675,14 +694,14 @@ fn encode_entry(out: &mut Vec<u8>, entry: &MemoEntry) {
 /// contents encode identically.
 fn encode_record(
     kind: u8,
-    mut solver: Vec<(&Fingerprint, &MemoEntry)>,
+    mut solver: Vec<(Fingerprint, MemoEntry)>,
     mut pipeline: Vec<(&u128, &PipelineEntry)>,
 ) -> Vec<u8> {
     let mut payload = vec![kind];
 
-    solver.sort_by_key(|(k, _)| **k);
+    solver.sort_by_key(|(k, _)| *k);
     payload.extend_from_slice(&(solver.len() as u64).to_le_bytes());
-    for (fp, entry) in solver {
+    for (fp, entry) in &solver {
         payload.extend_from_slice(&fp.0.to_le_bytes());
         encode_entry(&mut payload, entry);
     }
@@ -722,25 +741,6 @@ const MIN_PIPELINE_ENTRY: usize = 16 + 1 + 4 + 4 + 1;
 const MIN_REAL: usize = 4 + 16 + 16;
 /// The fewest bytes one model bool encodes in (empty name, value).
 const MIN_BOOL: usize = 4 + 1;
-
-/// The model names one load has interned, keyed by their bytes. Each
-/// distinct name takes one trip through the solver's global interner per
-/// load, however many models mention it; every later mention is a local
-/// lookup, and every model naming it shares the interned copy.
-#[derive(Default)]
-struct Names(HashMap<&'static [u8], &'static str>);
-
-impl Names {
-    /// The interned copy of `bytes`; `None` if they are not UTF-8.
-    fn intern(&mut self, bytes: &[u8]) -> Option<&'static str> {
-        if let Some(name) = self.0.get(bytes) {
-            return Some(name);
-        }
-        let name = Symbol::intern(std::str::from_utf8(bytes).ok()?).as_str();
-        self.0.insert(name.as_bytes(), name);
-        Some(name)
-    }
-}
 
 struct Cursor<'a> {
     bytes: &'a [u8],
@@ -793,13 +793,13 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_entry(cur: &mut Cursor<'_>, names: &mut Names) -> Option<MemoEntry> {
+fn decode_entry(cur: &mut Cursor<'_>) -> Option<MemoEntry> {
     match cur.u8()? {
         TAG_UNSAT => Some(MemoEntry::Unsat),
         TAG_SAT => Some(MemoEntry::Sat),
         TAG_MODEL => {
             let possibly_spurious = cur.u8()? != 0;
-            let reals = decode_named(cur, names, MIN_REAL, |cur| {
+            let reals = decode_named(cur, MIN_REAL, |cur| {
                 let numer = cur.i128()?;
                 let denom = cur.i128()?;
                 // Encoded rationals come from `Rat`, which keeps the
@@ -814,7 +814,7 @@ fn decode_entry(cur: &mut Cursor<'_>, names: &mut Names) -> Option<MemoEntry> {
                 }
                 Some(Rat::new(numer, denom))
             })?;
-            let bools = decode_named(cur, names, MIN_BOOL, |cur| Some(cur.u8()? != 0))?;
+            let bools = decode_named(cur, MIN_BOOL, |cur| Some(cur.u8()? != 0))?;
             Some(MemoEntry::Model(
                 Model::new(reals, bools, possibly_spurious).into(),
             ))
@@ -825,13 +825,13 @@ fn decode_entry(cur: &mut Cursor<'_>, names: &mut Names) -> Option<MemoEntry> {
 
 /// One of a model's name-sorted lists: a `u32` count, then per entry a
 /// name and a value read by `value`, into a vector sized once, which
-/// [`Model::new`] keeps as is. `None` unless every name is UTF-8 and
+/// [`Model::new`] keeps as is. Each name is the interner's copy, so every
+/// model naming it shares one. `None` unless every name is UTF-8 and
 /// greater than the one before — the encoder writes names in strictly
 /// increasing order, so anything else is a corrupt record (and would
 /// make `Model::new` panic).
 fn decode_named<T>(
     cur: &mut Cursor<'_>,
-    names: &mut Names,
     min_len: usize,
     mut value: impl FnMut(&mut Cursor<'_>) -> Option<T>,
 ) -> Option<Vec<(&'static str, T)>> {
@@ -844,7 +844,8 @@ fn decode_named<T>(
             return None;
         }
         last = Some(name);
-        out.push((names.intern(name)?, value(cur)?));
+        let name = Symbol::intern(std::str::from_utf8(name).ok()?).as_str();
+        out.push((name, value(cur)?));
     }
     Some(out)
 }
@@ -878,11 +879,13 @@ mod tests {
     /// a file: the store it rebuilds, and what the replay kept.
     fn replay(bytes: &[u8]) -> Result<(VerdictStore, log::Replay), &'static str> {
         let mut store = VerdictStore::in_memory();
-        let mut names = Names::default();
-        let kept = log::replay(bytes, MAGIC, |p| {
-            store.merge_record(p, &mut names).is_some()
-        })?;
+        let kept = log::replay(bytes, MAGIC, |p| store.merge_record(p).is_some())?;
         Ok((store, kept))
+    }
+
+    /// The solver tier's entries, each valued from the store's memo.
+    fn tier(store: &VerdictStore) -> HashMap<Fingerprint, MemoEntry> {
+        valued(&store.memo, &store.solver).into_iter().collect()
     }
 
     fn sample_store() -> VerdictStore {
@@ -906,12 +909,12 @@ mod tests {
     /// that each is the memo's own model allocation, not a copy of it.
     fn sat_entries_shared_with(store: &VerdictStore, memo: &QueryMemo) -> usize {
         let mut shared = 0;
-        for (fp, result) in &store.solver {
+        for (fp, result) in tier(store) {
             if let MemoEntry::Model(model) = result {
-                let Some(MemoEntry::Model(live)) = memo.get(*fp) else {
+                let Some(MemoEntry::Model(live)) = memo.get(fp) else {
                     panic!("{fp:?}: the memo lacks the stored model");
                 };
-                assert!(Arc::ptr_eq(model, &live), "{fp:?}: model copied");
+                assert!(Arc::ptr_eq(&model, &live), "{fp:?}: model copied");
                 shared += 1;
             }
         }
@@ -947,7 +950,7 @@ mod tests {
     fn image_round_trips() {
         let store = sample_store();
         let (replayed, kept) = replay(&store.encode()).unwrap();
-        assert_eq!(replayed.solver, store.solver);
+        assert_eq!(tier(&replayed), tier(&store));
         assert_eq!(replayed.pipeline, store.pipeline);
         assert_eq!(kept.valid_len, store.encode().len() as u64);
         assert_eq!(kept.records, 1);
@@ -966,7 +969,7 @@ mod tests {
         bare.push(2);
         bare.extend_from_slice(&0u64.to_le_bytes());
         assert_eq!(
-            encode_record(KIND_BASE, vec![(&Fingerprint(5), &MemoEntry::Sat)], vec![]),
+            encode_record(KIND_BASE, vec![(Fingerprint(5), MemoEntry::Sat)], vec![]),
             bare
         );
 
@@ -996,17 +999,17 @@ mod tests {
             (Fingerprint(3), model.clone()),
             (Fingerprint(4), model),
         ]);
-        assert_eq!(store.solver, want);
+        assert_eq!(tier(&store), want);
 
         let mut reloaded = VerdictStore::load(&path);
         assert!(reloaded.load_note().is_none());
-        assert_eq!(reloaded.solver, want, "the later delta wins");
+        assert_eq!(tier(&reloaded), want, "the later delta wins");
         assert_eq!(reloaded.logged_entries(), 6);
         let stats = reloaded.compact().unwrap();
         assert_eq!((stats.dropped_solver, stats.logged_after), (0, 5));
         let compacted = VerdictStore::load(&path);
         assert!(compacted.load_note().is_none());
-        assert_eq!(compacted.solver, want);
+        assert_eq!(tier(&compacted), want);
         assert_eq!(compacted.logged_entries(), 5);
         let _ = std::fs::remove_file(&path);
     }
@@ -1159,7 +1162,7 @@ mod tests {
         let base = sample_store();
         let base_payload = encode_record(
             KIND_BASE,
-            base.solver.iter().collect(),
+            valued(&base.memo, &base.solver),
             base.pipeline.iter().collect(),
         );
         let base_len = base.encode().len() as u64;
@@ -1167,7 +1170,7 @@ mod tests {
         let (replayed, kept) =
             replay(&log::image(MAGIC, &[&base_payload, &ordered]).unwrap()).unwrap();
         assert_eq!(kept.records, 2, "the well-formed delta is merged");
-        let Some(MemoEntry::Model(model)) = replayed.solver.get(&Fingerprint(9)) else {
+        let Some(MemoEntry::Model(model)) = replayed.memo.get(Fingerprint(9)) else {
             panic!("the delta's model is loaded");
         };
         assert_eq!(model.to_string(), "a = 1/2, b = 1/2, p = true, q = true");
@@ -1183,7 +1186,7 @@ mod tests {
             let image = log::image(MAGIC, &[&base_payload, &bad]).unwrap();
             let (replayed, kept) = replay(&image).unwrap();
             assert_eq!((kept.records, kept.valid_len), (1, base_len), "{why}");
-            assert_eq!(replayed.solver, base.solver, "{why}: half-merged");
+            assert_eq!(tier(&replayed), tier(&base), "{why}: half-merged");
             assert_eq!(replayed.pipeline, base.pipeline, "{why}");
         }
     }
@@ -1205,7 +1208,7 @@ mod tests {
         let interned = Symbol::intern("x").as_str();
         for replayed in [&first, &second] {
             for fp in [1, 2] {
-                let Some(MemoEntry::Model(model)) = replayed.solver.get(&Fingerprint(fp)) else {
+                let Some(MemoEntry::Model(model)) = replayed.memo.get(Fingerprint(fp)) else {
                     panic!("model {fp} is loaded");
                 };
                 assert!(std::ptr::eq(model.reals()[0].0, interned));
@@ -1444,8 +1447,9 @@ mod tests {
         );
         store.flush().unwrap();
         // Overwrite the pipeline entry a few times to generate superseded
-        // log records.
-        for round in 0..4 {
+        // log records: after five rounds the log holds 9 entries for 4
+        // live ones, past twice as many.
+        for round in 0..5 {
             store.pipeline_put(
                 &spec,
                 PipelineEntry {
@@ -1458,14 +1462,14 @@ mod tests {
             store.flush().unwrap();
         }
         assert!(store.logged_entries() > store.live_entries());
-        assert!(store.wants_compaction(1.0));
+        assert!(store.wants_compaction());
         let pre_len = store.log_bytes();
 
         let stats = store.compact().unwrap();
         assert_eq!(stats.dropped_solver, 1, "{stats:?}");
         assert_eq!(store.solver_len(), 2);
         assert_eq!(store.logged_entries(), store.live_entries());
-        assert!(!store.wants_compaction(1.0));
+        assert!(!store.wants_compaction());
         assert!(store.log_bytes() < pre_len);
 
         let reloaded = VerdictStore::load(&path);
@@ -1474,7 +1478,7 @@ mod tests {
         assert_eq!(reloaded.pipeline_len(), 1);
         assert_eq!(
             reloaded.pipeline_get(&spec).unwrap().digest,
-            "F Proved round 3\n"
+            "F Proved round 4\n"
         );
         let _ = std::fs::remove_file(&path);
     }

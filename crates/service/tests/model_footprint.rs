@@ -8,7 +8,8 @@
 //! Names are pointers into the solver's interner, so a model that copied
 //! each name into its own allocation would fail both bounds. A `Sat`
 //! entry with no model, which is what a verdict-only query leaves in the
-//! memo, costs no model allocation at all.
+//! memo, costs no model allocation at all. A loaded store holds each
+//! verdict once: its memo, plus a key set of at most 48 B per entry.
 //!
 //! A counting global allocator wraps the system one. Only the thread
 //! inside [`live`] counts, so the harness's own threads cannot skew a
@@ -176,21 +177,59 @@ fn a_sat_entry_without_a_model_costs_no_model_allocation() {
         "{verdict_allocs} allocations for {n} verdicts, {model_allocs} for {n} models"
     );
 
-    // Through the store decoder and warm-up: a bare `Sat` costs exactly
-    // what an `Unsat` costs.
+    // Through the store decoder, into the store's memo: a bare `Sat`
+    // costs exactly what an `Unsat` costs.
     let bare = store_file("bare", "sat--", |_| MemoEntry::Sat);
     let unsat = store_file("bare", "unsat", |_| MemoEntry::Unsat);
-    let warm = |path: &PathBuf| {
+    let load = |path: &PathBuf| {
         let store = VerdictStore::load(path);
-        let memo = QueryMemo::default();
-        store.warm_memo(&memo);
-        assert_eq!(memo.len(), MODELS);
-        (store, memo)
+        assert_eq!(store.memo().len(), MODELS);
+        store
     };
-    drop((warm(&bare), warm(&unsat)));
-    let (_, bare_allocs, bare_bytes) = live(|| warm(&bare));
-    let (_, unsat_allocs, unsat_bytes) = live(|| warm(&unsat));
+    drop((load(&bare), load(&unsat)));
+    let (_, bare_allocs, bare_bytes) = live(|| load(&bare));
+    let (_, unsat_allocs, unsat_bytes) = live(|| load(&unsat));
     assert_eq!((bare_allocs, bare_bytes), (unsat_allocs, unsat_bytes));
     let _ = std::fs::remove_file(&bare);
     let _ = std::fs::remove_file(&unsat);
+}
+
+/// A daemon's start-up is one `load`, which decodes the solver tier into
+/// the store's memo and keeps only a key set beside it: 1,000 `Unsat`
+/// entries cost what a bare memo holding them costs, plus at most 48 B
+/// per entry. A store that kept a second map of the values would pay
+/// 64 B or more per entry over the memo.
+#[test]
+fn a_loaded_store_holds_each_verdict_once() {
+    const N: usize = 1_000;
+    let entries = || (1..=N as u128).map(|k| (Fingerprint(k), MemoEntry::Unsat));
+    let path = std::env::temp_dir().join(format!(
+        "shadowdp-footprint-{}-once.bin",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut store = VerdictStore::load(&path);
+    for (key, value) in entries() {
+        store.solver_put(key, value);
+    }
+    store.flush().expect("store written");
+    drop(store);
+
+    drop(VerdictStore::load(&path)); // warms statics
+    let (store, _, store_bytes) = live(|| VerdictStore::load(&path));
+    assert_eq!(store.memo().len(), N);
+    assert_eq!(store.solver_len(), N);
+    let (memo, _, memo_bytes) = live(|| {
+        let memo = QueryMemo::default();
+        memo.absorb(entries());
+        memo
+    });
+    assert_eq!(memo.len(), N);
+    let n = N as i64;
+    assert!(
+        store_bytes <= memo_bytes + 48 * n,
+        "a loaded store costs {} B per entry over a bare memo",
+        (store_bytes - memo_bytes) / n
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -120,7 +120,9 @@ proptest! {
 
         let path = temp_path("prop");
         let mut store = VerdictStore::load(&path);
-        store.update_from_memo(&memo);
+        for (key, value) in memo.snapshot() {
+            store.solver_put(key, value);
+        }
         for (source, verdict, digest, deps) in &pipeline {
             store.pipeline_put(
                 &JobSpec::new(source.clone()),
@@ -201,7 +203,7 @@ fn disk_round_trip_preserves_full_warmth() {
 
     let path = temp_path("warmth");
     let mut store = VerdictStore::load(&path);
-    store.update_from_memo(&cold_memo);
+    store.absorb_dirty(&cold_memo);
     store.flush().expect("flush succeeds");
 
     // A different process would do exactly this: load, warm, re-verify.
@@ -345,7 +347,7 @@ fn flushed_store_bytes(path: &PathBuf) -> Vec<u8> {
         let _ = solver.check(&[x.le(Term::int(i))]);
     }
     let mut store = VerdictStore::load(path);
-    store.update_from_memo(&memo);
+    store.absorb_dirty(&memo);
     store.pipeline_put(
         &JobSpec::new("function F() returns o: num(0,0) { o := 0; }"),
         entry("proved", "F Proved\n", Some(solver.touched_fingerprints())),

@@ -488,12 +488,12 @@ const MEMO_SHARDS: usize = 16;
 ///
 /// [`Solver::new`] gives each solver a private table; a corpus driver that
 /// wants cross-thread reuse creates one with [`QueryMemo::default`] inside
-/// an [`Arc`] and hands clones to [`Solver::with_memo`]. For persistence,
-/// [`QueryMemo::snapshot`] exports every entry in deterministic order and
-/// [`QueryMemo::absorb`] merges entries back in; a long-lived process that
-/// flushes incrementally instead drains only what changed with
-/// [`QueryMemo::drain_dirty`] — the trio is the contract the service
-/// crate's disk-backed verdict store is built on.
+/// an [`Arc`] and hands clones to [`Solver::with_memo`]. The service
+/// crate's disk-backed verdict store owns its daemon's table and keeps
+/// only the keys it has persisted: it loads entries in with
+/// [`QueryMemo::absorb`], takes what was solved since its last flush
+/// with [`QueryMemo::drain_dirty`], and reads each value it writes with
+/// [`QueryMemo::get`].
 #[derive(Debug)]
 pub struct QueryMemo {
     shards: Vec<Mutex<MemoShard>>,
@@ -501,9 +501,9 @@ pub struct QueryMemo {
 
 /// One lock shard: the entry map plus the fingerprints *solved into* it
 /// since the last [`QueryMemo::drain_dirty`]. Only fresh solves
-/// ([`QueryMemo::insert`]) land in `dirty` — entries merged back from a
-/// persisted snapshot ([`QueryMemo::absorb`]) are by definition already on
-/// disk and must not be re-flushed.
+/// ([`QueryMemo::insert`]) land in `dirty` — entries merged in from disk
+/// ([`QueryMemo::absorb`]) are by definition already there and must not
+/// be re-flushed.
 #[derive(Debug, Default)]
 struct MemoShard {
     entries: HashMap<Fingerprint, MemoEntry>,
@@ -550,8 +550,7 @@ impl QueryMemo {
     }
 
     /// Exports every memoized entry, sorted by fingerprint so the result
-    /// is deterministic regardless of shard layout or insertion order —
-    /// the persistence tier hashes serialized snapshots, so order matters.
+    /// is deterministic regardless of shard layout or insertion order.
     pub fn snapshot(&self) -> Vec<(Fingerprint, MemoEntry)> {
         let mut out: Vec<(Fingerprint, MemoEntry)> = self
             .shards
@@ -577,8 +576,7 @@ impl QueryMemo {
     ///
     /// Entries merged in with [`QueryMemo::absorb`] are never dirty (they
     /// came *from* persistence); only fresh solves are. Each exported
-    /// model is the memo's own allocation, so a store that keeps the
-    /// delta holds no second copy.
+    /// model is the memo's own allocation.
     pub fn drain_dirty(&self) -> Vec<(Fingerprint, MemoEntry)> {
         let mut out: Vec<(Fingerprint, MemoEntry)> = Vec::new();
         for shard in &self.shards {
@@ -597,7 +595,7 @@ impl QueryMemo {
         out
     }
 
-    /// Merges entries (e.g. a [`QueryMemo::snapshot`] loaded from disk)
+    /// Merges entries (e.g. those a verdict store decodes from disk)
     /// into the table. Existing entries win, unless the incoming one
     /// [upgrades](MemoEntry::upgrades) a bare `Sat` with its model: a live
     /// table's verdicts were computed by this process and never need
@@ -605,13 +603,15 @@ impl QueryMemo {
     /// impossible short of a corrupted snapshot, which must not clobber
     /// good entries.
     ///
-    /// The entries are grouped by shard first, so a start-up warm-up takes
+    /// The entries are grouped by shard first, so a store's load takes
     /// each shard's lock once and grows its map once, not per entry.
-    pub fn absorb(&self, entries: impl IntoIterator<Item = (Fingerprint, MemoEntry)>) {
+    /// Returns how many entries it stored (new keys and upgrades).
+    pub fn absorb(&self, entries: impl IntoIterator<Item = (Fingerprint, MemoEntry)>) -> usize {
         let mut batches: Vec<Vec<(Fingerprint, MemoEntry)>> = vec![Vec::new(); MEMO_SHARDS];
         for (key, value) in entries {
             batches[shard_index(key)].push((key, value));
         }
+        let mut stored = 0;
         for (shard, batch) in self.shards.iter().zip(batches) {
             if batch.is_empty() {
                 continue;
@@ -619,17 +619,17 @@ impl QueryMemo {
             let mut shard = lock(shard);
             shard.entries.reserve(batch.len());
             for (key, value) in batch {
-                shard.put(key, value);
+                stored += usize::from(shard.put(key, value));
             }
         }
+        stored
     }
 
-    /// Looks up one memoized entry. Public for the persistence layer:
-    /// a verdict store healing a dangling dependency (an entry a
-    /// compaction dropped but a later job turned out to need) re-reads it
-    /// from the live memo by fingerprint. A hit on a model hands out the
-    /// entry's allocation, so the shard lock is held for a
-    /// reference-count bump, not a copy of the model.
+    /// Looks up one memoized entry. Public for the persistence layer: a
+    /// verdict store keeps only keys, and reads each value it writes from
+    /// here. A hit on a model hands out the entry's allocation, so the
+    /// shard lock is held for a reference-count bump, not a copy of the
+    /// model.
     pub fn get(&self, key: Fingerprint) -> Option<MemoEntry> {
         self.shard(key).entries.get(&key).cloned()
     }
