@@ -17,9 +17,10 @@
 //!   asserting zero fresh solver queries inside the warm run; plus the
 //!   `service/flush-incremental` group pinning the O(delta) append-only
 //!   store flush (same dirty delta into a small vs. a ~128× larger store,
-//!   with per-batch appended bytes asserted flat inside the bench); plus
-//!   the ungated `service/store-load` row timing a daemon's start-up
-//!   store load and memo warm-up;
+//!   with per-batch appended bytes asserted flat and every measured
+//!   flush asserted to append its whole delta inside the bench); plus
+//!   the ungated `service/store-load` row timing a daemon's start-up,
+//!   one store load into the store's own memo;
 //! - `baseline_synthesis` — the "Verification by \[2\] (s)" comparison
 //!   column: proof *search* over the §6.4 annotation space;
 //! - `substrates` — microbenchmarks of the home-grown substrates (QF-LRA

@@ -406,8 +406,9 @@ impl Pipeline {
 
     /// [`Pipeline::verify_corpus_parallel`] against a **caller-provided**
     /// shared memo, so solver work survives the corpus run: a daemon keeps
-    /// one long-lived table across every batch it schedules (and persists
-    /// it via [`QueryMemo::snapshot`]), which is what turns repeated
+    /// one long-lived table across every batch it schedules (its verdict
+    /// store loads the table and persists what
+    /// [`QueryMemo::drain_dirty`] hands it), which is what turns repeated
     /// near-identical submissions — the CheckDP candidate-loop shape — into
     /// pure cache hits. Per-job [`CorpusJob::with_isolated_memo`] opt-outs
     /// are honored exactly as in the fresh-memo driver.

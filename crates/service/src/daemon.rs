@@ -22,15 +22,15 @@
 //! Persistence: on startup the daemon loads the [`VerdictStore`] (an
 //! append-only record log), whose solver tier lands in the memo the
 //! workers query ([`VerdictStore::memo`]); after every freshly verified
-//! job it drains the memo's dirty delta and
-//! **appends one framed delta record** — O(job), not O(store), so a long
-//! candidate loop pays constant flush cost per job instead of quadratic
-//! total. When the log holds more than twice as many entries as live
-//! ones ([`VerdictStore::wants_compaction`]), and always on clean shutdown, a compaction pass
-//! rewrites the log atomically and drops solver-tier entries unreachable
-//! from any pipeline-tier job. Jobs whose (source, options) pair is
-//! already in the pipeline tier are answered from disk without verifying
-//! and report `from = store` over the wire.
+//! job it drains the memo's dirty delta and **appends one framed delta
+//! record** — O(job), not O(store), so a long candidate loop pays
+//! constant flush cost per job instead of quadratic total. When the log
+//! holds more than twice as many entries as live ones
+//! ([`VerdictStore::wants_compaction`]), and always on clean shutdown, a
+//! compaction pass rewrites the log atomically and drops solver-tier
+//! entries unreachable from any pipeline-tier job. Jobs whose (source,
+//! options) pair is already in the pipeline tier are answered from disk
+//! without verifying and report `from = store` over the wire.
 //!
 //! A worker sends a finished job's outcome straight to the reply channel
 //! of the connection that submitted it, which holds it until its client
@@ -787,15 +787,15 @@ fn persist(
     let verdict = render_verdict(report);
     let kind = outcome_kind(report);
     let stats = report.as_ref().map(|r| r.solver_stats).unwrap_or_default();
-    // Exhausted and crashed runs are properties of this attempt (budget
-    // size, poisoned worker), not of the program: persisting them would
-    // answer future re-submissions — possibly with a *larger* budget —
-    // from a partial verdict. They stay out of the store entirely.
     // O(job), not O(store): drain only what has been solved since the
     // last drain and append it as one delta record. A failed flush keeps
     // the delta dirty, so the next successful flush (or the shutdown
     // compaction) persists it.
     store.absorb_dirty(&shared.memo);
+    // Exhausted and crashed runs are properties of this attempt (budget
+    // size, poisoned worker), not of the program: persisting them would
+    // answer future re-submissions — possibly with a *larger* budget —
+    // from a partial verdict. They stay out of the store entirely.
     if matches!(kind, OutcomeKind::Completed | OutcomeKind::Error) {
         // The job's solver-tier dependency set: compaction keeps a
         // persisted solver verdict alive iff some pipeline entry lists
